@@ -92,12 +92,10 @@ class LakeManifest:
     # -- write side ---------------------------------------------------------
 
     def txn_data_dir(self, version: int) -> str:
-        d = os.path.join(self.data_dir, f"txn-{version:06d}")
-        os.makedirs(d, exist_ok=True)
-        return d
-
-    def partition_file_name(self, version: int, pid: int) -> str:
-        return os.path.join(self.txn_data_dir(version), f"pid={pid:05d}.parquet")
+        """Staging directory of transaction ``version``. Not created here:
+        the tasks that write partition files create it, so a transaction
+        with nothing to write leaves no directory behind."""
+        return os.path.join(self.data_dir, f"txn-{version:06d}")
 
     def commit(self, version: int, new_partitions: dict[int, dict[str, Any]],
                meta: dict[str, Any] | None = None,
@@ -126,7 +124,7 @@ class LakeManifest:
         # make the staged data files' directory entries durable before any
         # manifest references them (files themselves were fsynced by their
         # merge tasks, in parallel)
-        txn_dir = os.path.join(self.data_dir, f"txn-{version:06d}")
+        txn_dir = self.txn_data_dir(version)
         if os.path.isdir(txn_dir):
             _fsync_dir(txn_dir)
         mpath = os.path.join(self.manifest_dir, f"manifest-{version:06d}.json")

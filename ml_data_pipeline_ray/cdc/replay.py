@@ -44,7 +44,9 @@ Scale notes (100 TB / 10^10 events):
   per-partition merge — the north star's "second groupby-aggregate pass".
 - Reads prune with column projection + ``lsn > checkpoint`` row-group
   pushdown (reference P3 analog, ``parquet/predicates.rs:336-375`` — built
-  into ``read_parquet``, not reimplemented).
+  into ``read_parquet``, not reimplemented); the split planner already
+  drops row groups whose footer LSN range the pushdown would empty, so a
+  tail poll schedules map tasks only for the new segments.
 """
 
 from __future__ import annotations
@@ -196,7 +198,10 @@ def _merge_partition_core(ev: pa.Table, pid: int, ckpt: int,
     lake_tbl = winners.select(out_names)
     lake_tbl = lake_tbl.append_column(LAKE_LSN_COL, winners.column(lsn_col))
     lake_tbl = lake_tbl.append_column(LAKE_DELETED_COL, is_deleted)
-    # stable layout within the partition file (cheap: already key-sorted)
+    # stable layout within the partition file (cheap: already key-sorted);
+    # the txn directory appears only once a partition is actually written,
+    # so a replay with nothing to apply leaves no debris
+    os.makedirs(txn_dir, exist_ok=True)
     path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
     # zstd-1 halves lake bytes vs snappy at equal CPU — partition-write disk
     # bandwidth is the merge wall's floor at high parallelism
@@ -261,8 +266,28 @@ def _make_merger(key: list[str], lsn_col: str, payload_schema: pa.Schema,
 import ray
 
 
-def _plan_splits(files: list[str], split_mib: int,
-                 min_splits: int = 64) -> list[list[tuple[str, list[int]]]]:
+def _row_groups(files: list[str], lsn_col: str):
+    """Yield ``(file, rg_idx, compressed_bytes, lsn_min, lsn_max)`` for every
+    row group, from parquet footers (metadata-only reads); the LSN bounds
+    are ``None`` where the footer carries no statistics."""
+    for f in files:
+        md = pq.read_metadata(f)
+        leaves = [md.schema.column(j).path for j in range(md.num_columns)]
+        idx = leaves.index(lsn_col) if lsn_col in leaves else None
+        for rg in range(md.num_row_groups):
+            g = md.row_group(rg)
+            b = sum(g.column(j).total_compressed_size for j in range(md.num_columns))
+            st = g.column(idx).statistics if idx is not None else None
+            if st is None or not st.has_min_max:
+                yield f, rg, b, None, None
+            else:
+                yield f, rg, b, st.min, st.max
+
+
+def _plan_splits(files: list[str], split_mib: int, lsn_col: str = "lsn",
+                 lsn_floor: int | None = None, lsn_max: int | None = None,
+                 min_splits: int = 64
+                 ) -> tuple[list[list[tuple[str, list[int]]]], int]:
     """Bytes-balanced read splits at ROW-GROUP granularity from parquet
     footers (metadata-only reads). A split is ``[(file, [rg_idx, ...]),
     ...]`` — independent of how rows happen to be sharded into files, so
@@ -270,17 +295,22 @@ def _plan_splits(files: list[str], split_mib: int,
     The plan derives from input bytes only (never cluster size): identical
     physical plan at every parallelism level.
 
+    Row groups whose footer LSN statistics put them wholly at or below
+    ``lsn_floor`` or wholly above ``lsn_max`` are pruned before any task is
+    scheduled (row groups without statistics are kept). Returns the splits
+    and the number of pruned row groups.
+
     Driver-side footer reads are fine for the file counts one transaction
     sees; at extreme file counts plan from the manifest instead."""
     rgs: list[tuple[str, int, int]] = []           # (file, rg, compressed_bytes)
-    total = 0
-    for f in files:
-        md = pq.read_metadata(f)
-        for rg in range(md.num_row_groups):
-            b = sum(md.row_group(rg).column(j).total_compressed_size
-                    for j in range(md.num_columns))
-            rgs.append((f, rg, b))
-            total += b
+    total = pruned = 0
+    for f, rg, b, lo, hi in _row_groups(files, lsn_col):
+        if hi is not None and ((lsn_floor is not None and hi <= lsn_floor)
+                               or (lsn_max is not None and lo > lsn_max)):
+            pruned += 1
+            continue
+        rgs.append((f, rg, b))
+        total += b
     # target bytes/split: bounded above by split_mib, and small enough that
     # ~min_splits splits exist when the data allows (fine-grained waves)
     target = max(1, min(split_mib << 20, total // min_splits))
@@ -296,7 +326,7 @@ def _plan_splits(files: list[str], split_mib: int,
             cur, cur_bytes = [], 0
     if cur:
         splits.append(cur)
-    return splits
+    return splits, pruned
 
 
 @ray.remote
@@ -427,6 +457,11 @@ class CDCEngine:
             raise ValueError(
                 f"lake was created with num_partitions={meta['num_partitions']}, "
                 f"got {num_partitions}")
+        # replay's LWW fold and table_changes' co-partitioned diff both rely
+        # on key[0] being the column the lake was partitioned by
+        if "key" in meta and list(meta["key"]) != list(self.key):
+            raise ValueError(
+                f"lake was created with key={meta['key']}, got {self.key}")
         self.num_partitions = num_partitions
 
     # -- replay -------------------------------------------------------------
@@ -438,6 +473,13 @@ class CDCEngine:
         transaction. Returns commit metrics. Idempotent: events at or below a
         partition's checkpoint are skipped, and an interrupted transaction is
         invisible until its atomic manifest commit.
+
+        Besides ``version``, ``committed``, ``events_applied`` and
+        ``partitions_written`` (plus ``rows_live`` on commit), the metrics
+        carry the transaction's map work, also recorded in the manifest
+        version's ``metrics``: ``map_tasks`` (splits scheduled after LSN
+        pruning; files read on the ``raydata`` exchange) and
+        ``row_groups_pruned``.
         """
         files = _expand_paths(changelog)
         in_schema = unify_parquet_schemas(files)
@@ -445,24 +487,43 @@ class CDCEngine:
             [f for f in in_schema if f.name not in (self.lsn_col, self.op_col)])
 
         ckpts = self.manifest.checkpoints()
-        # global pushdown: only sound if every partition has a checkpoint
-        flt = None
+        # global pushdown floor: the min checkpoint is only sound if every
+        # partition has one
+        floor = None
         if len(ckpts) == self.num_partitions and ckpts:
-            flt = pc.field(self.lsn_col) > min(ckpts.values())
+            floor = min(ckpts.values())
         if lsn_min is not None:
-            f2 = pc.field(self.lsn_col) > lsn_min
-            flt = f2 if flt is None else (flt & f2)
+            floor = lsn_min if floor is None else max(floor, lsn_min)
+        flt = None
+        if floor is not None:
+            flt = pc.field(self.lsn_col) > floor
         if lsn_max is not None:
             f2 = pc.field(self.lsn_col) <= lsn_max
             flt = f2 if flt is None else (flt & f2)
 
+        # split planning at row-group granularity (bytes only — identical
+        # plan at every parallelism level), skipping row groups the pushdown
+        # would empty anyway; bounded MiB per split keeps per-task heap small
+        # and the map waves fine-grained (a straggler costs one small split,
+        # not 1/n_files of the job)
+        splits, pruned = _plan_splits(files, self.split_mib, self.lsn_col,
+                                      floor, lsn_max)
+        if not splits:
+            return {"version": self.manifest.current_version(),
+                    "committed": False, "events_applied": 0,
+                    "partitions_written": 0, "map_tasks": 0,
+                    "row_groups_pruned": pruned}
+
         if self.exchange == "direct":
-            return self._replay_direct(files, in_schema, payload_schema,
-                                       ckpts, flt)
+            return self._replay_direct(splits, pruned, files, in_schema,
+                                       payload_schema, ckpts, flt)
 
         # no schema= at the read: evolved struct columns cannot be cast by
         # the parquet scanner; each batch aligns to the unified schema inside
-        # the normalizer instead (same lattice as the direct path)
+        # the normalizer instead (same lattice as the direct path). Only
+        # files with an unpruned row group are read; the map work reported
+        # for this path is one unit per file read.
+        files = list(dict.fromkeys(f for split in splits for f, _ in split))
         ds = read_parquet(files, filter=flt)
         ds = ds.map_batches(
             _make_normalizer(in_schema, self.key, self.lsn_col, self.op_col,
@@ -484,22 +545,19 @@ class CDCEngine:
         metrics_ds = ds.groupby(PID_COL).map_groups(merger, batch_format="pyarrow")
         metrics = metrics_ds.to_pandas()
         self.last_stats = metrics_ds.stats()  # per-operator wall/cpu breakdown
-        return self._commit_metrics(version, metrics.to_dict("records"))
+        return self._commit_metrics(version, metrics.to_dict("records"),
+                                    {"map_tasks": len(files),
+                                     "row_groups_pruned": pruned})
 
-    def _replay_direct(self, files: list[str], in_schema: pa.Schema,
-                       payload_schema: pa.Schema, ckpts: dict[int, int],
-                       flt) -> dict[str, Any]:
+    def _replay_direct(self, splits: list, pruned: int, files: list[str],
+                       in_schema: pa.Schema, payload_schema: pa.Schema,
+                       ckpts: dict[int, int], flt) -> dict[str, Any]:
         """Direct P-way hash exchange via Ray core tasks (see module notes):
-        fused read+normalize+combine+split map tasks, then one merge task per
-        partition. Same merge semantics and exactly-once commit as the
-        Ray Data path."""
+        one fused read+normalize+combine+split map task per planned split,
+        then one merge task per partition. Same merge semantics and
+        exactly-once commit as the Ray Data path."""
         import ray as _ray
 
-        # split planning at row-group granularity (bytes only — identical
-        # plan at every parallelism level); bounded MiB per split keeps
-        # per-task heap small and the map waves fine-grained (a straggler
-        # costs one small split, not 1/n_files of the job)
-        splits = _plan_splits(files, self.split_mib)
         n_splits = len(splits)
         total_bytes = sum(os.path.getsize(f) for f in files)
 
@@ -535,7 +593,9 @@ class CDCEngine:
         ]
         rows = _ray.get(merge_refs)
         t_merge = _time.perf_counter()
-        res = self._commit_metrics(version, rows)
+        res = self._commit_metrics(version, rows,
+                                   {"map_tasks": n_splits,
+                                    "row_groups_pruned": pruned})
         t_commit = _time.perf_counter()
         self.last_stats = (
             f"direct exchange: {n_splits} map tasks x {P} partitions "
@@ -543,12 +603,16 @@ class CDCEngine:
             f"merge {t_merge - t_maps:.2f}s, commit {t_commit - t_merge:.2f}s")
         return res
 
-    def _commit_metrics(self, version: int,
-                        rows: list[dict]) -> dict[str, Any]:
+    def _commit_metrics(self, version: int, rows: list[dict],
+                        plan: dict[str, int] | None = None) -> dict[str, Any]:
+        """Commit the written partitions of ``rows`` (per-partition merge
+        results). ``plan`` holds the transaction's map-work counters; they
+        are returned and recorded in the manifest version's metrics."""
+        plan = plan or {}
         written = [r for r in rows if r.get("action") == "write"]
         if not written:
             return {"version": self.manifest.current_version(), "committed": False,
-                    "events_applied": 0, "partitions_written": 0}
+                    "events_applied": 0, "partitions_written": 0, **plan}
         new_parts = {
             int(r["pid"]): {"file": r["file"], "last_lsn": int(r["last_lsn"]),
                             "rows": int(r["rows"]),
@@ -559,6 +623,7 @@ class CDCEngine:
             "events_applied": int(sum(r["events_applied"] for r in written)),
             "partitions_written": len(new_parts),
             "rows_live": int(sum(r["rows"] for r in written)),
+            **plan,
         }
         self.manifest.commit(version, new_parts,
                              meta={"num_partitions": self.num_partitions,
@@ -635,6 +700,7 @@ class CDCEngine:
         def rewrite(pid: int, src: str, last_lsn: int) -> dict:
             tbl = pq.read_table(src)
             live = tbl.filter(pc.equal(tbl.column(LAKE_DELETED_COL), False))
+            os.makedirs(txn_dir, exist_ok=True)
             path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
             pq.write_table(live, path, compression="zstd", compression_level=1)
             # same durability rule as _merge_partition_core: the data file
@@ -692,89 +758,102 @@ class CDCEngine:
 
         Scale design: partitions whose manifest file entry is IDENTICAL at
         both versions are pruned before any read (an incremental commit
-        rewrites only touched partitions, so the diff reads only those);
-        the remaining live snapshots full-outer ``hash_join`` on the key.
-        "Update" is detected by the per-row ``_lsn`` (the winning event's
-        LSN — rewritten iff a newer event won the key), so payload-equal
-        rewrites are still reported, exactly like the changelog semantics.
-        Robust to compaction: a compacted ``v_to`` drops tombstones, but a
-        key live at ``v_from`` and absent at ``v_to`` is still a delete via
-        the outer join.
+        rewrites only touched partitions, so the diff reads only those).
+        The lake is hash-partitioned by ``key[0]`` with a partition count
+        fixed for its lifetime, so partition p holds the same key set at
+        every version: the diff is a co-partitioned join, run as one task
+        per changed partition (its file at ``v_from`` full-outer joined
+        with its file at ``v_to``) with no exchange, giving one output
+        block per changed partition. "Update" is detected by the per-row
+        ``_lsn`` (the winning event's LSN — rewritten iff a newer event won
+        the key), so payload-equal rewrites are still reported, exactly
+        like the changelog semantics. Robust to compaction: a compacted
+        ``v_to`` drops tombstones, but a key live at ``v_from`` and absent
+        at ``v_to`` is still a delete via the outer join.
 
         ``payload_columns`` prunes the new-side payload carried through the
         diff (``[]`` = keys + change only): a consumer that only needs the
-        change kind (e.g. incremental count maintenance) should not ship
-        the wide text columns through the outer-join exchange."""
-        from ..stages.joins import hash_join
-
+        change kind (e.g. incremental count maintenance) should not read
+        the wide text columns at all."""
         pf1 = self.manifest.partition_files(v_from)
         pf2 = self.manifest.partition_files(v_to)
-        pids = [p for p in set(pf1) | set(pf2) if pf1.get(p) != pf2.get(p)]
-        f1 = sorted(pf1[p] for p in pids if p in pf1)
-        f2 = sorted(pf2[p] for p in pids if p in pf2)
-
-        def _live(files: list[str], cols: list[str]) -> rd.Dataset:
-            schema = unify_parquet_schemas(files)
-            ds = read_parquet(files, schema=schema,
-                              filter=~pc.field(LAKE_DELETED_COL))
-            return ds.select_columns(cols)
-
-        base = unify_parquet_schemas(f2 or f1 or
-                                     sorted(pf2.values() or pf1.values()))
-        payload = [n for n in base.names
+        pids = sorted(p for p in set(pf1) | set(pf2) if pf1.get(p) != pf2.get(p))
+        changed = ([pf2[p] for p in pids if p in pf2]
+                   + [pf1[p] for p in pids if p in pf1])
+        # one schema for both versions: key types widen across an evolving
+        # commit (e.g. int32 -> int64), so both sides align to it
+        schema = unify_parquet_schemas(
+            changed or sorted(pf2.values() or pf1.values()))
+        payload = [n for n in schema.names
                    if n not in (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL)]
         if payload_columns is not None:
             payload = [c for c in payload if c in payload_columns]
+        old_schema = pa.schema(
+            [schema.field(n) for n in (*self.key, LAKE_LSN_COL)])
+        new_schema = pa.schema(
+            [schema.field(n) for n in (*self.key, LAKE_LSN_COL, *payload)])
+        key = list(self.key)
 
-        def _empty(cols: list[str]) -> rd.Dataset:
-            names = [c if c in base.names else LAKE_LSN_COL for c in cols]
-            t = base.empty_table().select(names).rename_columns(cols)
-            return rd.from_arrow(t)
+        if not pids:
+            return rd.from_arrow(_classify_changes(
+                old_schema.empty_table(), new_schema.empty_table(), key))
 
-        old_cols = [*self.key, "_lsn_from"]
-        new_cols = [*self.key, "_lsn_to", *payload]
-        old = (_live(f1, [*self.key, LAKE_LSN_COL]).map_batches(
-            lambda b: b.rename_columns(old_cols),
-            batch_format="pyarrow", zero_copy_batch=True)
-            if f1 else _empty(old_cols))
-        new = (_live(f2, [*self.key, LAKE_LSN_COL, *payload]).map_batches(
-            lambda b: b.rename_columns(new_cols),
-            batch_format="pyarrow", zero_copy_batch=True)
-            if f2 else _empty(new_cols))
-        joined = hash_join(old, new, on=list(self.key), how="outer")
+        def diff(pair: pa.Table) -> pa.Table:
+            return _classify_changes(
+                _live_rows(pair["old"][0].as_py(), old_schema),
+                _live_rows(pair["new"][0].as_py(), new_schema), key)
 
-        def classify(b: pa.Table) -> pa.Table:
-            lf, lt = b.column("_lsn_from"), b.column("_lsn_to")
-            change = pc.if_else(
-                pc.is_null(lf), pa.scalar("insert"),
-                pc.if_else(pc.is_null(lt), pa.scalar("delete"),
-                           pa.scalar("update")))
-            out = b.drop_columns(["_lsn_from", "_lsn_to"])
-            out = out.add_column(len(self.key), "change", change)
-            # unchanged rows (same winning LSN on both sides) are not changes
-            keep = pc.or_kleene(pc.is_null(lf), pc.or_kleene(
-                pc.is_null(lt), pc.not_equal(lf, lt)))
-            return out.filter(pc.fill_null(keep, False))
+        pairs = [{"old": pf1.get(p, ""), "new": pf2.get(p, "")} for p in pids]
+        return rd.from_items(pairs, override_num_blocks=len(pairs)).map_batches(
+            diff, batch_size=1, batch_format="pyarrow")
 
-        return joined.map_batches(classify, batch_format="pyarrow",
-                                  zero_copy_batch=True)
+
+def _live_rows(path: str, schema: pa.Schema) -> pa.Table:
+    """Live (non-tombstone) rows of one lake partition file, projected to
+    ``schema``'s columns and aligned to its types; ``""`` (no file at that
+    version) reads as no rows."""
+    if not path:
+        return schema.empty_table()
+    names = pq.read_schema(path).names
+    t = pq.read_table(path, columns=[n for n in schema.names if n in names],
+                      filters=~pc.field(LAKE_DELETED_COL))
+    return align_to_schema(t, schema)
+
+
+def _classify_changes(old: pa.Table, new: pa.Table, key: list[str]) -> pa.Table:
+    """Row diff of one partition: ``old`` is ``(key..., _lsn)`` at the
+    earlier version, ``new`` is ``(key..., _lsn, payload...)`` at the later
+    one. Returns ``(key..., change, payload...)`` for every key whose
+    winning LSN differs (insert / update / delete; payload null for
+    deletes). Only keys, LSNs and a row index go through Arrow's join, so
+    any payload type works; the payload is gathered afterwards."""
+    n_key = len(key)
+    left = old.rename_columns([*key, "_lsn_from"])
+    right = pa.table([*new.columns[:n_key], new.column(LAKE_LSN_COL),
+                      pa.array(np.arange(new.num_rows, dtype=np.int64))],
+                     names=[*key, "_lsn_to", "_row"])
+    j = left.join(right, keys=key, join_type="full outer")
+    lf, lt = j.column("_lsn_from"), j.column("_lsn_to")
+    # unchanged rows (same winning LSN on both sides) are not changes
+    keep = pc.or_kleene(pc.is_null(lf), pc.or_kleene(
+        pc.is_null(lt), pc.not_equal(lf, lt)))
+    j = j.filter(pc.fill_null(keep, False))
+    lf, lt = j.column("_lsn_from"), j.column("_lsn_to")
+    change = pc.if_else(
+        pc.is_null(lf), pa.scalar("insert"),
+        pc.if_else(pc.is_null(lt), pa.scalar("delete"), pa.scalar("update")))
+    payload = new.drop_columns([*key, LAKE_LSN_COL]).take(j.column("_row"))
+    return pa.table([*j.select(key).columns, change, *payload.columns],
+                    names=[*key, "change", *payload.column_names])
 
 
 def _lsn_bounds(files: list[str], lsn_col: str) -> tuple[int, int]:
     """(min, max) LSN across files from parquet row-group statistics."""
-    lo, hi = None, None
-    for f in files:
-        md = pq.read_metadata(f)
-        idx = md.schema.to_arrow_schema().get_field_index(lsn_col)
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:
-                continue
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-    if lo is None:
+    stats = [(lo, hi) for _, _, _, lo, hi in _row_groups(files, lsn_col)
+             if lo is not None]
+    if not stats:
         raise ValueError(f"no {lsn_col} statistics in parquet footers")
-    return int(lo), int(hi)
+    return int(min(lo for lo, _ in stats)), int(max(hi for _, hi in stats))
 
 
 def replay_changelog(changelog: str | list[str], lake_dir: str,

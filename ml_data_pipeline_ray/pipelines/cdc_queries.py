@@ -117,15 +117,17 @@ def cdc_time_travel(sf_dir: str) -> pa.Table:
 _TWO_TXN_CACHE: dict[str, tuple] = {}
 
 #: (scale) → materialized full-payload v1→v2 diff Dataset. The diff is the
-#: expensive part of the CDC-source family (manifest-pruned full-outer join
-#: of the two live snapshots); both source queries consume it, so compute it
-#: once per scale like the lake itself (r03: cdc_incremental_agg re-derived
-#: it with payload_columns=[] — a second full join, 11 s driver wall)
+#: expensive part of the CDC-source family (manifest-pruned, one full-outer
+#: join per changed partition of its two versions); both source queries
+#: consume it, so compute it once per scale like the lake itself (r03:
+#: cdc_incremental_agg re-derived it with payload_columns=[] — a second
+#: full diff, 11 s driver wall)
 _DIFF_CACHE: dict[str, "object"] = {}
 
 
 def _two_txn_diff(sf_dir: str):
-    """Materialized ``table_changes(v1→v2)`` Dataset, memoized per scale."""
+    """Materialized ``table_changes(v1→v2)`` Dataset (one per-partition
+    join task per changed partition, coalesced), memoized per scale."""
     scale = scale_for_sf_dir(sf_dir)
     if scale not in _DIFF_CACHE:
         eng, v1 = _two_txn_engine(sf_dir)
@@ -134,11 +136,12 @@ def _two_txn_diff(sf_dir: str):
 
 
 def _coalesce(ds):
-    """Materialize with a byte-bounded block count. The diff/view pipelines
-    emit per-bucket outputs (~3x cores blocks of a few thousand rows);
-    every downstream op then pays a task per tiny block. One repartition
-    at memoization time (~128 MiB per block, bench inputs → 1-2 blocks)
-    makes each cached consumer a handful of tasks instead of hundreds."""
+    """Materialize with a byte-bounded block count. The diff emits one
+    block per changed partition (up to ``NUM_PARTITIONS``) and the view's
+    grouped aggregate one per shard, each a few thousand rows; every
+    downstream op then pays a task per tiny block. One repartition at
+    memoization time (~128 MiB per block, bench inputs → 1-2 blocks) makes
+    each cached consumer a handful of tasks instead of dozens."""
     mat = ds.materialize()
     blocks = max(1, int(mat.size_bytes() or 0) // (128 << 20) + 1)
     if blocks < mat.num_blocks():
@@ -177,8 +180,9 @@ def _two_txn_engine(sf_dir: str):
 def cdc_table_changes(sf_dir: str) -> pa.Table:
     """The lake as a CDC **source**: replay in two transactions split at
     the midpoint LSN, then read the exact row diff v1→v2 via
-    ``CDCEngine.table_changes`` (manifest-level partition pruning + one
-    full-outer hash join of the live snapshots; updates detected by the
+    ``CDCEngine.table_changes`` (manifest-level partition pruning, then
+    each changed partition's live rows at v1 full-outer joined with its
+    own live rows at v2 in one task, no exchange; updates detected by the
     winning-event LSN). Oracle: the same diff computed from the changelog
     with two LWW window queries FULL JOINed in SQL."""
     ds = _two_txn_diff(sf_dir)

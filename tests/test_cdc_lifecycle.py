@@ -14,9 +14,53 @@ from ml_data_pipeline_ray.cdc.oracle import FINAL_COLUMNS
 from ml_data_pipeline_ray.cdc.replay import LAKE_DELETED_COL
 
 
+KEY = ["conv_id", "turn_idx"]
+
+
 def _read_all(d):
     return pa.concat_tables([pq.read_table(f) for f in sorted(glob.glob(d + "/*.parquet"))],
                             promote_options="permissive")
+
+
+def _raw_snapshot(eng, version):
+    """Every partition file of ``version`` read straight from disk (with
+    ``_lsn`` and ``_deleted``), tombstones dropped afterwards."""
+    files = sorted(eng.manifest.partition_files(version).values())
+    df = pa.concat_tables([pq.read_table(f) for f in files],
+                          promote_options="permissive").to_pandas()
+    return df[~df["_deleted"]].drop(columns="_deleted")
+
+
+def _oracle_changes(eng, v_from, v_to):
+    """Pandas full-outer diff of the two raw snapshots: insert / delete by
+    key presence, update where the winning ``_lsn`` differs; payload from
+    ``v_to`` (null for deletes). Sorted by key."""
+    old = _raw_snapshot(eng, v_from)[KEY + ["_lsn"]]
+    new = _raw_snapshot(eng, v_to)
+    payload = [c for c in new.columns if c not in (*KEY, "_lsn")]
+    m = old.merge(new, on=KEY, how="outer", suffixes=("_from", "_to"),
+                  indicator=True)
+    m["change"] = m["_merge"].map({"left_only": "delete", "right_only": "insert",
+                                   "both": "update"}).astype(object)
+    m = m[(m["_merge"] != "both") | (m["_lsn_from"] != m["_lsn_to"])]
+    for c in payload:                 # deletes' payload: None, not NaN
+        if m[c].dtype == object:
+            m[c] = m[c].where(m[c].notna(), None)
+    return (m[KEY + ["change"] + payload].sort_values(KEY)
+            .reset_index(drop=True))
+
+
+def _assert_changes_exact(eng, v_from, v_to=None):
+    """``table_changes`` equals the pandas oracle row for row: the exact
+    insert, update and delete sets and every payload value. Returns the
+    diff."""
+    v_to = eng.manifest.current_version() if v_to is None else v_to
+    ds = eng.table_changes(v_from, v_to)
+    want = _oracle_changes(eng, v_from, v_to)
+    assert ds.schema().names == list(want.columns)
+    got = ds.to_pandas().sort_values(KEY).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    return got
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -109,29 +153,84 @@ def test_table_changes_diff_and_converged_empty(small_fixture, tmp_path):
     v1 = eng.manifest.current_version()
     eng.replay(files, lsn_min=(lo + hi) // 2)
 
-    got = (eng.table_changes(v_from=v1).to_pandas()
-           .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+    got = _assert_changes_exact(eng, v1)
+    assert set(got["change"]) == {"insert", "update", "delete"}
 
-    s1 = eng.final_table(version=v1).to_pandas().set_index(
-        ["conv_id", "turn_idx"])
-    s2 = eng.final_table().to_pandas().set_index(["conv_id", "turn_idx"])
-    inserts = set(s2.index) - set(s1.index)
-    deletes = set(s1.index) - set(s2.index)
-    want_ins = {k for k, c in zip(zip(got["conv_id"], got["turn_idx"]),
-                                  got["change"]) if c == "insert"}
-    want_del = {k for k, c in zip(zip(got["conv_id"], got["turn_idx"]),
-                                  got["change"]) if c == "delete"}
-    assert want_ins == inserts
-    assert want_del == deletes
-    # updates are a superset check: every reported update exists in both
-    ups = got[got["change"] == "update"]
-    for k in zip(ups["conv_id"], ups["turn_idx"]):
-        assert k in s1.index and k in s2.index
+    s1 = eng.final_table(version=v1).to_pandas().set_index(KEY)
+    s2 = eng.final_table().to_pandas().set_index(KEY)
+    key_of = dict(zip(zip(got["conv_id"], got["turn_idx"]), got["change"]))
+    assert {k for k, c in key_of.items() if c == "insert"} == \
+        set(s2.index) - set(s1.index)
+    assert {k for k, c in key_of.items() if c == "delete"} == \
+        set(s1.index) - set(s2.index)
 
     # converged re-replay → empty diff
     v2 = eng.manifest.current_version()
     eng.replay(files)
     assert eng.table_changes(v_from=v2).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_empty_diff_keeps_typed_schema(small_fixture, tmp_path):
+    """A diff with no changed partition (v -> v), and one whose changed
+    partitions hold no changed row (across a compaction), is empty but
+    keeps the typed ``key..., change, payload...`` schema."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.replay(small_fixture["changelog"])
+    v1 = eng.manifest.current_version()
+    assert eng.compact()["committed"]
+    want = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                      ("change", pa.string())])
+    for v_from, v_to in [(v1, v1), (v1, v1 + 1)]:
+        ds = eng.table_changes(v_from, v_to)
+        assert ds.count() == 0
+        schema = ds.schema()
+        assert schema.names == [*KEY, "change", *FINAL_COLUMNS[2:]]
+        types = dict(zip(schema.names, schema.types))
+        for f in want:
+            assert types[f.name] == f.type, (v_from, v_to, f)
+        assert _oracle_changes(eng, v_from, v_to).empty
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_reports_delete_compacted_away(small_fixture, tmp_path):
+    """A key live at v1, deleted at v2 and compacted out of its partition
+    at v3 is absent from every v3 file, tombstone included; the v1 -> v3
+    diff must still report it as a delete."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    v1 = eng.manifest.current_version()
+    eng.replay(files, lsn_min=(lo + hi) // 2)
+    assert eng.compact()["committed"]
+    v3 = eng.manifest.current_version()
+
+    got = _assert_changes_exact(eng, v1, v3)
+    deleted = set(zip(*(got.loc[got["change"] == "delete", k] for k in KEY)))
+    on_disk = pa.concat_tables(
+        [pq.read_table(f, columns=KEY)
+         for f in eng.manifest.partition_files(v3).values()],
+        promote_options="permissive").to_pandas()
+    assert deleted
+    assert not deleted & set(zip(on_disk["conv_id"], on_disk["turn_idx"]))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_single_partition_lake(small_fixture, tmp_path):
+    """P=1: the whole lake is one partition, so the diff is one task."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=1)
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    v1 = eng.manifest.current_version()
+    eng.replay(files, lsn_min=(lo + hi) // 2)
+    got = _assert_changes_exact(eng, v1)
+    assert set(got["change"]) == {"insert", "update", "delete"}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -154,24 +253,31 @@ def test_table_changes_after_compaction_empty_and_pruned(small_fixture, tmp_path
 
 @pytest.mark.usefixtures("ray_session")
 def test_table_changes_across_schema_evolution(tmp_path_factory, tmp_path):
-    """Diff across an evolving commit: the first transaction is pure v1
-    schema (no ``model``), the second brings the evolved files — the diff
-    must surface the unified schema (``model`` present, null where the
-    winning row predates the evolution) without error."""
-    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+    """Diff across an evolving commit: the first transaction replays only
+    the pre-cutover files, so its partitions are pure v1 schema (int32
+    ``turn_idx``, no ``model``); the second brings the evolved files. The
+    diff must join int32 keys against int64 ones and surface the unified
+    schema (``model`` present, null where the winning row predates the
+    evolution), exactly equal to the pandas oracle."""
     from ml_data_pipeline_ray.fixtures import write_fixture_set
 
     paths = write_fixture_set(str(tmp_path_factory.mktemp("ev_diff")),
                               scale="tiny", seed=42, n_files=8, evolve=True)
     files = sorted(glob.glob(paths["changelog"] + "/*.parquet"))
-    lo, hi = _lsn_bounds(files, "lsn")
+    pre = [f for f in files if "model" not in pq.read_schema(f).names]
+    assert 0 < len(pre) < len(files)
     eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
-    eng.replay(files, lsn_max=(lo + hi) // 2)   # pre-cutover: v1 schema
+    eng.replay(pre)                             # pre-cutover: v1 schema
     v1 = eng.manifest.current_version()
-    eng.replay(files, lsn_min=(lo + hi) // 2)   # brings the evolved schema
-    diff = eng.table_changes(v_from=v1).to_pandas()
-    assert len(diff) > 0
-    assert "model" in diff.columns
+    for f in eng.manifest.partition_files(v1).values():
+        schema = pq.read_schema(f)
+        assert schema.field("turn_idx").type == pa.int32()
+        assert "model" not in schema.names
+    eng.replay(files)                           # brings the evolved schema
+    diff = _assert_changes_exact(eng, v1)
+    schema = eng.table_changes(v1).schema()
+    assert dict(zip(schema.names, schema.types))["turn_idx"] == pa.int64()
+    assert set(diff["change"]) == {"insert", "update", "delete"}
     ins = diff[diff["change"] == "insert"]
     assert ins["model"].notna().any()           # evolved rows carry model
 

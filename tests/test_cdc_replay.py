@@ -3,7 +3,9 @@ per-turn text equality under stable (conv_id, turn_idx) ordering
 (BASELINE.json north rule)."""
 
 import glob
+import os
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -129,3 +131,138 @@ def test_delete_tombstone_and_revive(small_fixture, tmp_path):
     assert len(revived) > 0
     assert set(map(tuple, revived[["conv_id", "turn_idx"]].to_numpy())) <= got_keys
     assert len(got) == len(want)
+
+
+def _write_lsn_slices(tbl: pa.Table, d: str, n: int, prefix: str) -> list[str]:
+    """Write ``tbl`` sorted by LSN as ``n`` files of one row group each, so
+    every file covers its own LSN range."""
+    tbl = tbl.sort_by([("lsn", "ascending")])
+    os.makedirs(d, exist_ok=True)
+    edges = np.linspace(0, tbl.num_rows, n + 1).astype(int)
+    out = []
+    for i in range(n):
+        path = os.path.join(d, f"{prefix}-{i:03d}.parquet")
+        pq.write_table(tbl.slice(edges[i], edges[i + 1] - edges[i]), path)
+        out.append(path)
+    return out
+
+
+def _planned(splits) -> list[tuple[str, int]]:
+    return [(f, rg) for split in splits for f, rgs in split for rg in rgs]
+
+
+def test_plan_splits_prunes_by_lsn_statistics(tmp_path):
+    """Row groups wholly at or below the floor, or wholly above ``lsn_max``,
+    are pruned; row groups without statistics are always kept."""
+    from ml_data_pipeline_ray.cdc.replay import _plan_splits
+
+    def write(name, lo, hi, **kw):
+        path = str(tmp_path / name)
+        pq.write_table(pa.table({"lsn": pa.array(range(lo, hi + 1), pa.int64())}),
+                       path, row_group_size=50, **kw)
+        return path
+
+    base = [write(f"base-{i}.parquet", 100 * i + 1, 100 * (i + 1)) for i in range(3)]
+    delta = write("delta.parquet", 301, 340)
+    bare = write("bare.parquet", 1, 10, write_statistics=False)
+    files = [*base, delta, bare]
+
+    splits, pruned = _plan_splits(files, 16, "lsn")
+    assert pruned == 0 and len(_planned(splits)) == 8
+
+    # a tail poll over a lake checkpointed at 300: only the delta remains
+    splits, pruned = _plan_splits(files, 16, "lsn", lsn_floor=300)
+    assert _planned(splits) == [(delta, 0), (bare, 0)]
+    assert pruned == 6
+
+    # a round window (100, 200]: row groups 101-150 and 151-200 of base-1
+    splits, pruned = _plan_splits(files, 16, "lsn", lsn_floor=100, lsn_max=200)
+    assert _planned(splits) == [(base[1], 0), (base[1], 1), (bare, 0)]
+    assert pruned == 5
+
+    # nothing new at all
+    splits, pruned = _plan_splits(files[:4], 16, "lsn", lsn_floor=340)
+    assert splits == [] and pruned == 7
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_replay_in_rounds_plans_only_its_window(small_fixture, tmp_path):
+    """Each LSN round schedules map work only for the row groups whose
+    footer LSN range meets its window, reports that count and the pruned
+    rest, records both in its manifest version, and still converges."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    log = _read_all(small_fixture["changelog"])
+    files = _write_lsn_slices(log, str(tmp_path / "log"), 6, "slice")
+    ranges = [_lsn_bounds([f], "lsn") for f in files]
+    lo, hi = _lsn_bounds(files, "lsn")
+    edges = np.linspace(lo - 1, hi, 4).astype(np.int64)
+
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    rounds = eng.replay_in_rounds(files, num_rounds=3)
+    for i, r in enumerate(rounds):
+        meets = sum(f_hi > edges[i] and f_lo <= edges[i + 1]
+                    for f_lo, f_hi in ranges)
+        assert r["committed"]
+        assert r["map_tasks"] == meets
+        assert r["row_groups_pruned"] == len(files) - meets > 0
+        metrics = eng.manifest.load(r["version"])["metrics"]
+        assert metrics["map_tasks"] == r["map_tasks"]
+        assert metrics["row_groups_pruned"] == r["row_groups_pruned"]
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    _assert_tables_equal(got, oracle_replay(log))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_tail_poll_schedules_only_new_row_groups(small_fixture, tmp_path):
+    """P=1, so the lake's only checkpoint is the last applied LSN: after
+    the base log is applied, a poll that finds one new segment plans that
+    segment alone, and an idle poll plans nothing, commits nothing and
+    leaves no staging directory."""
+    log = _read_all(small_fixture["changelog"]).sort_by([("lsn", "ascending")])
+    n_base = log.num_rows * 9 // 10
+    spool = str(tmp_path / "spool")
+    _write_lsn_slices(log.slice(0, n_base), spool, 4, "base")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=1)
+    assert eng.tail(spool, max_polls=1)[0]["map_tasks"] == 4
+
+    _write_lsn_slices(log.slice(n_base), spool, 1, "delta")
+    [poll] = eng.tail(spool, max_polls=1)
+    assert poll["committed"] and poll["events_applied"] > 0
+    assert (poll["map_tasks"], poll["row_groups_pruned"]) == (1, 4)
+
+    data_dir = os.path.join(eng.lake_dir, "data")
+    txns = sorted(os.listdir(data_dir))
+    [idle] = eng.tail(spool, max_polls=1)
+    assert idle == {"version": poll["version"], "committed": False,
+                    "events_applied": 0, "partitions_written": 0,
+                    "map_tasks": 0, "row_groups_pruned": 5}
+    assert sorted(os.listdir(data_dir)) == txns
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    _assert_tables_equal(got, oracle_replay(log))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_idle_poll_leaves_no_txn_dir(small_fixture, tmp_path):
+    """With P=8 the lowest checkpoint sits below the log's last LSNs, so an
+    idle poll still runs map tasks; its merges write nothing, and no
+    ``data/txn-*`` directory appears for the version it did not commit."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    v = eng.replay(small_fixture["changelog"])["version"]
+    data_dir = os.path.join(eng.lake_dir, "data")
+    assert os.listdir(data_dir) == [f"txn-{v:06d}"]
+    polls = eng.tail(small_fixture["changelog"], max_polls=2, idle_stop=2)
+    assert [p["committed"] for p in polls] == [False, False]
+    assert all(p["map_tasks"] > 0 for p in polls)
+    assert os.listdir(data_dir) == [f"txn-{v:06d}"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_reopen_with_different_key_raises(small_fixture, tmp_path):
+    """The manifest records the upsert key; reopening the lake with another
+    key would fold rows by the wrong key, so it is refused."""
+    lake = str(tmp_path / "lake")
+    CDCEngine(lake, num_partitions=8).replay(small_fixture["changelog"])
+    CDCEngine(lake, num_partitions=8, key=["conv_id", "turn_idx"])
+    with pytest.raises(ValueError, match="key"):
+        CDCEngine(lake, num_partitions=8, key=["conv_id"])
