@@ -6,7 +6,7 @@ A from-scratch rebuild of the capabilities of the reference repo
 - ``cdc/``       — the flagship CDC / incremental-ingest engine: changelog replay
                    (binlog/WAL tail) -> hash-partitioned last-writer-wins upsert ->
                    partitioned Parquet lake with an exactly-once manifest commit,
-                   per-partition checkpoints, schema evolution, hot-key salting.
+                   per-partition checkpoints, schema evolution.
 - ``fixtures/``  — deterministic seeded generators for transcript base tables and
                    CDC change logs (FIXTURES.md F1-F3).
 - ``stages/``    — operator library: per-batch transforms (text analysis, dedup,

@@ -2,34 +2,35 @@
 
 Implements the north rule from BASELINE.json: a binlog/WAL-style change-event
 tailer over Parquet transcript tables. Change events
-``(lsn, op ∈ {insert,update,delete}, conv_id, turn_idx, payload…)`` stream as
-zero-copy Arrow batches through ``ray.data.Dataset.map_batches``, are
-hash-partitioned by ``conv_id`` and merged with per-key last-writer-wins LSN
-ordering into a partitioned Parquet lake with an exactly-once manifest commit
-(:mod:`.manifest`).
+``(lsn, op ∈ {insert,update,delete}, conv_id, turn_idx, payload…)`` are read
+as zero-copy Arrow tables by stateless Ray tasks, hash-partitioned by
+``conv_id`` and merged with per-key last-writer-wins LSN ordering into a
+partitioned Parquet lake with an exactly-once manifest commit
+(:mod:`.manifest`); the lake is read back as ``ray.data`` Datasets.
 
 Dataflow (SURVEY.md §7.1)::
 
-    read_parquet(changelog, filter = lsn > checkpoint, schema = unified)
-      -> map_batches(normalize: align schema, op->rank, pid = hash(conv_id) % P,
-                     per-batch LWW combiner)                     [stateless tasks]
-      -> [optional two-stage skew path: groupby(pid, salt) partial LWW reduce]
-      -> groupby(pid).map_groups(merge with current lake partition,  [THE one
-                                 write staged partition file)         wide step]
-      -> driver: collect tiny metrics table -> atomic manifest commit    [2PC]
+    driver: plan row-group splits from parquet footers (LSN-pruned)
+      -> map task per split: read with lsn > checkpoint pushdown, align
+         schema, op->rank, pid = hash(conv_id) % P, per-split LWW combine,
+         split into P shards                              [stateless tasks]
+      -> merge task per pid: concat its shards, merge with  [THE one
+         the current lake partition, write + fsync the        wide step]
+         staged partition file
+      -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
 
 Correctness depends only on per-key max-LSN (commutative across arrival
-order), so Ray's unordered streaming execution is safe and duplicate /
+order), so Ray's unordered execution is safe and duplicate /
 out-of-order / late events are absorbed (idempotent replay ⇒ exactly-once
 effect on at-least-once delivery). Tie-break at equal LSN: op precedence
 delete > update > insert (documented engine rule; the reference is silent —
-SURVEY.md §4 "Ordering").
+SURVEY.md §4 "Ordering"). An ``op`` outside those three fails the replay.
 
 Reference parity: this replaces the reference's single-threaded
 source→transform→sink loop (``ml-data/ml-data-core/src/schedule.rs:150-235``)
-with the Ray Data streaming executor; the keyed upsert is the reference's
+with parallel Ray tasks; the keyed upsert is the reference's
 nearest-analog of dictionary-merge state (``string_cache.rs:155-260``)
-re-expressed as a distributed groupby (SURVEY.md §2.4 ST7, §2.5).
+re-expressed as a distributed hash exchange (SURVEY.md §2.4 ST7, §2.5).
 
 Scale notes (100 TB / 10^10 events):
 - ``num_partitions`` is the unit of merge parallelism and of lake layout;
@@ -37,21 +38,20 @@ Scale notes (100 TB / 10^10 events):
   worker heap. The changelog is processed in LSN-ordered rounds
   (:meth:`CDCEngine.replay_in_rounds`) so merge state is bounded per round
   (SURVEY.md §7.5.2).
-- The only all-to-all exchange is the single ``groupby(pid)``; the
-  per-batch LWW combiner runs before it (map-side partial reduce), and the
-  optional salted first pass (``two_stage=True``) spreads a hot
-  conversation's reduce work over ``salts`` subgroups before the final
-  per-partition merge — the north star's "second groupby-aggregate pass".
+- The only all-to-all exchange is the P-way hash exchange; the per-split
+  LWW combiner runs before it (map-side partial reduce), so a hot
+  conversation ships at most one row per key per split to its merge task.
 - Reads prune with column projection + ``lsn > checkpoint`` row-group
-  pushdown (reference P3 analog, ``parquet/predicates.rs:336-375`` — built
-  into ``read_parquet``, not reimplemented); the split planner already
-  drops row groups whose footer LSN range the pushdown would empty, so a
-  tail poll schedules map tasks only for the new segments.
+  pushdown (reference P3 analog, ``parquet/predicates.rs:336-375``); the
+  split planner already drops row groups whose footer LSN range the
+  pushdown would empty, so a tail poll schedules map tasks only for the
+  new segments.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from typing import Any, Iterable
 
 import numpy as np
@@ -59,19 +59,23 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..sources.readers import read_parquet
+from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
 # internal column names (never user-facing)
 PID_COL = "_pid"
 RANK_COL = "_rank"
-SALT_COL = "_salt"
 LAKE_LSN_COL = "_lsn"
 LAKE_DELETED_COL = "_deleted"
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
+
+# upper bound on compressed input bytes per map task
+SPLIT_MIB = 16
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +89,31 @@ def stable_hash_strings(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return pd.util.hash_array(np_arr, categorize=True)
 
 
-def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
-                rank_col: str = RANK_COL) -> pa.Table:
-    """Keep, per key, the single row with max ``(lsn, rank)`` — the
-    last-writer-wins reduce. Pure Arrow, O(n log n) sort + one vectorized
-    boundary scan; no Python per-row work."""
+def _last_of_key_runs(tbl: pa.Table, key: list[str]) -> pa.Table:
+    """Keep the last row of each run of equal keys in a table already sorted
+    by ``key`` then ``(lsn, rank)`` — one vectorized boundary scan."""
     n = tbl.num_rows
     if n <= 1:
         return tbl
-    sort_keys = [(k, "ascending") for k in key] + [(lsn_col, "ascending"),
-                                                  (rank_col, "ascending")]
-    tbl = tbl.sort_by(sort_keys)
     # a row wins iff the next row has a different key (last of each run)
     neq = None
     for k in key:
         col = tbl.column(k).combine_chunks()
-        d = pc.not_equal(col.slice(0, n - 1), col.slice(1))
-        d = pc.fill_null(d, True)
+        d = pc.fill_null(pc.not_equal(col.slice(0, n - 1), col.slice(1)), True)
         neq = d if neq is None else pc.or_(neq, d)
     mask = np.ones(n, dtype=bool)
     mask[: n - 1] = neq.to_numpy(zero_copy_only=False)
     return tbl.filter(pa.array(mask))
 
 
-from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
+def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
+                rank_col: str = RANK_COL) -> pa.Table:
+    """Keep, per key, the single row with max ``(lsn, rank)`` — the
+    last-writer-wins reduce. Pure Arrow, O(n log n) sort + one vectorized
+    boundary scan; no Python per-row work."""
+    sort_keys = [(k, "ascending") for k in key] + [(lsn_col, "ascending"),
+                                                  (rank_col, "ascending")]
+    return _last_of_key_runs(tbl.sort_by(sort_keys), key)
 
 
 def unify_parquet_schemas(files: Iterable[str]) -> pa.Schema:
@@ -132,138 +137,28 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages (stateless map_batches functions — closures are small)
-# ---------------------------------------------------------------------------
-
-def _make_normalizer(schema: pa.Schema, key: list[str], lsn_col: str,
-                     op_col: str, num_partitions: int, salts: int,
-                     combine: bool):
-    """Batch normalizer: schema-align, op->rank, partition id, optional
-    per-batch LWW combiner (map-side partial reduce before the shuffle)."""
-    op_values = pa.array(OPS, type=pa.string())
-
-    def normalize(batch: pa.Table) -> pa.Table:
-        batch = align_to_schema(batch, schema)
-        rank = pc.index_in(batch.column(op_col), value_set=op_values).cast(pa.int8())
-        h = stable_hash_strings(batch.column(key[0]))
-        pid = (h % np.uint64(num_partitions)).astype(np.int32)
-        salt = (batch.column(lsn_col).to_numpy() % salts).astype(np.int8)
-        batch = batch.drop_columns([op_col])
-        batch = batch.append_column(RANK_COL, rank)
-        batch = batch.append_column(PID_COL, pa.array(pid))
-        batch = batch.append_column(SALT_COL, pa.array(salt))
-        if combine:
-            batch = lww_winners(batch, key, lsn_col)
-        return batch
-
-    return normalize
-
-
-def _make_partial_reducer(key: list[str], lsn_col: str):
-    """Stage-1 of the salted skew path: per-(pid, salt) LWW reduce."""
-    def reduce_group(group: pa.Table) -> pa.Table:
-        return lww_winners(group, key, lsn_col)
-    return reduce_group
-
-
-def _merge_partition_core(ev: pa.Table, pid: int, ckpt: int,
-                          cur_path: str | None, key: list[str], lsn_col: str,
-                          payload_names: list[str], txn_dir: str) -> dict:
-    """The per-partition LWW merge: drop already-applied events, fold into the
-    current lake partition state, write the staged partition file, return one
-    metrics dict. Shared by the Ray Data groupby path and the direct-exchange
-    path — the semantics live in exactly one place."""
-    ev = ev.filter(pc.greater(ev.column(lsn_col), pa.scalar(ckpt)))
-    if ev.num_rows == 0:
-        return {"pid": pid, "action": "skip", "file": "", "last_lsn": ckpt,
-                "rows": 0, "tombstones": 0, "events_applied": 0}
-    ev = ev.select(payload_names + [lsn_col, RANK_COL])
-
-    if cur_path and os.path.exists(cur_path):
-        cur = pq.read_table(cur_path)
-        deleted = cur.column(LAKE_DELETED_COL)
-        cur_rank = pc.if_else(deleted, pa.scalar(2, pa.int8()),
-                              pa.scalar(1, pa.int8()))
-        cur = cur.drop_columns([LAKE_DELETED_COL])
-        cur = cur.rename_columns(
-            [lsn_col if c == LAKE_LSN_COL else c for c in cur.column_names])
-        cur = cur.append_column(RANK_COL, cur_rank)
-        combined = pa.concat_tables([cur, ev], promote_options="permissive")
-    else:
-        combined = ev
-
-    winners = lww_winners(combined, key, lsn_col)
-    is_deleted = pc.equal(winners.column(RANK_COL), pa.scalar(2, pa.int8()))
-    out_names = [c for c in winners.column_names if c not in (lsn_col, RANK_COL)]
-    lake_tbl = winners.select(out_names)
-    lake_tbl = lake_tbl.append_column(LAKE_LSN_COL, winners.column(lsn_col))
-    lake_tbl = lake_tbl.append_column(LAKE_DELETED_COL, is_deleted)
-    # stable layout within the partition file (cheap: already key-sorted);
-    # the txn directory appears only once a partition is actually written,
-    # so a replay with nothing to apply leaves no debris
-    os.makedirs(txn_dir, exist_ok=True)
-    path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
-    # zstd-1 halves lake bytes vs snappy at equal CPU — partition-write disk
-    # bandwidth is the merge wall's floor at high parallelism
-    pq.write_table(lake_tbl, path, compression="zstd", compression_level=1)
-    # 2PC durability done right: each data file is fsynced HERE, in parallel
-    # across merge tasks, so the commit-time manifest fsync is tiny. (Without
-    # this, the manifest fsync could both stall seconds behind ~GBs of dirty
-    # writeback and fail to actually cover the data files.)
-    with open(path, "rb") as f:
-        os.fsync(f.fileno())
-
-    last_lsn = max(ckpt, pc.max(ev.column(lsn_col)).as_py())
-    n_tomb = pc.sum(is_deleted.cast(pa.int64())).as_py() or 0
-    return {"pid": pid, "action": "write", "file": path,
-            "last_lsn": int(last_lsn), "rows": int(lake_tbl.num_rows - n_tomb),
-            "tombstones": int(n_tomb), "events_applied": int(ev.num_rows)}
-
-
-def _make_merger(key: list[str], lsn_col: str, payload_schema: pa.Schema,
-                 cur_files: dict[int, str], checkpoints: dict[int, int],
-                 version: int, txn_dir: str):
-    """Final per-partition merge for the Ray Data groupby path: runs once per
-    pid inside ``groupby(pid).map_groups``; reads/writes go to the lake
-    directory (shared storage on a real cluster). Returns a single metrics
-    row — the driver only ever collects P tiny rows."""
-    payload_names = [f.name for f in payload_schema]
-
-    def merge(group: pa.Table) -> pd.DataFrame:
-        pid = int(group.column(PID_COL)[0].as_py())
-        row = _merge_partition_core(group, pid, checkpoints.get(pid, -1),
-                                    cur_files.get(pid), key, lsn_col,
-                                    payload_names, txn_dir)
-        return pd.DataFrame([row])
-
-    return merge
-
-
-# ---------------------------------------------------------------------------
-# direct exchange (fused map + P-way hash exchange + merge via Ray core)
+# the exchange (fused map + P-way hash exchange + merge via Ray core)
 # ---------------------------------------------------------------------------
 #
 # Profiling at sandbox scale showed Ray Data's generic sort-based groupby
 # spending its wall time on shuffle-object handling (B input blocks x P
 # partitions small objects + sort sampling barriers), not on compute; the CDC
 # exchange needs no sort at all — the partition function pid = hash(conv_id)%P
-# is known up front. This path expresses the exchange directly with Ray core
-# tasks (the "custom operator" escape hatch, SURVEY.md §2 "Custom operators"):
+# is known up front. The exchange is therefore expressed directly with Ray
+# core tasks (the "custom operator" escape hatch, SURVEY.md §2 "Custom
+# operators"):
 #
 #   map task  (one per input split): read parquet split with pushdown ->
 #       schema-align -> op->rank -> pid -> per-split LWW combine -> return P
 #       sub-tables (one object per partition)
-#   merge task (one per pid): concat its B shards -> _merge_partition_core
+#   merge task (one per pid): concat its B shards -> LWW merge with the
+#       current lake partition -> staged partition file
 #
 # Partitioning assumption: every event of a key lands in exactly one pid
 # (guaranteed by the hash); merge starts when all map outputs for that pid
-# exist (an inherent barrier of any exchange). Object count is B x P — fine
-# for the per-round B and P this engine targets (LSN-chunked rounds bound B;
-# P is ~2-4x cluster cores). For extreme B x P, the Ray Data groupby path
-# (exchange="raydata") remains available; both paths share merge semantics
-# and are tested against the same oracle.
-
-import ray
+# exist (an inherent barrier of any exchange). Object count is B x P, which
+# replay_in_rounds bounds: LSN-chunked rounds bound B, and P is ~2-4x
+# cluster cores.
 
 
 def _row_groups(files: list[str], lsn_col: str):
@@ -332,9 +227,10 @@ def _plan_splits(files: list[str], split_mib: int, lsn_col: str = "lsn",
 @ray.remote
 def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
                        flt, key: list[str], lsn_col: str, op_col: str,
-                       num_partitions: int, combine: bool) -> list[pa.Table]:
+                       num_partitions: int) -> list[pa.Table]:
     """Read one input split (row-group subsets, with pushdown), normalize,
-    combine, and split into ``num_partitions`` sub-tables (P objects)."""
+    combine, and split into ``num_partitions`` sub-tables (P objects).
+    Raises ``ValueError`` if an ``op`` is null or not one of :data:`OPS`."""
     import pyarrow.dataset as pads
 
     # heterogeneous (evolved) fragments: scan each file with ITS OWN schema
@@ -350,9 +246,15 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
         t = frag.to_table(filter=flt)
         parts.append(align_to_schema(t, schema))
     tbl = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-    op_values = pa.array(OPS, type=pa.string())
-    rank = pc.index_in(tbl.column(op_col), value_set=op_values).cast(pa.int8())
-    tbl = tbl.drop_columns([op_col]).append_column(RANK_COL, rank)
+    ops = tbl.column(op_col)
+    rank = pc.index_in(ops, value_set=pa.array(OPS, type=pa.string()))
+    if rank.null_count:
+        # a null rank would sort first and silently drop its key from the lake
+        bad = pc.unique(ops.filter(pc.is_null(rank))).to_pylist()
+        raise ValueError(
+            f"unknown {op_col} values {bad} in {[f for f, _ in split]}; "
+            f"expected one of {OPS}")
+    tbl = tbl.drop_columns([op_col]).append_column(RANK_COL, rank.cast(pa.int8()))
 
     h = stable_hash_strings(tbl.column(key[0]))
     pid = (h % np.uint64(num_partitions)).astype(np.int32)
@@ -365,18 +267,7 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
     # 1.5-3x worse — the fused sort's cache behavior wins).
     sort_keys = ([(PID_COL, "ascending")] + [(k, "ascending") for k in key]
                  + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
-    tbl = tbl.sort_by(sort_keys)
-    if combine:
-        n = tbl.num_rows
-        if n > 1:
-            neq = None
-            for k in key:
-                col = tbl.column(k).combine_chunks()
-                d = pc.fill_null(pc.not_equal(col.slice(0, n - 1), col.slice(1)), True)
-                neq = d if neq is None else pc.or_(neq, d)
-            mask = np.ones(n, dtype=bool)
-            mask[: n - 1] = neq.to_numpy(zero_copy_only=False)
-            tbl = tbl.filter(pa.array(mask))
+    tbl = _last_of_key_runs(tbl.sort_by(sort_keys), key)
 
     spid = tbl.column(PID_COL).to_numpy()
     bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
@@ -394,17 +285,61 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
 def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
                          lsn_col: str, payload_names: list[str],
                          txn_dir: str, *shards) -> dict:
+    """The per-partition LWW merge: concat the partition's shards, drop
+    already-applied events, fold into the current lake partition state,
+    write the staged partition file and return one metrics dict."""
     # shards arrive as top-level args so Ray resolves the ObjectRefs in-line
     flat = []
     for s in shards:
         flat.extend(s) if isinstance(s, list) else flat.append(s)
-    parts = [s for s in flat if s.num_rows]
-    if not parts:
+    # all-empty shards still keep one table for the schema
+    ev = pa.concat_tables([s for s in flat if s.num_rows] or flat[:1],
+                          promote_options="permissive")
+    ev = ev.filter(pc.greater(ev.column(lsn_col), pa.scalar(ckpt)))
+    if ev.num_rows == 0:
         return {"pid": pid, "action": "skip", "file": "", "last_lsn": ckpt,
                 "rows": 0, "tombstones": 0, "events_applied": 0}
-    ev = pa.concat_tables(parts, promote_options="permissive")
-    return _merge_partition_core(ev, pid, ckpt, cur_path, key, lsn_col,
-                                 payload_names, txn_dir)
+    ev = ev.select(payload_names + [lsn_col, RANK_COL])
+
+    if cur_path and os.path.exists(cur_path):
+        cur = pq.read_table(cur_path)
+        deleted = cur.column(LAKE_DELETED_COL)
+        cur_rank = pc.if_else(deleted, pa.scalar(2, pa.int8()),
+                              pa.scalar(1, pa.int8()))
+        cur = cur.drop_columns([LAKE_DELETED_COL])
+        cur = cur.rename_columns(
+            [lsn_col if c == LAKE_LSN_COL else c for c in cur.column_names])
+        cur = cur.append_column(RANK_COL, cur_rank)
+        combined = pa.concat_tables([cur, ev], promote_options="permissive")
+    else:
+        combined = ev
+
+    winners = lww_winners(combined, key, lsn_col)
+    is_deleted = pc.equal(winners.column(RANK_COL), pa.scalar(2, pa.int8()))
+    out_names = [c for c in winners.column_names if c not in (lsn_col, RANK_COL)]
+    lake_tbl = winners.select(out_names)
+    lake_tbl = lake_tbl.append_column(LAKE_LSN_COL, winners.column(lsn_col))
+    lake_tbl = lake_tbl.append_column(LAKE_DELETED_COL, is_deleted)
+    # stable layout within the partition file (cheap: already key-sorted);
+    # the txn directory appears only once a partition is actually written,
+    # so a replay with nothing to apply leaves no debris
+    os.makedirs(txn_dir, exist_ok=True)
+    path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
+    # zstd-1 halves lake bytes vs snappy at equal CPU — partition-write disk
+    # bandwidth is the merge wall's floor at high parallelism
+    pq.write_table(lake_tbl, path, compression="zstd", compression_level=1)
+    # 2PC durability done right: each data file is fsynced HERE, in parallel
+    # across merge tasks, so the commit-time manifest fsync is tiny. (Without
+    # this, the manifest fsync could both stall seconds behind ~GBs of dirty
+    # writeback and fail to actually cover the data files.)
+    with open(path, "rb") as f:
+        os.fsync(f.fileno())
+
+    last_lsn = max(ckpt, pc.max(ev.column(lsn_col)).as_py())
+    n_tomb = pc.sum(is_deleted.cast(pa.int64())).as_py() or 0
+    return {"pid": pid, "action": "write", "file": path,
+            "last_lsn": int(last_lsn), "rows": int(lake_tbl.num_rows - n_tomb),
+            "tombstones": int(n_tomb), "events_applied": int(ev.num_rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +357,20 @@ class CDCEngine:
         Fixed hash-partition count of the lake (``pid = hash(conv_id) % P``).
         Persisted in the manifest and validated on reopen.
     key : list[str]
-        Upsert key; first element is the partitioning column.
-    two_stage : bool
-        Enable the salted skew path: a per-(pid, salt) partial LWW reduce
-        before the final per-pid merge (default off — the per-batch combiner
-        usually suffices; turn on for pathologically hot conversations).
-    salts : int
-        Sub-buckets per partition for the two-stage path.
+        Upsert key; first element is the partitioning column. Persisted in
+        the manifest and validated on reopen.
+    lsn_col, op_col : str
+        Changelog columns holding the log sequence number and the operation
+        (one of ``insert``, ``update``, ``delete``).
     """
 
     def __init__(self, lake_dir: str, num_partitions: int = 32,
                  key: list[str] | None = None, lsn_col: str = "lsn",
-                 op_col: str = "op", two_stage: bool = False, salts: int = 8,
-                 combine_batches: bool = True, exchange: str = "direct",
-                 split_mib: int = 16):
-        if exchange not in ("direct", "raydata"):
-            raise ValueError(f"unknown exchange {exchange!r}")
-        if two_stage:
-            # the salted two-stage reduce is a groupby construct; the direct
-            # exchange gets its skew resistance from per-split combining
-            exchange = "raydata"
-        self.exchange = exchange
+                 op_col: str = "op"):
         self.lake_dir = lake_dir
         self.key = key or ["conv_id", "turn_idx"]
         self.lsn_col = lsn_col
         self.op_col = op_col
-        self.two_stage = two_stage
-        self.salts = salts
-        self.combine_batches = combine_batches
-        self.split_mib = split_mib
         self.manifest = LakeManifest(lake_dir)
         meta = self.manifest.load().get("meta", {})
         if "num_partitions" in meta and int(meta["num_partitions"]) != num_partitions:
@@ -467,24 +387,28 @@ class CDCEngine:
     # -- replay -------------------------------------------------------------
 
     def replay(self, changelog: str | list[str],
-               lsn_min: int | None = None, lsn_max: int | None = None,
-               ray_remote_args: dict | None = None) -> dict[str, Any]:
+               lsn_min: int | None = None,
+               lsn_max: int | None = None) -> dict[str, Any]:
         """Replay (a slice of) the changelog into the lake as ONE exactly-once
         transaction. Returns commit metrics. Idempotent: events at or below a
         partition's checkpoint are skipped, and an interrupted transaction is
-        invisible until its atomic manifest commit.
+        invisible until its atomic manifest commit. An ``op`` value outside
+        ``insert``/``update``/``delete`` (or a null one) raises ``ValueError``
+        and commits nothing.
+
+        Runs one fused read+normalize+combine+split map task per planned
+        split, then one merge task per partition (see the module notes).
 
         Besides ``version``, ``committed``, ``events_applied`` and
         ``partitions_written`` (plus ``rows_live`` on commit), the metrics
         carry the transaction's map work, also recorded in the manifest
         version's ``metrics``: ``map_tasks`` (splits scheduled after LSN
-        pruning; files read on the ``raydata`` exchange) and
-        ``row_groups_pruned``.
+        pruning) and ``row_groups_pruned``.
         """
         files = _expand_paths(changelog)
         in_schema = unify_parquet_schemas(files)
-        payload_schema = pa.schema(
-            [f for f in in_schema if f.name not in (self.lsn_col, self.op_col)])
+        payload_names = [f.name for f in in_schema
+                         if f.name not in (self.lsn_col, self.op_col)]
 
         ckpts = self.manifest.checkpoints()
         # global pushdown floor: the min checkpoint is only sound if every
@@ -506,74 +430,23 @@ class CDCEngine:
         # would empty anyway; bounded MiB per split keeps per-task heap small
         # and the map waves fine-grained (a straggler costs one small split,
         # not 1/n_files of the job)
-        splits, pruned = _plan_splits(files, self.split_mib, self.lsn_col,
+        splits, pruned = _plan_splits(files, SPLIT_MIB, self.lsn_col,
                                       floor, lsn_max)
+        plan = {"map_tasks": len(splits), "row_groups_pruned": pruned}
         if not splits:
             return {"version": self.manifest.current_version(),
                     "committed": False, "events_applied": 0,
-                    "partitions_written": 0, "map_tasks": 0,
-                    "row_groups_pruned": pruned}
-
-        if self.exchange == "direct":
-            return self._replay_direct(splits, pruned, files, in_schema,
-                                       payload_schema, ckpts, flt)
-
-        # no schema= at the read: evolved struct columns cannot be cast by
-        # the parquet scanner; each batch aligns to the unified schema inside
-        # the normalizer instead (same lattice as the direct path). Only
-        # files with an unpruned row group are read; the map work reported
-        # for this path is one unit per file read.
-        files = list(dict.fromkeys(f for split in splits for f, _ in split))
-        ds = read_parquet(files, filter=flt)
-        ds = ds.map_batches(
-            _make_normalizer(in_schema, self.key, self.lsn_col, self.op_col,
-                             self.num_partitions, self.salts,
-                             self.combine_batches),
-            batch_format="pyarrow", zero_copy_batch=True,
-            **(ray_remote_args or {}))
-
-        if self.two_stage:
-            ds = ds.groupby([PID_COL, SALT_COL]).map_groups(
-                _make_partial_reducer(self.key, self.lsn_col),
-                batch_format="pyarrow")
-
-        version = self.manifest.current_version() + 1
-        txn_dir = self.manifest.txn_data_dir(version)
-        merger = _make_merger(self.key, self.lsn_col, payload_schema,
-                              self.manifest.partition_files(), ckpts,
-                              version, txn_dir)
-        metrics_ds = ds.groupby(PID_COL).map_groups(merger, batch_format="pyarrow")
-        metrics = metrics_ds.to_pandas()
-        self.last_stats = metrics_ds.stats()  # per-operator wall/cpu breakdown
-        return self._commit_metrics(version, metrics.to_dict("records"),
-                                    {"map_tasks": len(files),
-                                     "row_groups_pruned": pruned})
-
-    def _replay_direct(self, splits: list, pruned: int, files: list[str],
-                       in_schema: pa.Schema, payload_schema: pa.Schema,
-                       ckpts: dict[int, int], flt) -> dict[str, Any]:
-        """Direct P-way hash exchange via Ray core tasks (see module notes):
-        one fused read+normalize+combine+split map task per planned split,
-        then one merge task per partition. Same merge semantics and
-        exactly-once commit as the Ray Data path."""
-        import ray as _ray
-
-        n_splits = len(splits)
-        total_bytes = sum(os.path.getsize(f) for f in files)
+                    "partitions_written": 0, **plan}
 
         P = self.num_partitions
-        payload_names = [f.name for f in payload_schema]
         version = self.manifest.current_version() + 1
         txn_dir = self.manifest.txn_data_dir(version)
         cur_files = self.manifest.partition_files()
 
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         shard_refs = [
             _exchange_map_task.options(num_returns=P).remote(
-                split, in_schema, flt, self.key, self.lsn_col, self.op_col,
-                P, self.combine_batches)
+                split, in_schema, flt, self.key, self.lsn_col, self.op_col, P)
             for split in splits
         ]
         # num_returns=1 yields a bare ref to the single-element list (not a
@@ -582,8 +455,8 @@ class CDCEngine:
         per_pid = ([list(shard_refs)] if P == 1
                    else [list(col) for col in zip(*shard_refs)])
         flat = [r for col in per_pid for r in col]
-        _ray.wait(flat, num_returns=len(flat), fetch_local=False)
-        t_maps = _time.perf_counter()
+        ray.wait(flat, num_returns=len(flat), fetch_local=False)
+        t_maps = time.perf_counter()
         merge_refs = [
             _exchange_merge_task.remote(pid, cur_files.get(pid),
                                         ckpts.get(pid, -1), self.key,
@@ -591,14 +464,13 @@ class CDCEngine:
                                         *per_pid[pid])
             for pid in range(P)
         ]
-        rows = _ray.get(merge_refs)
-        t_merge = _time.perf_counter()
-        res = self._commit_metrics(version, rows,
-                                   {"map_tasks": n_splits,
-                                    "row_groups_pruned": pruned})
-        t_commit = _time.perf_counter()
+        rows = ray.get(merge_refs)
+        t_merge = time.perf_counter()
+        res = self._commit_metrics(version, rows, plan)
+        t_commit = time.perf_counter()
+        total_bytes = sum(os.path.getsize(f) for f in files)
         self.last_stats = (
-            f"direct exchange: {n_splits} map tasks x {P} partitions "
+            f"exchange: {len(splits)} map tasks x {P} partitions "
             f"({total_bytes >> 20} MiB input); maps {t_maps - t0:.2f}s, "
             f"merge {t_merge - t_maps:.2f}s, commit {t_commit - t_merge:.2f}s")
         return res
@@ -663,8 +535,6 @@ class CDCEngine:
         "everything at or below is applied". Out-of-order backfill across
         polls violates that; for such logs, replay the full set in one call
         (idempotent, order-free) instead of tailing."""
-        import time as _time
-
         out = []
         idle = 0
         for _ in range(max_polls):
@@ -674,10 +544,10 @@ class CDCEngine:
             if idle >= idle_stop:
                 break
             if poll_interval_s:
-                _time.sleep(poll_interval_s)
+                time.sleep(poll_interval_s)
         return out
 
-    def compact(self, ray_remote_args: dict | None = None) -> dict[str, Any]:
+    def compact(self) -> dict[str, Any]:
         """Drop tombstones by rewriting partitions that have any (one new
         exactly-once transaction; untouched partitions carry forward).
 
@@ -685,8 +555,6 @@ class CDCEngine:
         checkpoint, and replay filters incoming events to
         ``lsn > checkpoint[pid]`` — no late event can resurrect a compacted
         delete."""
-        import ray as _ray
-
         man = self.manifest.load()
         todo = {int(pid): e for pid, e in man["partitions"].items()
                 if e.get("tombstones", 0) > 0}
@@ -696,14 +564,14 @@ class CDCEngine:
         version = man["version"] + 1
         txn_dir = self.manifest.txn_data_dir(version)
 
-        @_ray.remote
+        @ray.remote
         def rewrite(pid: int, src: str, last_lsn: int) -> dict:
             tbl = pq.read_table(src)
             live = tbl.filter(pc.equal(tbl.column(LAKE_DELETED_COL), False))
             os.makedirs(txn_dir, exist_ok=True)
             path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
             pq.write_table(live, path, compression="zstd", compression_level=1)
-            # same durability rule as _merge_partition_core: the data file
+            # same durability rule as _exchange_merge_task: the data file
             # must be on disk before the manifest can point at it
             with open(path, "rb") as f:
                 os.fsync(f.fileno())
@@ -711,7 +579,7 @@ class CDCEngine:
                     "last_lsn": last_lsn, "rows": live.num_rows,
                     "tombstones": 0, "events_applied": 0}
 
-        rows = _ray.get([
+        rows = ray.get([
             rewrite.remote(pid, os.path.join(self.lake_dir, e["file"]),
                            int(e["last_lsn"]))
             for pid, e in todo.items()
@@ -855,10 +723,3 @@ def _lsn_bounds(files: list[str], lsn_col: str) -> tuple[int, int]:
         raise ValueError(f"no {lsn_col} statistics in parquet footers")
     return int(min(lo for lo, _ in stats)), int(max(hi for _, hi in stats))
 
-
-def replay_changelog(changelog: str | list[str], lake_dir: str,
-                     num_partitions: int = 32, **kw) -> dict[str, Any]:
-    """One-shot convenience: replay the whole changelog into a (new or
-    existing) lake and return commit metrics."""
-    eng = CDCEngine(lake_dir, num_partitions=num_partitions, **kw)
-    return eng.replay(changelog)

@@ -47,7 +47,7 @@ BASE_EPOCH_US = 1_767_225_600_000_000  # 2026-01-01T00:00:00Z in microseconds
 GENERATOR_VERSION = 3
 
 #: reference ParquetWriter default row-group size (parquet/writer.rs:43-56);
-#: also the unit of read-split planning in the direct exchange
+#: also the unit of read-split planning in the replay exchange
 ROW_GROUP_SIZE = 65_536
 
 ROLES = np.array(["system", "user", "assistant", "tool"])
@@ -151,7 +151,7 @@ def _shape(n_rows: int, seed: int) -> TranscriptShape:
     # bulk: 1 + geometric-ish turn counts, mean ~7
     turns = 1 + rng.geometric(1.0 / 6.5, size=n_convs)
     turns = np.minimum(turns, 120)
-    # hot tail: ~0.2% of conversations get 300-1500 turns (exercises salting/skew)
+    # hot tail: ~0.2% of conversations get 300-1500 turns (exercises skew)
     n_hot = max(1, n_convs // 500)
     hot_ids = rng.choice(n_convs, size=n_hot, replace=False)
     turns[hot_ids] = rng.integers(300, 1500, size=n_hot)

@@ -37,16 +37,6 @@ def cdc_replay(sf_dir: str) -> pa.Table:
     return _final(eng, FINAL_COLS)
 
 
-def cdc_replay_two_stage(sf_dir: str) -> pa.Table:
-    """Replay via the Ray Data groupby path with the salted two-stage skew
-    reduce (same semantics as the default direct exchange)."""
-    paths = fixture_paths(scale_for_sf_dir(sf_dir))
-    eng = CDCEngine(_fresh_lake(), num_partitions=NUM_PARTITIONS,
-                    two_stage=True, salts=8, exchange="raydata")
-    eng.replay(paths["changelog"])
-    return _final(eng, FINAL_COLS)
-
-
 def cdc_replay_rounds(sf_dir: str) -> pa.Table:
     """Replay in 4 LSN-ordered exactly-once transactions (checkpoint path)."""
     paths = fixture_paths(scale_for_sf_dir(sf_dir))

@@ -6,13 +6,13 @@ On a real cluster:
 
     ray job submit --working-dir . -- \
         python scripts/replay_job.py --changelog /lake/changelog \
-        --lake /lake/transcripts --partitions 256 [--rounds 8] \
-        [--exchange direct|raydata] [--verify-against /lake/oracle.parquet]
+        --lake /lake/transcripts --partitions 256 [--rounds 8]
 
 Connects to the cluster Ray (RAY_ADDRESS from the job runtime; falls back to
 a local session when run standalone), replays the changelog into the lake
 with the exactly-once manifest, prints ONE JSON line of metrics (events,
-wall, events/sec, partitions, committed version, per-stage timings), and
+wall, events/sec, partitions, committed version, map tasks scheduled and
+row groups pruned by the LSN pushdown, per-stage timings), and
 exits non-zero on failure. Rerunning after a crash resumes from the
 per-partition LSN checkpoints recorded in the manifest — the idempotent
 at-least-once delivery contract the engine is built around.
@@ -37,8 +37,6 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=0,
                     help="replay in N LSN-bounded rounds (0 = single round);"
                          " bounds merge state at 10^10-event scale")
-    ap.add_argument("--exchange", choices=["direct", "raydata"],
-                    default="direct", help="exchange implementation")
     ap.add_argument("--diff-from", type=int, default=None, metavar="V",
                     help="instead of replaying, emit the row diff of the "
                          "existing lake from version V to --diff-to (lake "
@@ -61,8 +59,7 @@ def main() -> int:
 
     from ml_data_pipeline_ray.cdc import CDCEngine
 
-    eng = CDCEngine(args.lake, num_partitions=args.partitions,
-                    exchange=args.exchange)
+    eng = CDCEngine(args.lake, num_partitions=args.partitions)
 
     if args.diff_from is not None:
         t0 = time.perf_counter()
@@ -97,6 +94,8 @@ def main() -> int:
             "events_applied": sum(r["events_applied"] for r in rounds),
             "partitions_written": rounds[-1].get("partitions_written", 0),
             "rows_live": rounds[-1].get("rows_live"),
+            "map_tasks": sum(r["map_tasks"] for r in rounds),
+            "row_groups_pruned": sum(r["row_groups_pruned"] for r in rounds),
         }
     else:
         result = eng.replay(args.changelog)
@@ -113,7 +112,9 @@ def main() -> int:
         "partitions": args.partitions,
         "committed": bool(result.get("committed")),
         "version": result.get("version"),
-        "stage_breakdown": str(getattr(eng, "last_stats", ""))[:400],
+        "map_tasks": result["map_tasks"],
+        "row_groups_pruned": result["row_groups_pruned"],
+        "stage_breakdown": getattr(eng, "last_stats", ""),
     }))
     ray.shutdown()
     return 0 if result.get("committed") or events == 0 else 1

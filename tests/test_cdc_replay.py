@@ -47,37 +47,75 @@ def test_full_replay_matches_oracle(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_two_stage_salted_path_equals_oracle(small_fixture, tmp_path):
-    lake = str(tmp_path / "lake2")
-    eng = CDCEngine(lake, num_partitions=8, two_stage=True, salts=4,
-                    exchange="raydata")
-    eng.replay(small_fixture["changelog"])
+def test_single_partition_direct_exchange_keeps_all_splits(small_fixture, tmp_path):
+    """P=1 regression: with num_partitions=1 the lone merge task must receive
+    every map split's output, not just the first (ADVICE r1, replay.py:468)."""
+    eng = CDCEngine(str(tmp_path / "lp1"), num_partitions=1)
+    m = eng.replay(small_fixture["changelog"])
+    assert m["committed"]
     got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
     want = oracle_replay(_read_all(small_fixture["changelog"]))
     _assert_tables_equal(got, want)
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_raydata_and_direct_exchange_agree(small_fixture, tmp_path):
-    """Both exchange implementations produce identical committed state."""
-    a = CDCEngine(str(tmp_path / "ld"), num_partitions=8, exchange="direct")
-    a.replay(small_fixture["changelog"])
-    b = CDCEngine(str(tmp_path / "lr"), num_partitions=8, exchange="raydata")
-    b.replay(small_fixture["changelog"])
-    ta = a.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
-    tb = b.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
-    pd.testing.assert_frame_equal(ta, tb)
+def _events(lsn, op, conv_id, turn_idx) -> pa.Table:
+    n = len(lsn)
+    text = [None if o == "delete" else f"{c}-{t}-v{l}"
+            for l, o, c, t in zip(lsn, op, conv_id, turn_idx)]
+    return pa.table({
+        "lsn": pa.array(lsn, pa.int64()),
+        "op": pa.array(op, pa.string()),
+        "conv_id": pa.array(conv_id, pa.string()),
+        "turn_idx": pa.array(turn_idx, pa.int32()),
+        "role": pa.array(["user"] * n, pa.string()),
+        "text": pa.array(text, pa.string()),
+        "tool": pa.array([None] * n, pa.string()),
+        "ts": pa.array([0] * n, pa.timestamp("us")),
+    })
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_single_partition_direct_exchange_keeps_all_splits(small_fixture, tmp_path):
-    """P=1 regression: with num_partitions=1 the lone merge task must receive
-    every map split's output, not just the first (ADVICE r1, replay.py:468)."""
-    eng = CDCEngine(str(tmp_path / "lp1"), num_partitions=1, exchange="direct")
-    m = eng.replay(small_fixture["changelog"])
-    assert m["committed"]
+def test_unknown_op_fails_replay_and_commits_nothing(tmp_path):
+    """An op outside insert/update/delete, or a null op, must fail the
+    replay loudly rather than drop its key from the lake."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    base = str(tmp_path / "base.parquet")
+    pq.write_table(_events([1], ["insert"], ["z"], [0]), base)
+    assert eng.replay(base)["committed"]
+    v = eng.manifest.current_version()
+
+    bad = str(tmp_path / "bad.parquet")
+    pq.write_table(_events([2, 3, 4, 5], ["insert", "UPDATE", "insert", None],
+                           ["a", "a", "b", "c"], [0, 0, 0, 0]), bad)
+    with pytest.raises(ValueError, match="unknown op values") as err:
+        eng.replay([base, bad])
+    assert "'UPDATE'" in str(err.value) and "None" in str(err.value)
+    assert eng.manifest.current_version() == v
+    assert eng.final_table().column("conv_id").to_pylist() == ["z"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hot_conversation_converges_exactly(tmp_path):
+    """One conversation carries every event: its inserts, updates and
+    deletes over many turns are spread across several map splits (small
+    row groups, shuffled arrival), all land in one partition of P=8, and
+    the final table still equals the oracle."""
+    rng = np.random.default_rng(7)
+    n = 6000
+    turns = rng.integers(0, 300, n).tolist()
+    ops = rng.choice(["insert", "update", "delete"], n, p=[0.4, 0.4, 0.2])
+    lsn = rng.permutation(np.arange(1, n + 1)).tolist()
+    log = _events(lsn, ops.tolist(), ["conv-hot"] * n, turns)
+    path = str(tmp_path / "hot.parquet")
+    pq.write_table(log, path, row_group_size=500)
+
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    m = eng.replay(path)
+    assert m["committed"] and m["partitions_written"] == 1
+    assert m["map_tasks"] >= 4
     got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
-    want = oracle_replay(_read_all(small_fixture["changelog"]))
+    want = oracle_replay(log)
+    assert 0 < len(want) < 300
     _assert_tables_equal(got, want)
 
 

@@ -1,6 +1,6 @@
 """Property-based test: for ARBITRARY event logs (random keys, ops, LSNs,
 verbatim duplicate deliveries, arbitrary arrival order), engine replay ==
-oracle replay, on both exchange paths.
+oracle replay.
 
 Equal-LSN ties only ever occur as verbatim duplicates (at-least-once
 delivery of the same event) — matching the delivery model; two *different*
@@ -61,14 +61,14 @@ def _to_table(events) -> pa.Table:
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.data_too_large])
-@given(events=event_logs(), exchange=st.sampled_from(["direct", "raydata"]))
-def test_random_logs_match_oracle(events, exchange, tmp_path_factory):
+@given(events=event_logs())
+def test_random_logs_match_oracle(events, tmp_path_factory):
     tbl = _to_table(events)
     root = tmp_path_factory.mktemp("prop")
     log = str(root / "log.parquet")
     pq.write_table(tbl, log)
 
-    eng = CDCEngine(str(root / "lake"), num_partitions=3, exchange=exchange)
+    eng = CDCEngine(str(root / "lake"), num_partitions=3)
     eng.replay(log)
     want = oracle_replay(tbl)
     if len(want) == 0:

@@ -80,8 +80,7 @@ def test_align_column_nested_and_decimal():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("exchange", ["direct", "raydata"])
-def test_nested_struct_column_through_cdc_replay(tmp_path, exchange):
+def test_nested_struct_column_through_cdc_replay(tmp_path):
     """A struct payload column that evolves mid-log (absent -> struct<model>
     -> struct<model, temp>) must unify permissively and survive replay."""
     import os
@@ -112,8 +111,7 @@ def test_nested_struct_column_through_cdc_replay(tmp_path, exchange):
     w("c.parquet", [(4, "insert", "c3", 0, "t3",
                      {"model": "m2", "temp": 0.5})], t_v2)
 
-    eng = CDCEngine(str(tmp_path / ("lake_nested_" + exchange)),
-                    num_partitions=4, exchange=exchange)
+    eng = CDCEngine(str(tmp_path / "lake_nested"), num_partitions=4)
     m = eng.replay(d)
     assert m["committed"]
     tbl = eng.final_table(sort=True)
