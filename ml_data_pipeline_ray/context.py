@@ -14,8 +14,9 @@ driver owns the session).
 
 from __future__ import annotations
 
-import ray
 from ray.data.context import DataContext
+
+from .stages.exchange import cluster_cpus
 
 
 def tune_data_context(cpus: int | None = None,
@@ -23,9 +24,6 @@ def tune_data_context(cpus: int | None = None,
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = progress_bars
     if cpus is None:
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        else:
-            cpus = 8
+        cpus = cluster_cpus()
     ctx.read_op_min_num_blocks = max(int(cpus), 8)
     return ctx

@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..stages.exchange import mix64
+
 # ---------------------------------------------------------------------------
 # scales
 # ---------------------------------------------------------------------------
@@ -61,18 +63,6 @@ OP_RANK = {OP_INSERT: 0, OP_UPDATE: 1, OP_DELETE: 2}
 # deterministic mixing (splitmix64) — order-independent per-key hashing
 # ---------------------------------------------------------------------------
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer — vectorized uint64 avalanche."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
-
 def _key_hash(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int, version: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):
         base = (
@@ -80,7 +70,7 @@ def _key_hash(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int, version: in
             + turn_idx.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
             + np.uint64(seed * 1_000_003 + version * 7_919)
         )
-    return _mix64(base)
+    return mix64(base)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def _gen_text(h: np.ndarray, version: int, pool: np.ndarray) -> np.ndarray:
     Uses Arrow var-length string kernels (``binary_repeat`` / element-wise
     join) — numpy's fixed-width unicode arrays would allocate max_len x 4
     bytes per row and blow up on the 8 KiB tail."""
-    hv = _mix64(h + np.uint64(version * 0x9E37_79B9 + 0xABCD))
+    hv = mix64(h + np.uint64(version * 0x9E37_79B9 + 0xABCD))
     unit = pool[(hv % np.uint64(len(pool))).astype(np.int64)]
     # heavy-tailed target length, pareto tail capped at 8 KiB
     u = ((hv >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
@@ -165,7 +155,7 @@ def _payload_columns(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int,
                      version: np.ndarray | int, pool: np.ndarray) -> dict[str, pa.Array]:
     """role/text/tool/ts payload as a pure function of (conv, turn, version)."""
     h = _key_hash(conv_idx, turn_idx, seed)
-    conv_h = _mix64(conv_idx.astype(np.uint64) + np.uint64(seed))
+    conv_h = mix64(conv_idx.astype(np.uint64) + np.uint64(seed))
     # role: turn 0 is system for ~20% of convs else user; then alternate
     # user/assistant; ~1 in 7 non-first turns become tool results.
     alt = np.where(turn_idx % 2 == 1, 2, 1)  # odd turns assistant, even user

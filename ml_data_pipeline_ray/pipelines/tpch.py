@@ -27,6 +27,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.readers import read_parquet
+from ..stages.exchange import hash_exchange
 from ..stages.joins import (auto_join, broadcast_join,
                             broadcast_semi_join, hash_join)
 from ..stages.predicates import And, Compare
@@ -456,22 +457,12 @@ def events_cube(sf_dir: str) -> pd.DataFrame:
 
 def events_sessions(sf_dir: str) -> pd.DataFrame:
     """Sessionization: per user, count sessions split at >30 min gaps.
-    Keyed-shard exchange (hash(user) % ~3x-cores — a Ray group per USER
-    would mean corpus-sized group machinery) with a fully vectorized
-    per-shard kernel: one sort by (user, ts), session starts where the
-    user changes or the gap exceeds 30 min, reduceat per user segment."""
-    import ray
-
+    One hash exchange on ``user_id`` (many users per shard — a Ray group
+    per USER would mean corpus-sized group machinery) with a fully
+    vectorized per-shard kernel: one sort by (user, ts), session starts
+    where the user changes or the gap exceeds 30 min, reduceat per user
+    segment."""
     ds = read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_shards = max(8, 3 * cpus)
-
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(u, categorize=True)
-        return b.append_column(
-            "_gb", pa.array((h % np.uint64(num_shards)).astype(np.int32)))
 
     def sess_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -490,9 +481,8 @@ def events_sessions(sf_dir: str) -> pd.DataFrame:
             "n_sessions": np.add.reduceat(news.astype(np.int64), starts),
         })
 
-    return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_gb").map_groups(sess_shard, batch_format="pandas")
-            ).to_pandas()
+    return hash_exchange([ds], ["user_id"], sess_shard,
+                         batch_format="pandas").to_pandas()
 
 
 def events_user_stats(sf_dir: str) -> pd.DataFrame:
@@ -697,20 +687,12 @@ def events_lag_delta(sf_dir: str) -> pd.DataFrame:
     """Keyed window functions (LAG + ROW_NUMBER): for every event, the
     microseconds since the same user's previous event (null for the user's
     first) and the 1-based per-user position under the deterministic order
-    ``(ts, event_id)``. Shape: ONE shuffle on ``hash(user_id) %``
-    bytes-aware shards, then a single vectorized pass per shard (sort +
-    boundary-masked diff — no per-row Python, no per-key groups). Deltas are
-    exact int64 microseconds so both engines compare bit-identical."""
-    from ..stages.joins import _hash_cols, _keyed_shards
-
+    ``(ts, event_id)``. Shape: ONE hash exchange on ``user_id``, then a
+    single vectorized pass per shard (sort + boundary-masked diff — no
+    per-row Python, no per-key groups). Deltas are exact int64 microseconds
+    so both engines compare bit-identical."""
     ds = read_parquet(_t(sf_dir, "events"),
                       columns=["user_id", "event_id", "ts"])
-    num_shards = _keyed_shards(ds)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        shard = (_hash_cols(batch, ["user_id"]) % num_shards).astype(np.int32)
-        return batch.append_column("_shard", pa.array(shard))
-
     out_schema = pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
                             ("rn", pa.int64()), ("delta_us", pa.int64())])
 
@@ -735,8 +717,7 @@ def events_lag_delta(sf_dir: str) -> pd.DataFrame:
             "delta_us": pa.array(delta, type=pa.int64(), mask=first),
         }, schema=out_schema)
 
-    out = (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("_shard").map_groups(window_shard, batch_format="pandas"))
+    out = hash_exchange([ds], ["user_id"], window_shard, batch_format="pandas")
     return _collect_arrow(out).select(
         ["user_id", "event_id", "rn", "delta_us"])
 
@@ -1004,17 +985,9 @@ def events_user_cumsum(sf_dir: str) -> pd.DataFrame:
     """Per-user running total (SUM OVER ROWS UNBOUNDED PRECEDING): the
     2-decimal values become integer cents, so the cumulative sum is exact
     int64 in any engine. Same shape as the other keyed window kernels —
-    ONE bytes-aware shard shuffle, one vectorized pass per shard."""
-    from ..stages.joins import _hash_cols, _keyed_shards
-
+    ONE hash exchange on ``user_id``, one vectorized pass per shard."""
     ds = read_parquet(_t(sf_dir, "events"),
                       columns=["user_id", "event_id", "ts", "value"])
-    num_shards = _keyed_shards(ds)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        shard = (_hash_cols(batch, ["user_id"]) % num_shards).astype(np.int32)
-        return batch.append_column("_shard", pa.array(shard))
-
     out_schema = pa.schema([("user_id", pa.int64()), ("event_id", pa.int64()),
                             ("cum_cents", pa.int64())])
 
@@ -1041,8 +1014,7 @@ def events_user_cumsum(sf_dir: str) -> pd.DataFrame:
                          "cum_cents": pa.array(cum - base)},
                         schema=out_schema)
 
-    out = (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("_shard").map_groups(kern, batch_format="pandas"))
+    out = hash_exchange([ds], ["user_id"], kern, batch_format="pandas")
     return _collect_arrow(out).select(["user_id", "event_id", "cum_cents"])
 
 
@@ -1050,18 +1022,10 @@ def events_session_stats(sf_dir: str) -> pd.DataFrame:
     """Sessionization with per-session aggregates (beyond the existing
     session COUNT query): session id = running count of >30-min gaps per
     user, then per-(user, session) event count and exact int64-microsecond
-    duration. One shard shuffle; sessions never span shards (sharded by
-    user)."""
-    from ..stages.joins import _hash_cols, _keyed_shards
-
+    duration. One hash exchange on ``user_id``; sessions never span
+    shards."""
     ds = read_parquet(_t(sf_dir, "events"),
                       columns=["user_id", "event_id", "ts"])
-    num_shards = _keyed_shards(ds)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        shard = (_hash_cols(batch, ["user_id"]) % num_shards).astype(np.int32)
-        return batch.append_column("_shard", pa.array(shard))
-
     out_schema = pa.schema([("user_id", pa.int64()),
                             ("session_id", pa.int64()),
                             ("n_events", pa.int64()),
@@ -1093,8 +1057,7 @@ def events_session_stats(sf_dir: str) -> pd.DataFrame:
             {"user_id": np.int64, "session_id": np.int64,
              "n_events": np.int64, "dur_us": np.int64})
 
-    out = (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("_shard").map_groups(kern, batch_format="pandas"))
+    out = hash_exchange([ds], ["user_id"], kern, batch_format="pandas")
     return _collect_arrow(out).select(
         ["user_id", "session_id", "n_events", "dur_us"])
 

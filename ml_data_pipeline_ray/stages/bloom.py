@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .joins import _hash_cols
+from .exchange import key_hash
 
 _K = 7                      #: probes per key (optimal near m/n = 10 bits/key)
 _BITS_PER_KEY = 10
@@ -87,7 +87,7 @@ class _PartialBloom:
     def __call__(self, batch: pa.Table) -> pa.Table:
         bm = np.zeros(self.m_bits >> 6, dtype=np.uint64)
         if batch.num_rows:
-            _set_bits(bm, _positions(_hash_cols(batch, self.on), self.m_bits))
+            _set_bits(bm, _positions(key_hash(batch, self.on), self.m_bits))
         return _wrap_bitmap(bm)
 
 
@@ -140,7 +140,7 @@ class _BloomProbe:
                           else self._ref)
         if batch.num_rows == 0:
             return batch
-        pos = _positions(_hash_cols(batch, self.on), self.state["m_bits"])
+        pos = _positions(key_hash(batch, self.on), self.state["m_bits"])
         return batch.filter(pa.array(_test_bits(self.state["bm"], pos)))
 
 

@@ -37,9 +37,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from .exchange import shard_count
 from .joins import hash_join
-
-
 from .transforms import sever as _sever
 
 
@@ -56,14 +55,12 @@ def connected_components(edges: rd.Dataset, src: str = "id_a",
 
     e = _sever(edges.map_batches(both_dirs, batch_format="pyarrow",
                                  zero_copy_batch=True))
-    # bytes-aware bucket count, computed ONCE from the materialized edge
-    # list (labels are never larger): tiny pair lists collapse to one
-    # bucket — at 48 fixed buckets the per-round shuffle machinery was the
-    # whole wall — while huge edge lists keep the ~512 MiB heap bound.
-    from .joins import _MIN_SHARD_BYTES, _TARGET_BUCKET_BYTES, _default_shards
-    eb = e.materialize().size_bytes() or _MIN_SHARD_BYTES
-    nb = max(-(-eb // _TARGET_BUCKET_BYTES),
-             min(_default_shards(), -(-eb // _MIN_SHARD_BYTES)), 1)
+    # bucket count from the exchange's one rule, computed ONCE from the
+    # MEASURED bytes of the materialized edge list (labels are never
+    # larger): tiny pair lists collapse to one bucket — at 48 fixed buckets
+    # the per-round shuffle machinery was the whole wall — while huge edge
+    # lists keep the ~512 MiB heap bound. An empty list counts as 1 byte.
+    nb = shard_count(e.materialize().size_bytes() or 1)
 
     # init: comp(id) = min neighbor ∪ self  (round 1 fused into the init)
     def self_and_nbr(b: pa.Table) -> pa.Table:

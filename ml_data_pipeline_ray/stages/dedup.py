@@ -4,13 +4,12 @@ The reference has no row-level dedup (only value-level string interning,
 ``ml-data/ml-data-readers/src/string_cache.rs:39-50`` — SURVEY.md U2/U3);
 these are the training-data-pipeline operators built Ray-Data-first:
 
-- exact:    content-hash in ``map_batches`` (vectorized) → ``groupby(hash)``
-            → keep first row per distinct key (one shuffle over hashes, not
-            payloads-only-once; the hash column keeps shuffle rows narrow).
+- exact:    one hash exchange on the deduped columns → keep first row per
+            distinct key inside each shard.
 - MinHash:  shingle→minhash signatures per batch (vectorized reduceat) →
-            explode to (band, band_hash, id) rows → ``groupby(band)`` buckets
-            → candidate pairs → exact-Jaccard verification. Scale path: the
-            banding shuffle moves only (id, 2×uint64) rows.
+            explode to (band, band_hash, id) rows → one hash exchange on
+            (band, band_hash) → candidate pairs → exact-Jaccard verification.
+            Scale path: the banding exchange moves only (id, 2×uint64) rows.
 - SimHash:  64-bit sign-aggregated token hashes; candidates via 16-bit band
             buckets, verified by Hamming distance.
 - n-gram:   exact word-shingle Jaccard between all pairs of a (small,
@@ -28,23 +27,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from .exchange import hash_exchange, mix64
+
 TOKEN_SPLIT_RE = r"[^A-Za-z0-9]+"
 
 
 # ---------------------------------------------------------------------------
 # shared vectorized helpers
 # ---------------------------------------------------------------------------
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
 
 def tokenize_offsets(texts: pa.ChunkedArray | pa.Array,
                      lowercase: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +89,7 @@ def shingle_hashes(token_hashes: np.ndarray, counts: np.ndarray,
             valid = (local + j) < np.maximum(counts[row], 1)
             term = np.where(valid, token_hashes[idx] if token_hashes.size else 0, 0)
             acc = acc * np.uint64(0x100000001B3) + term.astype(np.uint64)
-    return _mix64(acc), win
+    return mix64(acc), win
 
 
 def minhash_signatures(sh: np.ndarray, win: np.ndarray,
@@ -114,7 +104,7 @@ def minhash_signatures(sh: np.ndarray, win: np.ndarray,
     seg = w_starts[has]
     with np.errstate(over="ignore"):
         for j in range(num_hashes):
-            h = _mix64(sh + np.uint64((j * 0x9E3779B97F4A7C15 + 1) & 0xFFFFFFFFFFFFFFFF))
+            h = mix64(sh + np.uint64((j * 0x9E3779B97F4A7C15 + 1) & 0xFFFFFFFFFFFFFFFF))
             sig[has, j] = np.minimum.reduceat(h, seg)
     return sig
 
@@ -228,34 +218,17 @@ def decontaminate_flags(ds: rd.Dataset, bench: rd.Dataset,
 
 def exact_dedup(ds: rd.Dataset, cols: list[str], order_col: str) -> rd.Dataset:
     """Keep, per distinct value of ``cols``, the row with minimal
-    ``order_col``. One shuffle, keyed on ``hash(cols) % ~3x-cores`` — the
-    64-bit content hash keeps all copies of a value co-located while the
-    modulus bounds the Ray group count (a group per DISTINCT value would
-    mean corpus-sized group machinery on a mostly-unique corpus); the
-    per-shard pandas kernel resolves the real grouping (and any hash
-    collisions) exactly."""
-    import ray
-
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_shards = max(8, 3 * cpus)
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for c in cols:
-                vals = batch.column(c).to_numpy(zero_copy_only=False)
-                h = h * np.uint64(0x100000001B3) + pd.util.hash_array(vals, categorize=True)
-        return batch.append_column(
-            "_gb", pa.array((h % np.uint64(num_shards)).astype(np.int32)))
+    ``order_col``. One :func:`~.exchange.hash_exchange` on ``cols`` — all
+    copies of a value co-locate while many values share a shard (a group
+    per DISTINCT value would mean corpus-sized group machinery on a
+    mostly-unique corpus); the per-shard pandas kernel resolves the real
+    grouping (and any hash collisions) exactly."""
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         idx = g.groupby(cols, dropna=False, sort=False)[order_col].idxmin()
-        return g.loc[idx.to_numpy()].drop(columns=["_gb"])
+        return g.loc[idx.to_numpy()]
 
-    return (ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_gb")
-            .map_groups(keep_first, batch_format="pandas"))
+    return hash_exchange([ds], cols, keep_first, batch_format="pandas")
 
 
 def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
@@ -269,21 +242,15 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
     is the duplicate-span fraction used to drop or trim boilerplate-heavy
     documents.
 
-    Scale shape: one full-size exchange of distinct ``(doc, shingle-hash)``
-    pairs partitioned by ``hash(shingle) % ~3x-cores`` (all holders of a
-    shingle co-locate; group machinery stays O(cores), exactly like
+    Scale shape: one full-size :func:`~.exchange.hash_exchange` of distinct
+    ``(doc, shingle-hash)`` pairs on the shingle hash (all holders of a
+    shingle co-locate, many shingles per shard, exactly like
     :func:`exact_dedup`), per-shard numpy counting, then a second SMALL
     exchange of per-(doc, shard) partial rows via :func:`grouped_agg`.
     The corpus text itself never shuffles; shingles travel as uint64
     hashes, not strings (collision odds ~n^2/2^64 — deterministic, and
     asserted against a string oracle in tests/the driver gate)."""
-    import ray
-
     from .groupagg import grouped_agg
-
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_shards = max(8, 3 * cpus)
 
     def pairs(batch: pa.Table) -> pa.Table:
         th, counts = tokenize_offsets(batch[text_col])
@@ -301,7 +268,6 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
         return pa.table({
             id_col: pa.array(ids[r]),
             "_sh": pa.array(s),
-            "_gb": pa.array((s % np.uint64(num_shards)).astype(np.int32)),
         })
 
     def shard_stats(t: pa.Table) -> pa.Table:
@@ -317,10 +283,9 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
                 np.bincount(dinv, weights=dup).astype(np.int64)),
         })
 
-    partials = (ds.map_batches(pairs, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("_gb")
-                .map_groups(shard_stats, batch_format="pyarrow"))
+    partials = hash_exchange(
+        [ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)],
+        ["_sh"], shard_stats, batch_format="pyarrow")
     # materialize the shard exchange once: grouped_agg's schema probes on a
     # lazy shuffle plan re-execute it (round-3 lesson, transforms.sever doc)
     partials = partials.materialize()
@@ -375,28 +340,16 @@ def _candidate_pairs_raw(ds: rd.Dataset, id_col: str,
     rows WITHOUT cross-shard dedup (a pair found in several bands appears
     once per band-shard). Shared by the Dataset and driver-collecting
     entry points, which dedup distributed / on the driver respectively."""
-    import ray
-
     stage = MinHashStage(id_col, text_col, k, num_hashes, num_bands)
     kw = {"concurrency": concurrency} if concurrency else {}
     buckets = ds.map_batches(stage, batch_format="pyarrow", **kw)
 
-    # Shard buckets into ~3x-cores groups (bucket-per-group costs ~0.3 ms of
-    # Ray group machinery each; bands x docs buckets = tens of thousands of
-    # groups, almost all singletons). hash(band, band_hash) % B keeps every
-    # bucket's rows co-located; inside a shard, segment boundaries are found
-    # vectorized and the per-bucket triu runs only on multi-row buckets.
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_shards = max(8, 3 * cpus)
-
-    def tag(b: pa.Table) -> pa.Table:
-        band = b.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
-        bh = b.column("band_hash").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            g = (band * np.uint64(0x9E3779B97F4A7C15) + bh) % np.uint64(num_shards)
-        return b.append_column("_gb", pa.array(g.astype(np.int32)))
-
+    # Many LSH buckets per shard (bucket-per-group costs ~0.3 ms of Ray
+    # group machinery each; bands x docs buckets = tens of thousands of
+    # groups, almost all singletons). The exchange on (band, band_hash)
+    # keeps every bucket's rows co-located; inside a shard, segment
+    # boundaries are found vectorized and the per-bucket triu runs only on
+    # multi-row buckets.
     def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["band", "band_hash"], kind="mergesort")
         band = g["band"].to_numpy()
@@ -423,10 +376,8 @@ def _candidate_pairs_raw(ds: rd.Dataset, id_col: str,
         return pd.DataFrame({"id_a": np.concatenate(out_a),
                              "id_b": np.concatenate(out_b)})
 
-    return (buckets.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_gb")
-            .map_groups(pairs_in_shard, batch_format="pandas"))
+    return hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
+                         batch_format="pandas")
 
 
 def minhash_candidate_pairs_ds(ds: rd.Dataset, id_col: str,
@@ -563,21 +514,6 @@ def _verify_emitted_pairs(emitted: rd.Dataset, threshold: float) -> rd.Dataset:
 
     Partitioning assumption: both sides of a pair land in one bucket
     (guaranteed — the bucket is a pure function of (id_a, id_b))."""
-    import ray
-
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_buckets = max(8, 3 * cpus)
-
-    def tag(b: pa.Table) -> pa.Table:
-        a = b.column("id_a").to_numpy(zero_copy_only=False)
-        bb = b.column("id_b").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = (pd.util.hash_array(a, categorize=True)
-                 * np.uint64(0x9E3779B97F4A7C15)
-                 + pd.util.hash_array(bb, categorize=True))
-        return b.append_column(
-            "_vb", pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
 
     def check_bucket(g: pa.Table) -> pa.Table:
         a_t = g.schema.field("id_a").type
@@ -612,10 +548,8 @@ def _verify_emitted_pairs(emitted: rd.Dataset, threshold: float) -> rd.Dataset:
         return pa.table({"id_a": pa.array(np.asarray(out_a)).cast(a_t),
                          "id_b": pa.array(np.asarray(out_b)).cast(a_t)})
 
-    return (emitted.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_vb")
-            .map_groups(check_bucket, batch_format="pyarrow"))
+    return hash_exchange([emitted], ["id_a", "id_b"], check_bucket,
+                         batch_format="pyarrow")
 
 
 def verify_candidate_pairs(ds: rd.Dataset, candidates: pd.DataFrame,
@@ -757,25 +691,13 @@ def simhash_candidate_pairs(ds: rd.Dataset, id_col: str,
     Exact for ``max_hd <= num_bands - 1`` — equivalent to the all-pairs scan
     without the O(n²) compare."""
     assert max_hd <= num_bands - 1, "recall bound requires max_hd < num_bands"
-    import ray
-
     stage = SimHashBandStage(id_col, text_col, num_bands)
     buckets = ds.map_batches(stage, batch_format="pyarrow")
     lut = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
 
-    # bucket-shard like the MinHash path: bands x docs buckets are tens of
-    # thousands of (mostly singleton) Ray groups otherwise — shard by
-    # hash(band, band_hash) % ~3x-cores and segment vectorized per shard
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    num_shards = max(8, 3 * cpus)
-
-    def tag(b: pa.Table) -> pa.Table:
-        band = b.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
-        bh = b.column("band_hash").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            g = (band * np.uint64(0x9E3779B97F4A7C15) + bh) % np.uint64(num_shards)
-        return b.append_column("_gb", pa.array(g.astype(np.int32)))
+    # exchange on (band, band_hash) like the MinHash path: bands x docs
+    # buckets are tens of thousands of (mostly singleton) Ray groups
+    # otherwise; segment vectorized per shard
 
     def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.sort_values(["band", "band_hash"], kind="mergesort")
@@ -807,10 +729,8 @@ def simhash_candidate_pairs(ds: rd.Dataset, id_col: str,
                              "id_b": np.concatenate(out_b),
                              "hamming": np.concatenate(out_h)})
 
-    cand = (buckets.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            .groupby("_gb")
-            .map_groups(pairs_in_shard, batch_format="pandas")).to_pandas()
+    cand = hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
+                         batch_format="pandas").to_pandas()
     if len(cand) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype=object),
                              "id_b": pd.Series([], dtype=object),

@@ -11,9 +11,9 @@ does ALL per-row work in Arrow C++:
    (hash aggregation, C++), so at most one row per (key, block) enters
    the exchange; sums/counts/mins/maxes decompose associatively (mean
    travels as sum+count and is finalized after the combine);
-2. **exchange** — partials are sharded by ``hash(keys) % B`` (B ~ 3×
-   cores like the join bucket heuristic: one ``groupby("_gb")`` shuffle
-   moving key+partial columns only);
+2. **exchange** — partials go through the library's one
+   :func:`~.exchange.hash_exchange` (shards by ``key_hash(keys)``, count
+   from the shared bytes-aware rule), moving key+partial columns only;
 3. **combine** — each shard re-aggregates its partials with one more
    ``Table.group_by`` call (C++ again; Python touches a shard, never a
    key).
@@ -27,11 +27,11 @@ columns follow the caller's aliases so oracle SQL matches exactly.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+
+from .exchange import hash_exchange
 
 #: fn → (arrow partial kernel, arrow combine kernel)
 _DECOMP = {
@@ -42,24 +42,12 @@ _DECOMP = {
 }
 
 
-def _shard_count(cpus: int | None = None) -> int:
-    import ray
-
-    if cpus is None:
-        cpus = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
-    return max(16, 3 * cpus)
-
-
 def grouped_agg(ds: rd.Dataset, keys: list[str],
-                aggs: list[tuple[str, str, str]],
-                num_shards: int | None = None) -> rd.Dataset:
+                aggs: list[tuple[str, str, str]]) -> rd.Dataset:
     """Per-``keys`` aggregation of ``aggs`` = [(col, fn, out_name), ...]
     with fn in {sum, count, min, max, mean}. Returns a Dataset with
-    columns ``keys + [out_name...]``; one bucket-shard exchange of
-    partial rows only."""
-    shards = num_shards or _shard_count()
-
+    columns ``keys + [out_name...]``; one hash exchange of partial rows
+    only."""
     # decompose: mean → (sum, count) partials + a finalize division.
     # tmp_of maps each plan entry to its partial-column name; the arrow
     # aggregate list is deduped on (col, kernel) since pyarrow names its
@@ -93,22 +81,12 @@ def grouped_agg(ds: rd.Dataset, keys: list[str],
         for col, afn, tmp, _ in plan:
             cols[tmp] = agged["count_all" if col is None
                               else f"{col}_{afn}"]
-        t = pa.table(cols)
-        h = np.zeros(t.num_rows, np.uint64)
-        for k in keys:
-            arr = t[k]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            kv = pd.util.hash_array(
-                np.asarray(arr.to_pandas()), categorize=False)
-            h = h * np.uint64(1000003) + kv.astype(np.uint64)
-        return t.append_column(
-            "_gb", pa.array((h % np.uint64(shards)).astype(np.int32)))
+        return pa.table(cols)
 
     def combine(t: pa.Table) -> pa.Table:
         # pure Arrow — a pandas round-trip here would coerce nullable
         # int64 partials (all-NULL-group sums) to float64
-        agged = t.drop_columns(["_gb"]).group_by(keys).aggregate(
+        agged = t.group_by(keys).aggregate(
             [(tmp, cfn) for _, _, tmp, cfn in plan])
         cols = {k: agged[k] for k in keys}
         for _, _, tmp, cfn in plan:
@@ -117,8 +95,7 @@ def grouped_agg(ds: rd.Dataset, keys: list[str],
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    combined = parts.groupby("_gb").map_groups(combine,
-                                               batch_format="pyarrow")
+    combined = hash_exchange([parts], keys, combine, batch_format="pyarrow")
 
     def finish(batch: pa.Table) -> pa.Table:
         cols = {k: batch[k] for k in keys}

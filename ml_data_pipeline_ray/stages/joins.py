@@ -7,10 +7,10 @@ join surface, designed around shuffle cost:
   through ``ray.put`` ONCE and is read zero-copy in every task (never
   re-shipped per batch); the probe side streams. Use whenever one side fits
   in memory (dimension tables, key sets) — no shuffle at all.
-- :func:`hash_join` — both sides large: add ``bucket = hash(key) % B`` to
-  each side, union, one ``groupby(bucket)`` shuffle, pandas merge inside each
-  bucket. B should be ~2-4x total cores; skewed keys can be salted by
-  raising B. This is the portable partitioned hash join.
+- :func:`hash_join` — both sides large: one :func:`~.exchange.hash_exchange`
+  on the join key co-locates both sides' rows of every key, then Arrow's
+  hash join runs inside each shard. Skewed keys go through
+  :func:`salted_hash_join`. This is the portable partitioned hash join.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
+
+from .exchange import hash_exchange
+from .transforms import align_to_schema
 
 
 def _pa_schema(ds: rd.Dataset) -> pa.Schema:
@@ -42,54 +45,8 @@ def _pa_schema(ds: rd.Dataset) -> pa.Schema:
     return pa.schema(fields)
 
 
-def _hash_cols(df_or_tbl, on: list[str]) -> np.ndarray:
-    h = np.zeros(len(df_or_tbl), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for c in on:
-            vals = (df_or_tbl[c].to_numpy() if isinstance(df_or_tbl, pd.DataFrame)
-                    else df_or_tbl.column(c).to_numpy(zero_copy_only=False))
-            h = h * np.uint64(0x100000001B3) + pd.util.hash_array(vals, categorize=True)
-    return h
-
-
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
                     "outer": "full outer"}
-
-
-def _default_shards() -> int:
-    """Shuffle-shard count for keyed kernels (as-of / range joins): ~3x the
-    cluster cores — enough groups to keep every core busy, few enough that
-    per-group machinery is negligible."""
-    cpus = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    return max(16, 3 * cpus)
-
-
-#: below this, another shard buys no parallelism worth its machinery: each
-#: shuffle shard becomes one Ray group (~ms of sort/reduce bookkeeping), so
-#: 96 shards over a 2 MB filtered slice is pure fixed cost.
-_MIN_SHARD_BYTES = 4 << 20
-
-
-def _keyed_shards(left: rd.Dataset, right: rd.Dataset | None = None) -> int:
-    """Bytes-aware shard count for the keyed-kernel shuffles: tiny inputs
-    collapse to a few shards (fixed per-shard machinery dominated the wall
-    at small scale), medium inputs use the ~3x-cores parallelism target, and
-    huge inputs grow PAST it so one shard never exceeds
-    ~``_TARGET_BUCKET_BYTES`` in a worker heap (same memory bound as
-    ``hash_join`` buckets — at 100 TB a cores-only count would put ~1 TB in
-    a single ``map_groups`` group). Estimates are metadata-only and
-    overestimate filtered scans (full-file bytes), which errs toward more
-    shards — the safe direction."""
-    par = _default_shards()
-    est = _estimate_input_bytes(left) or 0
-    if right is not None:
-        est += _estimate_input_bytes(right) or 0
-    if not est:
-        return par
-    small = -(-est // _MIN_SHARD_BYTES)
-    big = -(-est // _TARGET_BUCKET_BYTES)
-    return max(big, min(par, small), 1)
 
 
 class _BroadcastJoiner:
@@ -239,13 +196,10 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
     (``backward``) / at-or-after (``forward``) the left's. Left rows without
     a match keep nulls (left-outer semantics).
 
-    Ray-native shape: both sides are tagged and unioned under a padded
-    common schema, ONE shuffle on ``hash(by) % ~3x-cores`` co-locates every
-    key's rows (many keys per shard — one Ray group PER KEY costs ~0.5 ms of
-    group machinery each, which dominated at tens of thousands of keys), and
-    the in-shard match is a single vectorized ``pd.merge_asof(..., by=by)``
-    over the sorted shard. Partitioning assumption: one shard's rows fit one
-    group (bytes-bounded by the shard count, not by key cardinality)."""
+    Ray-native shape: both sides are side-tagged under a padded common
+    schema, ONE :func:`~.exchange.hash_exchange` on ``by`` co-locates every
+    key's rows (many keys per shard), and the in-shard match is a single
+    vectorized ``pd.merge_asof(..., by=by)`` over the sorted shard."""
     lschema = _pa_schema(left)
     rschema = _pa_schema(right)
     lcols = list(lschema.names)
@@ -260,25 +214,18 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
             fields[name] = pa.field(name, f.type)
     unified = pa.schema(list(fields.values()))
 
-    from .transforms import align_to_schema
-
-    num_shards = _keyed_shards(left, right)
-
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             if side == 1:
                 batch = batch.rename_columns(
                     [rrename[c] for c in batch.column_names])
-            batch = align_to_schema(batch, unified)
-            shard = (_hash_cols(batch, [by]) % num_shards).astype(np.int32)
-            return batch.append_column(
-                "_side", pa.array(np.full(batch.num_rows, side, dtype=np.int8))
-            ).append_column("_shard", pa.array(shard))
+            return _with_side(align_to_schema(batch, unified), side)
         return fn
 
-    both = left.map_batches(tag(0), batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-        right.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True))
+    sides = [left.map_batches(tag(0), batch_format="pyarrow",
+                              zero_copy_batch=True),
+             right.map_batches(tag(1), batch_format="pyarrow",
+                               zero_copy_batch=True)]
 
     # Exact output schema: left columns keep the left types, right value
     # columns keep the RIGHT types (nullable — unmatched left rows pad with
@@ -290,15 +237,21 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
         + [pa.field(rrename[f.name], f.type) for f in rschema
            if rrename[f.name] in rcols])
 
-    return _asof_reduce(both, lcols, rcols, by, on, direction, out_schema)
+    return _asof_reduce(sides, lcols, rcols, by, on, direction, out_schema)
 
 
-def _asof_reduce(both: rd.Dataset, lcols: list[str], rcols: list[str],
+def _with_side(batch: pa.Table, side: int) -> pa.Table:
+    """``batch`` plus an int8 ``_side`` column (0 = left, 1 = right)."""
+    return batch.append_column(
+        "_side", pa.array(np.full(batch.num_rows, side, dtype=np.int8)))
+
+
+def _asof_reduce(sides: list[rd.Dataset], lcols: list[str], rcols: list[str],
                  by: str, on: str, direction: str,
                  out_schema: pa.Schema) -> rd.Dataset:
-    """Shared as-of reduce: ONE shuffle on the precomputed ``_shard`` column
-    co-locates every key's rows, then a vectorized ``pd.merge_asof`` per
-    shard (sorted by ``on``, keyed by ``by``)."""
+    """Shared as-of reduce: ONE hash exchange on ``by`` co-locates every
+    key's rows, then a vectorized ``pd.merge_asof`` per shard (sorted by
+    ``on``, keyed by ``by``)."""
 
     def join_shard(g: pd.DataFrame) -> pa.Table:
         lg = g[g["_side"] == 0][lcols].sort_values(on, kind="mergesort")
@@ -313,7 +266,7 @@ def _asof_reduce(both: rd.Dataset, lcols: list[str], rcols: list[str],
                                     preserve_index=False
                                     ).replace_schema_metadata(None)
 
-    return both.groupby("_shard").map_groups(join_shard, batch_format="pandas")
+    return hash_exchange(sides, [by], join_shard, batch_format="pandas")
 
 
 def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
@@ -345,10 +298,6 @@ def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
             fields[name] = pa.field(name, f.type)
     unified = pa.schema(list(fields.values()))
 
-    from .transforms import align_to_schema
-
-    num_shards = _keyed_shards(ds)
-
     def tag_both(batch: pa.Table) -> pa.Table:
         parts = []
         for side, mask, cols in ((0, left_mask(batch), left_cols),
@@ -356,11 +305,7 @@ def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
             part = batch.filter(mask).select(cols)
             if side == 1:
                 part = part.rename_columns([rrename[c] for c in cols])
-            part = align_to_schema(part, unified)
-            shard = (_hash_cols(part, [by]) % num_shards).astype(np.int32)
-            parts.append(part.append_column(
-                "_side", pa.array(np.full(part.num_rows, side, dtype=np.int8))
-            ).append_column("_shard", pa.array(shard)))
+            parts.append(_with_side(align_to_schema(part, unified), side))
         return pa.concat_tables(parts)
 
     both = ds.map_batches(tag_both, batch_format="pyarrow",
@@ -369,7 +314,8 @@ def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
         [lschema.field(c) for c in left_cols]
         + [pa.field(rrename[f.name], f.type) for f in rschema
            if rrename[f.name] in rcols])
-    return _asof_reduce(both, left_cols, rcols, by, on, direction, out_schema)
+    return _asof_reduce([both], left_cols, rcols, by, on, direction,
+                        out_schema)
 
 
 def range_join_count(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
@@ -381,35 +327,27 @@ def range_join_count(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
 
     Counting (not pair emission) keeps the output linear in the left side —
     a pair-emitting range join can explode quadratically; when pairs are
-    truly needed, bound the window first. Shape: tag + union + ONE shuffle
-    on ``hash(by) % ~3x-cores`` (many keys per shard — a group per key costs
-    ~0.5 ms of Ray group machinery each), then per key inside the shard two
-    vectorized ``searchsorted`` scans over that key's sorted right-side
-    times. Partitioning assumption: one shard fits one group (bytes-bounded
-    by the shard count, not key cardinality)."""
+    truly needed, bound the window first. Shape: side-tag + ONE
+    :func:`~.exchange.hash_exchange` on ``by`` (many keys per shard), then
+    per key inside the shard two vectorized ``searchsorted`` scans over that
+    key's sorted right-side times."""
     lschema = _pa_schema(left)
     lcols = list(lschema.names)
-    num_shards = _keyed_shards(left, right)
 
     def tag(side: int, keep: list[str]):
         def fn(batch: pa.Table) -> pa.Table:
             batch = batch.select(keep)
-            from .transforms import align_to_schema
             target = pa.schema([lschema.field(c) if c in lschema.names
                                 else batch.schema.field(c) for c in lcols])
-            batch = align_to_schema(batch, target)
-            shard = (_hash_cols(batch, [by]) % num_shards).astype(np.int32)
-            return batch.append_column(
-                "_side", pa.array(np.full(batch.num_rows, side, dtype=np.int8))
-            ).append_column("_shard", pa.array(shard))
+            return _with_side(align_to_schema(batch, target), side)
         return fn
 
-    both = left.map_batches(tag(0, lcols), batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-        right.map_batches(tag(1, [by, on]), batch_format="pyarrow",
-                          zero_copy_batch=True))
-    return _range_reduce(both, lcols, by, on, lo_offset, hi_offset, count_col,
-                         lschema)
+    sides = [left.map_batches(tag(0, lcols), batch_format="pyarrow",
+                              zero_copy_batch=True),
+             right.map_batches(tag(1, [by, on]), batch_format="pyarrow",
+                               zero_copy_batch=True)]
+    return _range_reduce(sides, lcols, by, on, lo_offset, hi_offset,
+                         count_col, lschema)
 
 
 def range_join_count_sliced(ds: rd.Dataset, by: str, on: str,
@@ -423,9 +361,6 @@ def range_join_count_sliced(ds: rd.Dataset, by: str, on: str,
     schema = _pa_schema(ds)
     lschema = pa.schema([schema.field(c) for c in left_cols])
     lcols = list(left_cols)
-    num_shards = _keyed_shards(ds)
-
-    from .transforms import align_to_schema
 
     def tag_both(batch: pa.Table) -> pa.Table:
         parts = []
@@ -434,23 +369,19 @@ def range_join_count_sliced(ds: rd.Dataset, by: str, on: str,
             part = batch.filter(mask).select(keep)
             target = pa.schema([lschema.field(c) if c in lschema.names
                                 else part.schema.field(c) for c in lcols])
-            part = align_to_schema(part, target)
-            shard = (_hash_cols(part, [by]) % num_shards).astype(np.int32)
-            parts.append(part.append_column(
-                "_side", pa.array(np.full(part.num_rows, side, dtype=np.int8))
-            ).append_column("_shard", pa.array(shard)))
+            parts.append(_with_side(align_to_schema(part, target), side))
         return pa.concat_tables(parts)
 
     both = ds.map_batches(tag_both, batch_format="pyarrow",
                           zero_copy_batch=True)
-    return _range_reduce(both, lcols, by, on, lo_offset, hi_offset, count_col,
-                         lschema)
+    return _range_reduce([both], lcols, by, on, lo_offset, hi_offset,
+                         count_col, lschema)
 
 
-def _range_reduce(both: rd.Dataset, lcols: list[str], by: str, on: str,
+def _range_reduce(sides: list[rd.Dataset], lcols: list[str], by: str, on: str,
                   lo_offset, hi_offset, count_col: str,
                   lschema: pa.Schema) -> rd.Dataset:
-    """Shared range-count reduce: ONE shuffle on ``_shard``, then per key
+    """Shared range-count reduce: ONE hash exchange on ``by``, then per key
     inside the shard two vectorized ``searchsorted`` scans over that key's
     sorted right-side times."""
     # Exact output schema (left columns + int64 count): the tagged union pads
@@ -489,75 +420,7 @@ def _range_reduce(both: rd.Dataset, lcols: list[str], by: str, on: str,
                                     preserve_index=False
                                     ).replace_schema_metadata(None)
 
-    return both.groupby("_shard").map_groups(count_shard, batch_format="pandas")
-
-
-#: per-bucket in-memory target: each bucket materializes as ONE map_groups
-#: group in a worker heap, so buckets must be bytes-bounded, not just
-#: core-count-bounded — at 100 TB a cores-only bucket count would put ~1 TB
-#: in a single group.
-_TARGET_BUCKET_BYTES = 512 << 20
-
-#: conservative parquet-compressed -> in-memory Arrow expansion factor
-_PARQUET_EXPANSION = 3
-
-
-def _estimate_input_bytes(ds: rd.Dataset) -> int | None:
-    """Cheap (metadata-only) in-memory size estimate, without executing.
-    ``Dataset.size_bytes()`` executes mapped plans, so it can't be used
-    here, and ``Dataset.input_files()`` returns ``[]`` once any
-    ``map_batches`` wraps the read — so walk the logical plan to the Read
-    leaves and use each datasource's own metadata estimate (falling back to
-    on-disk bytes x expansion). Overestimates filtered/pruned scans, which
-    errs toward MORE buckets — the safe direction."""
-    try:
-        files = ds.input_files()
-    except Exception:
-        files = []
-    if files:
-        import os
-        total = 0
-        for f in files:
-            try:
-                total += os.path.getsize(f)
-            except OSError:
-                return None
-        return total * _PARQUET_EXPANSION
-
-    # mapped plan: find the Read leaves (private API — best-effort)
-    try:
-        total = 0
-        stack = [ds._logical_plan.dag]
-        while stack:
-            op = stack.pop()
-            deps = op.input_dependencies
-            if deps:
-                stack.extend(deps)
-                continue
-            dsrc = getattr(op, "_datasource", None)
-            est = dsrc.estimate_inmemory_data_size() if dsrc else None
-            if est is None:
-                return None
-            total += int(est)
-        return total or None
-    except Exception:
-        return None
-
-
-def _choose_num_buckets(est_bytes: int | None, cpus: int) -> int:
-    """Bytes-per-bucket target with a 3x-cores floor and a tiny-input cap:
-    enough groups to keep every core busy, no group larger than
-    ~_TARGET_BUCKET_BYTES in memory (the per-group memory bound of the
-    bucketed join), and never a bucket smaller than ~1 MiB — below that
-    per-group task overhead dominates useful work (measured: a 1.5 MB
-    aggregate-view join fanned into 96 single-millisecond groups cost
-    ~10 s of scheduling for ~50 ms of join)."""
-    floor = max(16, 3 * cpus)
-    if not est_bytes:
-        return floor
-    cap = max(1, est_bytes // (1 << 20))        # ≥ ~1 MiB per bucket
-    return min(max(floor, -(-est_bytes // _TARGET_BUCKET_BYTES)), cap) \
-        if cap < floor else max(floor, -(-est_bytes // _TARGET_BUCKET_BYTES))
+    return hash_exchange(sides, [by], count_shard, batch_format="pandas")
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
@@ -566,31 +429,21 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
               suffixes: tuple[str, str] = ("", "_r")) -> rd.Dataset:
     """Partitioned (bucketed) hash join of two large Datasets.
 
-    Both sides are tagged with ``bucket = hash(on) % num_buckets``, unioned
-    under a padded common schema, shuffled once by bucket, and joined with
-    Arrow's hash-join kernel inside each bucket group (zero pandas
-    round-trips). Partitioning assumption: all rows of a join key land in
-    one bucket (guaranteed by the hash); skew in a single key cannot be
-    split — salt by replicating the small side if needed.
+    Both sides are aligned to a padded common schema, go through ONE
+    :func:`~.exchange.hash_exchange` on ``on`` and are joined with Arrow's
+    hash-join kernel inside each bucket (zero pandas round-trips).
+    Partitioning assumption: all rows of a join key land in one bucket
+    (guaranteed by the hash); skew in a single key cannot be split — use
+    :func:`salted_hash_join`.
 
     ``how="outer"`` (FULL OUTER) is only available on this bucketed path:
     a bucket holds ALL rows of its keys from BOTH sides, so per-bucket full
     outer is globally correct — a broadcast join cannot express it (the
     small side's unmatched rows span every probe batch).
 
-    ``num_buckets`` defaults to data-size-aware: ``total input bytes /
-    ~512 MiB`` with a 3x-cores floor, so each bucket group stays within a
-    worker's heap no matter the input scale (a cores-only default would put
-    ~1 TB per group at 100 TB)."""
-    from .transforms import align_to_schema
-
-    if num_buckets is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        est_l = _estimate_input_bytes(left)
-        est_r = _estimate_input_bytes(right)
-        est = (est_l or 0) + (est_r or 0)
-        num_buckets = _choose_num_buckets(est or None, cpus)
-
+    ``num_buckets`` defaults to the exchange's bytes-aware
+    :func:`~.exchange.shard_count` of both inputs' size estimate; pass it
+    when the caller has measured the bytes itself."""
     lschema = _pa_schema(left)
     rschema = _pa_schema(right)
     shared = [c for c in rschema.names if c in lschema.names and c not in on]
@@ -614,18 +467,15 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
             if side == 1 and rrename:
                 batch = batch.rename_columns(
                     [rrename.get(c, c) for c in batch.column_names])
-            # align BEFORE hashing so both sides hash identical key dtypes
-            batch = align_to_schema(batch, unified)
-            jb = (_hash_cols(batch, on) % num_buckets).astype(np.int32)
-            batch = batch.append_column("_jb", pa.array(jb))
-            batch = batch.append_column(
-                "_side", pa.array(np.full(batch.num_rows, side, dtype=np.int8)))
-            return batch
+            # align BEFORE the exchange hashes, so both sides hash
+            # identical key dtypes
+            return _with_side(align_to_schema(batch, unified), side)
         return fn
 
-    lt = left.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True)
-    both = lt.union(rt)
+    sides = [left.map_batches(tag(0), batch_format="pyarrow",
+                              zero_copy_batch=True),
+             right.map_batches(tag(1), batch_format="pyarrow",
+                               zero_copy_batch=True)]
 
     lout = list(lschema.names)
     rout = [rrename.get(c, c) for c in rschema.names if c not in on]
@@ -639,12 +489,12 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
         out = lout + rout
         return joined.select([c for c in out if c in joined.column_names])
 
-    return both.groupby("_jb").map_groups(join_bucket, batch_format="pyarrow")
+    return hash_exchange(sides, on, join_bucket, batch_format="pyarrow",
+                         shards=num_buckets)
 
 
 def salted_hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
-                     salts: int = 8, num_buckets: int | None = None
-                     ) -> rd.Dataset:
+                     salts: int = 8) -> rd.Dataset:
     """Skew-safe inner hash join: a single hot key's rows land in ONE
     bucket of the plain ``hash_join`` (a hash cannot split equal keys), so
     one task gets the whole hot key at 100 TB. Salting splits it: every
@@ -671,7 +521,7 @@ def salted_hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
                           zero_copy_batch=True)
     rt = right.map_batches(replicate_right, batch_format="pyarrow",
                            zero_copy_batch=True)
-    joined = hash_join(lt, rt, on=[*on, "_salt"], num_buckets=num_buckets)
+    joined = hash_join(lt, rt, on=[*on, "_salt"])
 
     def drop_salt(batch: pa.Table) -> pa.Table:
         return batch.drop_columns(["_salt"])

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .joins import _hash_cols
+from .exchange import key_hash
 
 P = 12                          #: 2^12 registers → ~1.63% standard error
 M = 1 << P
@@ -37,7 +37,7 @@ class _HLLPartial:
     def __call__(self, batch: pa.Table) -> pa.Table:
         regs = np.zeros(M, dtype=np.uint8)
         if batch.num_rows:
-            h = _hash_cols(batch, self.on)
+            h = key_hash(batch, self.on)
             idx = (h >> np.uint64(64 - P)).astype(np.int64)
             # rank = leading zeros of the remaining 64-P bits, +1 — exact
             # leading-zero count via shift bisection (float log2 is lossy

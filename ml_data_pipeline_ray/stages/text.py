@@ -371,7 +371,8 @@ def _bigram_keys(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     row_of)`` flat arrays over the batch (rows with <2 tokens contribute
     nothing). Tokenization contract = :func:`..dedup.tokenize_offsets`
     (lower + ``[a-z0-9]+`` runs, matching the DuckDB oracles)."""
-    from .dedup import _mix64, tokenize_offsets
+    from .dedup import tokenize_offsets
+    from .exchange import mix64
 
     th, counts = tokenize_offsets(texts)
     n_big = np.maximum(counts - 1, 0)
@@ -386,7 +387,7 @@ def _bigram_keys(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     g = starts[row] + local
     h1, h2 = th[g], th[g + 1]
     with np.errstate(over="ignore"):
-        kp = _mix64(h1 * np.uint64(0x100000001B3) + h2)
+        kp = mix64(h1 * np.uint64(0x100000001B3) + h2)
     return h1, h2, kp, row
 
 
@@ -398,8 +399,9 @@ def build_bigram_lm(ds, text_col: str = "text"):
     as :func:`build_doc_freq`; at open-web scale you would prune to top-K
     bigrams before broadcasting — documented, not needed at test SF).
 
-    Returns ``(kp_sorted, lpm_sorted, n_model_rows, unseen_lp_micro)``
-    where ``lpm =
+    Returns ``(kp_sorted, lpm_sorted, n_model_rows, unseen_lp_micro)``;
+    ``unseen_lp_micro`` is ``None`` for an empty model (no doc has >=2
+    tokens), so scoring new text against it fails loudly. ``lpm =
     floor(1e6 · ln((c2+0.5)/(c1+0.5·V)))`` as int64 micro-units —
     integer-exact to sum in any order, and bit-identical to DuckDB's
     ``floor(ln(...) * 1000000)`` because the ratio is the same IEEE double
@@ -428,7 +430,7 @@ def build_bigram_lm(ds, text_col: str = "text"):
         aggs=[("c", "sum", "c"), ("h1", "max", "h1"), ("h2", "max", "h2")])
     tabs = [t for t in _collect_refs(agg) if t.num_rows]
     if not tabs:  # no doc has >=2 tokens: empty model, like the oracle
-        return np.zeros(0, np.uint64), np.zeros(0, np.int64), 0, 0
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64), 0, None
     tbl = pa.concat_tables(tabs, promote_options="permissive")
     kp = tbl.column("kp").to_numpy(zero_copy_only=False)
     h1 = tbl.column("h1").to_numpy(zero_copy_only=False)
@@ -499,11 +501,12 @@ class BigramLMScorer:
         if not hit.all():
             # bigram absent from the model — scoring NEW text: use the
             # broadcast unseen-bigram smoothing floor, never a neighboring
-            # model row's score; fail loudly if the model predates it
+            # model row's score; fail loudly if the model has none (an
+            # empty model, or one that predates the floor)
             if self.unseen is None:
                 raise ValueError(
                     f"{int((~hit).sum())} bigrams absent from the LM and "
-                    "no 'unseen_lpm' in the broadcast model dict")
+                    "no 'unseen_lpm' floor in the broadcast model dict")
             lpm = np.where(hit, lpm, np.int64(self.unseen))
         n_rows = batch.num_rows
         n_big = np.bincount(row, minlength=n_rows).astype(np.int64)

@@ -5,9 +5,11 @@ options surface defines the semantics: frequency strings like "5min"
 metadata (``:222-226``), and fill methods Forward/Backward/Linear/Zero/Nan
 (``:172-184``)).
 
-Ray-native shape: per-key gap fill is ``groupby(key).map_groups`` over
-ts-sorted groups — the partitioning assumption is one key's series fits one
-group (standard for per-entity series)."""
+Ray-native shape: per-key gap fill runs over ts-sorted series that one
+exchange co-locates — the library's hash exchange for the vectorized
+non-linear fills, ``groupby(key).map_groups`` for the per-key pandas kernel.
+The partitioning assumption is one key's series fits one group (standard for
+per-entity series)."""
 
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import re
 import numpy as np
 import pandas as pd
 import ray.data as rd
+
+from .exchange import hash_exchange
 
 _FREQ_RE = re.compile(r"^\s*(\d+)?\s*(ns|us|ms|s|sec|min|h|hr|d|day|w)\s*$", re.I)
 
@@ -88,14 +92,15 @@ def regularize_per_key(ds: rd.Dataset, key: str, ts_col: str,
     For on-grid inputs (timestamps already multiples of ``freq`` from each
     key's start — e.g. the output of an hourly/daily bucketing aggregate)
     with a non-linear method, this dispatches to the BUCKETED vectorized
-    path: keys are hash-grouped into ~2x-cores buckets and every series in a
-    bucket fills in one numpy pass — thousands of per-key Python calls
-    collapse to one call per bucket. Off-grid or ``linear`` inputs use the
-    per-key pandas kernel.
+    path: one :func:`~.exchange.hash_exchange` on ``key`` (shard count from
+    the shared bytes-aware rule) and every series in a shard fills in one
+    numpy pass — thousands of per-key Python calls collapse to one call per
+    shard. Off-grid or ``linear`` inputs use the per-key pandas kernel.
 
-    ``pre`` (optional, Arrow table -> Arrow table) is fused into the bucket
-    tag pass so a caller's per-batch pre-transform (e.g. deriving the bucket
-    timestamp) doesn't cost its own map stage before the fill shuffle.
+    ``pre`` (optional, Arrow table -> Arrow table) runs in the map that
+    feeds the exchange (Ray fuses it with the tag pass), so a caller's
+    per-batch pre-transform (e.g. deriving the bucket timestamp) doesn't
+    cost its own map stage before the fill shuffle.
 
     ``combine="sum"`` handles inputs with MULTIPLE rows per (key, ts) — the
     usual "bucket raw events to the grid, then fill" pipeline — WITHOUT a
@@ -189,22 +194,16 @@ def _fill_many(g: pd.DataFrame, key: str, ts_col: str,
 
 def _regularize_bucketed(ds: rd.Dataset, key: str, ts_col: str,
                          value_cols: list[str], freq: str, method: str,
-                         num_buckets: int | None = None,
                          pre=None, combine: str | None = None,
                          post_combine=None) -> rd.Dataset:
     import pyarrow as pa
-    import ray
 
     if combine not in (None, "sum"):
         raise ValueError(f"unsupported combine {combine!r}")
-    if num_buckets is None:
-        cpus = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
-        num_buckets = max(8, 2 * cpus)
     freq_ns = parse_frequency(freq)
     cols = [key, ts_col] + value_cols
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def prepare(batch: pa.Table) -> pa.Table:
         if pre is not None:
             batch = pre(batch)
         batch = batch.select(cols)
@@ -218,13 +217,9 @@ def _regularize_bucketed(ds: rd.Dataset, key: str, ts_col: str,
             batch = pa.table(
                 {key: agg.column(key), ts_col: agg.column(ts_col),
                  **{c: agg.column(f"{c}_sum") for c in value_cols}})
-        kv = batch.column(key).to_numpy(zero_copy_only=False)
-        b = (pd.util.hash_array(kv, categorize=True)
-             % np.uint64(num_buckets)).astype(np.int32)
-        return batch.append_column("_kb", pa.array(b))
+        return batch
 
     def fill_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_kb"])
         if combine == "sum":
             g = g.groupby([key, ts_col], as_index=False, sort=False)[
                 value_cols].sum()
@@ -232,5 +227,6 @@ def _regularize_bucketed(ds: rd.Dataset, key: str, ts_col: str,
             g = post_combine(g)
         return _fill_many(g, key, ts_col, value_cols, freq_ns, method)
 
-    return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_kb").map_groups(fill_bucket, batch_format="pandas"))
+    return hash_exchange(
+        [ds.map_batches(prepare, batch_format="pyarrow", zero_copy_batch=True)],
+        [key], fill_bucket, batch_format="pandas")

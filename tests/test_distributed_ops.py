@@ -303,9 +303,8 @@ def test_keyed_shards_bytes_aware(tmp_path):
     must still find the datasource)."""
     import pyarrow.parquet as pq
     from ml_data_pipeline_ray.sources.readers import read_parquet
-    from ml_data_pipeline_ray.stages.joins import (_default_shards,
-                                                   _estimate_input_bytes,
-                                                   _keyed_shards)
+    from ml_data_pipeline_ray.stages.exchange import (_estimate_input_bytes,
+                                                      shard_count)
 
     t = pa.table({"a": pa.array(np.arange(1000), pa.int64())})
     path = str(tmp_path / "tiny.parquet")
@@ -314,9 +313,65 @@ def test_keyed_shards_bytes_aware(tmp_path):
     assert ds.input_files() == []    # the failure mode being guarded
     est = _estimate_input_bytes(ds)
     assert est is not None and 0 < est < (4 << 20)
-    n = _keyed_shards(ds, ds)
+    n = shard_count(2 * est)         # both sides of a self-join
     assert isinstance(n, int)
-    assert 1 <= n < _default_shards()
+    assert 1 <= n < shard_count()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hash_exchange_colocates_keys_across_inputs():
+    """Two multi-block inputs with int, string and null keys (nulls only in
+    some blocks): every key's rows from both inputs reach exactly one
+    kernel call, per-key counts equal pandas, and the kernel never sees
+    the shard tag."""
+    from ml_data_pipeline_ray.stages.exchange import SHARD_COL, hash_exchange
+
+    rng = np.random.default_rng(11)
+
+    def side(n: int, src: int) -> pd.DataFrame:
+        k_int = rng.integers(0, 40, n).astype(object)
+        k_str = rng.choice(["a", "b", "c"], n).astype(object)
+        k_int[rng.random(n) < 0.1] = None
+        k_str[rng.random(n) < 0.1] = None
+        return pd.DataFrame({"k_int": pd.array(k_int, dtype="Int64"),
+                             "k_str": k_str, "src": src})
+
+    left, right = side(600, 0), side(400, 1)
+    schema = pa.schema([("k_int", pa.int64()), ("k_str", pa.string()),
+                        ("src", pa.int64())])
+
+    def blocks(df: pd.DataFrame, n: int) -> rd.Dataset:
+        # block 0 has no null int key, so a key's hash must not depend on
+        # whether its block holds a null
+        first = df[df.k_int.notna()].iloc[:50]
+        rest = df.drop(first.index)
+        step = -(-len(rest) // (n - 1))
+        parts = [first] + [rest.iloc[i:i + step]
+                           for i in range(0, len(rest), step)]
+        return rd.from_arrow([pa.Table.from_pandas(p, schema=schema,
+                                                   preserve_index=False)
+                              for p in parts])
+
+    def kernel(g: pa.Table) -> pa.Table:
+        assert SHARD_COL not in g.column_names
+        out = g.group_by(["k_int", "k_str"]).aggregate([([], "count_all")])
+        return pa.table({"k_int": out["k_int"], "k_str": out["k_str"],
+                         "n": out["count_all"]})
+
+    ds_l, ds_r = blocks(left, 4), blocks(right, 3)
+    assert ds_l.num_blocks() == 4 and ds_r.num_blocks() == 3
+    got = hash_exchange([ds_l, ds_r], ["k_int", "k_str"], kernel,
+                        batch_format="pyarrow").to_pandas()
+    # each key is emitted by exactly one kernel call: no duplicate key rows
+    assert not got.duplicated(["k_int", "k_str"]).any()
+    want = (pd.concat([left, right]).groupby(["k_int", "k_str"], dropna=False)
+            .size())
+
+    def norm(k):
+        return tuple(None if pd.isna(v) else v for v in k)
+
+    assert ({norm(k): n for k, n in want.items()}
+            == {norm((i, s)): n for i, s, n in got.itertuples(index=False)})
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -283,23 +283,24 @@ def test_hash_join_bucket_count_is_data_size_aware():
     """Bucket count must grow with input bytes (~512 MiB per bucket) and
     floor at 3x cores — each bucket materializes as ONE map_groups group,
     so a cores-only count would put ~1 TB per group at 100 TB."""
-    from ml_data_pipeline_ray.stages.joins import (_TARGET_BUCKET_BYTES,
-                                                   _choose_num_buckets)
+    from ml_data_pipeline_ray.stages.exchange import (MIN_SHARD_BYTES,
+                                                      TARGET_SHARD_BYTES,
+                                                      shard_count)
 
     cpus = 32
     floor = 3 * cpus
-    assert _choose_num_buckets(None, cpus) == floor
-    # tiny-input cap: never a bucket smaller than ~1 MiB (per-group task
+    assert shard_count(None, cpus) == floor
+    # tiny-input cap: never a bucket smaller than ~4 MiB (per-group task
     # overhead otherwise dominates — measured 10 s of scheduling for a
     # 1.5 MB join at the bare floor)
-    assert _choose_num_buckets(1 << 20, cpus) == 1
-    assert _choose_num_buckets(8 << 20, cpus) == 8
-    # at >= floor MiB the parallelism floor takes over
-    assert _choose_num_buckets(floor << 20, cpus) == floor
-    assert _choose_num_buckets(1 << 30, cpus) == floor
+    assert shard_count(1 << 20, cpus) == 1
+    assert shard_count(8 * MIN_SHARD_BYTES, cpus) == 8
+    # at >= floor x 4 MiB the parallelism floor takes over
+    assert shard_count(floor * MIN_SHARD_BYTES, cpus) == floor
+    assert shard_count(1 << 30, cpus) == floor
     # 1 TiB in-memory -> 2048 buckets of 512 MiB, far above the floor
-    assert _choose_num_buckets(1 << 40, cpus) == (1 << 40) // _TARGET_BUCKET_BYTES
+    assert shard_count(1 << 40, cpus) == (1 << 40) // TARGET_SHARD_BYTES
     # monotone in input size
     sizes = [1 << 20, 1 << 25, 1 << 30, 1 << 35, 1 << 40, 1 << 45]
-    counts = [_choose_num_buckets(s, cpus) for s in sizes]
+    counts = [shard_count(s, cpus) for s in sizes]
     assert counts == sorted(counts) and counts[-1] > counts[0]

@@ -186,7 +186,7 @@ def test_bucketed_fill_matches_pandas_kernel():
     df = pd.DataFrame(rows)
     for method in ("forward", "backward", "zero", "nan"):
         got = _regularize_bucketed(rd.from_pandas(df), "k", "ts", ["v"],
-                                   "1h", method, num_buckets=4).to_pandas()
+                                   "1h", method).to_pandas()
         got = got.sort_values(["k", "ts"]).reset_index(drop=True)
         want = []
         for k, sub in df.groupby("k"):

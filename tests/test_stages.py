@@ -1045,7 +1045,8 @@ def test_bigram_lm_vs_python_oracle(ray_session):
 
 def test_bigram_lm_empty_and_unseen(ray_session):
     """Edge cases from review: a corpus where no doc has >=2 tokens yields
-    an EMPTY model (no crash); scoring NEW text against a trained model
+    an EMPTY model (no crash) that refuses to score new text with bigrams;
+    scoring NEW text against a trained model
     assigns unseen bigrams the broadcast smoothing floor instead of a
     neighboring model row's score."""
     import math
@@ -1066,6 +1067,14 @@ def test_bigram_lm_empty_and_unseen(ray_session):
                            batch_format="pyarrow", concurrency=1,
                            zero_copy_batch=True).to_pandas()
     assert len(out0) == 0
+    # ... and has no unseen floor: scoring text WITH bigrams against it
+    # fails loudly instead of passing every bigram at lp=0
+    assert unseen is None
+    with pytest.raises(Exception, match="unseen_lpm"):
+        rd.from_items([{"doc_id": 5, "text": "two words"}]).map_batches(
+            BigramLMScorer, fn_constructor_args=(ref0,),
+            batch_format="pyarrow", concurrency=1,
+            zero_copy_batch=True).to_pandas()
 
     # 2) unseen bigrams on new text score the c1=0 smoothing floor
     train = rd.from_items([{"doc_id": 0, "text": "the cat sat"}])
