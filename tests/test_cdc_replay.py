@@ -304,3 +304,91 @@ def test_reopen_with_different_key_raises(small_fixture, tmp_path):
     CDCEngine(lake, num_partitions=8, key=["conv_id", "turn_idx"])
     with pytest.raises(ValueError, match="key"):
         CDCEngine(lake, num_partitions=8, key=["conv_id"])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_rows_live_counts_carried_forward_partitions(small_fixture, tmp_path):
+    """A one-event segment rewrites one of P=8 partitions; ``rows_live``,
+    returned and recorded in the manifest version, still counts the whole
+    committed table, the seven carried-forward partitions included. The
+    exchange metrics are returned and recorded beside it."""
+    log = _read_all(small_fixture["changelog"]).sort_by([("lsn", "ascending")])
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    assert eng.replay(small_fixture["changelog"])["committed"]
+
+    one = log.slice(log.num_rows - 1)
+    one = one.set_column(0, "lsn", pa.array([log["lsn"][-1].as_py() + 1],
+                                            log.schema.field("lsn").type))
+    one = one.set_column(1, "op", pa.array(["update"], log.schema.field("op").type))
+    seg = str(tmp_path / "seg.parquet")
+    pq.write_table(one, seg)
+    m = eng.replay([small_fixture["changelog"], seg])
+    assert m["committed"] and m["partitions_written"] == 1
+    assert m["events_applied"] == 1
+    assert m["rows_live"] == eng.final_table().num_rows
+    metrics = eng.manifest.load(m["version"])["metrics"]
+    assert metrics["rows_live"] == m["rows_live"]
+    assert m["exchange_bytes"] > 0 and m["maps_s"] >= 0 and m["merge_s"] >= 0
+    for k in ("exchange_bytes", "maps_s", "merge_s"):
+        assert metrics[k] == m[k]
+
+
+def test_map_task_shards_are_ipc_streams_of_their_own_rows(tmp_path):
+    """The map task's wire format: one Arrow IPC stream buffer per pid,
+    holding exactly the combined rows of that pid (nested columns
+    included), with an empty pid still carrying the aligned schema, and no
+    buffer larger than the stream of a compacted copy of its rows (up to
+    alignment padding)."""
+    import pyarrow.compute as pc
+
+    from ml_data_pipeline_ray.cdc.replay import (
+        RANK_COL, _exchange_map_task, lww_winners, stable_hash_strings)
+
+    P, key = 8, ["conv_id", "turn_idx"]
+    rng = np.random.default_rng(3)
+    files = []
+    for i in range(2):
+        n = 400
+        conv = rng.choice(["c-a", "c-b", "c-c"], n).tolist()
+        turn = rng.integers(0, 40, n).tolist()
+        log = _events((np.arange(n) + i * n + 1).tolist(),
+                      rng.choice(["insert", "update", "delete"], n).tolist(),
+                      conv, turn)
+        log = log.append_column("meta", pa.array(
+            [None if t % 7 == 0 else {"src": c, "w": float(t)}
+             for c, t in zip(conv, turn)]))
+        log = log.append_column("tags", pa.array(
+            [None if t % 5 == 0 else [c] * (t % 3) for c, t in zip(conv, turn)],
+            pa.list_(pa.string())))
+        path = str(tmp_path / f"log-{i}.parquet")
+        pq.write_table(log, path, row_group_size=150)
+        files.append(path)
+    schema = pq.read_schema(files[0])
+    split = [(f, list(range(pq.ParquetFile(f).num_row_groups))) for f in files]
+
+    bufs = _exchange_map_task._function(split, schema, None, key, "lsn", "op", P)
+    assert len(bufs) == P and all(isinstance(b, pa.Buffer) for b in bufs)
+    shards = [pa.ipc.open_stream(b).read_all() for b in bufs]
+
+    events = pa.concat_tables([pq.read_table(f) for f in files])
+    rank = pc.index_in(events["op"], value_set=pa.array(["insert", "update", "delete"]))
+    events = events.drop_columns(["op"]).append_column(RANK_COL, rank.cast(pa.int8()))
+    want = lww_winners(events, key)
+    assert all(s.schema == want.schema for s in shards)
+
+    empty = [pid for pid, s in enumerate(shards) if s.num_rows == 0]
+    assert empty, "three conv_ids over eight pids leave some pid empty"
+    for pid, (buf, s) in enumerate(zip(bufs, shards)):
+        if s.num_rows:
+            pids = stable_hash_strings(s["conv_id"]) % np.uint64(P)
+            assert (pids == pid).all()
+        compact = pa.BufferOutputStream()
+        with pa.ipc.new_stream(compact, s.schema) as w:
+            w.write_table(s.take(np.arange(s.num_rows)))
+        # the writer may round a sliced buffer up to Arrow's 64-byte
+        # alignment (reading into the next pid's bytes); a shard dragging
+        # its parent table along would be several times larger
+        n_bufs = sum(len(c.buffers()) for col in s.columns for c in col.chunks)
+        assert buf.size <= compact.getvalue().size + 64 * n_bufs
+    got = pa.concat_tables(shards).sort_by([(k, "ascending") for k in key])
+    assert got.equals(want)
