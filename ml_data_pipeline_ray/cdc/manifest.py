@@ -6,7 +6,9 @@ absent there and designed here Delta-Lake-style (PAPERS.md "Delta Lake",
 VLDB 2020):
 
 - Each replay transaction writes **full partition-state rewrites** under
-  ``lake/data/txn-{version:06d}/pid={pid:05d}.parquet`` (phase 1: stage).
+  ``lake/data/txn-{version:06d}/pid={pid:05d}.parquet`` (phase 1: stage)
+  next to a **change file** of the rows whose winner it changed (the
+  change data feed ``CDCEngine.table_changes`` reads).
 - The transaction becomes visible only when ``_CURRENT`` is atomically
   replaced to point at ``manifest-{version:06d}.json`` (phase 2: commit,
   a single ``os.replace`` — atomic on POSIX).
@@ -17,6 +19,10 @@ VLDB 2020):
   ``_CURRENT`` → manifest → file list, so a partially written
   transaction is never observable (exactly-once effect on top of
   at-least-once execution).
+
+Each version records its own change files under ``changes`` (pid ->
+{file, bytes}); unlike partition entries they are **not** carried forward,
+and a compaction records ``{}`` (it changes no live row).
 
 The manifest also carries the **per-partition checkpoints** (last applied
 LSN + row metrics) used for resume: a restarted replay filters the
@@ -99,28 +105,28 @@ class LakeManifest:
 
     def commit(self, version: int, new_partitions: dict[int, dict[str, Any]],
                meta: dict[str, Any] | None = None,
-               metrics: dict[str, Any] | None = None) -> dict[str, Any]:
+               metrics: dict[str, Any] | None = None,
+               changes: dict[int, dict[str, Any]] | None = None) -> dict[str, Any]:
         """Phase-2 commit: publish ``new_partitions`` (pid -> {file, last_lsn,
         rows, tombstones, ...}) merged over the previous manifest's entries,
-        then atomically swing ``_CURRENT``.
+        then atomically swing ``_CURRENT``. ``changes`` (pid -> {file,
+        bytes}) records this version's change files only; without it the
+        version records none, and no row diff can be read across it.
         """
         prev = self.load()
         if version != prev["version"] + 1:
             raise ValueError(
                 f"stale transaction: committing v{version} over v{prev['version']}")
         partitions = dict(prev["partitions"])
-        for pid, entry in new_partitions.items():
-            e = dict(entry)
-            # store file paths relative to the lake root (relocatable lake)
-            if os.path.isabs(e["file"]):
-                e["file"] = os.path.relpath(e["file"], self.lake_dir)
-            partitions[str(pid)] = e
+        partitions.update(self._relative(new_partitions))
         manifest = {
             "version": version,
             "partitions": partitions,
             "meta": {**prev.get("meta", {}), **(meta or {})},
             "metrics": metrics or {},
         }
+        if changes is not None:
+            manifest["changes"] = self._relative(changes)
         # make the staged data files' directory entries durable before any
         # manifest references them (files themselves were fsynced by their
         # merge tasks, in parallel)
@@ -148,6 +154,13 @@ class LakeManifest:
         _atomic_write_json(os.path.join(self.lake_dir, CURRENT_POINTER),
                            {"version": version})
         return manifest
+
+    def _relative(self, entries: dict[int, dict[str, Any]]) -> dict[str, dict]:
+        """pid -> entry with ``file`` relative to the lake root (a
+        relocatable lake)."""
+        root = self.lake_dir
+        return {str(pid): {**e, "file": os.path.relpath(os.path.join(root, e["file"]), root)}
+                for pid, e in entries.items()}
 
     def vacuum_orphans(self) -> list[str]:
         """Remove txn data dirs newer than the committed version (crash debris)."""

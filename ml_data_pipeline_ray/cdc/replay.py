@@ -18,8 +18,15 @@ Dataflow (SURVEY.md §7.1)::
                                                           [stateless tasks]
       -> merge task per pid: decode + concat its shards,  [THE one
          merge with the current lake partition, write +       wide step]
-         fsync the staged partition file
+         fsync the staged partition file and its change file (the
+         keys whose winner changed, with the previous winner's LSN)
       -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
+         recording the partition files and this version's change files
+
+    table_changes(v_from, v_to): the change files of versions
+         v_from+1..v_to, in tasks of up to SPLIT_MIB recorded bytes
+      -> per task: read + align, fold each key's records (first record:
+         state before the range, last record: state after) -> row diff
 
 Correctness depends only on per-key max-LSN (commutative across arrival
 order), so Ray's unordered execution is safe and duplicate /
@@ -57,7 +64,6 @@ import time
 from typing import Any, Iterable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -65,6 +71,7 @@ import ray
 import ray.data as rd
 
 from ..sources.readers import read_parquet
+from ..stages.exchange import key_hash
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
@@ -73,10 +80,12 @@ PID_COL = "_pid"
 RANK_COL = "_rank"
 LAKE_LSN_COL = "_lsn"
 LAKE_DELETED_COL = "_deleted"
+LSN_FROM_COL = "_lsn_from"  # change files: the previous live winner's LSN
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
 
-# upper bound on compressed input bytes per map task
+# upper bound on compressed input bytes per map task, and on recorded
+# change-file bytes per table_changes task
 SPLIT_MIB = 16
 
 
@@ -84,28 +93,23 @@ SPLIT_MIB = 16
 # vectorized kernels
 # ---------------------------------------------------------------------------
 
-def stable_hash_strings(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Deterministic uint64 hash of a string column (vectorized siphash via
-    pandas; stable across processes — engine-internal use only)."""
-    np_arr = arr.to_numpy(zero_copy_only=False)
-    return pd.util.hash_array(np_arr, categorize=True)
-
-
-def _last_of_key_runs(tbl: pa.Table, key: list[str]) -> pa.Table:
-    """Keep the last row of each run of equal keys in a table already sorted
-    by ``key`` then ``(lsn, rank)`` — one vectorized boundary scan."""
+def _key_run_ends(tbl: pa.Table, key: list[str]) -> np.ndarray:
+    """Mask of the last row of each run of equal keys in a table already
+    sorted by ``key`` (the LWW winner when ``(lsn, rank)`` sort next) — one
+    vectorized boundary scan. ``np.roll(mask, 1)`` marks each run's first
+    row."""
     n = tbl.num_rows
+    mask = np.ones(n, dtype=bool)
     if n <= 1:
-        return tbl
-    # a row wins iff the next row has a different key (last of each run)
+        return mask
+    # a row ends its run iff the next row has a different key
     neq = None
     for k in key:
         col = tbl.column(k).combine_chunks()
         d = pc.fill_null(pc.not_equal(col.slice(0, n - 1), col.slice(1)), True)
         neq = d if neq is None else pc.or_(neq, d)
-    mask = np.ones(n, dtype=bool)
     mask[: n - 1] = neq.to_numpy(zero_copy_only=False)
-    return tbl.filter(pa.array(mask))
+    return mask
 
 
 def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
@@ -115,7 +119,8 @@ def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
     boundary scan; no Python per-row work."""
     sort_keys = [(k, "ascending") for k in key] + [(lsn_col, "ascending"),
                                                   (rank_col, "ascending")]
-    return _last_of_key_runs(tbl.sort_by(sort_keys), key)
+    tbl = tbl.sort_by(sort_keys)
+    return tbl.filter(pa.array(_key_run_ends(tbl, key)))
 
 
 Footers = dict[str, pq.FileMetaData]
@@ -165,7 +170,7 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 #       schema-align -> op->rank -> pid -> per-split LWW combine -> return P
 #       Arrow IPC stream buffers (one object per partition)
 #   merge task (one per pid): decode + concat its B shards -> LWW merge with
-#       the current lake partition -> staged partition file
+#       the current lake partition -> staged partition file + change file
 #
 # Shards travel as IPC buffers rather than pa.Tables: Ray pickles a table
 # column by column, while a buffer is one out-of-band blob that the merge
@@ -276,8 +281,7 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
             f"expected one of {OPS}")
     tbl = tbl.drop_columns([op_col]).append_column(RANK_COL, rank.cast(pa.int8()))
 
-    h = stable_hash_strings(tbl.column(key[0]))
-    pid = (h % np.uint64(num_partitions)).astype(np.int32)
+    pid = (key_hash(tbl, [key[0]]) % np.uint64(num_partitions)).astype(np.int32)
     tbl = tbl.append_column(PID_COL, pa.array(pid))
 
     # ONE sort orders by (pid, key..., lsn, rank): the LWW-combine boundary
@@ -287,7 +291,8 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
     # 1.5-3x worse — the fused sort's cache behavior wins).
     sort_keys = ([(PID_COL, "ascending")] + [(k, "ascending") for k in key]
                  + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
-    tbl = _last_of_key_runs(tbl.sort_by(sort_keys), key)
+    tbl = tbl.sort_by(sort_keys)
+    tbl = tbl.filter(pa.array(_key_run_ends(tbl, key)))
 
     spid = tbl.column(PID_COL).to_numpy()
     bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
@@ -310,8 +315,14 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
                          txn_dir: str, *shards) -> dict:
     """The per-partition LWW merge: decode and concat the partition's
     shards, drop already-applied events, fold into the current lake
-    partition state, write the staged partition file and return one
-    metrics dict (with the IPC bytes received, ``exchange_bytes``)."""
+    partition state, write the staged partition file and its change file
+    and return one metrics dict (with the IPC bytes received,
+    ``exchange_bytes``, and the change file's manifest entry, ``change``).
+
+    The change file holds the new lake row of each key whose winner
+    changed, plus ``_lsn_from``: the previous live winner's LSN, null if
+    the key was absent or a tombstone. On a partition's first write every
+    row is a change, so the partition file itself is the change file."""
     # shards arrive as top-level args so Ray resolves the ObjectRefs in-line;
     # each is one IPC stream buffer, decoded zero-copy from the object store
     tables = [pa.ipc.open_stream(s).read_all() for s in shards]
@@ -326,8 +337,13 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
                 "exchange_bytes": exchange_bytes}
     ev = ev.select(payload_names + [lsn_col, RANK_COL])
 
-    if cur_path and os.path.exists(cur_path):
-        cur = pq.read_table(cur_path)
+    first_write = not (cur_path and os.path.exists(cur_path))
+    if first_write:
+        combined = ev
+    else:
+        # one task is one CPU's work: a single-threaded read of the one file
+        # skips the dataset layer and Arrow's thread pool
+        cur = pq.ParquetFile(cur_path).read(use_threads=False)
         deleted = cur.column(LAKE_DELETED_COL)
         cur_rank = pc.if_else(deleted, pa.scalar(2, pa.int8()),
                               pa.scalar(1, pa.int8()))
@@ -336,36 +352,55 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
             [lsn_col if c == LAKE_LSN_COL else c for c in cur.column_names])
         cur = cur.append_column(RANK_COL, cur_rank)
         combined = pa.concat_tables([cur, ev], promote_options="permissive")
-    else:
-        combined = ev
 
-    winners = lww_winners(combined, key, lsn_col)
+    combined = combined.sort_by([(k, "ascending") for k in key]
+                                + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
+    ends = _key_run_ends(combined, key)
+    winners = combined.filter(pa.array(ends))
     is_deleted = pc.equal(winners.column(RANK_COL), pa.scalar(2, pa.int8()))
     out_names = [c for c in winners.column_names if c not in (lsn_col, RANK_COL)]
     lake_tbl = winners.select(out_names)
     lake_tbl = lake_tbl.append_column(LAKE_LSN_COL, winners.column(lsn_col))
     lake_tbl = lake_tbl.append_column(LAKE_DELETED_COL, is_deleted)
-    # stable layout within the partition file (cheap: already key-sorted);
     # the txn directory appears only once a partition is actually written,
     # so a replay with nothing to apply leaves no debris
     os.makedirs(txn_dir, exist_ok=True)
     path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
-    # zstd-1 halves lake bytes vs snappy at equal CPU — partition-write disk
-    # bandwidth is the merge wall's floor at high parallelism
-    pq.write_table(lake_tbl, path, compression="zstd", compression_level=1)
-    # 2PC durability done right: each data file is fsynced HERE, in parallel
-    # across merge tasks, so the commit-time manifest fsync is tiny. (Without
-    # this, the manifest fsync could both stall seconds behind ~GBs of dirty
-    # writeback and fail to actually cover the data files.)
-    with open(path, "rb") as f:
-        os.fsync(f.fileno())
+    _write_durably(lake_tbl, path)
+
+    change_path = path
+    if not first_write:
+        # a key's lake row sorts first in its run (its LSN is at or below
+        # the checkpoint, every event's above); a key changed iff its winner
+        # is an event
+        lsn, first = combined.column(lsn_col).to_numpy(), np.roll(ends, 1)
+        rank = combined.column(RANK_COL).to_numpy()
+        was_live = (lsn[first] <= ckpt) & (rank[first] != 2)
+        changed = lsn[ends] > ckpt
+        change_path = os.path.join(txn_dir, f"pid={pid:05d}.changes.parquet")
+        _write_durably(lake_tbl.filter(pa.array(changed)).append_column(
+            LSN_FROM_COL, pa.array(lsn[first][changed], mask=~was_live[changed])),
+            change_path)
 
     last_lsn = max(ckpt, pc.max(ev.column(lsn_col)).as_py())
     n_tomb = pc.sum(is_deleted.cast(pa.int64())).as_py() or 0
     return {"pid": pid, "action": "write", "file": path,
             "last_lsn": int(last_lsn), "rows": int(lake_tbl.num_rows - n_tomb),
             "tombstones": int(n_tomb), "events_applied": int(ev.num_rows),
-            "exchange_bytes": exchange_bytes}
+            "exchange_bytes": exchange_bytes,
+            "change": {"file": change_path, "bytes": os.path.getsize(change_path)}}
+
+
+def _write_durably(tbl: pa.Table, path: str) -> None:
+    """Write one lake file and fsync it. zstd-1 halves lake bytes vs snappy
+    at equal CPU (partition-write disk bandwidth is the merge wall's floor
+    at high parallelism). Each data file is fsynced by the task that wrote
+    it, in parallel across tasks, so the commit-time manifest fsync is
+    tiny: otherwise it could stall seconds behind GBs of dirty writeback
+    and still fail to cover the data files."""
+    pq.write_table(tbl, path, compression="zstd", compression_level=1)
+    with open(path, "rb") as f:
+        os.fsync(f.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +438,8 @@ class CDCEngine:
             raise ValueError(
                 f"lake was created with num_partitions={meta['num_partitions']}, "
                 f"got {num_partitions}")
-        # replay's LWW fold and table_changes' co-partitioned diff both rely
-        # on key[0] being the column the lake was partitioned by
+        # replay's LWW fold and table_changes' per-task fold both rely on
+        # every key living in one pid: key[0] is the partitioning column
         if "key" in meta and list(meta["key"]) != list(self.key):
             raise ValueError(
                 f"lake was created with key={meta['key']}, got {self.key}")
@@ -431,8 +466,9 @@ class CDCEngine:
         also recorded in the manifest version's ``metrics``: ``map_tasks``
         (splits scheduled after LSN pruning) and ``row_groups_pruned``. A
         replay that ran the exchange also reports ``exchange_bytes`` (IPC
-        shard bytes the merge tasks received), ``maps_s`` and ``merge_s``
-        (phase walls).
+        shard bytes the merge tasks received), ``change_bytes`` (bytes of
+        the change files it recorded), ``maps_s`` and ``merge_s`` (phase
+        walls).
         """
         files = _expand_paths(changelog)
         footers = _footers(files)
@@ -494,6 +530,8 @@ class CDCEngine:
         rows = ray.get(merge_refs)
         t_merge = time.perf_counter()
         plan.update(exchange_bytes=int(sum(r["exchange_bytes"] for r in rows)),
+                    change_bytes=int(sum(r["change"]["bytes"] for r in rows
+                                         if "change" in r)),
                     maps_s=round(t_maps - t0, 4),
                     merge_s=round(t_merge - t_maps, 4))
         res = self._commit_metrics(version, rows, plan)
@@ -535,7 +573,10 @@ class CDCEngine:
         self.manifest.commit(version, new_parts,
                              meta={"num_partitions": self.num_partitions,
                                    "key": self.key},
-                             metrics=totals)
+                             metrics=totals,
+                             # a compaction's rows carry none: it changes no live row
+                             changes={int(r["pid"]): r["change"]
+                                      for r in written if "change" in r})
         return {"version": version, "committed": True, **totals}
 
     def replay_in_rounds(self, changelog: str | list[str],
@@ -605,11 +646,7 @@ class CDCEngine:
             live = tbl.filter(pc.equal(tbl.column(LAKE_DELETED_COL), False))
             os.makedirs(txn_dir, exist_ok=True)
             path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
-            pq.write_table(live, path, compression="zstd", compression_level=1)
-            # same durability rule as _exchange_merge_task: the data file
-            # must be on disk before the manifest can point at it
-            with open(path, "rb") as f:
-                os.fsync(f.fileno())
+            _write_durably(live, path)
             return {"pid": pid, "action": "write", "file": path,
                     "last_lsn": last_lsn, "rows": live.num_rows,
                     "tombstones": 0, "events_applied": 0}
@@ -657,97 +694,109 @@ class CDCEngine:
                       ) -> rd.Dataset:
         """The lake as a CDC **source**: the exact row-level diff between
         two committed versions — ``(key..., change ∈ insert/update/delete,
-        new payload columns — null for deletes)``.
+        new payload columns — null for deletes)``. ``v_to`` defaults to the
+        current version; ``v_from > v_to`` or ``v_from < 0`` raises
+        ``ValueError``, as does a version in the range that recorded no
+        change files.
 
-        Scale design: partitions whose manifest file entry is IDENTICAL at
-        both versions are pruned before any read (an incremental commit
-        rewrites only touched partitions, so the diff reads only those).
-        The lake is hash-partitioned by ``key[0]`` with a partition count
-        fixed for its lifetime, so partition p holds the same key set at
-        every version: the diff is a co-partitioned join, run as one task
-        per changed partition (its file at ``v_from`` full-outer joined
-        with its file at ``v_to``) with no exchange, giving one output
-        block per changed partition. "Update" is detected by the per-row
-        ``_lsn`` (the winning event's LSN — rewritten iff a newer event won
-        the key), so payload-equal rewrites are still reported, exactly
-        like the changelog semantics. Robust to compaction: a compacted
-        ``v_to`` drops tombstones, but a key live at ``v_from`` and absent
-        at ``v_to`` is still a delete via the outer join.
+        Reads only the change files of versions ``v_from+1..v_to`` (every
+        key whose winner changed, with its previous live winner's LSN), so
+        the cost is O(changed rows). The pids' files are grouped into tasks
+        of up to ``SPLIT_MIB`` of recorded bytes; a key lives in one pid,
+        so any grouping is exact. A key live at both ends is an update (a
+        newer event won it, so payload-equal rewrites are still reported,
+        like the changelog); one live at neither is dropped. A compaction
+        records no change files, so a delete compacted away is still a
+        delete.
 
         ``payload_columns`` prunes the new-side payload carried through the
         diff (``[]`` = keys + change only): a consumer that only needs the
         change kind (e.g. incremental count maintenance) should not read
         the wide text columns at all."""
-        pf1 = self.manifest.partition_files(v_from)
-        pf2 = self.manifest.partition_files(v_to)
-        pids = sorted(p for p in set(pf1) | set(pf2) if pf1.get(p) != pf2.get(p))
-        changed = ([pf2[p] for p in pids if p in pf2]
-                   + [pf1[p] for p in pids if p in pf1])
-        # one schema for both versions: key types widen across an evolving
-        # commit (e.g. int32 -> int64), so both sides align to it
+        v_to = self.manifest.current_version() if v_to is None else v_to
+        if not 0 <= v_from <= v_to:
+            raise ValueError(f"table_changes needs 0 <= v_from <= v_to, "
+                             f"got v_from={v_from}, v_to={v_to}")
+        files: dict[int, list[str]] = {}      # pid -> change files, by version
+        nbytes: dict[int, int] = {}
+        for v in range(v_from + 1, v_to + 1):
+            changes = self.manifest.load(v).get("changes")
+            if changes is None:
+                raise ValueError(f"version {v} records no change files, so no "
+                                 f"row diff can be read across it")
+            for pid, e in changes.items():
+                files.setdefault(int(pid), []).append(
+                    os.path.join(self.lake_dir, e["file"]))
+                nbytes[int(pid)] = nbytes.get(int(pid), 0) + int(e["bytes"])
+        # one schema for every version in the range: key types widen across
+        # an evolving commit (e.g. int32 -> int64), so all records align to
+        # it; an empty range still gets the table's typed schema
         schema = unify_parquet_schemas(
-            changed or sorted(pf2.values() or pf1.values()))
-        payload = [n for n in schema.names
-                   if n not in (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL)]
+            [f for fs in files.values() for f in fs]
+            or sorted(self.manifest.partition_files(v_to).values()))
+        payload = [n for n in schema.names if n not in
+                   (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL, LSN_FROM_COL)]
         if payload_columns is not None:
             payload = [c for c in payload if c in payload_columns]
-        old_schema = pa.schema(
-            [schema.field(n) for n in (*self.key, LAKE_LSN_COL)])
-        new_schema = pa.schema(
-            [schema.field(n) for n in (*self.key, LAKE_LSN_COL, *payload)])
+        read_schema = pa.schema(
+            [schema.field(n) for n in (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL)]
+            + [pa.field(LSN_FROM_COL, pa.int64())]
+            + [schema.field(n) for n in payload])
         key = list(self.key)
 
-        if not pids:
-            return rd.from_arrow(_classify_changes(
-                old_schema.empty_table(), new_schema.empty_table(), key))
+        tasks, budget = [], 0
+        for pid in sorted(files):
+            if not tasks or budget >= SPLIT_MIB << 20:
+                tasks.append([])
+                budget = 0
+            tasks[-1] += files[pid]
+            budget += nbytes[pid]
+        if not tasks:
+            return rd.from_arrow(_fold_changes([], read_schema, key))
 
-        def diff(pair: pa.Table) -> pa.Table:
-            return _classify_changes(
-                _live_rows(pair["old"][0].as_py(), old_schema),
-                _live_rows(pair["new"][0].as_py(), new_schema), key)
+        def fold(batch: pa.Table) -> pa.Table:
+            return _fold_changes(batch["files"][0].as_py(), read_schema, key)
 
-        pairs = [{"old": pf1.get(p, ""), "new": pf2.get(p, "")} for p in pids]
-        return rd.from_items(pairs, override_num_blocks=len(pairs)).map_batches(
-            diff, batch_size=1, batch_format="pyarrow")
-
-
-def _live_rows(path: str, schema: pa.Schema) -> pa.Table:
-    """Live (non-tombstone) rows of one lake partition file, projected to
-    ``schema``'s columns and aligned to its types; ``""`` (no file at that
-    version) reads as no rows."""
-    if not path:
-        return schema.empty_table()
-    names = pq.read_schema(path).names
-    t = pq.read_table(path, columns=[n for n in schema.names if n in names],
-                      filters=~pc.field(LAKE_DELETED_COL))
-    return align_to_schema(t, schema)
+        return rd.from_items([{"files": t} for t in tasks],
+                             override_num_blocks=len(tasks)).map_batches(
+            fold, batch_size=1, batch_format="pyarrow")
 
 
-def _classify_changes(old: pa.Table, new: pa.Table, key: list[str]) -> pa.Table:
-    """Row diff of one partition: ``old`` is ``(key..., _lsn)`` at the
-    earlier version, ``new`` is ``(key..., _lsn, payload...)`` at the later
-    one. Returns ``(key..., change, payload...)`` for every key whose
-    winning LSN differs (insert / update / delete; payload null for
-    deletes). Only keys, LSNs and a row index go through Arrow's join, so
-    any payload type works; the payload is gathered afterwards."""
-    n_key = len(key)
-    left = old.rename_columns([*key, "_lsn_from"])
-    right = pa.table([*new.columns[:n_key], new.column(LAKE_LSN_COL),
-                      pa.array(np.arange(new.num_rows, dtype=np.int64))],
-                     names=[*key, "_lsn_to", "_row"])
-    j = left.join(right, keys=key, join_type="full outer")
-    lf, lt = j.column("_lsn_from"), j.column("_lsn_to")
-    # unchanged rows (same winning LSN on both sides) are not changes
-    keep = pc.or_kleene(pc.is_null(lf), pc.or_kleene(
-        pc.is_null(lt), pc.not_equal(lf, lt)))
-    j = j.filter(pc.fill_null(keep, False))
-    lf, lt = j.column("_lsn_from"), j.column("_lsn_to")
-    change = pc.if_else(
-        pc.is_null(lf), pa.scalar("insert"),
-        pc.if_else(pc.is_null(lt), pa.scalar("delete"), pa.scalar("update")))
-    payload = new.drop_columns([*key, LAKE_LSN_COL]).take(j.column("_row"))
-    return pa.table([*j.select(key).columns, change, *payload.columns],
-                    names=[*key, "change", *payload.column_names])
+def _fold_changes(files: list[str], schema: pa.Schema, key: list[str]) -> pa.Table:
+    """Row diff of the change records in ``files`` (change files of
+    consecutive versions, read in version order, any mix of pids), each
+    read as ``schema`` (``key..., _lsn, _deleted, _lsn_from, payload...``;
+    a partition file written whole reads with ``_lsn_from`` null).
+
+    A key's records sort by ``_lsn``, which rises with every version that
+    changed the key, so its first record holds its state before the range
+    (``_lsn_from`` not null: live) and its last record its state after
+    (``_deleted`` false: live). Returns ``(key..., change, payload...)``
+    for every key live on at least one side; payload is null for deletes."""
+    parts = []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        names = pf.schema_arrow.names
+        parts.append(align_to_schema(pf.read(
+            columns=[n for n in schema.names if n in names], use_threads=False),
+            schema))
+    tbl = pa.concat_tables(parts) if parts else schema.empty_table()
+    tbl = tbl.sort_by([(k, "ascending") for k in key]
+                      + [(LAKE_LSN_COL, "ascending")])
+    ends = _key_run_ends(tbl, key)
+    was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
+        zero_copy_only=False)[np.roll(ends, 1)]
+    is_live = ~tbl.column(LAKE_DELETED_COL).to_numpy(zero_copy_only=False)[ends]
+    keep = was_live | is_live
+    rows = np.flatnonzero(ends)[keep]
+    was_live, is_live = was_live[keep], is_live[keep]
+    change = np.where(was_live, np.where(is_live, "update", "delete"), "insert")
+    payload = schema.names[len(key) + 3:]
+    # a null index gathers a null row: deletes carry no payload
+    new = tbl.select(payload).take(pa.array(rows, mask=~is_live))
+    return pa.table([*tbl.select(key).take(rows).columns,
+                     pa.array(change, pa.string()), *new.columns],
+                    names=[*key, "change", *payload])
 
 
 def _lsn_bounds(files: list[str], lsn_col: str) -> tuple[int, int]:

@@ -106,29 +106,28 @@ def cdc_time_travel(sf_dir: str) -> pa.Table:
 #: runs don't pay two full replays per call
 _TWO_TXN_CACHE: dict[str, tuple] = {}
 
-#: (scale) → materialized full-payload v1→v2 diff Dataset. The diff is the
-#: expensive part of the CDC-source family (manifest-pruned, one full-outer
-#: join per changed partition of its two versions); both source queries
-#: consume it, so compute it once per scale like the lake itself (r03:
-#: cdc_incremental_agg re-derived it with payload_columns=[] — a second
-#: full diff, 11 s driver wall)
+#: (scale) → materialized full-payload v1→v2 diff Dataset (read from v2's
+#: change files in byte-sized tasks). Both source queries consume it, so
+#: compute it once per scale like the lake itself (r03: cdc_incremental_agg
+#: re-derived it with payload_columns=[] — a second full diff, 11 s driver
+#: wall)
 _DIFF_CACHE: dict[str, "object"] = {}
 
 
 def _two_txn_diff(sf_dir: str):
-    """Materialized ``table_changes(v1→v2)`` Dataset (one per-partition
-    join task per changed partition, coalesced), memoized per scale."""
+    """Materialized ``table_changes(v1→v2)`` Dataset, memoized per scale.
+    Its blocks are already byte-bounded (one per diff task of up to
+    ``SPLIT_MIB`` of change files), so it needs no coalescing."""
     scale = scale_for_sf_dir(sf_dir)
     if scale not in _DIFF_CACHE:
         eng, v1 = _two_txn_engine(sf_dir)
-        _DIFF_CACHE[scale] = _coalesce(eng.table_changes(v_from=v1))
+        _DIFF_CACHE[scale] = eng.table_changes(v_from=v1).materialize()
     return _DIFF_CACHE[scale]
 
 
 def _coalesce(ds):
-    """Materialize with a byte-bounded block count. The diff emits one
-    block per changed partition (up to ``NUM_PARTITIONS``) and the view's
-    grouped aggregate one per shard, each a few thousand rows; every
+    """Materialize with a byte-bounded block count. The view's grouped
+    aggregate emits one block per shard, each a few thousand rows; every
     downstream op then pays a task per tiny block. One repartition at
     memoization time (~128 MiB per block, bench inputs → 1-2 blocks) makes
     each cached consumer a handful of tasks instead of dozens."""
@@ -170,17 +169,15 @@ def _two_txn_engine(sf_dir: str):
 def cdc_table_changes(sf_dir: str) -> pa.Table:
     """The lake as a CDC **source**: replay in two transactions split at
     the midpoint LSN, then read the exact row diff v1→v2 via
-    ``CDCEngine.table_changes`` (manifest-level partition pruning, then
-    each changed partition's live rows at v1 full-outer joined with its
-    own live rows at v2 in one task, no exchange; updates detected by the
-    winning-event LSN). Oracle: the same diff computed from the changelog
-    with two LWW window queries FULL JOINed in SQL."""
-    ds = _two_txn_diff(sf_dir)
-    import pyarrow as _pa
-    import ray as _ray
-    tables = [t for t in _ray.get(ds.to_arrow_refs())
-              if t.num_rows]
-    out = _pa.concat_tables(tables, promote_options="permissive")
+    ``CDCEngine.table_changes`` (only v2's change files are read: the
+    keys whose winner v2 changed, each with its previous winner's LSN, so
+    an update is a key live before and after). Oracle: the same diff
+    computed from the changelog with two LWW window queries FULL JOINed
+    in SQL."""
+    import ray
+
+    # every diff block has the same typed schema, empty ones included
+    out = pa.concat_tables(ray.get(_two_txn_diff(sf_dir).to_arrow_refs()))
     return out.select(["conv_id", "turn_idx", "change", *FINAL_COLS[2:]])
 
 

@@ -13,7 +13,8 @@ This module owns that step and everything it depends on:
 
 - :func:`cluster_cpus` — the one place the cluster's CPU count is read;
 - :func:`shard_count` — the one shard-count rule (bytes-aware, see there);
-- :func:`key_hash` — the one key hasher (bloom filters and HLL sketches
+- :func:`key_hash` — the one key hasher (bloom filters, HLL sketches and
+  the CDC lake's persisted partition function ``key_hash([key[0]]) % P``
   hash with it too, so its output must stay stable);
 - :func:`hash_exchange` — tag, union, shuffle, run the kernel.
 

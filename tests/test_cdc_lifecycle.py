@@ -317,3 +317,141 @@ def test_incremental_view_across_tail_polls(small_fixture, tmp_path):
                 .groupby("conv_id").size().to_dict())
         assert view == want, f"view diverged at version {v}"
         prev_v, lsn_min = v, cut
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_range_across_evolution_and_compaction(
+        tmp_path_factory, tmp_path):
+    """Ranges of several versions fold each key's change records: v1 -> v4
+    starts at the pre-cutover lake (int32 ``turn_idx``, no ``model``) and
+    spans a replay of most of the evolved files, a compaction and the rest
+    of the log; it equals the two-snapshot pandas diff, as does the range
+    ending at the compaction, and 0 -> v4 is the v4 snapshot as inserts."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+    from ml_data_pipeline_ray.fixtures import write_fixture_set
+
+    paths = write_fixture_set(str(tmp_path_factory.mktemp("ev_range")),
+                              scale="tiny", seed=42, n_files=8, evolve=True)
+    files = sorted(glob.glob(paths["changelog"] + "/*.parquet"))
+    pre = [f for f in files if "model" not in pq.read_schema(f).names]
+    lo, hi = _lsn_bounds([f for f in files if f not in pre], "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.replay(pre)
+    v1 = eng.manifest.current_version()
+    assert all(pq.read_schema(f).field("turn_idx").type == pa.int32()
+               for f in eng.manifest.partition_files(v1).values())
+    # the evolved files' deletes sit in their last tenth of LSNs: this
+    # replay brings some of them, the one after the compaction the rest
+    eng.replay(files, lsn_max=hi - (hi - lo) // 20)
+    assert eng.compact()["committed"]
+    v3 = eng.manifest.current_version()
+    eng.replay(files)
+    v4 = eng.manifest.current_version()
+    assert v4 == v1 + 3
+
+    got = _assert_changes_exact(eng, v1, v4)
+    assert set(got["change"]) == {"insert", "update", "delete"}
+    assert got.loc[got["change"] == "insert", "model"].notna().any()
+    schema = eng.table_changes(v1, v4).schema()
+    assert dict(zip(schema.names, schema.types))["turn_idx"] == pa.int64()
+    # from the empty lake: every live row of v4, as an insert
+    d0 = eng.table_changes(0, v4).to_pandas().sort_values(KEY)
+    snap = eng.final_table(version=v4).to_pandas()
+    assert set(d0["change"]) == {"insert"}
+    pd.testing.assert_frame_equal(d0.drop(columns="change").reset_index(drop=True),
+                                  snap[list(d0.columns.drop("change"))],
+                                  check_dtype=False)
+    _assert_changes_exact(eng, v1, v3)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
+    """A partition's first write records its partition file as its change
+    file (no second copy: exactly P files in the txn dir); a later write
+    records a separate change file; a compaction records no change files;
+    a version whose manifest has no ``changes`` cannot be diffed across."""
+    import json
+
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    P = 8
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=P)
+    m1 = eng.replay(files, lsn_max=(lo + hi) // 2)
+    v1 = m1["version"]
+    txn1 = eng.manifest.txn_data_dir(v1)
+    assert len(os.listdir(txn1)) == P
+    man1 = eng.manifest.load(v1)
+    assert {p: e["file"] for p, e in man1["changes"].items()} == \
+        {p: e["file"] for p, e in man1["partitions"].items()}
+    assert m1["change_bytes"] == sum(e["bytes"] for e in man1["changes"].values())
+    assert man1["metrics"]["change_bytes"] == m1["change_bytes"]
+
+    m2 = eng.replay(files)
+    man2 = eng.manifest.load(m2["version"])
+    assert man2["changes"] and all(e["file"].endswith(".changes.parquet")
+                                   for e in man2["changes"].values())
+    assert 0 < m2["change_bytes"] < sum(
+        os.path.getsize(f) for f in eng.manifest.partition_files().values())
+
+    assert eng.compact()["committed"]
+    v3 = eng.manifest.current_version()
+    assert eng.manifest.load(v3)["changes"] == {}
+
+    mpath = os.path.join(eng.manifest.manifest_dir, f"manifest-{v3:06d}.json")
+    with open(mpath) as f:
+        man3 = json.load(f)
+    del man3["changes"]
+    with open(mpath, "w") as f:
+        json.dump(man3, f)
+    with pytest.raises(ValueError, match="records no change files"):
+        eng.table_changes(v1, v3)
+    assert eng.table_changes(v1, v1 + 1).count() > 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_rejects_reversed_or_negative_range(small_fixture, tmp_path):
+    """A reversed or negative version range is an error, not a diff."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    eng.replay(files)
+    for v_from, v_to in [(2, 1), (-1, 2), (-1, None)]:
+        with pytest.raises(ValueError, match="v_from <= v_to"):
+            eng.table_changes(v_from, v_to)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_table_changes_across_tombstones(tmp_path):
+    """A key that is a tombstone at ``v_from`` was not live: reviving it is
+    an insert, and deleting it again (or deleting a key never inserted) is
+    no change at all."""
+    def txn(lsn0, ops):
+        n = len(ops)
+        return pa.table({
+            "lsn": pa.array(range(lsn0, lsn0 + n), pa.int64()),
+            "op": [op for op, _ in ops], "conv_id": ["c-a"] * n,
+            "turn_idx": pa.array([t for _, t in ops], pa.int32()),
+            "text": [None if op == "delete" else f"t{t}@{lsn0}" for op, t in ops]})
+
+    log = [txn(1, [("insert", t) for t in range(4)]),
+           txn(10, [("delete", 0), ("delete", 1)]),
+           txn(20, [("insert", 0), ("delete", 1), ("update", 2), ("insert", 4),
+                    ("delete", 5)])]
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=2)
+    for i, t in enumerate(log):
+        path = str(tmp_path / f"seg-{i}.parquet")
+        pq.write_table(t, path)
+        assert eng.replay(path)["committed"]
+
+    def changes(v_from, v_to):
+        got = _assert_changes_exact(eng, v_from, v_to)
+        return dict(zip(got["turn_idx"], got["change"]))
+
+    assert changes(2, 3) == {0: "insert", 2: "update", 4: "insert"}
+    assert changes(1, 3) == {0: "update", 1: "delete", 2: "update", 4: "insert"}
+    assert changes(1, 2) == {0: "delete", 1: "delete"}

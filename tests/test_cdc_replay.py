@@ -342,7 +342,8 @@ def test_map_task_shards_are_ipc_streams_of_their_own_rows(tmp_path):
     import pyarrow.compute as pc
 
     from ml_data_pipeline_ray.cdc.replay import (
-        RANK_COL, _exchange_map_task, lww_winners, stable_hash_strings)
+        RANK_COL, _exchange_map_task, lww_winners)
+    from ml_data_pipeline_ray.stages.exchange import key_hash
 
     P, key = 8, ["conv_id", "turn_idx"]
     rng = np.random.default_rng(3)
@@ -380,7 +381,7 @@ def test_map_task_shards_are_ipc_streams_of_their_own_rows(tmp_path):
     assert empty, "three conv_ids over eight pids leave some pid empty"
     for pid, (buf, s) in enumerate(zip(bufs, shards)):
         if s.num_rows:
-            pids = stable_hash_strings(s["conv_id"]) % np.uint64(P)
+            pids = key_hash(s, ["conv_id"]) % np.uint64(P)
             assert (pids == pid).all()
         compact = pa.BufferOutputStream()
         with pa.ipc.new_stream(compact, s.schema) as w:
