@@ -8,7 +8,8 @@ VLDB 2020):
 - Each replay transaction writes **full partition-state rewrites** under
   ``lake/data/txn-{version:06d}/pid={pid:05d}.parquet`` (phase 1: stage)
   next to a **change file** of the rows whose winner it changed (the
-  change data feed ``CDCEngine.table_changes`` reads).
+  change data feed ``CDCEngine.table_changes`` reads). Partition files
+  hold live rows only (copy-on-write); deletes live in the change files.
 - The transaction becomes visible only when ``_CURRENT`` is atomically
   replaced to point at ``manifest-{version:06d}.json`` (phase 2: commit,
   a single ``os.replace`` — atomic on POSIX).
@@ -21,8 +22,7 @@ VLDB 2020):
   at-least-once execution).
 
 Each version records its own change files under ``changes`` (pid ->
-{file, bytes}); unlike partition entries they are **not** carried forward,
-and a compaction records ``{}`` (it changes no live row).
+{file, bytes}); unlike partition entries they are **not** carried forward.
 
 The manifest also carries the **per-partition checkpoints** (last applied
 LSN + row metrics) used for resume: a restarted replay filters the
@@ -105,13 +105,12 @@ class LakeManifest:
 
     def commit(self, version: int, new_partitions: dict[int, dict[str, Any]],
                meta: dict[str, Any] | None = None,
-               metrics: dict[str, Any] | None = None,
-               changes: dict[int, dict[str, Any]] | None = None) -> dict[str, Any]:
+               metrics: dict[str, Any] | None = None, *,
+               changes: dict[int, dict[str, Any]]) -> dict[str, Any]:
         """Phase-2 commit: publish ``new_partitions`` (pid -> {file, last_lsn,
-        rows, tombstones, ...}) merged over the previous manifest's entries,
-        then atomically swing ``_CURRENT``. ``changes`` (pid -> {file,
-        bytes}) records this version's change files only; without it the
-        version records none, and no row diff can be read across it.
+        rows, ...}) merged over the previous manifest's entries, then
+        atomically swing ``_CURRENT``. ``changes`` (pid -> {file, bytes})
+        records this version's change files only.
         """
         prev = self.load()
         if version != prev["version"] + 1:
@@ -124,9 +123,8 @@ class LakeManifest:
             "partitions": partitions,
             "meta": {**prev.get("meta", {}), **(meta or {})},
             "metrics": metrics or {},
+            "changes": self._relative(changes),
         }
-        if changes is not None:
-            manifest["changes"] = self._relative(changes)
         # make the staged data files' directory entries durable before any
         # manifest references them (files themselves were fsynced by their
         # merge tasks, in parallel)

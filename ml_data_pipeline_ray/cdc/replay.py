@@ -6,7 +6,11 @@ tailer over Parquet transcript tables. Change events
 as zero-copy Arrow tables by stateless Ray tasks, hash-partitioned by
 ``conv_id`` and merged with per-key last-writer-wins LSN ordering into a
 partitioned Parquet lake with an exactly-once manifest commit
-(:mod:`.manifest`); the lake is read back as ``ray.data`` Datasets.
+(:mod:`.manifest`); the lake is read back as ``ray.data`` Datasets. Like
+Delta Lake's copy-on-write tables, partition files hold live rows only: a
+delete reaches readers through the change files. Keeping a deleted row
+would serve no merge: every stored ``_lsn`` is at or below its
+partition's checkpoint, below every event a later merge applies.
 
 Dataflow (SURVEY.md §7.1)::
 
@@ -18,8 +22,9 @@ Dataflow (SURVEY.md §7.1)::
                                                           [stateless tasks]
       -> merge task per pid: decode + concat its shards,  [THE one
          merge with the current lake partition, write +       wide step]
-         fsync the staged partition file and its change file (the
-         keys whose winner changed, with the previous winner's LSN)
+         fsync the staged partition file (live winners only) and
+         its change file (every key an event won, deletes included,
+         with the previous winner's LSN)
       -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
          recording the partition files and this version's change files
 
@@ -79,8 +84,8 @@ from .manifest import LakeManifest
 PID_COL = "_pid"
 RANK_COL = "_rank"
 LAKE_LSN_COL = "_lsn"
-LAKE_DELETED_COL = "_deleted"
-LSN_FROM_COL = "_lsn_from"  # change files: the previous live winner's LSN
+LAKE_DELETED_COL = "_deleted"  # change files: the key's winner is a delete
+LSN_FROM_COL = "_lsn_from"  # change files: the previous winner's LSN
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
 
@@ -319,10 +324,12 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
     and return one metrics dict (with the IPC bytes received,
     ``exchange_bytes``, and the change file's manifest entry, ``change``).
 
-    The change file holds the new lake row of each key whose winner
-    changed, plus ``_lsn_from``: the previous live winner's LSN, null if
-    the key was absent or a tombstone. On a partition's first write every
-    row is a change, so the partition file itself is the change file."""
+    The partition file holds the live winners only: a key whose winner is
+    a delete is dropped from it. The change file holds the winner of each
+    key an event won (``_deleted`` true for a delete), plus ``_lsn_from``:
+    the previous winner's LSN, null if the key had no lake row. On a
+    partition's first write every live winner is a change (and a dropped
+    delete none), so the partition file itself is the change file."""
     # shards arrive as top-level args so Ray resolves the ObjectRefs in-line;
     # each is one IPC stream buffer, decoded zero-copy from the object store
     tables = [pa.ipc.open_stream(s).read_all() for s in shards]
@@ -333,8 +340,7 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
     ev = ev.filter(pc.greater(ev.column(lsn_col), pa.scalar(ckpt)))
     if ev.num_rows == 0:
         return {"pid": pid, "action": "skip", "file": "", "last_lsn": ckpt,
-                "rows": 0, "tombstones": 0, "events_applied": 0,
-                "exchange_bytes": exchange_bytes}
+                "rows": 0, "events_applied": 0, "exchange_bytes": exchange_bytes}
     ev = ev.select(payload_names + [lsn_col, RANK_COL])
 
     first_write = not (cur_path and os.path.exists(cur_path))
@@ -344,24 +350,26 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
         # one task is one CPU's work: a single-threaded read of the one file
         # skips the dataset layer and Arrow's thread pool
         cur = pq.ParquetFile(cur_path).read(use_threads=False)
-        deleted = cur.column(LAKE_DELETED_COL)
-        cur_rank = pc.if_else(deleted, pa.scalar(2, pa.int8()),
-                              pa.scalar(1, pa.int8()))
-        cur = cur.drop_columns([LAKE_DELETED_COL])
         cur = cur.rename_columns(
             [lsn_col if c == LAKE_LSN_COL else c for c in cur.column_names])
-        cur = cur.append_column(RANK_COL, cur_rank)
+        # a lake row's LSN is at or below the checkpoint, every event's
+        # above: it sorts first in its key's run and loses to any event, so
+        # any constant rank does
+        cur = cur.append_column(RANK_COL, pa.array(np.zeros(cur.num_rows, np.int8)))
         combined = pa.concat_tables([cur, ev], promote_options="permissive")
 
     combined = combined.sort_by([(k, "ascending") for k in key]
                                 + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
     ends = _key_run_ends(combined, key)
-    winners = combined.filter(pa.array(ends))
-    is_deleted = pc.equal(winners.column(RANK_COL), pa.scalar(2, pa.int8()))
-    out_names = [c for c in winners.column_names if c not in (lsn_col, RANK_COL)]
-    lake_tbl = winners.select(out_names)
-    lake_tbl = lake_tbl.append_column(LAKE_LSN_COL, winners.column(lsn_col))
-    lake_tbl = lake_tbl.append_column(LAKE_DELETED_COL, is_deleted)
+    lsn = combined.column(lsn_col).to_numpy()
+    deleted = combined.column(RANK_COL).to_numpy() == 2
+    out_names = [c for c in combined.column_names if c not in (lsn_col, RANK_COL)]
+
+    def lake_rows(mask: np.ndarray) -> pa.Table:
+        t = combined.filter(pa.array(mask))
+        return t.select(out_names).append_column(LAKE_LSN_COL, t.column(lsn_col))
+
+    lake_tbl = lake_rows(ends & ~deleted)
     # the txn directory appears only once a partition is actually written,
     # so a replay with nothing to apply leaves no debris
     os.makedirs(txn_dir, exist_ok=True)
@@ -370,24 +378,21 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
 
     change_path = path
     if not first_write:
-        # a key's lake row sorts first in its run (its LSN is at or below
-        # the checkpoint, every event's above); a key changed iff its winner
-        # is an event
-        lsn, first = combined.column(lsn_col).to_numpy(), np.roll(ends, 1)
-        rank = combined.column(RANK_COL).to_numpy()
-        was_live = (lsn[first] <= ckpt) & (rank[first] != 2)
-        changed = lsn[ends] > ckpt
+        # a key changed iff its winner is an event; it had a lake row iff
+        # its run starts with one
+        changed = ends & (lsn > ckpt)
+        first_lsn = lsn[np.roll(ends, 1)][changed[ends]]
         change_path = os.path.join(txn_dir, f"pid={pid:05d}.changes.parquet")
-        _write_durably(lake_tbl.filter(pa.array(changed)).append_column(
-            LSN_FROM_COL, pa.array(lsn[first][changed], mask=~was_live[changed])),
-            change_path)
+        _write_durably(lake_rows(changed)
+                       .append_column(LAKE_DELETED_COL, pa.array(deleted[changed]))
+                       .append_column(LSN_FROM_COL,
+                                      pa.array(first_lsn, mask=first_lsn > ckpt)),
+                       change_path)
 
     last_lsn = max(ckpt, pc.max(ev.column(lsn_col)).as_py())
-    n_tomb = pc.sum(is_deleted.cast(pa.int64())).as_py() or 0
     return {"pid": pid, "action": "write", "file": path,
-            "last_lsn": int(last_lsn), "rows": int(lake_tbl.num_rows - n_tomb),
-            "tombstones": int(n_tomb), "events_applied": int(ev.num_rows),
-            "exchange_bytes": exchange_bytes,
+            "last_lsn": int(last_lsn), "rows": lake_tbl.num_rows,
+            "events_applied": int(ev.num_rows), "exchange_bytes": exchange_bytes,
             "change": {"file": change_path, "bytes": os.path.getsize(change_path)}}
 
 
@@ -465,10 +470,12 @@ class CDCEngine:
         live rows, on commit), the metrics carry the transaction's map work,
         also recorded in the manifest version's ``metrics``: ``map_tasks``
         (splits scheduled after LSN pruning) and ``row_groups_pruned``. A
-        replay that ran the exchange also reports ``exchange_bytes`` (IPC
-        shard bytes the merge tasks received), ``change_bytes`` (bytes of
-        the change files it recorded), ``maps_s`` and ``merge_s`` (phase
-        walls).
+        replay that ran the exchange also reports and records
+        ``input_bytes`` (compressed bytes of the changelog's row groups,
+        pruned ones included), ``exchange_bytes`` (IPC shard bytes the merge
+        tasks received), ``change_bytes`` (bytes of the change files it
+        recorded), ``maps_s`` and ``merge_s`` (phase walls), and returns
+        ``commit_s`` (the manifest commit's wall).
         """
         files = _expand_paths(changelog)
         footers = _footers(files)
@@ -529,55 +536,35 @@ class CDCEngine:
         ]
         rows = ray.get(merge_refs)
         t_merge = time.perf_counter()
-        plan.update(exchange_bytes=int(sum(r["exchange_bytes"] for r in rows)),
-                    change_bytes=int(sum(r["change"]["bytes"] for r in rows
-                                         if "change" in r)),
+        written = [r for r in rows if r["action"] == "write"]
+        plan.update(input_bytes=sum(g[2] for g in _row_groups(footers, self.lsn_col)),
+                    exchange_bytes=int(sum(r["exchange_bytes"] for r in rows)),
+                    change_bytes=int(sum(r["change"]["bytes"] for r in written)),
                     maps_s=round(t_maps - t0, 4),
                     merge_s=round(t_merge - t_maps, 4))
-        res = self._commit_metrics(version, rows, plan)
-        t_commit = time.perf_counter()
-        in_bytes = sum(b for _, _, b, _, _ in _row_groups(footers, self.lsn_col))
-        self.last_stats = (
-            f"exchange: {len(splits)} map tasks x {P} partitions "
-            f"({in_bytes >> 20} MiB input, {plan['exchange_bytes'] >> 20} MiB "
-            f"exchanged); maps {plan['maps_s']:.2f}s, "
-            f"merge {plan['merge_s']:.2f}s, commit {t_commit - t_merge:.2f}s")
-        return res
-
-    def _commit_metrics(self, version: int, rows: list[dict],
-                        plan: dict[str, Any] | None = None) -> dict[str, Any]:
-        """Commit the written partitions of ``rows`` (per-partition merge
-        results). ``plan`` holds the transaction's map and exchange
-        counters; they are returned and recorded in the manifest version's
-        metrics. ``rows_live`` counts the live rows of the whole committed
-        table: the written partitions plus the ones carried forward."""
-        plan = plan or {}
-        written = [r for r in rows if r.get("action") == "write"]
         if not written:
-            return {"version": self.manifest.current_version(), "committed": False,
+            return {"version": version - 1, "committed": False,
                     "events_applied": 0, "partitions_written": 0, **plan}
-        new_parts = {
-            int(r["pid"]): {"file": r["file"], "last_lsn": int(r["last_lsn"]),
-                            "rows": int(r["rows"]),
-                            "tombstones": int(r["tombstones"])}
-            for r in written
-        }
+        # partition files hold no deleted rows; "tombstones" stays because
+        # the benchmark's lake statistics still read it
+        new_parts = {int(r["pid"]): {"file": r["file"], "last_lsn": int(r["last_lsn"]),
+                                     "rows": int(r["rows"]), "tombstones": 0}
+                     for r in written}
         carried = {int(p): e for p, e in self.manifest.load()["partitions"].items()}
-        live = {**carried, **new_parts}
         totals = {
             "events_applied": int(sum(r["events_applied"] for r in written)),
             "partitions_written": len(new_parts),
-            "rows_live": int(sum(e["rows"] for e in live.values())),
+            # the whole committed table: written and carried-forward partitions
+            "rows_live": int(sum(e["rows"] for e in {**carried, **new_parts}.values())),
             **plan,
         }
         self.manifest.commit(version, new_parts,
                              meta={"num_partitions": self.num_partitions,
                                    "key": self.key},
                              metrics=totals,
-                             # a compaction's rows carry none: it changes no live row
-                             changes={int(r["pid"]): r["change"]
-                                      for r in written if "change" in r})
-        return {"version": version, "committed": True, **totals}
+                             changes={int(r["pid"]): r["change"] for r in written})
+        return {"version": version, "committed": True, **totals,
+                "commit_s": round(time.perf_counter() - t_merge, 4)}
 
     def replay_in_rounds(self, changelog: str | list[str],
                          num_rounds: int) -> list[dict[str, Any]]:
@@ -623,60 +610,19 @@ class CDCEngine:
                 time.sleep(poll_interval_s)
         return out
 
-    def compact(self) -> dict[str, Any]:
-        """Drop tombstones by rewriting partitions that have any (one new
-        exactly-once transaction; untouched partitions carry forward).
-
-        Safe because every stored tombstone's ``_lsn`` <= that partition's
-        checkpoint, and replay filters incoming events to
-        ``lsn > checkpoint[pid]`` — no late event can resurrect a compacted
-        delete."""
-        man = self.manifest.load()
-        todo = {int(pid): e for pid, e in man["partitions"].items()
-                if e.get("tombstones", 0) > 0}
-        if not todo:
-            return {"version": man["version"], "committed": False,
-                    "partitions_compacted": 0}
-        version = man["version"] + 1
-        txn_dir = self.manifest.txn_data_dir(version)
-
-        @ray.remote
-        def rewrite(pid: int, src: str, last_lsn: int) -> dict:
-            tbl = pq.read_table(src)
-            live = tbl.filter(pc.equal(tbl.column(LAKE_DELETED_COL), False))
-            os.makedirs(txn_dir, exist_ok=True)
-            path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
-            _write_durably(live, path)
-            return {"pid": pid, "action": "write", "file": path,
-                    "last_lsn": last_lsn, "rows": live.num_rows,
-                    "tombstones": 0, "events_applied": 0}
-
-        rows = ray.get([
-            rewrite.remote(pid, os.path.join(self.lake_dir, e["file"]),
-                           int(e["last_lsn"]))
-            for pid, e in todo.items()
-        ])
-        res = self._commit_metrics(version, rows)
-        res["partitions_compacted"] = len(rows)
-        return res
-
     # -- read side ----------------------------------------------------------
 
     def final_dataset(self, columns: list[str] | None = None,
                       version: int | None = None) -> rd.Dataset:
-        """The committed lake table as a streaming Dataset (tombstones dropped,
-        internal columns hidden). Pass ``version`` to time-travel to any
+        """The committed lake table as a streaming Dataset (the internal
+        ``_lsn`` column hidden). Pass ``version`` to time-travel to any
         previously committed transaction (manifests are retained)."""
         pfiles = sorted(self.manifest.partition_files(version).values())
         if not pfiles:
             raise ValueError("lake is empty (no committed transactions)")
         schema = unify_parquet_schemas(pfiles)
-        ds = read_parquet(pfiles, schema=schema,
-                             filter=~pc.field(LAKE_DELETED_COL))
-        drop = [LAKE_LSN_COL, LAKE_DELETED_COL]
-        user_cols = [n for n in schema.names if n not in drop]
-        ds = ds.select_columns(columns or user_cols)
-        return ds
+        user_cols = [n for n in schema.names if n != LAKE_LSN_COL]
+        return read_parquet(pfiles, schema=schema).select_columns(columns or user_cols)
 
     def final_table(self, sort: bool = True, version: int | None = None) -> pa.Table:
         """Materialized final state, sorted by key — for tests/verification
@@ -700,14 +646,14 @@ class CDCEngine:
         change files.
 
         Reads only the change files of versions ``v_from+1..v_to`` (every
-        key whose winner changed, with its previous live winner's LSN), so
-        the cost is O(changed rows). The pids' files are grouped into tasks
-        of up to ``SPLIT_MIB`` of recorded bytes; a key lives in one pid,
-        so any grouping is exact. A key live at both ends is an update (a
-        newer event won it, so payload-equal rewrites are still reported,
-        like the changelog); one live at neither is dropped. A compaction
-        records no change files, so a delete compacted away is still a
-        delete.
+        key an event won, with its previous winner's LSN), so the cost is
+        O(changed rows): a deleted key is in no partition file, only in the
+        change file of the version that deleted it. The pids' files are
+        grouped into tasks of up to ``SPLIT_MIB`` of recorded bytes; a key
+        lives in one pid, so any grouping is exact. A key live at both ends
+        is an update (a newer event won it, so payload-equal rewrites are
+        still reported, like the changelog); one live at neither is
+        dropped.
 
         ``payload_columns`` prunes the new-side payload carried through the
         diff (``[]`` = keys + change only): a consumer that only needs the
@@ -738,9 +684,12 @@ class CDCEngine:
                    (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL, LSN_FROM_COL)]
         if payload_columns is not None:
             payload = [c for c in payload if c in payload_columns]
+        # declared, not unified: a range of first writes has no file with
+        # _deleted (partition files double as their change files)
         read_schema = pa.schema(
-            [schema.field(n) for n in (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL)]
-            + [pa.field(LSN_FROM_COL, pa.int64())]
+            [schema.field(n) for n in (*self.key, LAKE_LSN_COL)]
+            + [pa.field(LAKE_DELETED_COL, pa.bool_()),
+               pa.field(LSN_FROM_COL, pa.int64())]
             + [schema.field(n) for n in payload])
         key = list(self.key)
 
@@ -766,12 +715,13 @@ def _fold_changes(files: list[str], schema: pa.Schema, key: list[str]) -> pa.Tab
     """Row diff of the change records in ``files`` (change files of
     consecutive versions, read in version order, any mix of pids), each
     read as ``schema`` (``key..., _lsn, _deleted, _lsn_from, payload...``;
-    a partition file written whole reads with ``_lsn_from`` null).
+    a partition file written whole reads with ``_lsn_from`` and
+    ``_deleted`` null: it holds live rows only).
 
     A key's records sort by ``_lsn``, which rises with every version that
     changed the key, so its first record holds its state before the range
     (``_lsn_from`` not null: live) and its last record its state after
-    (``_deleted`` false: live). Returns ``(key..., change, payload...)``
+    (``_deleted`` false or null: live). Returns ``(key..., change, payload...)``
     for every key live on at least one side; payload is null for deletes."""
     parts = []
     for f in files:
@@ -786,7 +736,8 @@ def _fold_changes(files: list[str], schema: pa.Schema, key: list[str]) -> pa.Tab
     ends = _key_run_ends(tbl, key)
     was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
         zero_copy_only=False)[np.roll(ends, 1)]
-    is_live = ~tbl.column(LAKE_DELETED_COL).to_numpy(zero_copy_only=False)[ends]
+    is_live = ~pc.fill_null(tbl.column(LAKE_DELETED_COL), False).to_numpy(
+        zero_copy_only=False)[ends]
     keep = was_live | is_live
     rows = np.flatnonzero(ends)[keep]
     was_live, is_live = was_live[keep], is_live[keep]

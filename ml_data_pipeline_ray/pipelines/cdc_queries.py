@@ -54,19 +54,6 @@ def cdc_replay_evolved(sf_dir: str) -> pa.Table:
     return _final(eng, FINAL_COLS + ["model"])
 
 
-def cdc_replay_compacted(sf_dir: str) -> pa.Table:
-    """Replay, then compact tombstones away (a second exactly-once
-    transaction rewriting only tombstoned partitions) and read through the
-    new manifest version — the visible final state must be unchanged, so it
-    shares cdc_replay's oracle."""
-    paths = fixture_paths(scale_for_sf_dir(sf_dir))
-    eng = CDCEngine(_fresh_lake(), num_partitions=NUM_PARTITIONS)
-    eng.replay(paths["changelog"])
-    res = eng.compact()
-    assert res["committed"] and res["partitions_compacted"] > 0, res
-    return _final(eng, FINAL_COLS)
-
-
 def cdc_tail_incremental(sf_dir: str) -> pa.Table:
     """WAL-tail path: the changelog's files are revealed in two batches of
     LSN-contiguous segments; each poll applies only the new events on top of

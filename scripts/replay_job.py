@@ -12,8 +12,8 @@ Connects to the cluster Ray (RAY_ADDRESS from the job runtime; falls back to
 a local session when run standalone), replays the changelog into the lake
 with the exactly-once manifest, prints ONE JSON line of metrics (events,
 wall, events/sec, partitions, committed version, map tasks scheduled and
-row groups pruned by the LSN pushdown, exchanged shard bytes, change-file
-bytes, map and merge phase walls, a per-stage summary line), and
+row groups pruned by the LSN pushdown, input, exchanged shard and
+change-file bytes, map, merge and commit phase walls), and
 exits non-zero on failure. Rerunning after a crash resumes from the
 per-partition LSN checkpoints recorded in the manifest — the idempotent
 at-least-once delivery contract the engine is built around.
@@ -99,8 +99,11 @@ def main() -> int:
                                if "rows_live" in r), None),
             "map_tasks": sum(r["map_tasks"] for r in rounds),
             "row_groups_pruned": sum(r["row_groups_pruned"] for r in rounds),
+            # every round plans over the whole log
+            "input_bytes": max(r.get("input_bytes", 0) for r in rounds),
             **{k: sum(r.get(k, 0) for r in rounds)
-               for k in ("exchange_bytes", "change_bytes", "maps_s", "merge_s")},
+               for k in ("exchange_bytes", "change_bytes", "maps_s", "merge_s",
+                         "commit_s")},
         }
     else:
         result = eng.replay(args.changelog)
@@ -119,11 +122,12 @@ def main() -> int:
         "version": result.get("version"),
         "map_tasks": result["map_tasks"],
         "row_groups_pruned": result["row_groups_pruned"],
+        "input_bytes": result.get("input_bytes", 0),
         "exchange_bytes": result.get("exchange_bytes", 0),
         "change_bytes": result.get("change_bytes", 0),
         "maps_s": round(result.get("maps_s", 0.0), 3),
         "merge_s": round(result.get("merge_s", 0.0), 3),
-        "stage_breakdown": getattr(eng, "last_stats", ""),
+        "commit_s": round(result.get("commit_s", 0.0), 3),
     }))
     ray.shutdown()
     return 0 if result.get("committed") or events == 0 else 1

@@ -1,4 +1,5 @@
-"""CDC lake lifecycle: tailing, compaction, time travel."""
+"""CDC lake lifecycle: tailing, live-only partition files, time travel,
+the change data feed."""
 
 import glob
 import os
@@ -24,11 +25,34 @@ def _read_all(d):
 
 def _raw_snapshot(eng, version):
     """Every partition file of ``version`` read straight from disk (with
-    ``_lsn`` and ``_deleted``), tombstones dropped afterwards."""
+    ``_lsn``); the files hold live rows only."""
     files = sorted(eng.manifest.partition_files(version).values())
-    df = pa.concat_tables([pq.read_table(f) for f in files],
-                          promote_options="permissive").to_pandas()
-    return df[~df["_deleted"]].drop(columns="_deleted")
+    tbl = pa.concat_tables([pq.read_table(f) for f in files],
+                           promote_options="permissive")
+    assert LAKE_DELETED_COL not in tbl.column_names
+    return tbl.to_pandas()
+
+
+def _last_deleted_keys(log: pa.Table) -> set:
+    """Keys whose last event (by ``(lsn, op rank)``) is a delete."""
+    df = log.to_pandas()
+    df["_rank"] = df["op"].map({"insert": 0, "update": 1, "delete": 2})
+    last = df.sort_values(["lsn", "_rank"], kind="mergesort").groupby(KEY).tail(1)
+    return set(zip(*(last.loc[last["op"] == "delete", k] for k in KEY)))
+
+
+def _segment(path, rows):
+    """Write ``rows`` (``(lsn, op, conv_id, turn_idx)``) as one changelog
+    file of the transcript changelog's schema; deletes carry no text."""
+    pq.write_table(pa.table({
+        "lsn": pa.array([r[0] for r in rows], pa.int64()),
+        "op": [r[1] for r in rows], "conv_id": [r[2] for r in rows],
+        "turn_idx": pa.array([r[3] for r in rows], pa.int32()),
+        "role": ["user" if r[1] != "delete" else None for r in rows],
+        "text": [None if r[1] == "delete" else f"t{r[3]}@{r[0]}" for r in rows],
+        "tool": pa.nulls(len(rows), pa.string()),
+        "ts": pa.array([None] * len(rows), pa.timestamp("us"))}), path)
+    return path
 
 
 def _oracle_changes(eng, v_from, v_to):
@@ -97,31 +121,39 @@ def test_tail_applies_incrementally_arriving_files(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_compact_drops_tombstones_preserves_state(small_fixture, tmp_path):
-    lake = str(tmp_path / "lake")
-    eng = CDCEngine(lake, num_partitions=8)
+def test_partition_files_hold_live_rows_only(small_fixture, tmp_path):
+    """Partition files store live rows only: no ``_deleted`` column, as
+    many rows as the manifest records, and no key whose last event is a
+    delete."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
     eng.replay(small_fixture["changelog"])
-    before = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
-    tombs_before = sum(e["tombstones"]
-                       for e in eng.manifest.load()["partitions"].values())
-    assert tombs_before > 0
-
-    res = eng.compact()
-    assert res["committed"] and res["partitions_compacted"] > 0
-    tombs_after = sum(e["tombstones"]
-                      for e in eng.manifest.load()["partitions"].values())
-    assert tombs_after == 0
-    # physical files contain no deleted rows anymore
-    for f in eng.manifest.partition_files().values():
+    deleted = _last_deleted_keys(_read_all(small_fixture["changelog"]))
+    assert deleted
+    entries = eng.manifest.load()["partitions"]
+    for pid, f in eng.manifest.partition_files().items():
         t = pq.read_table(f)
-        assert t.filter(t.column(LAKE_DELETED_COL)).num_rows == 0
+        assert LAKE_DELETED_COL not in t.column_names
+        assert t.num_rows == entries[str(pid)]["rows"]
+        assert not deleted & set(zip(*(t.column(k).to_pylist() for k in KEY)))
 
-    after = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
-    pd.testing.assert_frame_equal(before, after)
 
-    # replay after compaction stays a no-op (checkpoints intact)
-    again = eng.replay(small_fixture["changelog"])
-    assert again["committed"] is False
+@pytest.mark.usefixtures("ray_session")
+def test_late_event_below_checkpoint_cannot_revive_a_delete(tmp_path):
+    """A deleted key leaves no row behind, yet a late insert below the
+    partition's checkpoint must not revive it: K is inserted at LSN 1 and
+    deleted at LSN 10; a later segment brings an insert of K at LSN 5 and
+    a newer event of another key in the same pid."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=2)
+    eng.replay(_segment(str(tmp_path / "s0.parquet"),
+                        [(1, "insert", "c-a", 0), (2, "insert", "c-a", 1)]))
+    eng.replay(_segment(str(tmp_path / "s1.parquet"), [(10, "delete", "c-a", 0)]))
+    v2 = eng.manifest.current_version()
+    m3 = eng.replay(_segment(str(tmp_path / "s2.parquet"),
+                             [(5, "insert", "c-a", 0), (11, "update", "c-a", 1)]))
+    assert m3["committed"] and m3["events_applied"] == 1
+    assert eng.final_table().column("turn_idx").to_pylist() == [1]
+    got = _assert_changes_exact(eng, v2)
+    assert dict(zip(got["turn_idx"], got["change"])) == {1: "update"}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -172,13 +204,17 @@ def test_table_changes_diff_and_converged_empty(small_fixture, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_table_changes_empty_diff_keeps_typed_schema(small_fixture, tmp_path):
-    """A diff with no changed partition (v -> v), and one whose changed
-    partitions hold no changed row (across a compaction), is empty but
-    keeps the typed ``key..., change, payload...`` schema."""
+    """A diff with no changed partition (v -> v), and one whose change file
+    holds no change (a transaction that inserts and then deletes one fresh
+    key), is empty but keeps the typed ``key..., change, payload...``
+    schema."""
     eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
     eng.replay(small_fixture["changelog"])
     v1 = eng.manifest.current_version()
-    assert eng.compact()["committed"]
+    lsn = max(e["last_lsn"] for e in eng.manifest.load()["partitions"].values())
+    assert eng.replay(_segment(str(tmp_path / "fresh.parquet"),
+                               [(lsn + 1, "insert", "c-fresh", 0),
+                                (lsn + 2, "delete", "c-fresh", 0)]))["committed"]
     want = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
                       ("change", pa.string())])
     for v_from, v_to in [(v1, v1), (v1, v1 + 1)]:
@@ -193,10 +229,9 @@ def test_table_changes_empty_diff_keeps_typed_schema(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_table_changes_reports_delete_compacted_away(small_fixture, tmp_path):
-    """A key live at v1, deleted at v2 and compacted out of its partition
-    at v3 is absent from every v3 file, tombstone included; the v1 -> v3
-    diff must still report it as a delete."""
+def test_table_changes_reports_deletes_absent_from_files(small_fixture, tmp_path):
+    """A key live at v1 and deleted at v2 is absent from every v2
+    partition file; the v1 -> v2 diff must still report it as a delete."""
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
 
     files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
@@ -205,14 +240,13 @@ def test_table_changes_reports_delete_compacted_away(small_fixture, tmp_path):
     eng.replay(files, lsn_max=(lo + hi) // 2)
     v1 = eng.manifest.current_version()
     eng.replay(files, lsn_min=(lo + hi) // 2)
-    assert eng.compact()["committed"]
-    v3 = eng.manifest.current_version()
+    v2 = eng.manifest.current_version()
 
-    got = _assert_changes_exact(eng, v1, v3)
+    got = _assert_changes_exact(eng, v1, v2)
     deleted = set(zip(*(got.loc[got["change"] == "delete", k] for k in KEY)))
     on_disk = pa.concat_tables(
         [pq.read_table(f, columns=KEY)
-         for f in eng.manifest.partition_files(v3).values()],
+         for f in eng.manifest.partition_files(v2).values()],
         promote_options="permissive").to_pandas()
     assert deleted
     assert not deleted & set(zip(on_disk["conv_id"], on_disk["turn_idx"]))
@@ -231,24 +265,6 @@ def test_table_changes_single_partition_lake(small_fixture, tmp_path):
     eng.replay(files, lsn_min=(lo + hi) // 2)
     got = _assert_changes_exact(eng, v1)
     assert set(got["change"]) == {"insert", "update", "delete"}
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_table_changes_after_compaction_empty_and_pruned(small_fixture, tmp_path):
-    """Compaction rewrites ONLY tombstoned partitions; the diff across the
-    compaction commit must be empty (live rows keep their winning LSN) and
-    the manifest-level pruning must have real effect (untouched partitions
-    keep identical file entries)."""
-    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
-    eng.replay(small_fixture["changelog"])
-    v1 = eng.manifest.current_version()
-    res = eng.compact()
-    assert res["committed"]
-    pf1 = eng.manifest.partition_files(v1)
-    pf2 = eng.manifest.partition_files()
-    changed = [p for p in set(pf1) | set(pf2) if pf1.get(p) != pf2.get(p)]
-    assert 0 < len(changed) <= res["partitions_compacted"]
-    assert eng.table_changes(v_from=v1).count() == 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -324,9 +340,9 @@ def test_table_changes_range_across_evolution_and_compaction(
         tmp_path_factory, tmp_path):
     """Ranges of several versions fold each key's change records: v1 -> v4
     starts at the pre-cutover lake (int32 ``turn_idx``, no ``model``) and
-    spans a replay of most of the evolved files, a compaction and the rest
-    of the log; it equals the two-snapshot pandas diff, as does the range
-    ending at the compaction, and 0 -> v4 is the v4 snapshot as inserts."""
+    spans three replays of the evolved files; it equals the two-snapshot
+    pandas diff, as does v1 -> v3, and 0 -> v4 is the v4 snapshot as
+    inserts."""
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
     from ml_data_pipeline_ray.fixtures import write_fixture_set
 
@@ -340,10 +356,10 @@ def test_table_changes_range_across_evolution_and_compaction(
     v1 = eng.manifest.current_version()
     assert all(pq.read_schema(f).field("turn_idx").type == pa.int32()
                for f in eng.manifest.partition_files(v1).values())
-    # the evolved files' deletes sit in their last tenth of LSNs: this
-    # replay brings some of them, the one after the compaction the rest
+    # the evolved files' deletes sit in their last tenth of LSNs: the
+    # second and third replays bring some of them each, the fourth the rest
     eng.replay(files, lsn_max=hi - (hi - lo) // 20)
-    assert eng.compact()["committed"]
+    eng.replay(files, lsn_max=hi - (hi - lo) // 40)
     v3 = eng.manifest.current_version()
     eng.replay(files)
     v4 = eng.manifest.current_version()
@@ -368,8 +384,8 @@ def test_table_changes_range_across_evolution_and_compaction(
 def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
     """A partition's first write records its partition file as its change
     file (no second copy: exactly P files in the txn dir); a later write
-    records a separate change file; a compaction records no change files;
-    a version whose manifest has no ``changes`` cannot be diffed across."""
+    records a separate change file; a version whose manifest has no
+    ``changes`` cannot be diffed across."""
     import json
 
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
@@ -395,19 +411,14 @@ def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
     assert 0 < m2["change_bytes"] < sum(
         os.path.getsize(f) for f in eng.manifest.partition_files().values())
 
-    assert eng.compact()["committed"]
-    v3 = eng.manifest.current_version()
-    assert eng.manifest.load(v3)["changes"] == {}
-
-    mpath = os.path.join(eng.manifest.manifest_dir, f"manifest-{v3:06d}.json")
-    with open(mpath) as f:
-        man3 = json.load(f)
-    del man3["changes"]
+    mpath = os.path.join(eng.manifest.manifest_dir,
+                         f"manifest-{m2['version']:06d}.json")
+    del man2["changes"]
     with open(mpath, "w") as f:
-        json.dump(man3, f)
+        json.dump(man2, f)
     with pytest.raises(ValueError, match="records no change files"):
-        eng.table_changes(v1, v3)
-    assert eng.table_changes(v1, v1 + 1).count() > 0
+        eng.table_changes(v1, m2["version"])
+    assert eng.table_changes(0, v1).count() > 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -427,9 +438,9 @@ def test_table_changes_rejects_reversed_or_negative_range(small_fixture, tmp_pat
 
 @pytest.mark.usefixtures("ray_session")
 def test_table_changes_across_tombstones(tmp_path):
-    """A key that is a tombstone at ``v_from`` was not live: reviving it is
-    an insert, and deleting it again (or deleting a key never inserted) is
-    no change at all."""
+    """A key deleted at ``v_from`` was not live: reviving it is an insert,
+    and deleting it again (or deleting a key never inserted) is no change
+    at all."""
     def txn(lsn0, ops):
         n = len(ops)
         return pa.table({

@@ -25,15 +25,15 @@ def test_manifest_commit_is_atomic_and_versioned(tmp_path):
     m = LakeManifest(lake)
     assert m.current_version() == 0
     m.commit(1, {0: {"file": os.path.join(lake, "data/txn-000001/pid=00000.parquet"),
-                     "last_lsn": 10, "rows": 5, "tombstones": 0}})
+                     "last_lsn": 10, "rows": 5}}, changes={})
     assert m.current_version() == 1
     assert m.checkpoints() == {0: 10}
     # stale commit rejected
     with pytest.raises(ValueError, match="stale"):
-        m.commit(1, {})
+        m.commit(1, {}, changes={})
     # carry-forward of untouched partitions
     m.commit(2, {1: {"file": "data/txn-000002/pid=00001.parquet",
-                     "last_lsn": 20, "rows": 3, "tombstones": 1}})
+                     "last_lsn": 20, "rows": 3}}, changes={})
     assert m.checkpoints() == {0: 10, 1: 20}
 
 
@@ -113,7 +113,7 @@ def test_commit_replaces_uncommitted_crash_debris(tmp_path):
                   "last_lsn": 1}}, "meta": {}, "metrics": {}}, f)
     assert m.current_version() == 0          # debris is invisible
     m.commit(1, {0: {"file": "data/txn-000001/pid=00000.parquet",
-                     "last_lsn": 5, "rows": 1, "tombstones": 0}})
+                     "last_lsn": 5, "rows": 1}}, changes={})
     assert m.current_version() == 1
     assert m.load()["partitions"]["0"]["last_lsn"] == 5   # debris replaced
 
@@ -125,7 +125,7 @@ def test_commit_rejects_stale_version(tmp_path):
     a = LakeManifest(str(tmp_path / "lk"))
     b = LakeManifest(str(tmp_path / "lk"))
     entry = {"file": "data/txn-000001/pid=00000.parquet",
-             "last_lsn": 1, "rows": 1, "tombstones": 0}
-    a.commit(1, {0: entry})
+             "last_lsn": 1, "rows": 1}
+    a.commit(1, {0: entry}, changes={})
     with pytest.raises(ValueError, match="stale transaction"):
-        b.commit(1, {0: entry})
+        b.commit(1, {0: entry}, changes={})

@@ -72,7 +72,7 @@ def test_random_logs_match_oracle(events, tmp_path_factory):
     eng.replay(log)
     want = oracle_replay(tbl)
     if len(want) == 0:
-        # all keys ended deleted: committed lake holds only tombstones
+        # all keys ended deleted: the committed partition files hold no rows
         assert eng.final_dataset().count() == 0
         return
     got = (eng.final_table(sort=True).to_pandas()
