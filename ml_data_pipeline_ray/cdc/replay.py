@@ -28,6 +28,10 @@ Dataflow (SURVEY.md §7.1)::
       -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
          recording the partition files and this version's change files
 
+    final_dataset(version): the partition files the manifest lists, in
+         tasks of up to SPLIT_MIB footer bytes
+      -> per task: read each row group (projected), align -> snapshot
+
     table_changes(v_from, v_to): the change files of versions
          v_from+1..v_to, in tasks of up to SPLIT_MIB recorded bytes
       -> per task: read + align, fold each key's records (first record:
@@ -60,13 +64,18 @@ Scale notes (100 TB / 10^10 events):
   split planner already drops row groups whose footer LSN range the
   pushdown would empty, so a tail poll schedules map tasks only for the
   new segments.
+- Both lake reads plan from the manifest and the footers alone (no
+  datasource re-planning or sampling per call) and group files into tasks
+  of up to ``SPLIT_MIB``. A snapshot task yields one table per row group,
+  so a partition larger than Ray Data's target block size streams as
+  several blocks instead of being held whole.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -75,7 +84,6 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..sources.readers import read_parquet
 from ..stages.exchange import key_hash
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
@@ -89,8 +97,8 @@ LSN_FROM_COL = "_lsn_from"  # change files: the previous winner's LSN
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
 
-# upper bound on compressed input bytes per map task, and on recorded
-# change-file bytes per table_changes task
+# upper bound on compressed input bytes per map task, and on the lake
+# bytes a final_dataset or table_changes task takes on before it closes
 SPLIT_MIB = 16
 
 
@@ -614,23 +622,38 @@ class CDCEngine:
 
     def final_dataset(self, columns: list[str] | None = None,
                       version: int | None = None) -> rd.Dataset:
-        """The committed lake table as a streaming Dataset (the internal
-        ``_lsn`` column hidden). Pass ``version`` to time-travel to any
-        previously committed transaction (manifests are retained)."""
+        """The committed lake table as a streaming Dataset (``_lsn`` hidden),
+        planned like :meth:`table_changes`: tasks of up to ``SPLIT_MIB``
+        footer bytes read one row group at a time, aligned to the files'
+        unified schema (evolved types widen; columns a file predates read as
+        nulls). ``columns`` projects at the read (``None``: every user
+        column; an unknown name raises ``ValueError``). ``version``
+        time-travels to any committed transaction (manifests are retained).
+        An empty lake raises ``ValueError``; an all-deleted one reads as a
+        typed empty table."""
         pfiles = sorted(self.manifest.partition_files(version).values())
         if not pfiles:
             raise ValueError("lake is empty (no committed transactions)")
-        schema = unify_parquet_schemas(pfiles)
+        footers = _footers(pfiles)
+        schema = unify_parquet_schemas(footers).remove_metadata()
         user_cols = [n for n in schema.names if n != LAKE_LSN_COL]
-        return read_parquet(pfiles, schema=schema).select_columns(columns or user_cols)
+        unknown = [c for c in columns or [] if c not in user_cols]
+        if unknown:
+            raise ValueError(f"unknown columns {unknown}; the lake has {user_cols}")
+        schema = pa.schema([schema.field(c) for c in columns or user_cols])
+        nbytes = dict.fromkeys(pfiles, 0)
+        for f, _, b, _, _ in _row_groups(footers, LAKE_LSN_COL):
+            nbytes[f] += b
+        return _file_tasks((([f], nbytes[f]) for f in pfiles),
+                           lambda files: _read_snapshot(files, schema))
 
     def final_table(self, sort: bool = True, version: int | None = None) -> pa.Table:
         """Materialized final state, sorted by key — for tests/verification
         only (stable turn ordering per BASELINE.json); never call on 100 TB."""
-        batches = [pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
-                   for b in self.final_dataset(version=version).iter_batches(
-                       batch_size=65536, batch_format="pyarrow")]
-        tbl = pa.concat_tables(batches, promote_options="permissive")
+        # materialized, the blocks keep the typed empty one of an
+        # all-deleted lake (iteration skips empty blocks)
+        ds = self.final_dataset(version=version).materialize()
+        tbl = pa.concat_tables(ray.get(ds.to_arrow_refs()))
         if sort:
             tbl = tbl.sort_by([(k, "ascending") for k in self.key])
         return tbl
@@ -693,22 +716,51 @@ class CDCEngine:
             + [schema.field(n) for n in payload])
         key = list(self.key)
 
-        tasks, budget = [], 0
-        for pid in sorted(files):
-            if not tasks or budget >= SPLIT_MIB << 20:
-                tasks.append([])
-                budget = 0
-            tasks[-1] += files[pid]
-            budget += nbytes[pid]
-        if not tasks:
+        if not files:
             return rd.from_arrow(_fold_changes([], read_schema, key))
+        return _file_tasks(((files[pid], nbytes[pid]) for pid in sorted(files)),
+                           lambda fs: _fold_changes(fs, read_schema, key))
 
-        def fold(batch: pa.Table) -> pa.Table:
-            return _fold_changes(batch["files"][0].as_py(), read_schema, key)
 
-        return rd.from_items([{"files": t} for t in tasks],
-                             override_num_blocks=len(tasks)).map_batches(
-            fold, batch_size=1, batch_format="pyarrow")
+def _file_tasks(units: Iterable[tuple[list[str], int]], read) -> rd.Dataset:
+    """One Ray Data task per group of ``(files, recorded_bytes)`` units, taken
+    in order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
+    ``read(files)`` returns a table or yields tables, which Ray Data emits
+    as blocks of at most its target block size."""
+    tasks: list[list[str]] = []
+    budget = 0
+    for files, nbytes in units:
+        if not tasks or budget >= SPLIT_MIB << 20:
+            tasks.append([])
+            budget = 0
+        tasks[-1] += files
+        budget += nbytes
+
+    def run(batch: pa.Table):
+        return read(batch["files"][0].as_py())
+
+    return rd.from_items([{"files": t} for t in tasks],
+                         override_num_blocks=len(tasks)).map_batches(
+        run, batch_size=1, batch_format="pyarrow")
+
+
+def _read_snapshot(files: list[str], schema: pa.Schema) -> Iterator[pa.Table]:
+    """Read partition files one row group at a time, single-threaded (one
+    task is one CPU's work), projected to the ``schema`` columns each file
+    has and aligned to ``schema``. A task whose files hold no rows (every
+    key deleted) yields the typed empty table, so the snapshot keeps its
+    schema."""
+    empty = True
+    for f in files:
+        pf = pq.ParquetFile(f)
+        cols = [n for n in schema.names if n in pf.schema_arrow.names]
+        for i in range(pf.num_row_groups):
+            if pf.metadata.row_group(i).num_rows:
+                empty = False
+                yield align_to_schema(
+                    pf.read_row_group(i, columns=cols, use_threads=False), schema)
+    if empty:
+        yield schema.empty_table()
 
 
 def _fold_changes(files: list[str], schema: pa.Schema, key: list[str]) -> pa.Table:

@@ -172,6 +172,114 @@ def test_time_travel_versions(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_snapshot_of_all_deleted_lake_is_typed_empty(tmp_path):
+    """Every key deleted: the committed partition files hold no rows, and
+    the snapshot is an empty table of the lake's user columns and types,
+    not an error or a schema-less Dataset."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=2)
+    eng.replay(_segment(str(tmp_path / "s0.parquet"),
+                        [(1, "insert", "a", 0), (2, "delete", "a", 0)]))
+    want = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                      ("role", pa.string()), ("text", pa.string()),
+                      ("tool", pa.string()), ("ts", pa.timestamp("us"))])
+    tbl = eng.final_table()
+    assert tbl.num_rows == 0
+    assert tbl.schema == want
+    assert eng.final_dataset().schema().names == want.names
+
+
+def _evolved_segment(path, rows):
+    """``_segment`` in the evolved schema: int64 ``turn_idx`` and a
+    ``model`` column."""
+    t = pq.read_table(_segment(path, rows))
+    t = t.set_column(t.column_names.index("turn_idx"), "turn_idx",
+                     t.column("turn_idx").cast(pa.int64()))
+    pq.write_table(t.append_column("model", pa.array(["m"] * len(rows))), path)
+    return path
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_snapshot_projection_across_schema_evolution(tmp_path):
+    """A projected snapshot of a lake whose carried-forward partitions
+    predate the evolved schema (int32 ``turn_idx``, no ``model``): the
+    evolved type wins, and ``model`` is null on every row no evolved event
+    wrote, at the current version and time-travelled to an earlier mixed
+    one. The pre-evolution version reads with its own schema; an unknown
+    column fails at the call."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    eng.replay(_segment(str(tmp_path / "s0.parquet"),
+                        [(i + 1, "insert", f"c{i}", 0) for i in range(12)]))
+    v1 = eng.manifest.current_version()
+    eng.replay(_evolved_segment(str(tmp_path / "s1.parquet"),
+                                [(20, "update", "c0", 0)]))
+    v2 = eng.manifest.current_version()
+    eng.replay(_evolved_segment(str(tmp_path / "s2.parquet"),
+                                [(21, "insert", "c0", 1)]))
+    cols = ["conv_id", "turn_idx", "model"]
+    for v, evolved in ((v2, {("c0", 0)}), (None, {("c0", 0), ("c0", 1)})):
+        files = eng.manifest.partition_files(v).values()
+        old = [f for f in files if "model" not in pq.read_schema(f).names]
+        assert 0 < len(old) < len(files)
+        old_keys = {k for f in old
+                    for k in zip(*(pq.read_table(f).column(c).to_pylist() for c in KEY))}
+        ds = eng.final_dataset(columns=cols, version=v)
+        assert ds.schema().names == cols
+        assert dict(zip(ds.schema().names, ds.schema().types))["turn_idx"] == pa.int64()
+        got = ds.to_pandas()
+        assert len(got) == 12 + (v is None)
+        has_model = dict(zip(zip(got["conv_id"], got["turn_idx"]),
+                             got["model"].notna()))
+        assert {k for k, m in has_model.items() if m} == evolved
+        assert not evolved & old_keys
+    ds = eng.final_dataset(columns=["conv_id", "turn_idx"], version=v1)
+    assert dict(zip(ds.schema().names, ds.schema().types))["turn_idx"] == pa.int32()
+    with pytest.raises(ValueError, match="model"):
+        eng.final_dataset(columns=cols, version=v1)
+    with pytest.raises(ValueError, match="nope"):
+        eng.final_dataset(columns=["conv_id", "nope"])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_snapshot_streams_a_partition_by_row_group(small_fixture, tmp_path):
+    """A partition file of several row groups is read one row group at a
+    time: with the target block size just under a row group's size, the
+    one file's snapshot arrives as one block per row group (reading the
+    file whole would slice it into blocks that cross row-group bounds),
+    and the snapshot still equals the oracle."""
+    from ray.data import DataContext
+
+    from ml_data_pipeline_ray.cdc.replay import _read_snapshot
+
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=1)
+    eng.replay(small_fixture["changelog"])
+    (f,) = eng.manifest.partition_files().values()
+    t = pq.read_table(f)
+    pq.write_table(t, f, row_group_size=-(-t.num_rows // 4))
+    assert pq.read_metadata(f).num_row_groups == 4
+
+    schema = eng.final_dataset().schema().base_schema
+    groups = list(_read_snapshot([f], schema))
+    rg_rows = [g.num_rows for g in groups]
+    assert rg_rows == [pq.read_metadata(f).row_group(i).num_rows for i in range(4)]
+    sizes = [g.nbytes for g in groups]
+    assert max(sizes) < 1.4 * min(sizes[:-1])
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = int(0.95 * min(sizes[:-1]))
+    try:
+        blocks = [b.num_rows for b in eng.final_dataset().iter_batches(
+            batch_size=None, batch_format="pyarrow")]
+    finally:
+        ctx.target_max_block_size = saved
+    assert blocks == rg_rows
+
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    want = oracle_replay(_read_all(small_fixture["changelog"]))
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True), check_dtype=False)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_table_changes_diff_and_converged_empty(small_fixture, tmp_path):
     """table_changes(v1) between the mid-LSN and final versions equals the
     brute diff of the two materialized snapshots; re-replaying a converged

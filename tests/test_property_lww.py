@@ -72,8 +72,13 @@ def test_random_logs_match_oracle(events, tmp_path_factory):
     eng.replay(log)
     want = oracle_replay(tbl)
     if len(want) == 0:
-        # all keys ended deleted: the committed partition files hold no rows
+        # all keys ended deleted: the committed partition files hold no
+        # rows, and the snapshot is typed empty
         assert eng.final_dataset().count() == 0
+        empty = eng.final_table()
+        assert empty.num_rows == 0
+        assert empty.schema == pa.schema(
+            [f for f in tbl.schema if f.name not in ("lsn", "op")])
         return
     got = (eng.final_table(sort=True).to_pandas()
            [["conv_id", "turn_idx", "role", "text", "tool", "ts"]])
