@@ -15,16 +15,18 @@ partition's checkpoint, below every event a later merge applies.
 Dataflow (SURVEY.md §7.1)::
 
     driver: read each changelog footer once; plan row-group splits from
-         them (LSN-pruned)
+         them (LSN-pruned) and G = min(P, cluster CPUs) merge groups,
+         contiguous ranges of pids
       -> map task per split: read with lsn > checkpoint pushdown, align
          schema, op->rank, pid = hash(conv_id) % P, per-split LWW combine,
-         split into P shards, each an Arrow IPC stream buffer
-                                                          [stateless tasks]
-      -> merge task per pid: decode + concat its shards,  [THE one
-         merge with the current lake partition, write +       wide step]
-         fsync the staged partition file (live winners only) and
-         its change file (every key an event won, deletes included,
-         with the previous winner's LSN)
+         split into P shards, one Arrow IPC file buffer per group
+         (a record batch per pid)                         [stateless tasks]
+      -> merge task per group, each of its pids in turn:  [THE one
+         concat the pid's shards, merge with the current      wide step]
+         lake partition, write + fsync the staged partition
+         file (live winners only) and its change file (every
+         key an event won, deletes included, with the previous
+         winner's LSN)
       -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
          recording the partition files and this version's change files
 
@@ -51,9 +53,12 @@ nearest-analog of dictionary-merge state (``string_cache.rs:155-260``)
 re-expressed as a distributed hash exchange (SURVEY.md §2.4 ST7, §2.5).
 
 Scale notes (100 TB / 10^10 events):
-- ``num_partitions`` is the unit of merge parallelism and of lake layout;
+- ``num_partitions`` is the unit of lake layout and of merge state;
   size it to ~2-4x total cluster cores so one partition's state fits a
-  worker heap. The changelog is processed in LSN-ordered rounds
+  worker heap. Merge parallelism is the group count, at most the cluster's
+  CPUs: a group task folds its partitions one at a time, so its heap holds
+  one partition's state, and the exchange ships B x G objects, not B x P.
+  The changelog is processed in LSN-ordered rounds
   (:meth:`CDCEngine.replay_in_rounds`) so merge state is bounded per round
   (SURVEY.md §7.5.2).
 - The only all-to-all exchange is the P-way hash exchange; the per-split
@@ -84,7 +89,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import key_hash
+from ..stages.exchange import cluster_cpus, key_hash
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
@@ -180,21 +185,27 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 # operators"):
 #
 #   map task  (one per input split): read parquet split with pushdown ->
-#       schema-align -> op->rank -> pid -> per-split LWW combine -> return P
-#       Arrow IPC stream buffers (one object per partition)
-#   merge task (one per pid): decode + concat its B shards -> LWW merge with
-#       the current lake partition -> staged partition file + change file
+#       schema-align -> op->rank -> pid -> per-split LWW combine -> return G
+#       Arrow IPC file buffers (one object per merge group, one record
+#       batch per pid of the group)
+#   merge task (one per group of pids): for each pid, read its batch from
+#       each of the B buffers -> concat -> LWW merge with the current lake
+#       partition -> staged partition file + change file
 #
 # Shards travel as IPC buffers rather than pa.Tables: Ray pickles a table
 # column by column, while a buffer is one out-of-band blob that the merge
 # task reads back zero-copy from the object store (a 16x16 exchange of
-# ~170 KB shards measured ~40% less CPU than pickled tables).
+# ~170 KB shards measured ~40% less CPU than pickled tables). Grouping
+# the pids cuts the fixed cost per object and per task: with G = min(P,
+# cpus) there are never more merge tasks than CPUs to run them, and one
+# replay at P=16 on 1 CPU ships 16 objects to 1 merge task instead of 256
+# to 16 (Riffle's small-block merging, applied to Ray objects).
 #
 # Partitioning assumption: every event of a key lands in exactly one pid
-# (guaranteed by the hash); merge starts when all map outputs for that pid
-# exist (an inherent barrier of any exchange). Object count is B x P, which
-# replay_in_rounds bounds: LSN-chunked rounds bound B, and P is ~2-4x
-# cluster cores.
+# (guaranteed by the hash); a merge starts when all map outputs for its
+# group exist (an inherent barrier of any exchange). Object count is B x G,
+# which replay_in_rounds bounds: LSN-chunked rounds bound B, and G is at
+# most the cluster's CPUs.
 
 
 def _row_groups(files: list[str] | Footers, lsn_col: str):
@@ -260,15 +271,28 @@ def _plan_splits(files: list[str] | Footers, split_mib: int, lsn_col: str = "lsn
     return splits, pruned
 
 
+def _merge_groups(num_partitions: int, cpus: int) -> list[range]:
+    """The merge plan: ``min(P, cpus)`` contiguous ranges of pids covering
+    ``0..P-1``, sizes differing by at most one. One merge task per range:
+    more tasks than CPUs buy no parallelism, only objects and task
+    overhead, while with ``cpus >= P`` every pid is its own group."""
+    g = max(1, min(num_partitions, cpus))
+    return [range(i * num_partitions // g, (i + 1) * num_partitions // g)
+            for i in range(g)]
+
+
 @ray.remote
 def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
                        flt, key: list[str], lsn_col: str, op_col: str,
-                       num_partitions: int) -> list[pa.Buffer] | pa.Buffer:
+                       num_partitions: int, groups: list[range]
+                       ) -> list[pa.Buffer] | pa.Buffer:
     """Read one input split (row-group subsets, with pushdown), normalize,
-    combine, and split into ``num_partitions`` shards, each one Arrow IPC
-    stream buffer (P objects; with P=1 the lone buffer itself, since Ray
-    stores a single return as is). Raises ``ValueError`` if an ``op`` is
-    null or not one of :data:`OPS`."""
+    combine, and split into ``num_partitions`` shards, returned as one
+    Arrow IPC file buffer per merge group: record batch ``i`` of a group's
+    file is the shard of its ``i``-th pid, empty if that pid got no rows
+    (one object per group; with one group the lone buffer itself, since
+    Ray stores a single return as is). Raises ``ValueError`` if an ``op``
+    is null or not one of :data:`OPS`."""
     import pyarrow.dataset as pads
 
     # heterogeneous (evolved) fragments: scan each file with ITS OWN schema
@@ -309,28 +333,50 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
 
     spid = tbl.column(PID_COL).to_numpy()
     bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
-    tbl = tbl.drop_columns([PID_COL])  # a shard's pid is its position
+    # a shard's pid is its position; one batch to slice (an empty table
+    # has none)
+    tbl = tbl.drop_columns([PID_COL]).combine_chunks()
+    rows = (tbl.to_batches()
+            or [pa.RecordBatch.from_pylist([], schema=tbl.schema)])[0]
     # the IPC writer copies only a slice's own rows (a pickled zero-copy
     # slice would drag its parent buffers into the object store), so each
     # shard is written straight from its slice
     out = []
-    for i in range(num_partitions):
+    for grp in groups:
         sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, tbl.schema) as w:
-            w.write_table(tbl.slice(bounds[i], bounds[i + 1] - bounds[i]))
+        with pa.ipc.new_file(sink, tbl.schema) as w:
+            for i in grp:
+                w.write_batch(rows.slice(bounds[i], bounds[i + 1] - bounds[i]))
         out.append(sink.getvalue())
-    return out if num_partitions > 1 else out[0]
+    return out if len(groups) > 1 else out[0]
 
 
 @ray.remote
-def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
-                         lsn_col: str, payload_names: list[str],
-                         txn_dir: str, *shards) -> dict:
-    """The per-partition LWW merge: decode and concat the partition's
-    shards, drop already-applied events, fold into the current lake
-    partition state, write the staged partition file and its change file
-    and return one metrics dict (with the IPC bytes received,
-    ``exchange_bytes``, and the change file's manifest entry, ``change``).
+def _exchange_merge_task(pids: list[int], cur_paths: list, ckpts: list[int],
+                         key: list[str], lsn_col: str, payload_names: list[str],
+                         txn_dir: str, *group_bufs) -> dict:
+    """The merge of one group of partitions: each of ``pids`` in turn is
+    folded by :func:`_merge_partition` from record batch ``i`` of every map
+    task's group buffer. Returns ``{"exchange_bytes": IPC bytes received,
+    "partitions": per-pid metrics dicts}``."""
+    # buffers arrive as top-level args so Ray resolves the ObjectRefs
+    # in-line; each is one IPC file, read zero-copy from the object store
+    readers = [pa.ipc.open_file(b) for b in group_bufs]
+    return {"exchange_bytes": sum(b.size for b in group_bufs),
+            "partitions": [
+                _merge_partition(pid, [r.get_batch(i) for r in readers],
+                                 cur_paths[i], ckpts[i], key, lsn_col,
+                                 payload_names, txn_dir)
+                for i, pid in enumerate(pids)]}
+
+
+def _merge_partition(pid: int, shards: list[pa.RecordBatch], cur_path, ckpt: int,
+                     key: list[str], lsn_col: str, payload_names: list[str],
+                     txn_dir: str) -> dict:
+    """The per-partition LWW merge: concat the partition's shards, drop
+    already-applied events, fold into the current lake partition state,
+    write the staged partition file and its change file and return one
+    metrics dict (with the change file's manifest entry, ``change``).
 
     The partition file holds the live winners only: a key whose winner is
     a delete is dropped from it. The change file holds the winner of each
@@ -338,17 +384,18 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
     the previous winner's LSN, null if the key had no lake row. On a
     partition's first write every live winner is a change (and a dropped
     delete none), so the partition file itself is the change file."""
-    # shards arrive as top-level args so Ray resolves the ObjectRefs in-line;
-    # each is one IPC stream buffer, decoded zero-copy from the object store
-    tables = [pa.ipc.open_stream(s).read_all() for s in shards]
-    exchange_bytes = sum(s.size for s in shards)
-    # all-empty shards still keep one table for the schema
-    ev = pa.concat_tables([t for t in tables if t.num_rows] or tables[:1],
-                          promote_options="permissive")
-    ev = ev.filter(pc.greater(ev.column(lsn_col), pa.scalar(ckpt)))
+    # all-empty shards still keep one batch for the schema
+    ev = pa.Table.from_batches([s for s in shards if s.num_rows] or shards[:1])
+    lo, hi = pc.min_max(ev.column(lsn_col)).values()
+    # the filter copies every event, so it runs only when some event is
+    # applied already: never on a first write, and after the read pushdown
+    # only where the checkpoint is above the pushdown floor
+    if lo.is_valid and lo.as_py() <= ckpt:
+        ev = ev.filter(pc.greater(ev.column(lsn_col), pa.scalar(ckpt)))
+        hi = pc.max(ev.column(lsn_col))
     if ev.num_rows == 0:
         return {"pid": pid, "action": "skip", "file": "", "last_lsn": ckpt,
-                "rows": 0, "events_applied": 0, "exchange_bytes": exchange_bytes}
+                "rows": 0, "events_applied": 0}
     ev = ev.select(payload_names + [lsn_col, RANK_COL])
 
     first_write = not (cur_path and os.path.exists(cur_path))
@@ -397,10 +444,9 @@ def _exchange_merge_task(pid: int, cur_path, ckpt: int, key: list[str],
                                       pa.array(first_lsn, mask=first_lsn > ckpt)),
                        change_path)
 
-    last_lsn = max(ckpt, pc.max(ev.column(lsn_col)).as_py())
     return {"pid": pid, "action": "write", "file": path,
-            "last_lsn": int(last_lsn), "rows": lake_tbl.num_rows,
-            "events_applied": int(ev.num_rows), "exchange_bytes": exchange_bytes,
+            "last_lsn": max(ckpt, hi.as_py()), "rows": lake_tbl.num_rows,
+            "events_applied": int(ev.num_rows),
             "change": {"file": change_path, "bytes": os.path.getsize(change_path)}}
 
 
@@ -471,7 +517,8 @@ class CDCEngine:
         and commits nothing.
 
         Runs one fused read+normalize+combine+split map task per planned
-        split, then one merge task per partition (see the module notes).
+        split, then one merge task per group of partitions, ``min(P,
+        cluster CPUs)`` of them (see the module notes).
 
         Besides ``version``, ``committed``, ``events_applied`` and
         ``partitions_written`` (plus ``rows_live``, the committed table's
@@ -479,9 +526,10 @@ class CDCEngine:
         also recorded in the manifest version's ``metrics``: ``map_tasks``
         (splits scheduled after LSN pruning) and ``row_groups_pruned``. A
         replay that ran the exchange also reports and records
-        ``input_bytes`` (compressed bytes of the changelog's row groups,
-        pruned ones included), ``exchange_bytes`` (IPC shard bytes the merge
-        tasks received), ``change_bytes`` (bytes of the change files it
+        ``merge_tasks`` (merge groups), ``input_bytes`` (compressed bytes of
+        the changelog's row groups, pruned ones included),
+        ``exchange_bytes`` (summed size of the group buffers the merge tasks
+        received), ``change_bytes`` (bytes of the change files it
         recorded), ``maps_s`` and ``merge_s`` (phase walls), and returns
         ``commit_s`` (the manifest commit's wall).
         """
@@ -520,33 +568,37 @@ class CDCEngine:
                     "partitions_written": 0, **plan}
 
         P = self.num_partitions
+        groups = _merge_groups(P, cluster_cpus())
         version = self.manifest.current_version() + 1
         txn_dir = self.manifest.txn_data_dir(version)
         cur_files = self.manifest.partition_files()
 
         t0 = time.perf_counter()
-        shard_refs = []
+        group_refs = []
         for split in splits:
-            refs = _exchange_map_task.options(num_returns=P).remote(
-                split, in_schema, flt, self.key, self.lsn_col, self.op_col, P)
+            refs = _exchange_map_task.options(num_returns=len(groups)).remote(
+                split, in_schema, flt, self.key, self.lsn_col, self.op_col, P,
+                groups)
             # num_returns=1 yields one bare ref, not a sequence of refs
-            shard_refs.append([refs] if P == 1 else refs)
-        per_pid = [list(col) for col in zip(*shard_refs)]
-        flat = [r for col in per_pid for r in col]
+            group_refs.append([refs] if len(groups) == 1 else refs)
+        per_group = [list(col) for col in zip(*group_refs)]
+        flat = [r for col in per_group for r in col]
         ray.wait(flat, num_returns=len(flat), fetch_local=False)
         t_maps = time.perf_counter()
         merge_refs = [
-            _exchange_merge_task.remote(pid, cur_files.get(pid),
-                                        ckpts.get(pid, -1), self.key,
+            _exchange_merge_task.remote(list(grp), [cur_files.get(p) for p in grp],
+                                        [ckpts.get(p, -1) for p in grp], self.key,
                                         self.lsn_col, payload_names, txn_dir,
-                                        *per_pid[pid])
-            for pid in range(P)
+                                        *per_group[g])
+            for g, grp in enumerate(groups)
         ]
-        rows = ray.get(merge_refs)
+        merged = ray.get(merge_refs)
         t_merge = time.perf_counter()
+        rows = [r for m in merged for r in m["partitions"]]
         written = [r for r in rows if r["action"] == "write"]
-        plan.update(input_bytes=sum(g[2] for g in _row_groups(footers, self.lsn_col)),
-                    exchange_bytes=int(sum(r["exchange_bytes"] for r in rows)),
+        plan.update(merge_tasks=len(groups),
+                    input_bytes=sum(g[2] for g in _row_groups(footers, self.lsn_col)),
+                    exchange_bytes=int(sum(m["exchange_bytes"] for m in merged)),
                     change_bytes=int(sum(r["change"]["bytes"] for r in written)),
                     maps_s=round(t_maps - t0, 4),
                     merge_s=round(t_merge - t_maps, 4))

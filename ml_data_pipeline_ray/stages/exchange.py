@@ -127,12 +127,36 @@ def _estimate_input_bytes(ds) -> int | None:
 #: hash of a null in an integer or boolean key column
 _NULL_HASH = np.uint64(0x8B0C2D1E3F4A5B6C)
 
+#: key column types hashed by distinct value (:func:`_hash_bytes_like`)
+_BYTES_TYPES = (pa.string(), pa.large_string(), pa.binary(), pa.large_binary())
+
+
+def _hash_bytes_like(col) -> np.ndarray:
+    """``pd.util.hash_array(col.to_numpy(), categorize=True)`` of an Arrow
+    string or binary column, bit for bit, without a Python object per row:
+    dictionary-encode, hash the distinct values only, gather by index. A
+    null gets pandas' hash of ``None``."""
+    import pandas as pd
+
+    if isinstance(col, pa.ChunkedArray):
+        # one dictionary across chunks
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    enc = col.dictionary_encode()
+    uniq = pd.util.hash_array(enc.dictionary.to_numpy(zero_copy_only=False),
+                              categorize=False)
+    null = pd.util.hash_array(np.array([None], dtype=object))
+    # null indices point one past the dictionary, at the null hash
+    idx = enc.indices.fill_null(len(uniq)).to_numpy(zero_copy_only=False)
+    return np.concatenate([uniq, null])[idx]
+
 
 def key_hash(df_or_tbl, on: list[str]) -> np.ndarray:
     """64-bit row hash of the ``on`` columns (pandas siphash per column,
     FNV-style combine). An Arrow integer or boolean column with nulls is
     hashed in its own dtype with one fixed hash for null, so a key hashes
-    the same whether or not its block happens to hold a null."""
+    the same whether or not its block happens to hold a null. An Arrow
+    string or binary column hashes each distinct value once, with the
+    same output as hashing every row."""
     import pandas as pd
 
     h = np.zeros(len(df_or_tbl), dtype=np.uint64)
@@ -142,6 +166,9 @@ def key_hash(df_or_tbl, on: list[str]) -> np.ndarray:
                 vals, nulls = df_or_tbl[c].to_numpy(), None
             else:
                 col = df_or_tbl.column(c)
+                if col.type in _BYTES_TYPES:
+                    h = h * np.uint64(0x100000001B3) + _hash_bytes_like(col)
+                    continue
                 nulls = None
                 if col.null_count and (pa.types.is_integer(col.type)
                                        or pa.types.is_boolean(col.type)):

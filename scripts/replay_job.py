@@ -12,8 +12,8 @@ Connects to the cluster Ray (RAY_ADDRESS from the job runtime; falls back to
 a local session when run standalone), replays the changelog into the lake
 with the exactly-once manifest, prints ONE JSON line of metrics (events,
 wall, events/sec, partitions, committed version, map tasks scheduled and
-row groups pruned by the LSN pushdown, input, exchanged shard and
-change-file bytes, map, merge and commit phase walls), and
+row groups pruned by the LSN pushdown, merge tasks run, input, exchanged
+group-buffer and change-file bytes, map, merge and commit phase walls), and
 exits non-zero on failure. Rerunning after a crash resumes from the
 per-partition LSN checkpoints recorded in the manifest — the idempotent
 at-least-once delivery contract the engine is built around.
@@ -98,6 +98,7 @@ def main() -> int:
             "rows_live": next((r["rows_live"] for r in reversed(rounds)
                                if "rows_live" in r), None),
             "map_tasks": sum(r["map_tasks"] for r in rounds),
+            "merge_tasks": sum(r.get("merge_tasks", 0) for r in rounds),
             "row_groups_pruned": sum(r["row_groups_pruned"] for r in rounds),
             # every round plans over the whole log
             "input_bytes": max(r.get("input_bytes", 0) for r in rounds),
@@ -121,6 +122,7 @@ def main() -> int:
         "committed": bool(result.get("committed")),
         "version": result.get("version"),
         "map_tasks": result["map_tasks"],
+        "merge_tasks": result.get("merge_tasks", 0),
         "row_groups_pruned": result["row_groups_pruned"],
         "input_bytes": result.get("input_bytes", 0),
         "exchange_bytes": result.get("exchange_bytes", 0),

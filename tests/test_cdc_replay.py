@@ -329,23 +329,24 @@ def test_rows_live_counts_carried_forward_partitions(small_fixture, tmp_path):
     metrics = eng.manifest.load(m["version"])["metrics"]
     assert metrics["rows_live"] == m["rows_live"]
     assert m["exchange_bytes"] > 0 and m["maps_s"] >= 0 and m["merge_s"] >= 0
-    for k in ("exchange_bytes", "maps_s", "merge_s"):
+    for k in ("merge_tasks", "exchange_bytes", "maps_s", "merge_s"):
         assert metrics[k] == m[k]
 
 
-def test_map_task_shards_are_ipc_streams_of_their_own_rows(tmp_path):
-    """The map task's wire format: one Arrow IPC stream buffer per pid,
-    holding exactly the combined rows of that pid (nested columns
-    included), with an empty pid still carrying the aligned schema, and no
-    buffer larger than the stream of a compacted copy of its rows (up to
-    alignment padding)."""
+def test_map_task_group_buffers_hold_their_pids_rows(tmp_path):
+    """The map task's wire format: one Arrow IPC file buffer per merge
+    group, whose record batch ``i`` holds exactly the combined rows of the
+    group's ``i``-th pid (nested columns included), with an empty pid
+    still carrying the aligned schema, and no buffer larger than the file
+    of a compacted copy of its rows (up to alignment padding)."""
     import pyarrow.compute as pc
 
     from ml_data_pipeline_ray.cdc.replay import (
-        RANK_COL, _exchange_map_task, lww_winners)
+        RANK_COL, _exchange_map_task, _merge_groups, lww_winners)
     from ml_data_pipeline_ray.stages.exchange import key_hash
 
     P, key = 8, ["conv_id", "turn_idx"]
+    groups = _merge_groups(P, 3)
     rng = np.random.default_rng(3)
     files = []
     for i in range(2):
@@ -367,29 +368,66 @@ def test_map_task_shards_are_ipc_streams_of_their_own_rows(tmp_path):
     schema = pq.read_schema(files[0])
     split = [(f, list(range(pq.ParquetFile(f).num_row_groups))) for f in files]
 
-    bufs = _exchange_map_task._function(split, schema, None, key, "lsn", "op", P)
-    assert len(bufs) == P and all(isinstance(b, pa.Buffer) for b in bufs)
-    shards = [pa.ipc.open_stream(b).read_all() for b in bufs]
+    bufs = _exchange_map_task._function(split, schema, None, key, "lsn", "op", P,
+                                        groups)
+    assert len(bufs) == len(groups) and all(isinstance(b, pa.Buffer) for b in bufs)
+    readers = [pa.ipc.open_file(b) for b in bufs]
+    assert [r.num_record_batches for r in readers] == [len(g) for g in groups]
 
     events = pa.concat_tables([pq.read_table(f) for f in files])
     rank = pc.index_in(events["op"], value_set=pa.array(["insert", "update", "delete"]))
     events = events.drop_columns(["op"]).append_column(RANK_COL, rank.cast(pa.int8()))
     want = lww_winners(events, key)
-    assert all(s.schema == want.schema for s in shards)
 
-    empty = [pid for pid, s in enumerate(shards) if s.num_rows == 0]
-    assert empty, "three conv_ids over eight pids leave some pid empty"
-    for pid, (buf, s) in enumerate(zip(bufs, shards)):
-        if s.num_rows:
-            pids = key_hash(s, ["conv_id"]) % np.uint64(P)
-            assert (pids == pid).all()
+    shards = {}
+    for grp, buf, r in zip(groups, bufs, readers):
+        batches = [r.get_batch(i) for i in range(len(grp))]
+        for pid, s in zip(grp, batches):
+            assert s.schema == want.schema
+            if s.num_rows:
+                assert (key_hash(s, ["conv_id"]) % np.uint64(P) == pid).all()
+            shards[pid] = s
         compact = pa.BufferOutputStream()
-        with pa.ipc.new_stream(compact, s.schema) as w:
-            w.write_table(s.take(np.arange(s.num_rows)))
+        with pa.ipc.new_file(compact, want.schema) as w:
+            for s in batches:
+                w.write_batch(s.take(np.arange(s.num_rows)))
         # the writer may round a sliced buffer up to Arrow's 64-byte
-        # alignment (reading into the next pid's bytes); a shard dragging
+        # alignment (reading into the next pid's bytes); a buffer dragging
         # its parent table along would be several times larger
-        n_bufs = sum(len(c.buffers()) for col in s.columns for c in col.chunks)
+        n_bufs = sum(len(c.buffers()) for s in batches for c in s.columns)
         assert buf.size <= compact.getvalue().size + 64 * n_bufs
-    got = pa.concat_tables(shards).sort_by([(k, "ascending") for k in key])
+    assert sorted(shards) == list(range(P))
+    assert any(s.num_rows == 0 for s in shards.values()), \
+        "three conv_ids over eight pids leave some pid empty"
+    got = pa.Table.from_batches(list(shards.values())).sort_by(
+        [(k, "ascending") for k in key])
     assert got.equals(want)
+
+
+@pytest.mark.parametrize("P,cpus", [(1, 1), (1, 4), (2, 4), (8, 3), (16, 1),
+                                    (16, 4), (16, 16), (16, 32), (64, 32)])
+def test_merge_groups_are_balanced_contiguous_ranges(P, cpus):
+    """min(P, cpus) groups, in order, covering pids 0..P-1 once each,
+    sizes differing by at most one."""
+    from ml_data_pipeline_ray.cdc.replay import _merge_groups
+
+    groups = _merge_groups(P, cpus)
+    assert len(groups) == min(P, cpus)
+    assert [p for g in groups for p in g] == list(range(P))
+    assert all(g.step == 1 and len(g) for g in groups)
+    sizes = [len(g) for g in groups]
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("P", [1, 2, 16])
+def test_grouped_merge_replay_matches_oracle(small_fixture, tmp_path, P):
+    """Under the 4-CPU session a replay runs min(P, 4) merge tasks, reports
+    and records that count, and its snapshot equals the oracle."""
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=P)
+    m = eng.replay(small_fixture["changelog"])
+    assert m["committed"] and m["partitions_written"] == P
+    assert m["merge_tasks"] == min(P, 4)
+    assert eng.manifest.load(m["version"])["metrics"]["merge_tasks"] == m["merge_tasks"]
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    _assert_tables_equal(got, oracle_replay(_read_all(small_fixture["changelog"])))

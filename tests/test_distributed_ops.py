@@ -374,6 +374,41 @@ def test_hash_exchange_colocates_keys_across_inputs():
             == {norm((i, s)): n for i, s, n in got.itertuples(index=False)})
 
 
+def _row_hash_reference(tbl: pa.Table, on: list[str]) -> np.ndarray:
+    """key_hash's string path as it was: pandas' hash of every row's value
+    (the CDC lake's persisted partition function must not move)."""
+    h = np.zeros(tbl.num_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for c in on:
+            h = h * np.uint64(0x100000001B3) + pd.util.hash_array(
+                tbl.column(c).to_numpy(zero_copy_only=False), categorize=True)
+    return h
+
+
+@pytest.mark.parametrize("col", [
+    pa.array(["c-1", None, "c-2", "", "c-1", None, "ü-3"]),
+    pa.array([None, None, None], pa.string()),
+    pa.array([], pa.string()),
+    pa.chunked_array([], pa.string()),
+    pa.chunked_array([pa.array(["a", None, "b"]), pa.array([None, "b", "c", "a"])]),
+    pa.chunked_array([pa.array(["x", None, "y"], pa.large_string())]),
+    pa.array([b"\x00k", None, b"k", b"\x00k"], pa.binary()),
+    pa.array(["a", None, "b"], pa.large_binary()),
+], ids=["nulls", "all_null", "empty", "no_chunks", "chunked", "large_string",
+        "binary", "large_binary"])
+def test_key_hash_of_strings_equals_row_hash(col):
+    """Hashing a string or binary column's distinct values and gathering
+    by index gives pandas' per-row hash bit for bit, alone and combined
+    with an integer key."""
+    from ml_data_pipeline_ray.stages.exchange import key_hash
+
+    tbl = pa.table({"s": col, "i": pa.array(np.arange(len(col)), pa.int64())})
+    for on in (["s"], ["i", "s"], ["s", "i"]):
+        got = key_hash(tbl, on)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, _row_hash_reference(tbl, on))
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_grouped_quantiles_exact_vs_sort():
     """The three-pass distributed exact selection (moments -> histogram ->
