@@ -34,10 +34,13 @@ Dataflow (SURVEY.md §7.1)::
          tasks of up to SPLIT_MIB footer bytes
       -> per task: read each row group (projected), align -> snapshot
 
-    table_changes(v_from, v_to): the change files of versions
-         v_from+1..v_to, in tasks of up to SPLIT_MIB recorded bytes
-      -> per task: read + align, fold each key's records (first record:
-         state before the range, last record: state after) -> row diff
+    table_changes(v_from, v_to): each pid's change files of versions
+         v_from+1..v_to, kept together, in tasks of up to SPLIT_MIB
+         recorded bytes
+      -> per task, pid by pid: read + align; a pid with one change file
+         is projected (one row per key), one with several is sorted and
+         folded (first record: state before the range, last record:
+         state after) -> row diff
 
 Correctness depends only on per-key max-LSN (commutative across arrival
 order), so Ray's unordered execution is safe and duplicate /
@@ -323,13 +326,15 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
 
     # ONE sort orders by (pid, key..., lsn, rank): the LWW-combine boundary
     # scan AND the partition split both read off it (pid never splits a key —
-    # it is a function of key[0]). Arrow's fused sort_by measured FASTER than
-    # hand-split sort_indices + selective gathers (two variants profiled at
-    # 1.5-3x worse — the fused sort's cache behavior wins).
+    # it is a function of key[0]). The scan needs only the sorted keys, so
+    # the wide payload is gathered once, for the winners alone: the same
+    # table as sort_by + filter (sort_by is sort_indices + take) for ~11%
+    # less CPU: 107 -> 95 ms over the 16 seed-41 backfill splits, 1 vCPU.
     sort_keys = ([(PID_COL, "ascending")] + [(k, "ascending") for k in key]
                  + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
-    tbl = tbl.sort_by(sort_keys)
-    tbl = tbl.filter(pa.array(_key_run_ends(tbl, key)))
+    idx = pc.sort_indices(tbl, sort_keys=sort_keys)
+    ends = _key_run_ends(tbl.select(key).take(idx), key)
+    tbl = tbl.take(idx.to_numpy()[ends])
 
     spid = tbl.column(PID_COL).to_numpy()
     bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
@@ -413,16 +418,21 @@ def _merge_partition(pid: int, shards: list[pa.RecordBatch], cur_path, ckpt: int
         cur = cur.append_column(RANK_COL, pa.array(np.zeros(cur.num_rows, np.int8)))
         combined = pa.concat_tables([cur, ev], promote_options="permissive")
 
-    combined = combined.sort_by([(k, "ascending") for k in key]
-                                + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
-    ends = _key_run_ends(combined, key)
-    lsn = combined.column(lsn_col).to_numpy()
-    deleted = combined.column(RANK_COL).to_numpy() == 2
+    # sort narrow: the run scan reads only the sorted keys, LSNs and ranks,
+    # and each file gathers its rows from the unsorted table in one take
+    sort_cols = key + [lsn_col, RANK_COL]
+    idx = pc.sort_indices(combined, sort_keys=[(c, "ascending") for c in sort_cols])
+    srt = combined.select(sort_cols).take(idx)
+    idx = idx.to_numpy()
+    ends = _key_run_ends(srt, key)
+    lsn = srt.column(lsn_col).to_numpy()
+    deleted = srt.column(RANK_COL).to_numpy() == 2
     out_names = [c for c in combined.column_names if c not in (lsn_col, RANK_COL)]
+    lake = combined.select(out_names + [lsn_col]).rename_columns(
+        out_names + [LAKE_LSN_COL])
 
     def lake_rows(mask: np.ndarray) -> pa.Table:
-        t = combined.filter(pa.array(mask))
-        return t.select(out_names).append_column(LAKE_LSN_COL, t.column(lsn_col))
+        return lake.take(idx[mask])
 
     lake_tbl = lake_rows(ends & ~deleted)
     # the txn directory appears only once a partition is actually written,
@@ -453,11 +463,20 @@ def _merge_partition(pid: int, shards: list[pa.RecordBatch], cur_path, ckpt: int
 def _write_durably(tbl: pa.Table, path: str) -> None:
     """Write one lake file and fsync it. zstd-1 halves lake bytes vs snappy
     at equal CPU (partition-write disk bandwidth is the merge wall's floor
-    at high parallelism). Each data file is fsynced by the task that wrote
-    it, in parallel across tasks, so the commit-time manifest fsync is
-    tiny: otherwise it could stall seconds behind GBs of dirty writeback
-    and still fail to cover the data files."""
-    pq.write_table(tbl, path, compression="zstd", compression_level=1)
+    at high parallelism). No column is dictionary-encoded: under zstd none
+    of the transcript columns gains from it. Writing the 16 partitions of
+    the seed-41 ``backfill`` lake (116,085 rows) in memory, plain pages
+    made the files 15.6% smaller (3,761,710 -> 3,176,687 bytes) and cut
+    encoding ~30% (~105 -> ~75 ms) and decoding ~15% (~40 -> ~35 ms) on
+    1 vCPU; keeping dictionaries on the low-cardinality ``role`` and
+    ``tool`` alone saved another 1.9% of bytes at the same CPU.
+
+    Each data file is fsynced by the task that wrote it, in parallel
+    across tasks, so the commit-time manifest fsync is tiny: otherwise it
+    could stall seconds behind GBs of dirty writeback and still fail to
+    cover the data files."""
+    pq.write_table(tbl, path, compression="zstd", compression_level=1,
+                   use_dictionary=False)
     with open(path, "rb") as f:
         os.fsync(f.fileno())
 
@@ -697,7 +716,8 @@ class CDCEngine:
         for f, _, b, _, _ in _row_groups(footers, LAKE_LSN_COL):
             nbytes[f] += b
         return _file_tasks((([f], nbytes[f]) for f in pfiles),
-                           lambda files: _read_snapshot(files, schema))
+                           lambda units: _read_snapshot(
+                               [f for fs in units for f in fs], schema))
 
     def final_table(self, sort: bool = True, version: int | None = None) -> pa.Table:
         """Materialized final state, sorted by key — for tests/verification
@@ -723,12 +743,14 @@ class CDCEngine:
         Reads only the change files of versions ``v_from+1..v_to`` (every
         key an event won, with its previous winner's LSN), so the cost is
         O(changed rows): a deleted key is in no partition file, only in the
-        change file of the version that deleted it. The pids' files are
-        grouped into tasks of up to ``SPLIT_MIB`` of recorded bytes; a key
-        lives in one pid, so any grouping is exact. A key live at both ends
-        is an update (a newer event won it, so payload-equal rewrites are
-        still reported, like the changelog); one live at neither is
-        dropped.
+        change file of the version that deleted it. Each pid's files stay
+        together, and pids are grouped into tasks of up to ``SPLIT_MIB`` of
+        recorded bytes; a key lives in one pid, so any grouping is exact,
+        and only a pid with several files in range needs a sort (see
+        :func:`_fold_changes`). Rows come pid by pid, not in key order. A
+        key live at both ends is an update (a newer event won it, so
+        payload-equal rewrites are still reported, like the changelog); one
+        live at neither is dropped.
 
         ``payload_columns`` prunes the new-side payload carried through the
         diff (``[]`` = keys + change only): a consumer that only needs the
@@ -777,21 +799,22 @@ class CDCEngine:
 def _file_tasks(units: Iterable[tuple[list[str], int]], read) -> rd.Dataset:
     """One Ray Data task per group of ``(files, recorded_bytes)`` units, taken
     in order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
-    ``read(files)`` returns a table or yields tables, which Ray Data emits
-    as blocks of at most its target block size."""
-    tasks: list[list[str]] = []
+    ``read(units)`` gets the group's file lists, one per unit and in order,
+    and returns a table or yields tables, which Ray Data emits as blocks of
+    at most its target block size."""
+    tasks: list[list[list[str]]] = []
     budget = 0
     for files, nbytes in units:
         if not tasks or budget >= SPLIT_MIB << 20:
             tasks.append([])
             budget = 0
-        tasks[-1] += files
+        tasks[-1].append(files)
         budget += nbytes
 
     def run(batch: pa.Table):
-        return read(batch["files"][0].as_py())
+        return read(batch["units"][0].as_py())
 
-    return rd.from_items([{"files": t} for t in tasks],
+    return rd.from_items([{"units": t} for t in tasks],
                          override_num_blocks=len(tasks)).map_batches(
         run, batch_size=1, batch_format="pyarrow")
 
@@ -815,43 +838,64 @@ def _read_snapshot(files: list[str], schema: pa.Schema) -> Iterator[pa.Table]:
         yield schema.empty_table()
 
 
-def _fold_changes(files: list[str], schema: pa.Schema, key: list[str]) -> pa.Table:
-    """Row diff of the change records in ``files`` (change files of
-    consecutive versions, read in version order, any mix of pids), each
-    read as ``schema`` (``key..., _lsn, _deleted, _lsn_from, payload...``;
-    a partition file written whole reads with ``_lsn_from`` and
-    ``_deleted`` null: it holds live rows only).
+def _fold_changes(pids: list[list[str]], schema: pa.Schema,
+                  key: list[str]) -> pa.Table:
+    """Row diff of one task's pids: each entry of ``pids`` is one pid's
+    change files of consecutive versions, in version order, each read as
+    ``schema`` (``key..., _lsn, _deleted, _lsn_from, payload...``; a
+    partition file written whole reads with ``_lsn_from`` and ``_deleted``
+    null: it holds live rows only).
 
     A key's records sort by ``_lsn``, which rises with every version that
     changed the key, so its first record holds its state before the range
     (``_lsn_from`` not null: live) and its last record its state after
-    (``_deleted`` false or null: live). Returns ``(key..., change, payload...)``
-    for every key live on at least one side; payload is null for deletes."""
-    parts = []
-    for f in files:
-        pf = pq.ParquetFile(f)
-        names = pf.schema_arrow.names
-        parts.append(align_to_schema(pf.read(
-            columns=[n for n in schema.names if n in names], use_threads=False),
-            schema))
+    (``_deleted`` false or null: live). Only a pid with several files is
+    sorted: one file holds one row per key, so each of its rows is a whole
+    run, and no two pids share a key. Returns ``(key..., change,
+    payload...)`` for every key live on at least one side, pid by pid;
+    payload is null for deletes."""
+    parts, ends = [], []
+    for files in pids:
+        t = pa.concat_tables([_read_aligned(f, schema) for f in files])
+        if len(files) > 1:
+            t = t.sort_by([(k, "ascending") for k in key]
+                          + [(LAKE_LSN_COL, "ascending")])
+            ends.append(_key_run_ends(t, key))
+        else:
+            ends.append(np.ones(t.num_rows, dtype=bool))
+        parts.append(t)
     tbl = pa.concat_tables(parts) if parts else schema.empty_table()
-    tbl = tbl.sort_by([(k, "ascending") for k in key]
-                      + [(LAKE_LSN_COL, "ascending")])
-    ends = _key_run_ends(tbl, key)
+    ends = np.concatenate(ends) if ends else np.ones(0, dtype=bool)
+    # a pid's last row ends its run, so the roll never crosses into a run
     was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
         zero_copy_only=False)[np.roll(ends, 1)]
     is_live = ~pc.fill_null(tbl.column(LAKE_DELETED_COL), False).to_numpy(
         zero_copy_only=False)[ends]
-    keep = was_live | is_live
-    rows = np.flatnonzero(ends)[keep]
-    was_live, is_live = was_live[keep], is_live[keep]
-    change = np.where(was_live, np.where(is_live, "update", "delete"), "insert")
     payload = schema.names[len(key) + 3:]
-    # a null index gathers a null row: deletes carry no payload
-    new = tbl.select(payload).take(pa.array(rows, mask=~is_live))
-    return pa.table([*tbl.select(key).take(rows).columns,
-                     pa.array(change, pa.string()), *new.columns],
+    if ends.all() and is_live.all():
+        # one live row per key (a first write, or no deletes or drops in
+        # range): the columns read are the diff's, with nothing to gather
+        keys, new = tbl.select(key), tbl.select(payload)
+    else:
+        keep = was_live | is_live
+        rows = np.flatnonzero(ends)[keep]
+        was_live, is_live = was_live[keep], is_live[keep]
+        keys = tbl.select(key).take(rows)
+        # a null index gathers a null row: deletes carry no payload
+        new = tbl.select(payload).take(pa.array(rows, mask=~is_live))
+    # 0 insert, 1 update, 2 delete
+    change = pa.array(OPS).take(np.where(was_live, 2 - is_live, 0))
+    return pa.table([*keys.columns, change, *new.columns],
                     names=[*key, "change", *payload])
+
+
+def _read_aligned(path: str, schema: pa.Schema) -> pa.Table:
+    """One lake file, single-threaded, projected to the ``schema`` columns
+    it has and aligned to ``schema``."""
+    pf = pq.ParquetFile(path)
+    names = pf.schema_arrow.names
+    return align_to_schema(pf.read(columns=[n for n in schema.names if n in names],
+                                   use_threads=False), schema)
 
 
 def _lsn_bounds(files: list[str], lsn_col: str) -> tuple[int, int]:

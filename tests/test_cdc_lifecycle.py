@@ -574,3 +574,173 @@ def test_table_changes_across_tombstones(tmp_path):
     assert changes(2, 3) == {0: "insert", 2: "update", 4: "insert"}
     assert changes(1, 3) == {0: "update", 1: "delete", 2: "update", 4: "insert"}
     assert changes(1, 2) == {0: "delete", 1: "delete"}
+
+
+def _reference_fold(files, schema, key):
+    """The sort-based fold the per-pid ``_fold_changes`` replaced: read
+    every file of the task, sort all records by ``(key..., _lsn)`` and
+    gather the winners, whatever their pid."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from ml_data_pipeline_ray.cdc.replay import (LAKE_LSN_COL, LSN_FROM_COL,
+                                                 _key_run_ends)
+    from ml_data_pipeline_ray.stages.transforms import align_to_schema
+
+    parts = []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        names = pf.schema_arrow.names
+        parts.append(align_to_schema(pf.read(
+            columns=[n for n in schema.names if n in names], use_threads=False),
+            schema))
+    tbl = pa.concat_tables(parts) if parts else schema.empty_table()
+    tbl = tbl.sort_by([(k, "ascending") for k in key]
+                      + [(LAKE_LSN_COL, "ascending")])
+    ends = _key_run_ends(tbl, key)
+    was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
+        zero_copy_only=False)[np.roll(ends, 1)]
+    is_live = ~pc.fill_null(tbl.column(LAKE_DELETED_COL), False).to_numpy(
+        zero_copy_only=False)[ends]
+    keep = was_live | is_live
+    rows = np.flatnonzero(ends)[keep]
+    was_live, is_live = was_live[keep], is_live[keep]
+    change = np.where(was_live, np.where(is_live, "update", "delete"), "insert")
+    payload = schema.names[len(key) + 3:]
+    new = tbl.select(payload).take(pa.array(rows, mask=~is_live))
+    return pa.table([*tbl.select(key).take(rows).columns,
+                     pa.array(change, pa.string()), *new.columns],
+                    names=[*key, "change", *payload])
+
+
+def _convs_by_pid(num_partitions, n=64):
+    """pid -> conversation ids the lake's partition function sends there."""
+    from ml_data_pipeline_ray.stages.exchange import key_hash
+
+    convs = [f"c{i:03d}" for i in range(n)]
+    pids = key_hash(pa.table({"conv_id": convs}), ["conv_id"]) % num_partitions
+    out: dict = {}
+    for c, p in zip(convs, pids.tolist()):
+        out.setdefault(p, []).append(c)
+    return out
+
+
+def _change_units(eng, v_from, v_to):
+    """Each pid's change files in ``v_from+1..v_to``, in version order, as
+    ``table_changes`` reads them."""
+    units: dict = {}
+    for v in range(v_from + 1, v_to + 1):
+        for pid, e in eng.manifest.load(v)["changes"].items():
+            units.setdefault(int(pid), []).append(
+                os.path.join(eng.lake_dir, e["file"]))
+    return [units[p] for p in sorted(units)]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fold_changes_matches_sort_based_fold(tmp_path):
+    """The per-pid fold equals the sort-every-record fold on one task that
+    mixes one-file pids (a first-write partition file, a lone change file)
+    with multi-file ones, across a delete, a delete then re-insert, an
+    insert then delete inside the range (dropped), an insert then delete
+    inside one transaction, a null payload value and the int32 -> int64
+    ``turn_idx`` / added ``model`` evolution, with full and empty payload.
+    Only the row order may differ."""
+    from ml_data_pipeline_ray.cdc.replay import (LAKE_LSN_COL, LSN_FROM_COL,
+                                                 _fold_changes)
+
+    by_pid = _convs_by_pid(4)
+    a, b, c = by_pid[0][0], by_pid[1][0], by_pid[2][0]
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+
+    def seg(name, rows, evolved=False):
+        path = str(tmp_path / name)
+        t = pq.read_table((_evolved_segment if evolved else _segment)(path, rows))
+        text = t.column("text").to_pylist()
+        text[1] = None               # the second event carries a null text
+        pq.write_table(t.set_column(t.column_names.index("text"), "text",
+                                    pa.array(text, pa.string())), path)
+        assert eng.replay(path)["committed"]
+        return eng.manifest.current_version()
+
+    v1 = seg("s1.parquet", [(1, "insert", a, 0), (2, "insert", a, 1),
+                            (3, "insert", b, 0), (4, "insert", b, 1),
+                            (5, "insert", b, 2)])
+    v2 = seg("s2.parquet", [(10, "update", a, 0), (13, "insert", c, 0),
+                            (11, "delete", b, 0), (12, "insert", b, 3),
+                            (14, "insert", b, 4), (15, "delete", b, 4)],
+             evolved=True)
+    v3 = seg("s3.parquet", [(20, "insert", b, 0), (21, "delete", b, 1),
+                            (22, "delete", b, 3), (23, "update", b, 2)],
+             evolved=True)
+
+    for v_from, v_to in [(v1, v3), (0, v3), (v1, v2), (v2, v3), (0, v1)]:
+        units = _change_units(eng, v_from, v_to)
+        out = eng.table_changes(v_from, v_to).schema().base_schema
+        for payload in (out.names[3:], []):
+            schema = pa.schema(
+                [out.field(k) for k in KEY]
+                + [pa.field(LAKE_LSN_COL, pa.int64()),
+                   pa.field(LAKE_DELETED_COL, pa.bool_()),
+                   pa.field(LSN_FROM_COL, pa.int64())]
+                + [out.field(n) for n in payload])
+            got = _fold_changes(units, schema, KEY)
+            want = _reference_fold([f for fs in units for f in fs], schema, KEY)
+            assert got.schema == want.schema
+            assert got.sort_by([(k, "ascending") for k in KEY]).equals(want), \
+                (v_from, v_to, payload)
+
+    units = _change_units(eng, v1, v3)
+    assert sorted(map(len, units)) == [1, 1, 2]
+    got = _fold_changes(units, schema, KEY)
+    assert dict(zip(zip(*(got.column(k).to_pylist() for k in KEY)),
+                    got.column("change").to_pylist())) == {
+        (a, 0): "update", (b, 0): "update", (b, 1): "delete",
+        (b, 2): "update", (c, 0): "insert"}
+    full = _assert_changes_exact(eng, v1, v3)
+    assert full["model"].notna().any()
+    assert full.loc[full["conv_id"] == c, "text"].isna().all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lake_files_have_no_dictionary_pages(small_fixture, tmp_path):
+    """Partition files and change files are written with plain pages: no
+    column chunk carries a dictionary page."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=2)
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    eng.replay(files)
+    lake = glob.glob(str(tmp_path / "lake" / "data" / "*" / "*.parquet"))
+    assert any(f.endswith(".changes.parquet") for f in lake)
+    for f in lake:
+        md = pq.read_metadata(f)
+        for r in range(md.num_row_groups):
+            for j in range(md.num_columns):
+                assert not md.row_group(r).column(j).has_dictionary_page, (f, j)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_multi_version_range_with_several_pids_per_task(small_fixture, tmp_path):
+    """Three replays of one log: every pid has a change file in each of the
+    two later versions, and all pids' files fit in one diff task, so one
+    task folds several multi-file pids; the diff still equals the pandas
+    oracle."""
+    from ml_data_pipeline_ray.cdc.replay import SPLIT_MIB, _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    eng.replay(files, lsn_max=lo + (hi - lo) // 3)
+    v1 = eng.manifest.current_version()
+    eng.replay(files, lsn_max=lo + 2 * (hi - lo) // 3)
+    eng.replay(files)
+    v3 = eng.manifest.current_version()
+    assert v3 == v1 + 2
+    units = _change_units(eng, v1, v3)
+    assert len(units) == 4 and all(len(fs) == 2 for fs in units)
+    assert sum(e["bytes"] for v in (v1 + 1, v3)
+               for e in eng.manifest.load(v)["changes"].values()) < SPLIT_MIB << 20
+    got = _assert_changes_exact(eng, v1, v3)
+    assert set(got["change"]) == {"insert", "update", "delete"}
