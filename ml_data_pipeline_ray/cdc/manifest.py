@@ -5,11 +5,16 @@ The reference's only sink-finalization hook is ``Sink::flush()``
 absent there and designed here Delta-Lake-style (PAPERS.md "Delta Lake",
 VLDB 2020):
 
-- Each replay transaction writes **full partition-state rewrites** under
-  ``lake/data/txn-{version:06d}/pid={pid:05d}.parquet`` (phase 1: stage)
-  next to a **change file** of the rows whose winner it changed (the
-  change data feed ``CDCEngine.table_changes`` reads). Partition files
-  hold live rows only (copy-on-write); deletes live in the change files.
+- Each replay transaction stages its files under
+  ``lake/data/txn-{version:06d}/`` (phase 1: stage). A partition's state
+  is a **base file** (``pid={pid:05d}.parquet``, live rows only) plus the
+  **deltas** committed since it: merge-on-read. Each merge task writes
+  one delta file (``pid={first:05d}-{last:05d}.delta.parquet``) holding,
+  pid after pid, the rows whose winner the transaction changed (deletes
+  included); a pid's rows are both its next delta and the change data
+  feed ``CDCEngine.table_changes`` reads. A base is written only on a
+  partition's first write, whose base is its change record, and when its
+  deltas fold into a new base.
 - The transaction becomes visible only when ``_CURRENT`` is atomically
   replaced to point at ``manifest-{version:06d}.json`` (phase 2: commit,
   a single ``os.replace`` — atomic on POSIX).
@@ -21,8 +26,14 @@ VLDB 2020):
   transaction is never observable (exactly-once effect on top of
   at-least-once execution).
 
-Each version records its own change files under ``changes`` (pid ->
-{file, bytes}); unlike partition entries they are **not** carried forward.
+A partition entry (pid -> ``{file, last_lsn, rows, tombstones, bytes,
+deltas}``) names its base ``file`` and that file's ``bytes``, the pid's
+live ``rows`` (base and deltas resolved) and its ``deltas``, a list of
+``{file, row_group, offset, rows, bytes}`` (the pid's rows of a delta
+file) in commit order. Each version records its own change records under
+``changes`` (pid -> one such record; ``{file, row_group: null, bytes}``
+for a whole base file); unlike partition entries they are **not**
+carried forward.
 
 The manifest also carries the **per-partition checkpoints** (last applied
 LSN + row metrics) used for resume: a restarted replay filters the
@@ -88,18 +99,30 @@ class LakeManifest:
         m = self.load()
         return {int(pid): int(e["last_lsn"]) for pid, e in m["partitions"].items()}
 
-    def partition_files(self, version: int | None = None) -> dict[int, str]:
-        """pid -> absolute path of the partition-state parquet file (at the
-        current or a pinned version)."""
+    def partitions(self, version: int | None = None) -> dict[int, dict[str, Any]]:
+        """pid -> partition entry (at the current or a pinned version), its
+        base and delta paths absolute. An entry written before deltas
+        existed reads with none; it has no base ``bytes`` either, so the
+        replay folds it at its next write, which records them."""
         m = self.load(version)
-        return {int(pid): os.path.join(self.lake_dir, e["file"])
+        return {int(pid): {**e, "file": self._absolute(e["file"]),
+                           "deltas": [{**d, "file": self._absolute(d["file"])}
+                                      for d in e.get("deltas", [])]}
                 for pid, e in m["partitions"].items()}
+
+    def partition_files(self, version: int | None = None) -> dict[int, str]:
+        """pid -> absolute path of the partition's base file (at the current
+        or a pinned version)."""
+        return {pid: e["file"] for pid, e in self.partitions(version).items()}
+
+    def _absolute(self, path: str) -> str:
+        return os.path.join(self.lake_dir, path)
 
     # -- write side ---------------------------------------------------------
 
     def txn_data_dir(self, version: int) -> str:
         """Staging directory of transaction ``version``. Not created here:
-        the tasks that write partition files create it, so a transaction
+        the tasks that write lake files create it, so a transaction
         with nothing to write leaves no directory behind."""
         return os.path.join(self.data_dir, f"txn-{version:06d}")
 
@@ -109,8 +132,8 @@ class LakeManifest:
                changes: dict[int, dict[str, Any]]) -> dict[str, Any]:
         """Phase-2 commit: publish ``new_partitions`` (pid -> {file, last_lsn,
         rows, ...}) merged over the previous manifest's entries, then
-        atomically swing ``_CURRENT``. ``changes`` (pid -> {file, bytes})
-        records this version's change files only.
+        atomically swing ``_CURRENT``. ``changes`` (pid -> {file, row_group,
+        ...}) records this version's change records only.
         """
         prev = self.load()
         if version != prev["version"] + 1:
@@ -154,11 +177,14 @@ class LakeManifest:
         return manifest
 
     def _relative(self, entries: dict[int, dict[str, Any]]) -> dict[str, dict]:
-        """pid -> entry with ``file`` relative to the lake root (a
-        relocatable lake)."""
-        root = self.lake_dir
-        return {str(pid): {**e, "file": os.path.relpath(os.path.join(root, e["file"]), root)}
-                for pid, e in entries.items()}
+        """pid -> entry with ``file`` (and its deltas' ``file``) relative to
+        the lake root (a relocatable lake)."""
+        def rel(e: dict) -> dict:
+            e = {**e, "file": os.path.relpath(self._absolute(e["file"]), self.lake_dir)}
+            if "deltas" in e:
+                e["deltas"] = [rel(d) for d in e["deltas"]]
+            return e
+        return {str(pid): rel(e) for pid, e in entries.items()}
 
     def vacuum_orphans(self) -> list[str]:
         """Remove txn data dirs newer than the committed version (crash debris)."""
@@ -183,10 +209,17 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _json(obj: Any) -> str:
+    """Compact JSON: the C encoder, written in one call (an indented dump
+    streams a manifest with many delta entries through the pure-Python
+    encoder in tens of thousands of writes)."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _atomic_write_json(path: str, obj: Any) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(obj, f, indent=1)
+        f.write(_json(obj))
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -198,7 +231,7 @@ def _write_json_exclusive(path: str, obj: Any) -> None:
     (O_EXCL — the single-writer collision detector)."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     with os.fdopen(fd, "w") as f:
-        json.dump(obj, f, indent=1)
+        f.write(_json(obj))
         f.flush()
         os.fsync(f.fileno())
     _fsync_dir(os.path.dirname(path))

@@ -6,41 +6,61 @@ tailer over Parquet transcript tables. Change events
 as zero-copy Arrow tables by stateless Ray tasks, hash-partitioned by
 ``conv_id`` and merged with per-key last-writer-wins LSN ordering into a
 partitioned Parquet lake with an exactly-once manifest commit
-(:mod:`.manifest`); the lake is read back as ``ray.data`` Datasets. Like
-Delta Lake's copy-on-write tables, partition files hold live rows only: a
-delete reaches readers through the change files. Keeping a deleted row
-would serve no merge: every stored ``_lsn`` is at or below its
-partition's checkpoint, below every event a later merge applies.
+(:mod:`.manifest`); the lake is read back as ``ray.data`` Datasets.
+
+The lake is merge-on-read, like Delta Lake's base-plus-log tables: a
+partition's state is a base file (live rows only) plus the deltas
+committed since it. A delta is what a change data feed records anyway:
+the winner of every key an event changed, deletes included, with the
+previous winner's LSN. So a tail poll writes O(delta) bytes: one delta
+file per merge task and no base. Once a partition's delta bytes pass
+``FOLD_FRACTION`` of its base's, its next merge folds them into a new
+base, which bounds both a snapshot's resolve work and the files per
+partition. A base never holds a deleted row: every stored ``_lsn`` is at
+or below its partition's checkpoint, below every event a later merge
+applies.
 
 Dataflow (SURVEY.md §7.1)::
 
     driver: read each changelog footer once; plan row-group splits from
          them (LSN-pruned) and G = min(P, cluster CPUs) merge groups,
-         contiguous ranges of pids
+         contiguous ranges of pids; decide from the manifest which pids
+         fold
       -> map task per split: read with lsn > checkpoint pushdown, align
          schema, op->rank, pid = hash(conv_id) % P, per-split LWW combine,
          split into P shards, one Arrow IPC file buffer per group
          (a record batch per pid)                         [stateless tasks]
-      -> merge task per group, each of its pids in turn:  [THE one
-         concat the pid's shards, merge with the current      wide step]
-         lake partition, write + fsync the staged partition
-         file (live winners only) and its change file (every
-         key an event won, deletes included, with the previous
-         winner's LSN)
-      -> driver: collect P tiny metrics dicts -> atomic manifest commit [2PC]
-         recording the partition files and this version's change files
+      -> merge task per group:                            [THE one
+         a pid's first write: its live winners -> base     wide step]
+           file (which is also its change record);
+         a fold: base + deltas + events, one LWW sort ->
+           new base file, change rows;
+         every other pid, all at once: the narrow
+           (key..., _lsn) of its base and deltas, kept to
+           the touched conversations, + events, one LWW
+           sort -> change rows (= its next delta), live rows
+           counted, not rewritten;
+         change rows of the group -> ONE delta file, pid
+           after pid, fsynced once
+      -> driver: collect per-pid metrics -> atomic manifest commit  [2PC]
+         recording each pid's base, deltas and live rows, and this
+         version's change records
 
-    final_dataset(version): the partition files the manifest lists, in
-         tasks of up to SPLIT_MIB footer bytes
-      -> per task: read each row group (projected), align -> snapshot
+    final_dataset(version): each pid's base + deltas, in tasks of up to
+         SPLIT_MIB recorded bytes
+      -> per task: read the deltas of its pids at once, keep each key's
+         last record; stream each base row group (projected, aligned),
+         dropping the rows a delta record names by (key..., _lsn_from);
+         then the live delta winners -> snapshot (a pid without deltas
+         reads its base as is)
 
-    table_changes(v_from, v_to): each pid's change files of versions
+    table_changes(v_from, v_to): each pid's change records of versions
          v_from+1..v_to, kept together, in tasks of up to SPLIT_MIB
          recorded bytes
-      -> per task, pid by pid: read + align; a pid with one change file
-         is projected (one row per key), one with several is sorted and
-         folded (first record: state before the range, last record:
-         state after) -> row diff
+      -> per task: read each delta file once; pid by pid, a pid with
+         one record is projected (one row per key), one with several is
+         sorted and folded (first record: state before the range, last
+         record: state after) -> row diff
 
 Correctness depends only on per-key max-LSN (commutative across arrival
 order), so Ray's unordered execution is safe and duplicate /
@@ -59,8 +79,10 @@ Scale notes (100 TB / 10^10 events):
 - ``num_partitions`` is the unit of lake layout and of merge state;
   size it to ~2-4x total cluster cores so one partition's state fits a
   worker heap. Merge parallelism is the group count, at most the cluster's
-  CPUs: a group task folds its partitions one at a time, so its heap holds
-  one partition's state, and the exchange ships B x G objects, not B x P.
+  CPUs: a group task rewrites (first writes, folds) one partition at a
+  time, so its heap holds one partition's full state plus the narrow
+  ``key..., _lsn`` of the others, and the exchange ships B x G objects,
+  not B x P.
   The changelog is processed in LSN-ordered rounds
   (:meth:`CDCEngine.replay_in_rounds`) so merge state is bounded per round
   (SURVEY.md §7.5.2).
@@ -81,6 +103,7 @@ Scale notes (100 TB / 10^10 events):
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Any, Iterable, Iterator
@@ -100,8 +123,9 @@ from .manifest import LakeManifest
 PID_COL = "_pid"
 RANK_COL = "_rank"
 LAKE_LSN_COL = "_lsn"
-LAKE_DELETED_COL = "_deleted"  # change files: the key's winner is a delete
-LSN_FROM_COL = "_lsn_from"  # change files: the previous winner's LSN
+LAKE_DELETED_COL = "_deleted"  # change rows: the key's winner is a delete
+LSN_FROM_COL = "_lsn_from"  # change rows: the previous winner's LSN
+_LAKE_COLS = (LAKE_LSN_COL, LAKE_DELETED_COL, LSN_FROM_COL)
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
 
@@ -109,39 +133,48 @@ OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
 # bytes a final_dataset or table_changes task takes on before it closes
 SPLIT_MIB = 16
 
+# a pid's deltas are folded into a new base by the first merge after their
+# bytes pass this fraction of its base file's bytes (see ROADMAP direction
+# 1 for the measurement)
+FOLD_FRACTION = 0.05
+
+# a delta file's row group closes once it holds this many MiB of rows
+# (see _write_deltas)
+DELTA_ROW_GROUP_MIB = 1
+
+# how every lake file is written (see _write_durably)
+_LAKE_WRITE = {"compression": "zstd", "compression_level": 1, "use_dictionary": False}
+
 
 # ---------------------------------------------------------------------------
 # vectorized kernels
 # ---------------------------------------------------------------------------
 
-def _key_run_ends(tbl: pa.Table, key: list[str]) -> np.ndarray:
-    """Mask of the last row of each run of equal keys in a table already
-    sorted by ``key`` (the LWW winner when ``(lsn, rank)`` sort next) — one
-    vectorized boundary scan. ``np.roll(mask, 1)`` marks each run's first
-    row."""
-    n = tbl.num_rows
-    mask = np.ones(n, dtype=bool)
-    if n <= 1:
-        return mask
-    # a row ends its run iff the next row has a different key
-    neq = None
-    for k in key:
-        col = tbl.column(k).combine_chunks()
-        d = pc.fill_null(pc.not_equal(col.slice(0, n - 1), col.slice(1)), True)
-        neq = d if neq is None else pc.or_(neq, d)
-    mask[: n - 1] = neq.to_numpy(zero_copy_only=False)
-    return mask
-
-
-def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
-                rank_col: str = RANK_COL) -> pa.Table:
-    """Keep, per key, the single row with max ``(lsn, rank)`` — the
-    last-writer-wins reduce. Pure Arrow, O(n log n) sort + one vectorized
-    boundary scan; no Python per-row work."""
-    sort_keys = [(k, "ascending") for k in key] + [(lsn_col, "ascending"),
-                                                  (rank_col, "ascending")]
-    tbl = tbl.sort_by(sort_keys)
-    return tbl.filter(pa.array(_key_run_ends(tbl, key)))
+def _lww_sort(tbl: pa.Table, key: list[str], order: list[str],
+              lead: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray, pa.Table]:
+    """The one last-writer-wins kernel: sort narrow by ``(lead..., key...,
+    order...)`` and scan the sorted keys once. Returns the permutation
+    ``idx`` (numpy), the mask ``ends`` of the last row of each run of equal
+    keys in sorted order (the LWW winner when ``order`` is ``(lsn, rank)``;
+    ``np.roll(ends, 1)`` marks each run's first row) and the sorted narrow
+    columns. Callers gather the wide payload once, for the rows they keep:
+    cheaper than sorting the whole table (sort_by is sort_indices + take).
+    ``lead`` columns must be functions of the key (the map's pid), so they
+    order runs without splitting one."""
+    cols = [*lead, *key, *order]
+    idx = pc.sort_indices(tbl, sort_keys=[(c, "ascending") for c in cols])
+    srt = tbl.select(cols).take(idx)
+    n = srt.num_rows
+    ends = np.ones(n, dtype=bool)
+    if n > 1:
+        # a row ends its run iff the next row has a different key
+        neq = None
+        for k in key:
+            col = srt.column(k).combine_chunks()
+            d = pc.fill_null(pc.not_equal(col.slice(0, n - 1), col.slice(1)), True)
+            neq = d if neq is None else pc.or_(neq, d)
+        ends[: n - 1] = neq.to_numpy(zero_copy_only=False)
+    return idx.to_numpy().astype(np.int64), ends, srt
 
 
 Footers = dict[str, pq.FileMetaData]
@@ -192,8 +225,9 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 #       Arrow IPC file buffers (one object per merge group, one record
 #       batch per pid of the group)
 #   merge task (one per group of pids): for each pid, read its batch from
-#       each of the B buffers -> concat -> LWW merge with the current lake
-#       partition -> staged partition file + change file
+#       each of the B buffers -> concat -> LWW merge with the pid's stored
+#       keys -> its change rows (one row group of the group's delta file),
+#       plus a staged base file on a first write or a fold
 #
 # Shards travel as IPC buffers rather than pa.Tables: Ray pickles a table
 # column by column, while a buffer is one out-of-band blob that the merge
@@ -219,13 +253,18 @@ def _row_groups(files: list[str] | Footers, lsn_col: str):
         leaves = [md.schema.column(j).path for j in range(md.num_columns)]
         idx = leaves.index(lsn_col) if lsn_col in leaves else None
         for rg in range(md.num_row_groups):
-            g = md.row_group(rg)
-            b = sum(g.column(j).total_compressed_size for j in range(md.num_columns))
-            st = g.column(idx).statistics if idx is not None else None
+            b = _rg_bytes(md, rg)
+            st = md.row_group(rg).column(idx).statistics if idx is not None else None
             if st is None or not st.has_min_max:
                 yield f, rg, b, None, None
             else:
                 yield f, rg, b, st.min, st.max
+
+
+def _rg_bytes(md: pq.FileMetaData, rg: int) -> int:
+    """Compressed bytes of row group ``rg``, from its file's footer."""
+    g = md.row_group(rg)
+    return sum(g.column(j).total_compressed_size for j in range(md.num_columns))
 
 
 def _plan_splits(files: list[str] | Footers, split_mib: int, lsn_col: str = "lsn",
@@ -326,15 +365,11 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
 
     # ONE sort orders by (pid, key..., lsn, rank): the LWW-combine boundary
     # scan AND the partition split both read off it (pid never splits a key —
-    # it is a function of key[0]). The scan needs only the sorted keys, so
-    # the wide payload is gathered once, for the winners alone: the same
-    # table as sort_by + filter (sort_by is sort_indices + take) for ~11%
-    # less CPU: 107 -> 95 ms over the 16 seed-41 backfill splits, 1 vCPU.
-    sort_keys = ([(PID_COL, "ascending")] + [(k, "ascending") for k in key]
-                 + [(lsn_col, "ascending"), (RANK_COL, "ascending")])
-    idx = pc.sort_indices(tbl, sort_keys=sort_keys)
-    ends = _key_run_ends(tbl.select(key).take(idx), key)
-    tbl = tbl.take(idx.to_numpy()[ends])
+    # it is a function of key[0]); the wide payload is gathered once, for
+    # the winners alone (~11% less CPU than sort_by + filter: 107 -> 95 ms
+    # over the 16 seed-41 backfill splits, 1 vCPU)
+    idx, ends, _ = _lww_sort(tbl, key, [lsn_col, RANK_COL], lead=(PID_COL,))
+    tbl = tbl.take(idx[ends])
 
     spid = tbl.column(PID_COL).to_numpy()
     bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
@@ -357,38 +392,98 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
 
 
 @ray.remote
-def _exchange_merge_task(pids: list[int], cur_paths: list, ckpts: list[int],
-                         key: list[str], lsn_col: str, payload_names: list[str],
-                         txn_dir: str, *group_bufs) -> dict:
-    """The merge of one group of partitions: each of ``pids`` in turn is
-    folded by :func:`_merge_partition` from record batch ``i`` of every map
-    task's group buffer. Returns ``{"exchange_bytes": IPC bytes received,
-    "partitions": per-pid metrics dicts}``."""
+def _exchange_merge_task(pids: list[int], states: list[dict | None],
+                         ckpts: list[int], key: list[str], lsn_col: str,
+                         payload_names: list[str], txn_dir: str, *group_bufs) -> dict:
+    """The merge of one group of partitions, from record batch ``i`` of
+    every map task's group buffer for the group's ``i``-th pid, against
+    ``states[i]`` (its manifest entry and whether it folds, or ``None``
+    before its first write). A first write or a fold rewrites the pid's
+    base (:func:`_rewrite_partition`); every other pid is merged, all
+    together, against the narrow keys of its base and deltas
+    (:func:`_merge_narrow`). The change rows of every pid that had a base
+    go to ONE delta file (:func:`_write_deltas`). Returns
+    ``{"exchange_bytes": IPC bytes received, "partitions": per-pid metrics
+    dicts}``: ``rows`` is the pid's live rows after this transaction,
+    ``file``, ``bytes``, ``deltas`` its new manifest entry and ``change``
+    its change record."""
     # buffers arrive as top-level args so Ray resolves the ObjectRefs
     # in-line; each is one IPC file, read zero-copy from the object store
     readers = [pa.ipc.open_file(b) for b in group_bufs]
-    return {"exchange_bytes": sum(b.size for b in group_bufs),
-            "partitions": [
-                _merge_partition(pid, [r.get_batch(i) for r in readers],
-                                 cur_paths[i], ckpts[i], key, lsn_col,
-                                 payload_names, txn_dir)
-                for i, pid in enumerate(pids)]}
+    files = _LakeFiles()
+    parts: list[dict] = []
+    changes: dict[int, pa.Table] = {}
+    narrow: dict[int, pa.Table] = {}
+    for i, pid in enumerate(pids):
+        m, ev = _pid_events(pid, [r.get_batch(i) for r in readers], ckpts[i],
+                            lsn_col, payload_names)
+        parts.append(m)
+        if ev is None:
+            continue
+        if states[i] is not None and not states[i]["fold"]:
+            narrow[i] = ev
+            continue
+        os.makedirs(txn_dir, exist_ok=True)
+        change_rows = _rewrite_partition(m, ev, states[i], key, lsn_col, txn_dir, files)
+        if change_rows is not None:
+            changes[i] = change_rows
+    if narrow:
+        changes.update(zip(narrow, _merge_narrow(
+            [parts[i] for i in narrow], [states[i] for i in narrow],
+            list(narrow.values()), key, lsn_col, files)))
+    if changes:
+        os.makedirs(txn_dir, exist_ok=True)
+        _write_deltas(os.path.join(
+            txn_dir, f"pid={pids[0]:05d}-{pids[-1]:05d}.delta.parquet"),
+            [(parts[i], changes[i]) for i in sorted(changes)])
+    return {"exchange_bytes": sum(b.size for b in group_bufs), "partitions": parts}
 
 
-def _merge_partition(pid: int, shards: list[pa.RecordBatch], cur_path, ckpt: int,
-                     key: list[str], lsn_col: str, payload_names: list[str],
-                     txn_dir: str) -> dict:
-    """The per-partition LWW merge: concat the partition's shards, drop
-    already-applied events, fold into the current lake partition state,
-    write the staged partition file and its change file and return one
-    metrics dict (with the change file's manifest entry, ``change``).
+def _write_deltas(path: str, deltas: list[tuple[dict, pa.Table]]) -> None:
+    """Write one merge task's change rows, pid after pid, as one delta file
+    and fsync it; record in each pid's metrics dict its change record
+    ``{file, row_group, offset, rows, bytes}`` (``offset``: its first row
+    in the row group; ``bytes``: its rows' share of the row group's
+    compressed bytes) and, unless the pid folded, the same record as its
+    newest delta.
 
-    The partition file holds the live winners only: a key whose winner is
-    a delete is dropped from it. The change file holds the winner of each
-    key an event won (``_deleted`` true for a delete), plus ``_lsn_from``:
-    the previous winner's LSN, null if the key had no lake row. On a
-    partition's first write every live winner is a change (and a dropped
-    delete none), so the partition file itself is the change file."""
+    Consecutive pids share a row group until it holds
+    ``DELTA_ROW_GROUP_MIB`` of rows; a pid never spans two. Reading a row
+    group costs ~20 us per column before its rows: a tail poll's delta
+    file of 688 rows read in 3.4 ms as 16 one-pid row groups, in 0.9 ms as
+    one (9 columns, 1 vCPU), and a snapshot reads every delta of its pids."""
+    # every pid's change rows are its events' rows: one schema per task
+    groups: list[list[tuple[dict, pa.Table]]] = [[]]
+    size = 0
+    for m, t in deltas:
+        if size >= DELTA_ROW_GROUP_MIB << 20:
+            groups.append([])
+            size = 0
+        groups[-1].append((m, t))
+        size += t.nbytes
+    with pq.ParquetWriter(path, deltas[0][1].schema, **_LAKE_WRITE) as w:
+        for g in groups:
+            t = pa.concat_tables([t for _, t in g]).combine_chunks()
+            w.write_table(t, row_group_size=max(1, t.num_rows))
+    _fsync(path)
+    md = pq.read_metadata(path)
+    for rg, g in enumerate(groups):
+        nbytes, nrows = _rg_bytes(md, rg), max(1, md.row_group(rg).num_rows)
+        offset = 0
+        for m, t in g:
+            ref = {"file": path, "row_group": rg, "offset": offset,
+                   "rows": t.num_rows, "bytes": nbytes * t.num_rows // nrows}
+            offset += t.num_rows
+            m["change"] = ref
+            if not m["base_written"]:
+                m["deltas"] = m["deltas"] + [ref]
+                m["delta_bytes"] = ref["bytes"]
+
+
+def _pid_events(pid: int, shards: list[pa.RecordBatch], ckpt: int, lsn_col: str,
+                payload_names: list[str]) -> tuple[dict, pa.Table | None]:
+    """One pid's events above its checkpoint (``None`` if there are none)
+    and its metrics dict so far."""
     # all-empty shards still keep one batch for the schema
     ev = pa.Table.from_batches([s for s in shards if s.num_rows] or shards[:1])
     lo, hi = pc.min_max(ev.column(lsn_col)).values()
@@ -400,64 +495,183 @@ def _merge_partition(pid: int, shards: list[pa.RecordBatch], cur_path, ckpt: int
         hi = pc.max(ev.column(lsn_col))
     if ev.num_rows == 0:
         return {"pid": pid, "action": "skip", "file": "", "last_lsn": ckpt,
-                "rows": 0, "events_applied": 0}
-    ev = ev.select(payload_names + [lsn_col, RANK_COL])
+                "rows": 0, "events_applied": 0}, None
+    return ({"pid": pid, "action": "write", "last_lsn": max(ckpt, hi.as_py()),
+             "events_applied": int(ev.num_rows), "delta_bytes": 0},
+            ev.select(payload_names + [lsn_col, RANK_COL]))
 
-    first_write = not (cur_path and os.path.exists(cur_path))
-    if first_write:
-        combined = ev
+
+def _rewrite_partition(m: dict, ev: pa.Table, state: dict | None, key: list[str],
+                       lsn_col: str, txn_dir: str, files: "_LakeFiles") -> pa.Table | None:
+    """A pid's first write, or the fold of its base and deltas: write its
+    live rows as a new base file, fill in ``m`` and return its change rows
+    (``None`` on a first write, whose base file is its change record: every
+    live winner is a change, and a dropped delete is none)."""
+    path = os.path.join(txn_dir, f"pid={m['pid']:05d}.parquet")
+    if state is None:
+        idx, ends, srt = _lww_sort(ev, key, [lsn_col, RANK_COL])
+        live = ends & (srt.column(RANK_COL).to_numpy() != 2)
+        base = _lake_rows(ev, lsn_col).take(idx[live])
+        change_rows = None
     else:
-        # one task is one CPU's work: a single-threaded read of the one file
-        # skips the dataset layer and Arrow's thread pool
-        cur = pq.ParquetFile(cur_path).read(use_threads=False)
-        cur = cur.rename_columns(
-            [lsn_col if c == LAKE_LSN_COL else c for c in cur.column_names])
-        # a lake row's LSN is at or below the checkpoint, every event's
-        # above: it sorts first in its key's run and loses to any event, so
-        # any constant rank does
-        cur = cur.append_column(RANK_COL, pa.array(np.zeros(cur.num_rows, np.int8)))
-        combined = pa.concat_tables([cur, ev], promote_options="permissive")
+        stored, _ = _stored_rows([state], lsn_col, files)
+        idx, live, change_rows = _lww_merge(stored, ev, key, lsn_col)
+        full = pa.concat_tables([stored, ev], promote_options="permissive")
+        base = _lake_rows(full, lsn_col).take(idx[live])
+    _write_durably(base, path)
+    nbytes = os.path.getsize(path)
+    m.update(file=path, bytes=nbytes, deltas=[], rows=base.num_rows, base_written=True)
+    if change_rows is None:
+        m["change"] = {"file": path, "row_group": None, "bytes": nbytes}
+    return change_rows
 
-    # sort narrow: the run scan reads only the sorted keys, LSNs and ranks,
-    # and each file gathers its rows from the unsorted table in one take
-    sort_cols = key + [lsn_col, RANK_COL]
-    idx = pc.sort_indices(combined, sort_keys=[(c, "ascending") for c in sort_cols])
-    srt = combined.select(sort_cols).take(idx)
-    idx = idx.to_numpy()
-    ends = _key_run_ends(srt, key)
+
+def _merge_narrow(ms: list[dict], states: list[dict], evs: list[pa.Table],
+                  key: list[str], lsn_col: str, files: "_LakeFiles") -> list[pa.Table]:
+    """Merge several pids' events, all at once, against the narrow ``key...,
+    _lsn`` of each pid's base and deltas, restricted to the conversations
+    the events touch: fill in each pid's ``m`` (its entry keeps its base;
+    its change rows become one more delta) and return its change rows."""
+    ev = pa.concat_tables(evs)
+    ev = ev.append_column(PID_COL, pa.array(np.repeat(
+        np.arange(len(evs), dtype=np.int32), [t.num_rows for t in evs])))
+    stored, owner = _stored_rows(states, lsn_col, files, columns=key + [LAKE_LSN_COL])
+    stored = stored.append_column(PID_COL, pa.array(owner))
+    # only the touched conversations' keys can change
+    touched = pc.unique(ev.column(key[0])).cast(stored.schema.field(key[0]).type)
+    stored = stored.filter(pc.is_in(stored.column(key[0]), value_set=touched))
+    _, _, change_rows = _lww_merge(stored, ev, key, lsn_col, lead=(PID_COL,))
+    # runs sort by pid first: each pid's change rows are one slice
+    pid = change_rows.column(PID_COL).to_numpy()
+    change_rows = change_rows.drop_columns([PID_COL])
+    n = np.bincount(pid, minlength=len(ms))
+    # a changed key that was live and is not, or the reverse, moves the
+    # pid's count; untouched keys keep theirs
+    was_live = change_rows.column(LSN_FROM_COL).is_valid().to_numpy(zero_copy_only=False)
+    is_live = ~change_rows.column(LAKE_DELETED_COL).to_numpy(zero_copy_only=False)
+    moved = (np.bincount(pid, weights=is_live, minlength=len(ms))
+             - np.bincount(pid, weights=was_live, minlength=len(ms)))
+    out, start = [], 0
+    for i, (m, state) in enumerate(zip(ms, states)):
+        m.update(file=state["file"], bytes=state["bytes"], deltas=state["deltas"],
+                 rows=int(state["rows"]) + int(moved[i]), base_written=False)
+        out.append(change_rows.slice(start, n[i]))
+        start += n[i]
+    return out
+
+
+def _lww_merge(stored: pa.Table, ev: pa.Table, key: list[str], lsn_col: str,
+               lead: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray, pa.Table]:
+    """Merge events into stored rows with the LWW kernel, sorting the
+    narrow ``(lead..., key..., lsn, rank)`` of both. Returns the sort
+    permutation over ``stored`` then ``ev``, the mask of live winners in
+    sort order and the change rows (each key an event won, in sort order:
+    the event as the lake stores it, ``_deleted``, and ``_lsn_from``, the
+    previous winner's LSN, null if the key had no live row; ``lead``
+    columns kept)."""
+    cols = [*lead, *key, lsn_col, RANK_COL]
+    idx, ends, srt = _lww_sort(pa.concat_tables([stored.select(cols), ev.select(cols)],
+                                                promote_options="permissive"),
+                               key, [lsn_col, RANK_COL], lead=lead)
+    n = stored.num_rows
     lsn = srt.column(lsn_col).to_numpy()
     deleted = srt.column(RANK_COL).to_numpy() == 2
-    out_names = [c for c in combined.column_names if c not in (lsn_col, RANK_COL)]
-    lake = combined.select(out_names + [lsn_col]).rename_columns(
-        out_names + [LAKE_LSN_COL])
+    # a key changed iff its winner is an event (every stored LSN is at or
+    # below the checkpoint, every event's above it); its previous winner
+    # is the last stored row of its run, if the run has one and it is not
+    # a delete
+    is_ev = idx >= n
+    changed = ends & is_ev
+    pos = np.arange(len(idx))
+    last_stored = np.maximum.accumulate(np.where(is_ev, -1, pos))
+    run_start = np.maximum.accumulate(np.where(np.roll(ends, 1), pos, 0))
+    prev = last_stored[changed]
+    was_live = (prev >= run_start[changed]) & ~deleted[prev]
+    change_rows = (_lake_rows(ev, lsn_col).take(idx[changed] - n)
+                   .append_column(LAKE_DELETED_COL, pa.array(deleted[changed]))
+                   .append_column(LSN_FROM_COL, pa.array(lsn[prev], mask=~was_live)))
+    return idx, ends & ~deleted, change_rows
 
-    def lake_rows(mask: np.ndarray) -> pa.Table:
-        return lake.take(idx[mask])
 
-    lake_tbl = lake_rows(ends & ~deleted)
-    # the txn directory appears only once a partition is actually written,
-    # so a replay with nothing to apply leaves no debris
-    os.makedirs(txn_dir, exist_ok=True)
-    path = os.path.join(txn_dir, f"pid={pid:05d}.parquet")
-    _write_durably(lake_tbl, path)
+def _lake_rows(tbl: pa.Table, lsn_col: str) -> pa.Table:
+    """A merge table's columns as the lake stores them: every column but
+    the rank, the LSN last and named ``_lsn``."""
+    names = [c for c in tbl.column_names if c not in (lsn_col, RANK_COL)]
+    return tbl.select(names + [lsn_col]).rename_columns(names + [LAKE_LSN_COL])
 
-    change_path = path
-    if not first_write:
-        # a key changed iff its winner is an event; it had a lake row iff
-        # its run starts with one
-        changed = ends & (lsn > ckpt)
-        first_lsn = lsn[np.roll(ends, 1)][changed[ends]]
-        change_path = os.path.join(txn_dir, f"pid={pid:05d}.changes.parquet")
-        _write_durably(lake_rows(changed)
-                       .append_column(LAKE_DELETED_COL, pa.array(deleted[changed]))
-                       .append_column(LSN_FROM_COL,
-                                      pa.array(first_lsn, mask=first_lsn > ckpt)),
-                       change_path)
 
-    return {"pid": pid, "action": "write", "file": path,
-            "last_lsn": max(ckpt, hi.as_py()), "rows": lake_tbl.num_rows,
-            "events_applied": int(ev.num_rows),
-            "change": {"file": change_path, "bytes": os.path.getsize(change_path)}}
+def _stored_rows(states: list[dict], lsn_col: str, files: "_LakeFiles",
+                 columns: list[str] | None = None) -> tuple[pa.Table, np.ndarray]:
+    """The stored rows of the pids of ``states``, projected to ``columns``
+    (``None``: all): their bases, then their deltas in commit order (read
+    together: one read per delta file, not one per pid and delta), with
+    ``_lsn`` renamed ``lsn_col`` and a rank: 2 for a delta's delete, 0
+    otherwise (a stored key's rows have distinct LSNs, all at or below the
+    checkpoint and so below every event: the rank only marks deletes).
+    Also returns each row's index into ``states``."""
+    tables = [files.read([{"file": s["file"], "row_group": None}], columns)[0]
+              for s in states]
+    tables += files.read([d for s in states for d in s["deltas"]],
+                         columns and columns + [LAKE_DELETED_COL])
+    owner = [*range(len(states)), *(i for i, s in enumerate(states) for _ in s["deltas"])]
+    stored = pa.concat_tables(tables, promote_options="permissive")
+    deleted = (stored.column(LAKE_DELETED_COL).fill_null(False).to_numpy(zero_copy_only=False)
+               if LAKE_DELETED_COL in stored.column_names
+               else np.zeros(stored.num_rows, dtype=bool))
+    stored = stored.drop_columns([c for c in (LAKE_DELETED_COL, LSN_FROM_COL)
+                                  if c in stored.column_names])
+    stored = stored.rename_columns(
+        [lsn_col if c == LAKE_LSN_COL else c for c in stored.column_names])
+    return (stored.append_column(RANK_COL, pa.array(deleted.astype(np.int8) * 2)),
+            np.repeat(np.array(owner, dtype=np.int32), [t.num_rows for t in tables]))
+
+
+class _LakeFiles:
+    """The lake files one task reads, each opened once. A delta file holds
+    the rows of every pid of its merge group, so the records a task wants
+    from one file are read in one call."""
+
+    def __init__(self):
+        self._open: dict[str, pq.ParquetFile] = {}
+
+    def open(self, path: str) -> pq.ParquetFile:
+        pf = self._open.get(path)
+        if pf is None:
+            pf = self._open[path] = pq.ParquetFile(path)
+        return pf
+
+    def read(self, refs: list[dict], columns: list[str] | None = None,
+             schema: pa.Schema | None = None) -> list[pa.Table]:
+        """The rows of each record of ``refs``, in order: ``{file,
+        row_group: None}`` is a whole file, ``{file, row_group, offset,
+        rows}`` a pid's rows of a delta file. Read single-threaded (one
+        task is one CPU's work), projected to the ``columns`` (or
+        ``schema`` columns) the file has and aligned to ``schema`` if
+        given."""
+        cols = schema.names if schema is not None else columns
+        todo: dict[str, dict] = {}
+        for r in refs:
+            todo.setdefault(r["file"], {})[r["row_group"]] = None
+        got = {}
+        for path, rgs in todo.items():
+            pf = self.open(path)
+            rgs = list(rgs)
+            names = pf.schema_arrow.names
+            proj = None if cols is None else [c for c in cols if c in names]
+            if rgs == [None]:
+                t = pf.read(columns=proj, use_threads=False)
+            else:
+                t = pf.read_row_groups(rgs, columns=proj, use_threads=False)
+            if schema is not None:
+                t = align_to_schema(t, schema)
+            start = 0
+            for rg in rgs:
+                n = t.num_rows if rg is None else pf.metadata.row_group(rg).num_rows
+                got[path, rg] = t.slice(start, n)
+                start += n
+        return [got[r["file"], r["row_group"]] if r["row_group"] is None
+                else got[r["file"], r["row_group"]].slice(r["offset"], r["rows"])
+                for r in refs]
 
 
 def _write_durably(tbl: pa.Table, path: str) -> None:
@@ -475,8 +689,11 @@ def _write_durably(tbl: pa.Table, path: str) -> None:
     across tasks, so the commit-time manifest fsync is tiny: otherwise it
     could stall seconds behind GBs of dirty writeback and still fail to
     cover the data files."""
-    pq.write_table(tbl, path, compression="zstd", compression_level=1,
-                   use_dictionary=False)
+    pq.write_table(tbl, path, **_LAKE_WRITE)
+    _fsync(path)
+
+
+def _fsync(path: str) -> None:
     with open(path, "rb") as f:
         os.fsync(f.fileno())
 
@@ -548,9 +765,11 @@ class CDCEngine:
         ``merge_tasks`` (merge groups), ``input_bytes`` (compressed bytes of
         the changelog's row groups, pruned ones included),
         ``exchange_bytes`` (summed size of the group buffers the merge tasks
-        received), ``change_bytes`` (bytes of the change files it
-        recorded), ``maps_s`` and ``merge_s`` (phase walls), and returns
-        ``commit_s`` (the manifest commit's wall).
+        received), ``change_bytes`` (bytes of the change records it
+        recorded), ``bases_written`` (base files written: first writes and
+        folds), ``delta_bytes`` (bytes of the deltas it added), ``maps_s``
+        and ``merge_s`` (phase walls), and returns ``commit_s`` (the
+        manifest commit's wall).
         """
         files = _expand_paths(changelog)
         footers = _footers(files)
@@ -558,7 +777,8 @@ class CDCEngine:
         payload_names = [f.name for f in in_schema
                          if f.name not in (self.lsn_col, self.op_col)]
 
-        ckpts = self.manifest.checkpoints()
+        parts = self.manifest.partitions()
+        ckpts = {pid: int(e["last_lsn"]) for pid, e in parts.items()}
         # global pushdown floor: the min checkpoint is only sound if every
         # partition has one
         floor = None
@@ -590,7 +810,12 @@ class CDCEngine:
         groups = _merge_groups(P, cluster_cpus())
         version = self.manifest.current_version() + 1
         txn_dir = self.manifest.txn_data_dir(version)
-        cur_files = self.manifest.partition_files()
+        # a pid with a base merges against it; the driver decides here, from
+        # the committed entry, whether its deltas fold. An entry without
+        # base bytes (written before deltas existed) folds, which records them
+        states = {pid: {**e, "fold": "bytes" not in e
+                        or sum(d["bytes"] for d in e["deltas"]) > FOLD_FRACTION * e["bytes"]}
+                  for pid, e in parts.items()}
 
         t0 = time.perf_counter()
         group_refs = []
@@ -605,7 +830,7 @@ class CDCEngine:
         ray.wait(flat, num_returns=len(flat), fetch_local=False)
         t_maps = time.perf_counter()
         merge_refs = [
-            _exchange_merge_task.remote(list(grp), [cur_files.get(p) for p in grp],
+            _exchange_merge_task.remote(list(grp), [states.get(p) for p in grp],
                                         [ckpts.get(p, -1) for p in grp], self.key,
                                         self.lsn_col, payload_names, txn_dir,
                                         *per_group[g])
@@ -619,22 +844,24 @@ class CDCEngine:
                     input_bytes=sum(g[2] for g in _row_groups(footers, self.lsn_col)),
                     exchange_bytes=int(sum(m["exchange_bytes"] for m in merged)),
                     change_bytes=int(sum(r["change"]["bytes"] for r in written)),
+                    bases_written=sum(r["base_written"] for r in written),
+                    delta_bytes=int(sum(r["delta_bytes"] for r in written)),
                     maps_s=round(t_maps - t0, 4),
                     merge_s=round(t_merge - t_maps, 4))
         if not written:
             return {"version": version - 1, "committed": False,
                     "events_applied": 0, "partitions_written": 0, **plan}
-        # partition files hold no deleted rows; "tombstones" stays because
-        # the benchmark's lake statistics still read it
+        # base files hold no deleted rows; "tombstones" stays because the
+        # benchmark's lake statistics still read it
         new_parts = {int(r["pid"]): {"file": r["file"], "last_lsn": int(r["last_lsn"]),
-                                     "rows": int(r["rows"]), "tombstones": 0}
+                                     "rows": int(r["rows"]), "tombstones": 0,
+                                     "bytes": int(r["bytes"]), "deltas": r["deltas"]}
                      for r in written}
-        carried = {int(p): e for p, e in self.manifest.load()["partitions"].items()}
         totals = {
             "events_applied": int(sum(r["events_applied"] for r in written)),
             "partitions_written": len(new_parts),
             # the whole committed table: written and carried-forward partitions
-            "rows_live": int(sum(e["rows"] for e in {**carried, **new_parts}.values())),
+            "rows_live": int(sum(e["rows"] for e in {**parts, **new_parts}.values())),
             **plan,
         }
         self.manifest.commit(version, new_parts,
@@ -694,30 +921,39 @@ class CDCEngine:
     def final_dataset(self, columns: list[str] | None = None,
                       version: int | None = None) -> rd.Dataset:
         """The committed lake table as a streaming Dataset (``_lsn`` hidden),
-        planned like :meth:`table_changes`: tasks of up to ``SPLIT_MIB``
-        footer bytes read one row group at a time, aligned to the files'
-        unified schema (evolved types widen; columns a file predates read as
-        nulls). ``columns`` projects at the read (``None``: every user
-        column; an unknown name raises ``ValueError``). ``version``
-        time-travels to any committed transaction (manifests are retained).
-        An empty lake raises ``ValueError``; an all-deleted one reads as a
-        typed empty table."""
-        pfiles = sorted(self.manifest.partition_files(version).values())
-        if not pfiles:
+        planned like :meth:`table_changes`: each pid's base file and deltas
+        stay together, in tasks of up to ``SPLIT_MIB`` recorded bytes; a
+        task reads one row group at a time, aligned to the files' unified
+        schema (evolved types widen; columns a file predates read as
+        nulls), and resolves its pids' deltas (see :func:`_read_snapshot`).
+        ``columns`` projects at the read (``None``: every user column; an
+        unknown name raises ``ValueError``). ``version`` time-travels to any
+        committed transaction (manifests are retained). An empty lake
+        raises ``ValueError``; an all-deleted one reads as a typed empty
+        table."""
+        parts = sorted(self.manifest.partitions(version).values(),
+                       key=lambda e: e["file"])
+        if not parts:
             raise ValueError("lake is empty (no committed transactions)")
-        footers = _footers(pfiles)
-        schema = unify_parquet_schemas(footers).remove_metadata()
-        user_cols = [n for n in schema.names if n != LAKE_LSN_COL]
+        footers = _footers([e["file"] for e in parts]
+                           + sorted({d["file"] for e in parts for d in e["deltas"]}))
+        full = unify_parquet_schemas(footers).remove_metadata()
+        user_cols = [n for n in full.names if n not in _LAKE_COLS]
         unknown = [c for c in columns or [] if c not in user_cols]
         if unknown:
             raise ValueError(f"unknown columns {unknown}; the lake has {user_cols}")
-        schema = pa.schema([schema.field(c) for c in columns or user_cols])
-        nbytes = dict.fromkeys(pfiles, 0)
-        for f, _, b, _, _ in _row_groups(footers, LAKE_LSN_COL):
+        schema = pa.schema([full.field(c) for c in columns or user_cols])
+        nbytes = {e["file"]: sum(d["bytes"] for d in e["deltas"]) for e in parts}
+        for f, _, b, _, _ in _row_groups({e["file"]: footers[e["file"]] for e in parts},
+                                         LAKE_LSN_COL):
             nbytes[f] += b
-        return _file_tasks((([f], nbytes[f]) for f in pfiles),
-                           lambda units: _read_snapshot(
-                               [f for fs in units for f in fs], schema))
+        key = list(self.key)
+        # what a task with deltas reads: the keys, the projection, the LSN
+        resolve = pa.schema([full.field(n) for n in dict.fromkeys(
+            [*key, *schema.names, LAKE_LSN_COL])])
+        units = ({"file": e["file"], "deltas": e["deltas"]} for e in parts)
+        return _file_tasks(((u, nbytes[u["file"]]) for u in units),
+                           lambda us: _read_snapshot(us, schema, key, resolve))
 
     def final_table(self, sort: bool = True, version: int | None = None) -> pa.Table:
         """Materialized final state, sorted by key — for tests/verification
@@ -738,16 +974,17 @@ class CDCEngine:
         new payload columns — null for deletes)``. ``v_to`` defaults to the
         current version; ``v_from > v_to`` or ``v_from < 0`` raises
         ``ValueError``, as does a version in the range that recorded no
-        change files.
+        change records.
 
-        Reads only the change files of versions ``v_from+1..v_to`` (every
-        key an event won, with its previous winner's LSN), so the cost is
-        O(changed rows): a deleted key is in no partition file, only in the
-        change file of the version that deleted it. Each pid's files stay
-        together, and pids are grouped into tasks of up to ``SPLIT_MIB`` of
-        recorded bytes; a key lives in one pid, so any grouping is exact,
-        and only a pid with several files in range needs a sort (see
-        :func:`_fold_changes`). Rows come pid by pid, not in key order. A
+        Reads only the change records of versions ``v_from+1..v_to`` (every
+        key an event won, with its previous winner's LSN: a pid's rows of
+        its merge task's delta file, or a first write's base file), so the
+        cost is O(changed rows), and a task reads each delta file once.
+        Each pid's records stay together, and pids are grouped into tasks
+        of up to ``SPLIT_MIB`` of recorded bytes; a key lives in one pid,
+        so any grouping is exact, and only a pid with several records in
+        range needs a sort (see :func:`_fold_changes`). Rows come pid by
+        pid, not in key order. A
         key live at both ends is an update (a newer event won it, so
         payload-equal rewrites are still reported, like the changelog); one
         live at neither is dropped.
@@ -760,7 +997,7 @@ class CDCEngine:
         if not 0 <= v_from <= v_to:
             raise ValueError(f"table_changes needs 0 <= v_from <= v_to, "
                              f"got v_from={v_from}, v_to={v_to}")
-        files: dict[int, list[str]] = {}      # pid -> change files, by version
+        refs: dict[int, list[dict]] = {}      # pid -> change records, by version
         nbytes: dict[int, int] = {}
         for v in range(v_from + 1, v_to + 1):
             changes = self.manifest.load(v).get("changes")
@@ -768,21 +1005,23 @@ class CDCEngine:
                 raise ValueError(f"version {v} records no change files, so no "
                                  f"row diff can be read across it")
             for pid, e in changes.items():
-                files.setdefault(int(pid), []).append(
-                    os.path.join(self.lake_dir, e["file"]))
+                # a record without a row group (one change file per pid,
+                # written before delta files) is its whole file
+                refs.setdefault(int(pid), []).append(
+                    {"row_group": None, **e, "file": os.path.join(self.lake_dir, e["file"])})
                 nbytes[int(pid)] = nbytes.get(int(pid), 0) + int(e["bytes"])
         # one schema for every version in the range: key types widen across
         # an evolving commit (e.g. int32 -> int64), so all records align to
-        # it; an empty range still gets the table's typed schema
+        # it; an empty range still gets the table's typed schema. A delta
+        # file serves every pid of its merge group: its footer is read once
         schema = unify_parquet_schemas(
-            [f for fs in files.values() for f in fs]
+            sorted({r["file"] for rs in refs.values() for r in rs})
             or sorted(self.manifest.partition_files(v_to).values()))
-        payload = [n for n in schema.names if n not in
-                   (*self.key, LAKE_LSN_COL, LAKE_DELETED_COL, LSN_FROM_COL)]
+        payload = [n for n in schema.names if n not in (*self.key, *_LAKE_COLS)]
         if payload_columns is not None:
             payload = [c for c in payload if c in payload_columns]
         # declared, not unified: a range of first writes has no file with
-        # _deleted (partition files double as their change files)
+        # _deleted (a first write's base file is its change record)
         read_schema = pa.schema(
             [schema.field(n) for n in (*self.key, LAKE_LSN_COL)]
             + [pa.field(LAKE_DELETED_COL, pa.bool_()),
@@ -790,95 +1029,190 @@ class CDCEngine:
             + [schema.field(n) for n in payload])
         key = list(self.key)
 
-        if not files:
+        if not refs:
             return rd.from_arrow(_fold_changes([], read_schema, key))
-        return _file_tasks(((files[pid], nbytes[pid]) for pid in sorted(files)),
-                           lambda fs: _fold_changes(fs, read_schema, key))
+        return _file_tasks(((refs[pid], nbytes[pid]) for pid in sorted(refs)),
+                           lambda us: _fold_changes(us, read_schema, key))
 
 
-def _file_tasks(units: Iterable[tuple[list[str], int]], read) -> rd.Dataset:
-    """One Ray Data task per group of ``(files, recorded_bytes)`` units, taken
+def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
+    """One Ray Data task per group of ``(unit, recorded_bytes)`` pairs, taken
     in order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
-    ``read(units)`` gets the group's file lists, one per unit and in order,
-    and returns a table or yields tables, which Ray Data emits as blocks of
-    at most its target block size."""
-    tasks: list[list[list[str]]] = []
+    ``read(units)`` gets the group's units (JSON values naming the files of
+    one pid), in order, and returns a table or yields tables, which Ray Data
+    emits as blocks of at most its target block size."""
+    tasks: list[list] = []
     budget = 0
-    for files, nbytes in units:
+    for unit, nbytes in units:
         if not tasks or budget >= SPLIT_MIB << 20:
             tasks.append([])
             budget = 0
-        tasks[-1].append(files)
+        tasks[-1].append(unit)
         budget += nbytes
 
     def run(batch: pa.Table):
-        return read(batch["units"][0].as_py())
+        return read(json.loads(batch["units"][0].as_py()))
 
-    return rd.from_items([{"units": t} for t in tasks],
+    # as JSON text, every task's item has one Arrow type, however its
+    # units nest
+    return rd.from_items([{"units": json.dumps(t)} for t in tasks],
                          override_num_blocks=len(tasks)).map_batches(
         run, batch_size=1, batch_format="pyarrow")
 
 
-def _read_snapshot(files: list[str], schema: pa.Schema) -> Iterator[pa.Table]:
-    """Read partition files one row group at a time, single-threaded (one
-    task is one CPU's work), projected to the ``schema`` columns each file
-    has and aligned to ``schema``. A task whose files hold no rows (every
-    key deleted) yields the typed empty table, so the snapshot keeps its
-    schema."""
+def _read_snapshot(units: list[dict], schema: pa.Schema, key: list[str],
+                   resolve: pa.Schema) -> Iterator[pa.Table]:
+    """Read each unit's base file (``{"file", "deltas"}``, one per pid) one
+    row group at a time, single-threaded (one task is one CPU's work),
+    projected to the ``schema`` columns each file has and aligned to
+    ``schema``. A pid without deltas reads exactly so.
+
+    The deltas of the task's pids are resolved together, once: their
+    records (``resolve`` columns plus ``_deleted`` and ``_lsn_from``) are
+    read, reduced to each key's last record where a pid has several
+    deltas, and the live ones are yielded after the bases. The base is
+    neither sorted nor joined: a base row is superseded iff a record
+    names it as its key's previous winner (see
+    :class:`_Supersede`). A task whose files hold no rows yields the typed
+    empty table, so the snapshot keeps its schema."""
+    files = _LakeFiles()
+    sup = live = None
+    if any(u["deltas"] for u in units):
+        rec = pa.schema([*resolve, pa.field(LAKE_DELETED_COL, pa.bool_()),
+                         pa.field(LSN_FROM_COL, pa.int64())])
+        parts = files.read([r for u in units for r in u["deltas"]], schema=rec)
+        # one chunk: the sort and gathers below would otherwise walk one
+        # chunk per pid and delta
+        d = pa.concat_tables(parts).combine_chunks()
+        if any(len(u["deltas"]) > 1 for u in units):
+            idx, ends, _ = _lww_sort(d, key, [LAKE_LSN_COL])
+            winners = idx[ends]
+        else:
+            winners = np.arange(d.num_rows)
+        deleted = d.column(LAKE_DELETED_COL).to_numpy(zero_copy_only=False)
+        live = d.select(schema.names).take(winners[~deleted[winners]])
+        sup = _Supersede(d, key)
     empty = True
-    for f in files:
-        pf = pq.ParquetFile(f)
-        cols = [n for n in schema.names if n in pf.schema_arrow.names]
-        for i in range(pf.num_row_groups):
-            if pf.metadata.row_group(i).num_rows:
+    for u in units:
+        pf = files.open(u["file"])
+        names = pf.schema_arrow.names
+        cols = [n for n in (resolve if u["deltas"] else schema).names if n in names]
+        for rg in range(pf.num_row_groups):
+            if not pf.metadata.row_group(rg).num_rows:
+                continue
+            t = pf.read_row_group(rg, columns=cols, use_threads=False)
+            if u["deltas"]:
+                t = align_to_schema(t, resolve)
+                keep = sup.keep(t)
+                t = t.select(schema.names)
+                if keep is not None:
+                    t = t.filter(keep)
+            else:
+                t = align_to_schema(t, schema)
+            if t.num_rows:
                 empty = False
-                yield align_to_schema(
-                    pf.read_row_group(i, columns=cols, use_threads=False), schema)
+                yield t
+    if live is not None and live.num_rows:
+        empty = False
+        yield live
     if empty:
         yield schema.empty_table()
 
 
-def _fold_changes(pids: list[list[str]], schema: pa.Schema,
+class _Supersede:
+    """Which base rows a task's delta records supersede: a record names
+    its key's previous winner by ``_lsn_from``, so a base row is
+    superseded iff its ``(key..., _lsn)`` is some record's ``(key...,
+    _lsn_from)``. The base rows whose ``_lsn`` some record names are the
+    candidates; two keys may share an LSN, so each candidate is confirmed
+    on the key. A key lives in one pid, so the records of all the task's
+    pids serve every base."""
+
+    def __init__(self, records: pa.Table, key: list[str]):
+        frm = records.column(LSN_FROM_COL)
+        named = np.flatnonzero(frm.is_valid().to_numpy(zero_copy_only=False))
+        frm = frm.fill_null(0).to_numpy()[named]
+        order = np.argsort(frm, kind="stable")
+        self.lsns = frm[order]
+        self.values = pa.array(self.lsns)
+        # the naming records' keys, in the same order
+        self.keys = [records.column(k).take(named[order]).to_numpy(zero_copy_only=False)
+                     for k in key]
+        self.key = key
+
+    def keep(self, base: pa.Table) -> pa.Array | None:
+        """The rows of a base row group (``key..., _lsn``, aligned to the
+        records' key types) that no record supersedes, as a filter mask;
+        ``None`` keeps them all."""
+        lsn = base.column(LAKE_LSN_COL)
+        cand = np.flatnonzero(pc.is_in(lsn, value_set=self.values)
+                              .to_numpy(zero_copy_only=False))
+        if not len(cand):
+            return None
+        # one pair per candidate and record naming its LSN
+        lsn = lsn.to_numpy()[cand]
+        lo = np.searchsorted(self.lsns, lsn, "left")
+        reps = np.searchsorted(self.lsns, lsn, "right") - lo
+        rows = np.repeat(cand, reps)
+        recs = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(len(rows))
+        match = np.ones(len(rows), dtype=bool)
+        for k, rec in zip(self.key, self.keys):
+            match &= base.column(k).take(rows).to_numpy(zero_copy_only=False) == rec[recs]
+        if not match.any():
+            return None
+        hit = np.zeros(base.num_rows, dtype=bool)
+        hit[rows[match]] = True
+        return pa.array(~hit)
+
+
+def _fold_changes(pids: list[list[dict]], schema: pa.Schema,
                   key: list[str]) -> pa.Table:
     """Row diff of one task's pids: each entry of ``pids`` is one pid's
-    change files of consecutive versions, in version order, each read as
-    ``schema`` (``key..., _lsn, _deleted, _lsn_from, payload...``; a
-    partition file written whole reads with ``_lsn_from`` and ``_deleted``
-    null: it holds live rows only).
+    change records (``{file, row_group, ...}``) of consecutive versions, in
+    version order, each read as ``schema`` (``key..., _lsn, _deleted,
+    _lsn_from, payload...``; a first write's base file reads with
+    ``_lsn_from`` and ``_deleted`` null: it holds live rows only).
 
     A key's records sort by ``_lsn``, which rises with every version that
     changed the key, so its first record holds its state before the range
     (``_lsn_from`` not null: live) and its last record its state after
-    (``_deleted`` false or null: live). Only a pid with several files is
-    sorted: one file holds one row per key, so each of its rows is a whole
-    run, and no two pids share a key. Returns ``(key..., change,
+    (``_deleted`` false or null: live). Only a pid with several records is
+    sorted: one record holds one row per key, so each of its rows is a
+    whole run, and no two pids share a key. Returns ``(key..., change,
     payload...)`` for every key live on at least one side, pid by pid;
     payload is null for deletes."""
-    parts, ends = [], []
-    for files in pids:
-        t = pa.concat_tables([_read_aligned(f, schema) for f in files])
-        if len(files) > 1:
-            t = t.sort_by([(k, "ascending") for k in key]
-                          + [(LAKE_LSN_COL, "ascending")])
-            ends.append(_key_run_ends(t, key))
+    read = iter(_LakeFiles().read([r for refs in pids for r in refs], schema=schema))
+    parts, order, ends = [], [], []
+    sorted_any = False
+    n = 0
+    for refs in pids:
+        t = pa.concat_tables([next(read) for _ in refs])
+        if len(refs) > 1:
+            idx, e, _ = _lww_sort(t, key, [LAKE_LSN_COL])
+            sorted_any = True
         else:
-            ends.append(np.ones(t.num_rows, dtype=bool))
+            idx, e = np.arange(t.num_rows), np.ones(t.num_rows, dtype=bool)
         parts.append(t)
+        order.append(idx + n)
+        ends.append(e)
+        n += t.num_rows
     tbl = pa.concat_tables(parts) if parts else schema.empty_table()
+    order = np.concatenate(order) if order else np.zeros(0, dtype=np.int64)
     ends = np.concatenate(ends) if ends else np.ones(0, dtype=bool)
     # a pid's last row ends its run, so the roll never crosses into a run
+    first, last = order[np.roll(ends, 1)], order[ends]
     was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
-        zero_copy_only=False)[np.roll(ends, 1)]
+        zero_copy_only=False)[first]
     is_live = ~pc.fill_null(tbl.column(LAKE_DELETED_COL), False).to_numpy(
-        zero_copy_only=False)[ends]
+        zero_copy_only=False)[last]
     payload = schema.names[len(key) + 3:]
-    if ends.all() and is_live.all():
-        # one live row per key (a first write, or no deletes or drops in
-        # range): the columns read are the diff's, with nothing to gather
+    if not sorted_any and is_live.all():
+        # one live row per key, in file order (a first write, or no deletes
+        # in range): the columns read are the diff's, with nothing to gather
         keys, new = tbl.select(key), tbl.select(payload)
     else:
         keep = was_live | is_live
-        rows = np.flatnonzero(ends)[keep]
+        rows = last[keep]
         was_live, is_live = was_live[keep], is_live[keep]
         keys = tbl.select(key).take(rows)
         # a null index gathers a null row: deletes carry no payload
@@ -887,15 +1221,6 @@ def _fold_changes(pids: list[list[str]], schema: pa.Schema,
     change = pa.array(OPS).take(np.where(was_live, 2 - is_live, 0))
     return pa.table([*keys.columns, change, *new.columns],
                     names=[*key, "change", *payload])
-
-
-def _read_aligned(path: str, schema: pa.Schema) -> pa.Table:
-    """One lake file, single-threaded, projected to the ``schema`` columns
-    it has and aligned to ``schema``."""
-    pf = pq.ParquetFile(path)
-    names = pf.schema_arrow.names
-    return align_to_schema(pf.read(columns=[n for n in schema.names if n in names],
-                                   use_threads=False), schema)
 
 
 def _lsn_bounds(files: list[str], lsn_col: str) -> tuple[int, int]:

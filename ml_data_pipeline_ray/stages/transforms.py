@@ -154,6 +154,8 @@ def align_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
     """Schema evolution at the batch level: add missing columns as typed
     nulls and align widened/evolved types (numeric + decimal widening,
     struct field addition, list element widening, added nullability)."""
+    if batch.schema.equals(schema, check_metadata=True):
+        return batch
     cols = []
     for field in schema:
         if field.name in batch.column_names:

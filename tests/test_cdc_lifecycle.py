@@ -24,13 +24,37 @@ def _read_all(d):
 
 
 def _raw_snapshot(eng, version):
-    """Every partition file of ``version`` read straight from disk (with
-    ``_lsn``); the files hold live rows only."""
-    files = sorted(eng.manifest.partition_files(version).values())
-    tbl = pa.concat_tables([pq.read_table(f) for f in files],
-                           promote_options="permissive")
-    assert LAKE_DELETED_COL not in tbl.column_names
-    return tbl.to_pandas()
+    """Every partition of ``version`` read straight from disk (with
+    ``_lsn``): its base file, which holds live rows only, and its deltas,
+    resolved with pandas: each key keeps its highest-``_lsn`` record, and
+    a key whose last record is a delete is dropped."""
+    parts = []
+    for e in eng.manifest.partitions(version).values():
+        base = pq.read_table(e["file"])
+        assert LAKE_DELETED_COL not in base.column_names
+        parts.append(base)
+        parts.extend(_delta_rows(d) for d in e["deltas"])
+    df = pa.concat_tables(parts, promote_options="permissive").to_pandas()
+    if LAKE_DELETED_COL not in df.columns:
+        return df
+    df = df.sort_values("_lsn", kind="mergesort").drop_duplicates(KEY, keep="last")
+    df = df[df[LAKE_DELETED_COL].isna() | ~df[LAKE_DELETED_COL].astype(bool)]
+    return df.drop(columns=[LAKE_DELETED_COL, "_lsn_from"]).reset_index(drop=True)
+
+
+def _delta_rows(ref):
+    """One pid's rows of a delta file: ``rows`` rows from ``offset`` in
+    row group ``row_group``; a whole file where ``row_group`` is null."""
+    pf = pq.ParquetFile(ref["file"])
+    if ref["row_group"] is None:
+        return pf.read()
+    return pf.read_row_group(ref["row_group"]).slice(ref["offset"], ref["rows"])
+
+
+def _delta_keys(entries) -> set:
+    """Keys some delta of these partition entries holds a record of."""
+    return {k for e in entries for d in e["deltas"]
+            for k in zip(*(_delta_rows(d).column(c).to_pylist() for c in KEY))}
 
 
 def _last_deleted_keys(log: pa.Table) -> set:
@@ -216,12 +240,19 @@ def test_snapshot_projection_across_schema_evolution(tmp_path):
     eng.replay(_evolved_segment(str(tmp_path / "s2.parquet"),
                                 [(21, "insert", "c0", 1)]))
     cols = ["conv_id", "turn_idx", "model"]
+    # at v2 the evolved schema is in a delta only: every base predates it
+    assert all("model" not in pq.read_schema(f).names
+               for f in eng.manifest.partition_files(v2).values())
     for v, evolved in ((v2, {("c0", 0)}), (None, {("c0", 0), ("c0", 1)})):
-        files = eng.manifest.partition_files(v).values()
-        old = [f for f in files if "model" not in pq.read_schema(f).names]
-        assert 0 < len(old) < len(files)
+        entries = eng.manifest.partitions(v).values()
+        old = [e["file"] for e in entries
+               if "model" not in pq.read_schema(e["file"]).names]
+        assert old
+        # the old bases' rows no delta supersedes
         old_keys = {k for f in old
-                    for k in zip(*(pq.read_table(f).column(c).to_pylist() for c in KEY))}
+                    for k in zip(*(pq.read_table(f).column(c).to_pylist() for c in KEY))
+                    } - _delta_keys(entries)
+        assert old_keys
         ds = eng.final_dataset(columns=cols, version=v)
         assert ds.schema().names == cols
         assert dict(zip(ds.schema().names, ds.schema().types))["turn_idx"] == pa.int64()
@@ -258,7 +289,7 @@ def test_snapshot_streams_a_partition_by_row_group(small_fixture, tmp_path):
     assert pq.read_metadata(f).num_row_groups == 4
 
     schema = eng.final_dataset().schema().base_schema
-    groups = list(_read_snapshot([f], schema))
+    groups = list(_read_snapshot([{"file": f, "deltas": []}], schema, KEY, schema))
     rg_rows = [g.num_rows for g in groups]
     assert rg_rows == [pq.read_metadata(f).row_group(i).num_rows for i in range(4)]
     sizes = [g.nbytes for g in groups]
@@ -338,8 +369,9 @@ def test_table_changes_empty_diff_keeps_typed_schema(small_fixture, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_table_changes_reports_deletes_absent_from_files(small_fixture, tmp_path):
-    """A key live at v1 and deleted at v2 is absent from every v2
-    partition file; the v1 -> v2 diff must still report it as a delete."""
+    """A key live at v1 and deleted at v2 is absent from the v2 state on
+    disk (bases and deltas resolved; a delta holds only its delete
+    record); the v1 -> v2 diff must still report it as a delete."""
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
 
     files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
@@ -352,10 +384,7 @@ def test_table_changes_reports_deletes_absent_from_files(small_fixture, tmp_path
 
     got = _assert_changes_exact(eng, v1, v2)
     deleted = set(zip(*(got.loc[got["change"] == "delete", k] for k in KEY)))
-    on_disk = pa.concat_tables(
-        [pq.read_table(f, columns=KEY)
-         for f in eng.manifest.partition_files(v2).values()],
-        promote_options="permissive").to_pandas()
+    on_disk = _raw_snapshot(eng, v2)
     assert deleted
     assert not deleted & set(zip(on_disk["conv_id"], on_disk["turn_idx"]))
 
@@ -490,10 +519,11 @@ def test_table_changes_range_across_evolution_and_compaction(
 
 @pytest.mark.usefixtures("ray_session")
 def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
-    """A partition's first write records its partition file as its change
-    file (no second copy: exactly P files in the txn dir); a later write
-    records a separate change file; a version whose manifest has no
-    ``changes`` cannot be diffed across."""
+    """A partition's first write records its base file as its change
+    record (no second copy: exactly P files in the txn dir); a later write
+    records a row group of its merge group's delta file, one file per
+    merge task; a version whose manifest has no ``changes`` cannot be
+    diffed across."""
     import json
 
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
@@ -509,13 +539,28 @@ def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
     man1 = eng.manifest.load(v1)
     assert {p: e["file"] for p, e in man1["changes"].items()} == \
         {p: e["file"] for p, e in man1["partitions"].items()}
+    assert all(e["row_group"] is None for e in man1["changes"].values())
     assert m1["change_bytes"] == sum(e["bytes"] for e in man1["changes"].values())
     assert man1["metrics"]["change_bytes"] == m1["change_bytes"]
 
     m2 = eng.replay(files)
     man2 = eng.manifest.load(m2["version"])
-    assert man2["changes"] and all(e["file"].endswith(".changes.parquet")
+    assert man2["changes"] and all(e["file"].endswith(".delta.parquet")
                                    for e in man2["changes"].values())
+    delta_files = {e["file"] for e in man2["changes"].values()}
+    assert len(delta_files) == m2["merge_tasks"]
+    assert sorted(os.listdir(eng.manifest.txn_data_dir(m2["version"]))) == \
+        sorted(os.path.basename(f) for f in delta_files)
+    # each file's records tile its rows: pid after pid, no gap, no overlap
+    for f in delta_files:
+        md = pq.read_metadata(os.path.join(eng.lake_dir, f))
+        recs = sorted((e["row_group"], e["offset"], e["rows"])
+                      for e in man2["changes"].values() if e["file"] == f)
+        ends = {}
+        for rg, off, n in recs:
+            assert off == ends.get(rg, 0)
+            ends[rg] = off + n
+        assert ends == {rg: md.row_group(rg).num_rows for rg in range(md.num_row_groups)}
     assert 0 < m2["change_bytes"] < sum(
         os.path.getsize(f) for f in eng.manifest.partition_files().values())
 
@@ -576,28 +621,26 @@ def test_table_changes_across_tombstones(tmp_path):
     assert changes(1, 2) == {0: "delete", 1: "delete"}
 
 
-def _reference_fold(files, schema, key):
+def _reference_fold(refs, schema, key):
     """The sort-based fold the per-pid ``_fold_changes`` replaced: read
-    every file of the task, sort all records by ``(key..., _lsn)`` and
-    gather the winners, whatever their pid."""
+    every change record of the task, sort all records by ``(key...,
+    _lsn)`` and gather the winners, whatever their pid (run ends found
+    with pandas, not the engine's kernel)."""
     import numpy as np
     import pyarrow.compute as pc
 
-    from ml_data_pipeline_ray.cdc.replay import (LAKE_LSN_COL, LSN_FROM_COL,
-                                                 _key_run_ends)
+    from ml_data_pipeline_ray.cdc.replay import LAKE_LSN_COL, LSN_FROM_COL
     from ml_data_pipeline_ray.stages.transforms import align_to_schema
 
     parts = []
-    for f in files:
-        pf = pq.ParquetFile(f)
-        names = pf.schema_arrow.names
-        parts.append(align_to_schema(pf.read(
-            columns=[n for n in schema.names if n in names], use_threads=False),
-            schema))
+    for r in refs:
+        t = _delta_rows(r)
+        parts.append(align_to_schema(
+            t.select([n for n in schema.names if n in t.column_names]), schema))
     tbl = pa.concat_tables(parts) if parts else schema.empty_table()
     tbl = tbl.sort_by([(k, "ascending") for k in key]
                       + [(LAKE_LSN_COL, "ascending")])
-    ends = _key_run_ends(tbl, key)
+    ends = ~tbl.select(key).to_pandas().duplicated(keep="last").to_numpy()
     was_live = tbl.column(LSN_FROM_COL).is_valid().to_numpy(
         zero_copy_only=False)[np.roll(ends, 1)]
     is_live = ~pc.fill_null(tbl.column(LAKE_DELETED_COL), False).to_numpy(
@@ -626,13 +669,13 @@ def _convs_by_pid(num_partitions, n=64):
 
 
 def _change_units(eng, v_from, v_to):
-    """Each pid's change files in ``v_from+1..v_to``, in version order, as
-    ``table_changes`` reads them."""
+    """Each pid's change records in ``v_from+1..v_to``, in version order,
+    as ``table_changes`` reads them."""
     units: dict = {}
     for v in range(v_from + 1, v_to + 1):
         for pid, e in eng.manifest.load(v)["changes"].items():
             units.setdefault(int(pid), []).append(
-                os.path.join(eng.lake_dir, e["file"]))
+                {**e, "file": os.path.join(eng.lake_dir, e["file"])})
     return [units[p] for p in sorted(units)]
 
 
@@ -684,7 +727,7 @@ def test_fold_changes_matches_sort_based_fold(tmp_path):
                    pa.field(LSN_FROM_COL, pa.int64())]
                 + [out.field(n) for n in payload])
             got = _fold_changes(units, schema, KEY)
-            want = _reference_fold([f for fs in units for f in fs], schema, KEY)
+            want = _reference_fold([r for rs in units for r in rs], schema, KEY)
             assert got.schema == want.schema
             assert got.sort_by([(k, "ascending") for k in KEY]).equals(want), \
                 (v_from, v_to, payload)
@@ -713,7 +756,7 @@ def test_lake_files_have_no_dictionary_pages(small_fixture, tmp_path):
     eng.replay(files, lsn_max=(lo + hi) // 2)
     eng.replay(files)
     lake = glob.glob(str(tmp_path / "lake" / "data" / "*" / "*.parquet"))
-    assert any(f.endswith(".changes.parquet") for f in lake)
+    assert any(f.endswith(".delta.parquet") for f in lake)
     for f in lake:
         md = pq.read_metadata(f)
         for r in range(md.num_row_groups):
@@ -744,3 +787,132 @@ def test_multi_version_range_with_several_pids_per_task(small_fixture, tmp_path)
                for e in eng.manifest.load(v)["changes"].values()) < SPLIT_MIB << 20
     got = _assert_changes_exact(eng, v1, v3)
     assert set(got["change"]) == {"insert", "update", "delete"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_manifest_entries_keep_the_benchmark_contract(small_fixture, tmp_path,
+                                                      monkeypatch):
+    """After a delta poll and after a fold, every partition entry still has
+    ``file``, ``last_lsn``, ``rows`` and ``tombstones``, and ``rows`` is the
+    pid's live rows (base and deltas resolved), so the benchmark's lake
+    statistics, which read these fields outside an operation's guard, run
+    on both commit shapes. ``replay`` reports and records how many bases it
+    wrote and the bytes of the deltas it wrote."""
+    import math
+    import sys
+
+    from ml_data_pipeline_ray.cdc import replay as replay_mod
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    from ml_data_pipeline_ray.stages.exchange import key_hash
+
+    P = 4
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    cuts = [lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3, hi]
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=P)
+    assert eng.replay(files, lsn_max=cuts[0])["bases_written"] == P
+    for fold, lsn_min, lsn_max in ((math.inf, cuts[0], cuts[1]),
+                                   (0.0, cuts[1], cuts[2])):
+        monkeypatch.setattr(replay_mod, "FOLD_FRACTION", fold)
+        m = eng.replay(files, lsn_min=lsn_min, lsn_max=lsn_max)
+        man = eng.manifest.load(m["version"])
+        assert man["metrics"]["bases_written"] == m["bases_written"]
+        assert man["metrics"]["delta_bytes"] == m["delta_bytes"]
+        entries = man["partitions"]
+        if fold:
+            assert m["bases_written"] == 0 and m["delta_bytes"] > 0
+            assert all(len(e["deltas"]) == 1 for e in entries.values())
+            assert m["delta_bytes"] == sum(e["deltas"][0]["bytes"]
+                                           for e in entries.values())
+        else:
+            assert m["bases_written"] == P and m["delta_bytes"] == 0
+            assert not any(e["deltas"] for e in entries.values())
+        live = _raw_snapshot(eng, m["version"])
+        pids = key_hash(pa.table({"conv_id": live["conv_id"].tolist()}), ["conv_id"]) % P
+        per_pid = pd.Series(pids.astype(int)).value_counts().to_dict()
+        assert sorted(entries) == [str(p) for p in range(P)]
+        for pid, e in entries.items():
+            assert {"file", "last_lsn", "rows", "tombstones"} <= set(e)
+            assert e["rows"] == per_pid.get(int(pid), 0)
+        assert m["rows_live"] == len(live) == eng.final_dataset().count()
+        stats = workloads._lake_stats(eng, m["version"])
+        assert stats["bytes_written"] > 0
+        assert stats["rows_rewritten"] == (0 if fold else len(live))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_replay_into_a_lake_in_the_copy_on_write_format(small_fixture, tmp_path,
+                                                        monkeypatch):
+    """A lake written before merge-on-read keeps working. Its partition
+    entries have no ``bytes`` or ``deltas``, and each version recorded
+    one whole change file per pid (``{file, bytes}``, no ``row_group``).
+    Such a lake reads, diffs and takes new polls: an entry without base
+    bytes folds on its next write, and a change record without a row
+    group is its whole file."""
+    import json
+    import math
+
+    from ml_data_pipeline_ray.cdc import replay as replay_mod
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    P = 4
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    log = _read_all(small_fixture["changelog"])
+    lo, hi = _lsn_bounds(files, "lsn")
+    cuts = [lo - 1] + [lo + (hi - lo) * i // 4 for i in (1, 2, 3)] + [hi]
+    lake = str(tmp_path / "lake")
+
+    def to_copy_on_write(v):
+        """Rewrite version ``v`` as the copy-on-write lake wrote it."""
+        path = os.path.join(lake, "_manifests", f"manifest-{v:06d}.json")
+        with open(path) as f:
+            man = json.load(f)
+        for e in man["partitions"].values():
+            assert not e.pop("deltas") and e.pop("bytes")
+        for pid, c in man["changes"].items():
+            if c["row_group"] is not None:
+                rows = _delta_rows({**c, "file": os.path.join(lake, c["file"])})
+                c["file"] = f"data/txn-{v:06d}/pid={int(pid):05d}.changes.parquet"
+                pq.write_table(rows, os.path.join(lake, c["file"]))
+                c["bytes"] = os.path.getsize(os.path.join(lake, c["file"]))
+            man["changes"][pid] = {"file": c["file"], "bytes": c["bytes"]}
+        with open(path, "w") as f:
+            json.dump(man, f, indent=1)
+        for f in glob.glob(os.path.join(lake, "data", f"txn-{v:06d}", "*.delta.parquet")):
+            os.remove(f)
+
+    # deltas never fold: every base written below is a first write or the
+    # fold of an entry without base bytes
+    monkeypatch.setattr(replay_mod, "FOLD_FRACTION", math.inf)
+    eng = CDCEngine(lake, num_partitions=P)
+    eng.replay(files, lsn_max=cuts[1])
+    to_copy_on_write(1)
+    m2 = eng.replay(files, lsn_min=cuts[1], lsn_max=cuts[2])
+    assert m2["partitions_written"] == m2["bases_written"] == P
+    to_copy_on_write(2)
+
+    eng = CDCEngine(lake, num_partitions=P)
+    m3 = eng.replay(files, lsn_min=cuts[2], lsn_max=cuts[3])
+    assert m3["partitions_written"] == m3["bases_written"] == P
+    assert eng.manifest.load(3)["changes"]["0"]["file"].endswith(".delta.parquet")
+    m4 = eng.replay(files, lsn_min=cuts[3])
+    assert m4["bases_written"] == 0 and m4["delta_bytes"] > 0
+
+    for v in range(1, 5):
+        got = eng.final_table(sort=True, version=v).to_pandas()[FINAL_COLUMNS]
+        want = oracle_replay(log.filter(pa.compute.less_equal(log["lsn"], cuts[v])))
+        pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                      want.reset_index(drop=True), check_dtype=False)
+        # from the empty table every live row is an insert
+        diff = eng.table_changes(0, v).to_pandas()
+        assert (diff["change"] == "insert").all()
+        assert sorted(zip(diff["conv_id"], diff["turn_idx"])) == list(
+            zip(want["conv_id"], want["turn_idx"]))
+    for a in range(1, 4):
+        for b in range(a + 1, 5):
+            _assert_changes_exact(eng, a, b)

@@ -21,6 +21,16 @@ def _read_all(changelog_dir: str) -> pa.Table:
                             promote_options="permissive")
 
 
+def lww_winners(tbl: pa.Table, key: list[str], lsn_col: str = "lsn",
+                rank_col: str = "_rank") -> pa.Table:
+    """The reference last-writer-wins reduce, independent of the engine's
+    kernel: per key, the single row with max ``(lsn, rank)``."""
+    tbl = tbl.sort_by([(k, "ascending") for k in key]
+                      + [(lsn_col, "ascending"), (rank_col, "ascending")])
+    last = ~tbl.select(key).to_pandas().duplicated(keep="last").to_numpy()
+    return tbl.filter(pa.array(last))
+
+
 def _assert_tables_equal(engine_df: pd.DataFrame, oracle_df: pd.DataFrame):
     assert list(engine_df.columns) == list(oracle_df.columns)
     assert len(engine_df) == len(oracle_df)
@@ -342,7 +352,7 @@ def test_map_task_group_buffers_hold_their_pids_rows(tmp_path):
     import pyarrow.compute as pc
 
     from ml_data_pipeline_ray.cdc.replay import (
-        RANK_COL, _exchange_map_task, _merge_groups, lww_winners)
+        RANK_COL, _exchange_map_task, _merge_groups)
     from ml_data_pipeline_ray.stages.exchange import key_hash
 
     P, key = 8, ["conv_id", "turn_idx"]

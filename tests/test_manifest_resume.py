@@ -3,6 +3,7 @@ invisible; resuming from per-partition checkpoints reproduces the identical
 final table (no duplicate or missing rows)."""
 
 import glob
+import math
 import os
 
 import pandas as pd
@@ -129,3 +130,88 @@ def test_commit_rejects_stale_version(tmp_path):
     a.commit(1, {0: entry}, changes={})
     with pytest.raises(ValueError, match="stale transaction"):
         b.commit(1, {0: entry}, changes={})
+
+
+# A driver that replays the last third of the log and dies with os._exit
+# once the merge tasks have written and fsynced the transaction's files,
+# just before manifest-N.json would be created. The crash is patched in
+# here, in the driver process, and nowhere in the engine.
+_CRASH_DRIVER = """
+import os, sys
+import ray
+
+lake, log, lsn_min, fold = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ml_data_pipeline_ray.cdc import CDCEngine, manifest, replay
+
+replay.FOLD_FRACTION = 0.0 if fold == "fold" else float("inf")
+write = manifest._write_json_exclusive
+
+def crash(path, obj):
+    if os.path.basename(path).startswith("manifest-"):
+        ray.shutdown()
+        os._exit(17)
+    write(path, obj)
+
+manifest._write_json_exclusive = crash
+CDCEngine(lake, num_partitions=4).replay(log, lsn_min=lsn_min)
+sys.exit(1)
+"""
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("shape", ["delta", "fold"])
+def test_crash_after_staged_merge_files_then_resume(small_fixture, tmp_path,
+                                                     monkeypatch, shape):
+    """A driver killed after its merge tasks fsynced the transaction's
+    delta file (and, on a fold poll, the new base files) but before the
+    manifest leaves the lake at exactly the last committed version; a
+    resume recomputes the transaction and converges to the oracle."""
+    import subprocess
+    import sys
+
+    from ml_data_pipeline_ray.cdc import replay as replay_mod
+
+    lake = str(tmp_path / "lake")
+    files = _expand_paths(small_fixture["changelog"])
+    lo, hi = _lsn_bounds(files, "lsn")
+    cuts = [lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3]
+    monkeypatch.setattr(replay_mod, "FOLD_FRACTION", math.inf)
+    eng = CDCEngine(lake, num_partitions=4)
+    eng.replay(files, lsn_max=cuts[0])
+    m2 = eng.replay(files, lsn_min=cuts[0], lsn_max=cuts[1])
+    assert m2["bases_written"] == 0 and m2["delta_bytes"] > 0
+    v = m2["version"]
+    before = eng.final_table(sort=True)
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [repo, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASH_DRIVER, lake, small_fixture["changelog"],
+         str(cuts[1]), shape], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 17, proc.stderr[-3000:]
+
+    staged = sorted(os.listdir(os.path.join(lake, "data", f"txn-{v + 1:06d}")))
+    deltas = [f for f in staged if f.endswith(".delta.parquet")]
+    bases = [f for f in staged if not f.endswith(".delta.parquet")]
+    assert len(deltas) == 1 and pq.read_metadata(
+        os.path.join(lake, "data", f"txn-{v + 1:06d}", deltas[0])).num_rows > 0
+    assert (len(bases) == 4) if shape == "fold" else not bases
+    assert not os.path.exists(os.path.join(
+        lake, "_manifests", f"manifest-{v + 1:06d}.json"))
+
+    reopened = CDCEngine(lake, num_partitions=4)
+    assert reopened.manifest.current_version() == v
+    assert reopened.final_table(sort=True).equals(before)
+
+    assert reopened.manifest.vacuum_orphans() == [f"txn-{v + 1:06d}"]
+    monkeypatch.setattr(replay_mod, "FOLD_FRACTION",
+                        0.0 if shape == "fold" else math.inf)
+    m3 = reopened.replay(files, lsn_min=cuts[1])
+    assert m3["committed"] and m3["version"] == v + 1
+    assert (m3["bases_written"] == 4) if shape == "fold" else (m3["bases_written"] == 0)
+    got = reopened.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    want = oracle_replay(_read_all(small_fixture["changelog"]))
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True), check_dtype=False)
