@@ -328,28 +328,22 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
                        flt, key: list[str], lsn_col: str, op_col: str,
                        num_partitions: int, groups: list[range]
                        ) -> list[pa.Buffer] | pa.Buffer:
-    """Read one input split (row-group subsets, with pushdown), normalize,
+    """Read one input split (its row groups, then the LSN filter), normalize,
     combine, and split into ``num_partitions`` shards, returned as one
     Arrow IPC file buffer per merge group: record batch ``i`` of a group's
     file is the shard of its ``i``-th pid, empty if that pid got no rows
     (one object per group; with one group the lone buffer itself, since
     Ray stores a single return as is). Raises ``ValueError`` if an ``op``
     is null or not one of :data:`OPS`."""
-    import pyarrow.dataset as pads
-
-    # heterogeneous (evolved) fragments: scan each file with ITS OWN schema
-    # (the filter only touches the always-present lsn column, so pushdown
-    # still applies) and align afterwards — Arrow's scanner can null-fill /
-    # widen flat columns but cannot cast evolved struct columns, while
-    # align_to_schema handles the full lattice including nested types
-    parts = []
-    for f, rg_ids in split:
-        frag = next(iter(pads.dataset(f).get_fragments()))
-        if len(rg_ids) < frag.num_row_groups:
-            frag = frag.subset(row_group_ids=rg_ids)
-        t = frag.to_table(filter=flt)
-        parts.append(align_to_schema(t, schema))
-    tbl = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+    # heterogeneous (evolved) files: each is read with ITS OWN schema and
+    # aligned afterwards (align_to_schema handles the full lattice including
+    # evolved struct columns); the planner already skipped the row groups
+    # the filter would empty
+    tbl = pa.concat_tables(_LakeFiles().read(
+        [{"file": f, "row_group": rg} for f, rgs in split for rg in rgs],
+        schema=schema))
+    if flt is not None:
+        tbl = tbl.filter(flt)
     ops = tbl.column(op_col)
     rank = pc.index_in(ops, value_set=pa.array(OPS, type=pa.string()))
     if rank.null_count:
@@ -627,9 +621,9 @@ def _stored_rows(states: list[dict], lsn_col: str, files: "_LakeFiles",
 
 
 class _LakeFiles:
-    """The lake files one task reads, each opened once. A delta file holds
-    the rows of every pid of its merge group, so the records a task wants
-    from one file are read in one call."""
+    """The parquet files (lake or changelog) one task reads, each opened
+    once. A delta file holds the rows of every pid of its merge group, so
+    the records a task wants from one file are read in one call."""
 
     def __init__(self):
         self._open: dict[str, pq.ParquetFile] = {}
@@ -643,11 +637,11 @@ class _LakeFiles:
     def read(self, refs: list[dict], columns: list[str] | None = None,
              schema: pa.Schema | None = None) -> list[pa.Table]:
         """The rows of each record of ``refs``, in order: ``{file,
-        row_group: None}`` is a whole file, ``{file, row_group, offset,
-        rows}`` a pid's rows of a delta file. Read single-threaded (one
-        task is one CPU's work), projected to the ``columns`` (or
-        ``schema`` columns) the file has and aligned to ``schema`` if
-        given."""
+        row_group: None}`` is a whole file, ``{file, row_group}`` one whole
+        row group, ``{file, row_group, offset, rows}`` a pid's rows of a
+        delta file. Read single-threaded (one task is one CPU's work),
+        projected to the ``columns`` (or ``schema`` columns) the file has
+        and aligned to ``schema`` if given."""
         cols = schema.names if schema is not None else columns
         todo: dict[str, dict] = {}
         for r in refs:
@@ -669,8 +663,8 @@ class _LakeFiles:
                 n = t.num_rows if rg is None else pf.metadata.row_group(rg).num_rows
                 got[path, rg] = t.slice(start, n)
                 start += n
-        return [got[r["file"], r["row_group"]] if r["row_group"] is None
-                else got[r["file"], r["row_group"]].slice(r["offset"], r["rows"])
+        return [got[r["file"], r["row_group"]].slice(r.get("offset", 0),
+                                                     r.get("rows"))
                 for r in refs]
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import glob as _glob
 import os
 import tempfile
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -33,6 +35,7 @@ from ..sources import read_csv_typed, read_json_typed, read_text_lines
 from ..sources.readers import read_parquet
 from ..sources.arrow_ipc import read_arrow_ipc_dataset, write_arrow_ipc
 from ..sources.tfrecord import read_tfrecords, write_tfrecords
+from ..stages import multimodal as MM
 from ..stages.encoders import MinMaxScaler, StandardScaler
 from ..stages.timeseries import regularize_per_key
 from ..state.dictionary import GlobalDictApplier, build_global_dictionary
@@ -438,49 +441,134 @@ SELECT 'except' AS setop, user_id FROM (
 """
 
 
-# -- S8/T11 multimodal: binary sniff + (stubbed) decode plumbing -------------
+# -- S8/T11 multimodal: codec witnesses over cached binary-column fixtures ---
 
-def _mm_fixture_path() -> str:
-    from ..stages.multimodal import make_binary_fixture
-
-    d = _scratch("mm", "global")
-    path = os.path.join(d, "blobs.parquet")
+def _codec_fixture(tag: str, maker: Callable[..., pa.Table], n: int,
+                   seed: int = 42) -> str:
+    """Parquet cache of ``maker(n=n, seed=seed)``. Generation is
+    deterministic, so an existing file is reused; it is written to a temp
+    file in the same directory and renamed into place, so a run killed
+    mid-write leaves no torn file for later runs to reuse."""
+    path = os.path.join(_scratch(tag, "global"), f"{tag}.parquet")
     if not os.path.exists(path):
-        pq.write_table(make_binary_fixture(n=256, seed=42), path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        pq.write_table(maker(n=n, seed=seed), tmp)
+        os.replace(tmp, path)
     return path
 
 
-def multimodal_sniff_decode(sf_dir: str) -> pd.DataFrame:
-    """Multimodal plumbing end-to-end over a deterministic binary-column
-    parquet fixture: magic-byte format sniffing (vectorized) + the
-    deterministic fake decode stage (actor pool), aggregated per format.
-    The oracle recomputes formats from blob prefixes and the fake decode's
-    integer hash arithmetic in SQL over the SAME parquet file."""
-    from ..stages.multimodal import ImageDecoder, sniff_format
+class _Codec(NamedTuple):
+    """One codec witness query: decode the blobs of ``maker(n=n, seed=42)``
+    with ``decoder(**kwargs)``, group by ``key`` = (decoded column, its
+    truth column) and sum ``sums`` = ((output, decoded column, truth SQL
+    expression), ...). Grouping by ``format`` groups by the blobs' sniffed
+    magic bytes."""
+    maker: Callable[..., pa.Table]
+    n: int
+    decoder: type
+    kwargs: dict
+    batch_size: int
+    key: tuple[str, str | None]
+    sums: tuple[tuple[str, str, str | None], ...]
 
-    ds = read_parquet(_mm_fixture_path())
-    ds = ds.map_batches(sniff_format, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    ds = ds.map_batches(ImageDecoder, fn_constructor_kwargs={"fake": True},
-                        batch_format="pyarrow", concurrency=2)
-    out = (ds.groupby("format")
-           .aggregate(Count(alias_name="n"),
-                      Sum("width", alias_name="sum_width"),
-                      Sum("height", alias_name="sum_height"))).to_pandas()
-    for c in ("n", "sum_width", "sum_height"):
-        out[c] = out[c].astype(np.int64)
-    return out[["format", "n", "sum_width", "sum_height"]]
+
+_IMAGE_SUMS = (("sum_width", "width", "true_width"),
+               ("sum_height", "height", "true_height"),
+               ("sum_px", "px_sum", "true_px_sum"),
+               ("sum_px_gray", "px_sum_gray", "true_px_sum_gray"))
+_GRAY = {"gray_witness": True}
+
+#: REAL decode end-to-end per codec (the reference sniffs these formats,
+#: ``image.rs:51-77``, but its decode is a stub): seeded blobs are decoded
+#: by the builtin spec-based codec in an actor pool, exact witnesses are
+#: recomputed from the decoded pixels / PCM samples / luma planes, and the
+#: grouped sums are checked against encode-time truth columns stored beside
+#: the blobs — any decode bug changes the hash. JPEG truths are build-time
+#: decodes (lossy codec; proven against the spec in unit tests), video
+#: decodes with ``frame_step=2`` against the even-frame luma witness, and
+#: ``multimodal_sniff_decode`` runs the deterministic fake decode behind the
+#: vectorized sniff (its oracle recomputes magic bytes and the fake hash
+#: arithmetic).
+CODECS = {
+    "image_decode_stats": _Codec(
+        MM.make_png_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        ("channels", "true_channels"), _IMAGE_SUMS),
+    "jpeg_decode_stats": _Codec(
+        MM.make_jpeg_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        ("channels", "true_channels"), _IMAGE_SUMS),
+    "tiff_decode_stats": _Codec(
+        MM.make_tiff_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        ("channels", "true_channels"), _IMAGE_SUMS),
+    "bmp_gif_decode_stats": _Codec(
+        MM.make_bmp_gif_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        ("format", "true_format"), _IMAGE_SUMS),
+    "audio_decode_stats": _Codec(
+        MM.make_wav_fixture, 96, MM.AudioDecoder, {}, 32,
+        ("channels", "true_channels"),
+        (("sum_rate", "sample_rate", "true_rate"),
+         ("sum_samples", "n_samples", "true_n_samples"),
+         ("sum_dur_ms", "duration_ms", "true_n_samples * 1000 // true_rate"),
+         ("sum_abs", "abs_sum", "true_abs_sum"))),
+    "video_frame_sample_stats": _Codec(
+        MM.make_y4m_fixture, 72, MM.VideoDecoder, {"frame_step": 2},
+        16, ("width", "true_w"),
+        (("sum_height", "height", "true_h"),
+         ("sum_frames", "n_frames", "true_frames"),
+         ("sum_sampled", "n_sampled", "(true_frames + 1) // 2"),
+         ("sum_luma", "y_sum", "true_y_sum_even"))),
+    "multimodal_sniff_decode": _Codec(
+        MM.make_binary_fixture, 256, MM.ImageDecoder, {"fake": True},
+        32, ("format", None),
+        (("sum_width", "width", None), ("sum_height", "height", None))),
+}
+
+
+def _codec_path(name: str) -> str:
+    c = CODECS[name]
+    return _codec_fixture(name, c.maker, c.n)
+
+
+def codec_witness(name: str, sf_dir: str) -> pd.DataFrame:
+    """Run the :data:`CODECS` query ``name``: fixture → optional sniff →
+    decoder actor pool → per-key count + witness sums (int64)."""
+    c = CODECS[name]
+    key = c.key[0]
+    ds = read_parquet(_codec_path(name), columns=["item_id", "data"])
+    if key == "format":
+        ds = ds.map_batches(MM.sniff_format, batch_format="pyarrow",
+                            zero_copy_batch=True)
+    ds = ds.map_batches(c.decoder, fn_constructor_kwargs=c.kwargs,
+                        batch_format="pyarrow", concurrency=2,
+                        batch_size=c.batch_size)
+    out = ds.groupby(key).aggregate(
+        Count(alias_name="n"),
+        *(Sum(col, alias_name=alias) for alias, col, _ in c.sums)).to_pandas()
+    cols = [key, "n", *(alias for alias, _, _ in c.sums)]
+    return out[cols].astype({col: np.int64 for col in cols if col != "format"})
+
+
+def sql_codec_witness(name: str) -> str:
+    """Oracle of :func:`codec_witness`: the same grouped sums over the
+    fixture's encode-time truth columns."""
+    c = CODECS[name]
+    key, truth = c.key
+    group = truth if key == "format" else f"CAST({truth} AS BIGINT)"
+    sums = "".join(f",\n       CAST(sum({expr}) AS BIGINT) AS {out}"
+                   for out, _, expr in c.sums)
+    return f"""
+SELECT {group} AS {key},
+       CAST(count(*) AS BIGINT) AS n{sums}
+FROM read_parquet('{_codec_path(name)}') GROUP BY {truth}
+"""
 
 
 def sql_multimodal_sniff_decode() -> str:
-    from ..stages.multimodal import IMAGE_MAGIC
-
-    path = _mm_fixture_path()
+    path = _codec_path("multimodal_sniff_decode")
     # DuckDB has no blob substring — compare on the hex encoding instead
     cases = "\n    ".join(
         f"WHEN substring(upper(hex(data)), 1, {2 * len(magic)}) = "
         f"'{magic.hex().upper()}' THEN '{name}'"
-        for magic, name in IMAGE_MAGIC)
+        for magic, name in MM.IMAGE_MAGIC)
     return f"""
 WITH b AS (
   SELECT CASE
@@ -564,248 +652,34 @@ FROM supplier
 """
 
 
-def _png_fixture_path() -> str:
-    from ..stages.multimodal import make_png_fixture
-
-    d = _scratch("png", "global")
-    path = os.path.join(d, "pngs.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_png_fixture(n=96, seed=42), path)
-    return path
-
-
-def image_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL image decode end-to-end (reference ``image.rs:183-413``, whose
-    decode is a stub — this one is real): seeded PNG blobs are decoded by
-    the builtin spec-based PNG decoder in an actor pool (PIL would be the
-    backend if importable), grayscale + dims + exact pixel sums are
-    recomputed from the PIXELS, and the aggregate is checked against the
-    encode-time truth columns stored beside the blobs — any decode bug
-    (unfilter, dims, channel order, luma) changes the hash."""
-    from ..stages.multimodal import ImageDecoder
-
-    ds = read_parquet(_png_fixture_path(), columns=["item_id", "data"])
-    dec = ds.map_batches(ImageDecoder,
-                         fn_constructor_kwargs={"gray_witness": True},
-                         batch_format="pyarrow", concurrency=2, batch_size=32)
-    out = (dec.groupby("channels")
-           .aggregate(Count(alias_name="n"),
-                      Sum("width", alias_name="sum_width"),
-                      Sum("height", alias_name="sum_height"),
-                      Sum("px_sum", alias_name="sum_px"),
-                      Sum("px_sum_gray", alias_name="sum_px_gray"))
-           ).to_pandas()
-    for c in ("channels", "n", "sum_width", "sum_height", "sum_px",
-              "sum_px_gray"):
-        out[c] = out[c].astype(np.int64)
-    return out[["channels", "n", "sum_width", "sum_height", "sum_px",
-                "sum_px_gray"]]
-
-
-def sql_image_decode_stats() -> str:
-    path = _png_fixture_path()
-    return f"""
-SELECT CAST(true_channels AS BIGINT) AS channels,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_width) AS BIGINT) AS sum_width,
-       CAST(sum(true_height) AS BIGINT) AS sum_height,
-       CAST(sum(true_px_sum) AS BIGINT) AS sum_px,
-       CAST(sum(true_px_sum_gray) AS BIGINT) AS sum_px_gray
-FROM read_parquet('{path}') GROUP BY true_channels
-"""
-
-
-def _jpeg_fixture_path() -> str:
-    from ..stages.multimodal import make_jpeg_fixture
-
-    d = _scratch("jpegfx", "global")
-    path = os.path.join(d, "jpegs.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_jpeg_fixture(n=96, seed=42), path)
-    return path
-
-
-def jpeg_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL baseline-JPEG decode end-to-end (the reference sniffs JPEG
-    first, ``image.rs:51-56``, but its decode is a stub — this one is a
-    full T.81 sequential decoder: Huffman, dequant, IDCT, 4:2:0/4:4:4,
-    restart markers). Seeded JPEG blobs are decoded in an actor pool and
-    the per-channel-count aggregate of dims + exact pixel sums is checked
-    against the fixture's truth columns — any entropy/IDCT/upsample/color
-    bug changes the hash."""
-    from ..stages.multimodal import ImageDecoder
-
-    ds = read_parquet(_jpeg_fixture_path(), columns=["item_id", "data"])
-    dec = ds.map_batches(ImageDecoder,
-                         fn_constructor_kwargs={"gray_witness": True},
-                         batch_format="pyarrow", concurrency=2, batch_size=32)
-    out = (dec.groupby("channels")
-           .aggregate(Count(alias_name="n"),
-                      Sum("width", alias_name="sum_width"),
-                      Sum("height", alias_name="sum_height"),
-                      Sum("px_sum", alias_name="sum_px"),
-                      Sum("px_sum_gray", alias_name="sum_px_gray"))
-           ).to_pandas()
-    for c in ("channels", "n", "sum_width", "sum_height", "sum_px",
-              "sum_px_gray"):
-        out[c] = out[c].astype(np.int64)
-    return out[["channels", "n", "sum_width", "sum_height", "sum_px",
-                "sum_px_gray"]]
-
-
-def sql_jpeg_decode_stats() -> str:
-    path = _jpeg_fixture_path()
-    return f"""
-SELECT CAST(true_channels AS BIGINT) AS channels,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_width) AS BIGINT) AS sum_width,
-       CAST(sum(true_height) AS BIGINT) AS sum_height,
-       CAST(sum(true_px_sum) AS BIGINT) AS sum_px,
-       CAST(sum(true_px_sum_gray) AS BIGINT) AS sum_px_gray
-FROM read_parquet('{path}') GROUP BY true_channels
-"""
-
-
-def _tiff_fixture_path() -> str:
-    from ..stages.multimodal import make_tiff_fixture
-
-    d = _scratch("tifffx", "global")
-    path = os.path.join(d, "tiffs.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_tiff_fixture(n=96, seed=42), path)
-    return path
-
-
-def tiff_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL builtin baseline-TIFF decode end-to-end (the reference sniffs
-    both TIFF byte orders, ``image.rs:60-63``, but its decode is a stub):
-    seeded blobs cycling gray/RGB/RGBA × II/MM × uncompressed/PackBits ×
-    strip layouts are decoded in an actor pool and the per-channel-count
-    aggregate of dims + exact pixel sums is checked against encode-time
-    truth — TIFF is lossless, so any IFD/strip/PackBits bug flips the
-    hash."""
-    from ..stages.multimodal import ImageDecoder
-
-    ds = read_parquet(_tiff_fixture_path(), columns=["item_id", "data"])
-    dec = ds.map_batches(ImageDecoder,
-                         fn_constructor_kwargs={"gray_witness": True},
-                         batch_format="pyarrow", concurrency=2, batch_size=32)
-    out = (dec.groupby("channels")
-           .aggregate(Count(alias_name="n"),
-                      Sum("width", alias_name="sum_width"),
-                      Sum("height", alias_name="sum_height"),
-                      Sum("px_sum", alias_name="sum_px"),
-                      Sum("px_sum_gray", alias_name="sum_px_gray"))
-           ).to_pandas()
-    for c in ("channels", "n", "sum_width", "sum_height", "sum_px",
-              "sum_px_gray"):
-        out[c] = out[c].astype(np.int64)
-    return out[["channels", "n", "sum_width", "sum_height", "sum_px",
-                "sum_px_gray"]]
-
-
-def sql_tiff_decode_stats() -> str:
-    path = _tiff_fixture_path()
-    return f"""
-SELECT CAST(true_channels AS BIGINT) AS channels,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_width) AS BIGINT) AS sum_width,
-       CAST(sum(true_height) AS BIGINT) AS sum_height,
-       CAST(sum(true_px_sum) AS BIGINT) AS sum_px,
-       CAST(sum(true_px_sum_gray) AS BIGINT) AS sum_px_gray
-FROM read_parquet('{path}') GROUP BY true_channels
-"""
-
-
-def _bmp_gif_fixture_path() -> str:
-    from ..stages.multimodal import make_bmp_gif_fixture
-
-    d = _scratch("bmpgiffx", "global")
-    path = os.path.join(d, "bmpgif.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_bmp_gif_fixture(n=96, seed=42), path)
-    return path
-
-
-def bmp_gif_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL builtin BMP + GIF decode end-to-end (the reference sniffs both,
-    ``image.rs:51-77``, but its decode is a stub): the vectorized magic
-    sniff labels each blob, the actor-pool ``ImageDecoder`` routes to the
-    builtin BI_RGB BMP / LZW GIF codecs, and per-format aggregates of dims
-    + exact pixel sums are checked against the fixture's encode-time truth
-    columns — both codecs are lossless, so any decode bug flips the hash."""
-    from ..stages.multimodal import ImageDecoder, sniff_format
-
-    ds = read_parquet(_bmp_gif_fixture_path(), columns=["item_id", "data"])
-    ds = ds.map_batches(sniff_format, batch_format="pyarrow")
-    dec = ds.map_batches(ImageDecoder,
-                         fn_constructor_kwargs={"gray_witness": True},
-                         batch_format="pyarrow", concurrency=2, batch_size=32)
-    out = (dec.groupby("format")
-           .aggregate(Count(alias_name="n"),
-                      Sum("width", alias_name="sum_width"),
-                      Sum("height", alias_name="sum_height"),
-                      Sum("px_sum", alias_name="sum_px"),
-                      Sum("px_sum_gray", alias_name="sum_px_gray"))
-           ).to_pandas()
-    for c in ("n", "sum_width", "sum_height", "sum_px", "sum_px_gray"):
-        out[c] = out[c].astype(np.int64)
-    return out[["format", "n", "sum_width", "sum_height", "sum_px",
-                "sum_px_gray"]]
-
-
-def sql_bmp_gif_decode_stats() -> str:
-    path = _bmp_gif_fixture_path()
-    return f"""
-SELECT true_format AS format,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_width) AS BIGINT) AS sum_width,
-       CAST(sum(true_height) AS BIGINT) AS sum_height,
-       CAST(sum(true_px_sum) AS BIGINT) AS sum_px,
-       CAST(sum(true_px_sum_gray) AS BIGINT) AS sum_px_gray
-FROM read_parquet('{path}') GROUP BY true_format
-"""
+def _mixed_media_table(n: int, seed: int) -> pa.Table:
+    """The FULL decodable sniff table in one binary column: ``n`` each of
+    PNG, baseline JPEG, BMP, GIF, TIFF, WAV and Y4M blobs with encode-time
+    ``modality`` (= the blob's real format name) and per-item exact integer
+    ``true_witness`` (images: pixel sum; audio: |sample| sum; video: luma
+    sum) for the SQL oracle."""
+    bg = MM.make_bmp_gif_fixture(n=2 * n, seed=seed)   # alternating bmp/gif
+    arms = [("png", MM.make_png_fixture(n=n, seed=seed), "true_px_sum"),
+            ("jpeg", MM.make_jpeg_fixture(n=n, seed=seed), "true_px_sum"),
+            *((f, bg.filter(pc.equal(bg["true_format"], f)), "true_px_sum")
+              for f in ("bmp", "gif")),
+            ("tiff", MM.make_tiff_fixture(n=n, seed=seed), "true_px_sum"),
+            ("wav", MM.make_wav_fixture(n=n, seed=seed), "true_abs_sum"),
+            ("y4m", MM.make_y4m_fixture(n=n, seed=seed), "true_y_sum_all")]
+    n_total = sum(t.num_rows for _, t, _ in arms)
+    return pa.table({
+        "item_id": pa.array(np.arange(n_total, dtype=np.int64)),
+        "modality": pa.array([m for m, t, _ in arms
+                              for _ in range(t.num_rows)]),
+        "data": pa.concat_arrays([t["data"].combine_chunks()
+                                  for _, t, _ in arms]),
+        "true_witness": pa.concat_arrays([t[w].combine_chunks()
+                                          for _, t, w in arms])})
 
 
 def _multimodal_mix_path() -> str:
-    """Combined mixed-media fixture covering the FULL decodable sniff
-    table: PNG + baseline-JPEG + BMP + GIF + TIFF images, WAV audio and
-    Y4M video blobs in ONE binary column with encode-time ``modality``
-    (= the blob's real format name) + per-item exact integer
-    ``true_witness`` (images: pixel sum; audio: |sample| sum; video:
-    luma sum) for the SQL oracle."""
-    from ..stages.multimodal import (make_bmp_gif_fixture, make_jpeg_fixture,
-                                     make_png_fixture, make_tiff_fixture,
-                                     make_wav_fixture, make_y4m_fixture)
-
-    d = _scratch("mmcur", "global")
-    path = os.path.join(d, "mixed3.parquet")   # v3: full sniff table (r5)
-    if not os.path.exists(path):
-        arms = []                              # (modality, data, witness)
-        png = make_png_fixture(n=36, seed=7)
-        arms.append(("png", png["data"], png["true_px_sum"]))
-        jpg = make_jpeg_fixture(n=36, seed=7)
-        arms.append(("jpeg", jpg["data"], jpg["true_px_sum"]))
-        bg = make_bmp_gif_fixture(n=72, seed=7)   # alternating bmp/gif
-        for fmt in ("bmp", "gif"):
-            m = bg.filter(pc.equal(bg["true_format"], fmt))
-            arms.append((fmt, m["data"], m["true_px_sum"]))
-        tif = make_tiff_fixture(n=36, seed=7)
-        arms.append(("tiff", tif["data"], tif["true_px_sum"]))
-        wav = make_wav_fixture(n=36, seed=7)
-        arms.append(("wav", wav["data"], wav["true_abs_sum"]))
-        y4m = make_y4m_fixture(n=36, seed=7)
-        arms.append(("y4m", y4m["data"], y4m["true_y_sum_all"]))
-        n_total = sum(len(d_) for _, d_, _ in arms)
-        modality = pa.array([m for m, d_, _ in arms for _ in range(len(d_))])
-        data = pa.concat_arrays([d_.combine_chunks() for _, d_, _ in arms])
-        witness = pa.concat_arrays(
-            [w.combine_chunks() for _, _, w in arms])
-        pq.write_table(pa.table({
-            "item_id": pa.array(np.arange(n_total, dtype=np.int64)),
-            "modality": modality, "data": data, "true_witness": witness}),
-            path)
-    return path
+    return _codec_fixture("multimodal_curation", _mixed_media_table, 36,
+                          seed=7)
 
 
 def multimodal_curation(sf_dir: str) -> pd.DataFrame:
@@ -820,11 +694,8 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
     format. The modality column is NOT read by the Ray side — routing is
     pure sniff — so a mis-sniffed magic, a wrong route, or any decode bug
     changes the hash vs encode-time truth."""
-    from ..stages.multimodal import (AudioDecoder, ImageDecoder,
-                                     VideoDecoder, sniff_format)
-
     ds = read_parquet(_multimodal_mix_path(), columns=["item_id", "data"])
-    sniffed = ds.map_batches(sniff_format, batch_format="pyarrow",
+    sniffed = ds.map_batches(MM.sniff_format, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
 
     def branch(fmts: tuple[str, ...], decoder_cls, witness_col: str):
@@ -853,9 +724,9 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
                                zero_copy_batch=True)
 
     merged = (branch(("png", "jpeg", "bmp", "gif", "tiff"),
-                     ImageDecoder, "px_sum")
-              .union(branch(("wav",), AudioDecoder, "abs_sum"))
-              .union(branch(("y4m",), VideoDecoder, "y_sum")))
+                     MM.ImageDecoder, "px_sum")
+              .union(branch(("wav",), MM.AudioDecoder, "abs_sum"))
+              .union(branch(("y4m",), MM.VideoDecoder, "y_sum")))
     from ..stages.groupagg import grouped_agg
     out = grouped_agg(merged, keys=["modality"],
                       aggs=[(None, "count_star", "n"),
@@ -871,108 +742,6 @@ def sql_multimodal_curation() -> str:
 SELECT modality, CAST(count(*) AS BIGINT) AS n,
        CAST(sum(true_witness) AS BIGINT) AS sum_witness
 FROM read_parquet('{path}') GROUP BY modality
-"""
-
-
-def _wav_fixture_path() -> str:
-    from ..stages.multimodal import make_wav_fixture
-
-    d = _scratch("wav", "global")
-    path = os.path.join(d, "wavs.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_wav_fixture(n=96, seed=42), path)
-    return path
-
-
-def audio_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL audio decode end-to-end (the audio analogue of
-    :func:`image_decode_stats`): seeded RIFF/PCM WAV clips are decoded by
-    the builtin spec-based WAV decoder in an actor pool, per-clip channel /
-    rate / sample-count / exact |sample| sums are recomputed from the PCM
-    SAMPLES, and the aggregate is checked against the encode-time truth
-    columns stored beside the blobs — any decode bug (chunk walk, fmt
-    parse, channel deinterleave, sign) changes the hash."""
-    from ..stages.multimodal import AudioDecoder
-
-    ds = read_parquet(_wav_fixture_path(), columns=["item_id", "data"])
-    dec = ds.map_batches(AudioDecoder, batch_format="pyarrow",
-                         concurrency=2, batch_size=32)
-    out = (dec.groupby("channels")
-           .aggregate(Count(alias_name="n"),
-                      Sum("sample_rate", alias_name="sum_rate"),
-                      Sum("n_samples", alias_name="sum_samples"),
-                      Sum("duration_ms", alias_name="sum_dur_ms"),
-                      Sum("abs_sum", alias_name="sum_abs"))
-           ).to_pandas()
-    for c in ("channels", "n", "sum_rate", "sum_samples", "sum_dur_ms",
-              "sum_abs"):
-        out[c] = out[c].astype(np.int64)
-    return out[["channels", "n", "sum_rate", "sum_samples", "sum_dur_ms",
-                "sum_abs"]]
-
-
-def sql_audio_decode_stats() -> str:
-    path = _wav_fixture_path()
-    return f"""
-SELECT CAST(true_channels AS BIGINT) AS channels,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_rate) AS BIGINT) AS sum_rate,
-       CAST(sum(true_n_samples) AS BIGINT) AS sum_samples,
-       CAST(sum(true_n_samples * 1000 // true_rate) AS BIGINT) AS sum_dur_ms,
-       CAST(sum(true_abs_sum) AS BIGINT) AS sum_abs
-FROM read_parquet('{path}') GROUP BY true_channels
-"""
-
-
-def _y4m_fixture_path() -> str:
-    from ..stages.multimodal import make_y4m_fixture
-
-    d = _scratch("y4m", "global")
-    path = os.path.join(d, "y4m.parquet")
-    if not os.path.exists(path):
-        pq.write_table(make_y4m_fixture(n=72, seed=42), path)
-    return path
-
-
-def video_frame_sample_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL video decode + frame sampling end-to-end (the video analogue
-    of :func:`image_decode_stats`): seeded YUV4MPEG2 clips are decoded by
-    the builtin spec-based y4m decoder in an actor pool with
-    ``frame_step=2`` — only frames 0,2,4,… have their luma planes
-    materialized — and the exact luma sums over the SAMPLED frames are
-    checked against the encode-time even-frame witness column: a bug in
-    the FRAME walk, plane math or sampling stride changes the hash."""
-    from ..stages.multimodal import VideoDecoder
-
-    ds = read_parquet(_y4m_fixture_path(), columns=["item_id", "data"])
-    dec = ds.map_batches(VideoDecoder,
-                         fn_constructor_kwargs={"frame_step": 2},
-                         batch_format="pyarrow", concurrency=2,
-                         batch_size=16)
-    out = (dec.groupby("width")
-           .aggregate(Count(alias_name="n"),
-                      Sum("height", alias_name="sum_height"),
-                      Sum("n_frames", alias_name="sum_frames"),
-                      Sum("n_sampled", alias_name="sum_sampled"),
-                      Sum("y_sum", alias_name="sum_luma"))
-           ).to_pandas()
-    for c in ("width", "n", "sum_height", "sum_frames", "sum_sampled",
-              "sum_luma"):
-        out[c] = out[c].astype(np.int64)
-    return out[["width", "n", "sum_height", "sum_frames", "sum_sampled",
-                "sum_luma"]]
-
-
-def sql_video_frame_sample_stats() -> str:
-    path = _y4m_fixture_path()
-    return f"""
-SELECT CAST(true_w AS BIGINT) AS width,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(true_h) AS BIGINT) AS sum_height,
-       CAST(sum(true_frames) AS BIGINT) AS sum_frames,
-       CAST(sum((true_frames + 1) // 2) AS BIGINT) AS sum_sampled,
-       CAST(sum(true_y_sum_even) AS BIGINT) AS sum_luma
-FROM read_parquet('{path}') GROUP BY true_w
 """
 
 

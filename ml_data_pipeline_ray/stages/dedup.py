@@ -109,22 +109,6 @@ def minhash_signatures(sh: np.ndarray, win: np.ndarray,
     return sig
 
 
-def jaccard_pairs(ids: np.ndarray, shingle_sets: list[set],
-                  candidate_pairs: np.ndarray, threshold: float) -> pd.DataFrame:
-    """Exact Jaccard verification of candidate (i, j) index pairs."""
-    out = []
-    for i, j in candidate_pairs:
-        a, b = shingle_sets[i], shingle_sets[j]
-        if not a and not b:
-            sim = 1.0
-        else:
-            inter = len(a & b)
-            sim = inter / (len(a) + len(b) - inter)
-        if sim >= threshold:
-            out.append((ids[i], ids[j], round(sim, 6)))
-    return pd.DataFrame(out, columns=["id_a", "id_b", "jaccard"])
-
-
 # ---------------------------------------------------------------------------
 # benchmark decontamination (training-data op: flag docs overlapping an
 # eval/benchmark set by any k-token shingle)
@@ -644,12 +628,6 @@ def simhash_bits(texts: pa.ChunkedArray | pa.Array) -> np.ndarray:
     for b in range(64):
         sig |= bits[:, b] << np.uint64(b)
     return sig
-
-
-def add_simhash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    return batch.append_column("simhash",
-                               pa.array(simhash_bits(batch.column(text_col)),
-                                        type=pa.uint64()))
 
 
 class SimHashBandStage:

@@ -6,17 +6,18 @@ decode options, ``ml-data/ml-data-readers/src/image.rs:51-77,93-132,183-413``
 way: binary payloads ride in an Arrow ``binary`` column; decode/resize/
 feature stages are actor-pool ``map_batches`` classes.
 
-Decode backends, chosen once per actor in ``__init__``:
+Image decode is builtin only, magic-routed per blob, with zero external
+dependencies — so the decoded channel count is the file's own, and the
+witness columns mean the same on every host:
 
-- **PIL** when importable (any format PIL supports) — not present in this
-  container, so the import is guarded;
-- **builtin PNG** — a real decoder written from the public PNG spec
-  (IHDR parse, zlib inflate, scanline unfilter 0-4) for 8/16-bit gray /
-  RGB / gray+alpha / RGBA, non-interlaced and Adam7-interlaced, so real
-  pixel decode works with zero external dependencies;
-- **builtin JPEG** (:mod:`.jpeg`) — a real sequential-baseline decoder
-  written from the public ITU-T T.81 spec (Huffman, dequant, IDCT,
-  4:2:0/4:2:2/4:4:4, restart markers), magic-routed per blob;
+- **PNG** — a real decoder written from the public PNG spec (IHDR parse,
+  zlib inflate, scanline unfilter 0-4) for 8/16-bit gray / RGB /
+  gray+alpha / RGBA, non-interlaced and Adam7-interlaced;
+- **JPEG** (:mod:`.jpeg`) — a real sequential-baseline decoder written
+  from the public ITU-T T.81 spec (Huffman, dequant, IDCT,
+  4:2:0/4:2:2/4:4:4, restart markers);
+- **BMP** (BI_RGB), **GIF** (LZW) and baseline **TIFF** (PackBits, either
+  byte order); a sniffed format without a codec (WebP) raises;
 - ``fake=True`` — the deterministic stand-in (hash-derived dims + feature
   vector) kept for plumbing tests and format-agnostic oracles.
 
@@ -670,12 +671,21 @@ _IMAGE_DECODERS = {
 }
 
 
+def _decode_image(buf: bytes) -> np.ndarray:
+    b = bytes(buf)
+    fmt = sniff_one(b)                        # same table sniff_format uses
+    dec = _IMAGE_DECODERS.get(fmt)
+    if dec is None:
+        raise NotImplementedError(
+            f"no builtin decoder for sniffed format {fmt!r}")
+    return dec(b)
+
+
 class ImageDecoder:
     """Actor-pool decode/feature stage over a binary image column.
 
-    ``__init__`` is the once-per-actor setup point — it picks the decode
-    backend ONCE (PIL when importable, else the builtin PNG decoder) and
-    fixes the option set; ``__call__`` consumes a batch and appends
+    ``__init__`` fixes the option set once per actor; ``__call__`` decodes
+    each blob with the builtin codec its magic bytes name and appends
     ``(width, height, channels, px_sum, features: list<float>)`` where
     ``px_sum`` is the exact int64 sum of all pixel values AFTER
     resize/grayscale (the end-to-end decode witness an oracle can check)
@@ -695,27 +705,6 @@ class ImageDecoder:
         self.fake = fake
         self.resize, self.grayscale, self.normalize = resize, grayscale, normalize
         self.gray_witness = gray_witness
-        self._pil = None
-        if not fake:
-            try:                                    # optional dependency
-                from PIL import Image as _PILImage  # noqa: N813
-                self._pil = _PILImage
-            except ImportError:
-                self._pil = None                    # builtin PNG path
-
-    def _decode_one(self, buf: bytes) -> np.ndarray:
-        if self._pil is not None:
-            import io
-            img = np.asarray(self._pil.open(io.BytesIO(buf)).convert("RGBA"))
-            return np.ascontiguousarray(img, dtype=np.uint8)
-        b = bytes(buf)
-        fmt = sniff_one(b)                    # same table sniff_format uses
-        dec = _IMAGE_DECODERS.get(fmt)
-        if dec is None:
-            raise NotImplementedError(
-                f"no builtin decoder for sniffed format {fmt!r} "
-                "(PIL not available)")
-        return dec(b)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.fake:
@@ -731,7 +720,7 @@ class ImageDecoder:
         px_sum_gray = np.zeros(n, np.int64)
         feats = np.zeros((n, self.feature_dim), np.float64)
         for i in range(n):                    # per-image decode is inherent
-            img = self._decode_one(col[i].as_py())
+            img = _decode_image(col[i].as_py())
             if self.gray_witness:
                 px_sum_gray[i] = int(_to_grayscale(img).sum(dtype=np.int64))
             if self.grayscale:
@@ -1065,45 +1054,48 @@ def make_y4m_fixture(n: int = 48, seed: int = 42) -> pa.Table:
                      "true_y_sum_even": pa.array(tse, pa.int64())})
 
 
+def _image_fixture(blobs: list[bytes], imgs: list[np.ndarray],
+                   **extra: pa.Array) -> pa.Table:
+    """Image fixture table: ``item_id``, ``data``, any ``extra`` columns,
+    then the truth columns ``(true_width, true_height, true_channels,
+    true_px_sum, true_px_sum_gray)`` of each uint8 (H, W, C) image — the
+    stats a query that DECODES the blobs must reproduce."""
+    return pa.table({
+        "item_id": pa.array(range(len(blobs)), pa.int64()),
+        "data": pa.array(blobs, pa.binary()), **extra,
+        "true_width": pa.array([im.shape[1] for im in imgs], pa.int32()),
+        "true_height": pa.array([im.shape[0] for im in imgs], pa.int32()),
+        "true_channels": pa.array([im.shape[2] for im in imgs], pa.int32()),
+        "true_px_sum": pa.array([int(im.sum(dtype=np.int64)) for im in imgs],
+                                pa.int64()),
+        "true_px_sum_gray": pa.array(
+            [int(_to_grayscale(im).sum(dtype=np.int64)) for im in imgs],
+            pa.int64()),
+    })
+
+
 def make_png_fixture(n: int = 64, seed: int = 42) -> pa.Table:
     """Deterministic REAL-PNG fixture: n seeded gradient+noise images (gray /
     RGB / RGBA mix, varied dims) encoded with :func:`encode_png`, plus the
-    encode-time truth columns an SQL oracle can aggregate —
-    ``(true_width, true_height, true_channels, true_px_sum,
-    true_px_sum_gray)`` — so a driver query that DECODES the blobs and
-    recomputes the same stats proves the decode end-to-end."""
+    encode-time truth columns of :func:`_image_fixture`."""
     rng = np.random.default_rng(seed)
     chans = [1, 3, 4]
-    ids, blobs, tw, th, tc, ts, tsg = [], [], [], [], [], [], []
+    imgs = []
     for i in range(n):
         c = chans[i % len(chans)]
         h = int(rng.integers(8, 40))
         w = int(rng.integers(8, 40))
         base = (np.arange(h)[:, None] + np.arange(w)[None, :])[:, :, None]
-        img = ((base * (i + 3) + rng.integers(0, 256, (h, w, c)))
-               % 256).astype(np.uint8)
-        ids.append(i)
-        blobs.append(encode_png(img))
-        tw.append(w)
-        th.append(h)
-        tc.append(c)
-        ts.append(int(img.sum(dtype=np.int64)))
-        tsg.append(int(_to_grayscale(img).sum(dtype=np.int64)))
-    return pa.table({"item_id": pa.array(ids, pa.int64()),
-                     "data": pa.array(blobs, pa.binary()),
-                     "true_width": pa.array(tw, pa.int32()),
-                     "true_height": pa.array(th, pa.int32()),
-                     "true_channels": pa.array(tc, pa.int32()),
-                     "true_px_sum": pa.array(ts, pa.int64()),
-                     "true_px_sum_gray": pa.array(tsg, pa.int64())})
+        imgs.append(((base * (i + 3) + rng.integers(0, 256, (h, w, c)))
+                     % 256).astype(np.uint8))
+    return _image_fixture([encode_png(img) for img in imgs], imgs)
 
 
 def make_jpeg_fixture(n: int = 64, seed: int = 42) -> pa.Table:
     """Deterministic REAL-JPEG fixture: n seeded gradient images (grayscale /
     RGB 4:4:4 / RGB 4:2:0 mix, varied dims, some with restart markers)
-    encoded with the builtin baseline encoder (:mod:`.jpeg`), plus truth
-    columns ``(true_width, true_height, true_channels, true_px_sum,
-    true_px_sum_gray)``. JPEG is lossy, so the pixel-sum truths are the
+    encoded with the builtin baseline encoder (:mod:`.jpeg`), plus the truth
+    columns of :func:`_image_fixture`. JPEG is lossy, so the truths are the
     build-time DECODED stats (one local decode per blob here); the codec
     itself is proven against the spec in unit tests (analytic constant-tile
     exactness, PSNR bounds, restart/stuffing paths) — the driver query then
@@ -1113,7 +1105,7 @@ def make_jpeg_fixture(n: int = 64, seed: int = 42) -> pa.Table:
 
     rng = np.random.default_rng(seed)
     modes = [("gray", "444"), ("rgb", "444"), ("rgb", "420")]
-    ids, blobs, tw, th, tc, ts, tsg = [], [], [], [], [], [], []
+    blobs = []
     for i in range(n):
         kind, sub = modes[i % len(modes)]
         h = int(rng.integers(8, 56))
@@ -1124,36 +1116,20 @@ def make_jpeg_fixture(n: int = 64, seed: int = 42) -> pa.Table:
         else:
             img = np.stack([(base + 40 * ch + i * 7) % 256
                             for ch in range(3)], axis=2).astype(np.uint8)
-        quality = [60, 75, 90][i % 3]
-        ri = 4 if i % 5 == 0 else 0
-        buf = encode_jpeg(img, quality=quality, subsampling=sub,
-                          restart_interval=ri)
-        dec = decode_jpeg(buf)
-        ids.append(i)
-        blobs.append(buf)
-        th.append(dec.shape[0])
-        tw.append(dec.shape[1])
-        tc.append(dec.shape[2])
-        ts.append(int(dec.sum(dtype=np.int64)))
-        tsg.append(int(_to_grayscale(dec).sum(dtype=np.int64)))
-    return pa.table({"item_id": pa.array(ids, pa.int64()),
-                     "data": pa.array(blobs, pa.binary()),
-                     "true_width": pa.array(tw, pa.int32()),
-                     "true_height": pa.array(th, pa.int32()),
-                     "true_channels": pa.array(tc, pa.int32()),
-                     "true_px_sum": pa.array(ts, pa.int64()),
-                     "true_px_sum_gray": pa.array(tsg, pa.int64())})
+        blobs.append(encode_jpeg(img, quality=[60, 75, 90][i % 3],
+                                 subsampling=sub,
+                                 restart_interval=4 if i % 5 == 0 else 0))
+    return _image_fixture(blobs, [decode_jpeg(b) for b in blobs])
 
 
 def make_bmp_gif_fixture(n: int = 64, seed: int = 42) -> pa.Table:
     """Deterministic REAL BMP+GIF fixture: alternating 24-bit BMP and
     ≤256-color GIF blobs (both lossless, varied dims) encoded with the
-    builtin codecs, plus encode-time truth columns ``(true_format,
-    true_width, true_height, true_channels, true_px_sum,
-    true_px_sum_gray)`` so a driver query that sniff-routes and DECODES
+    builtin codecs, plus ``true_format`` and the truth columns of
+    :func:`_image_fixture`, so a driver query that sniff-routes and DECODES
     the blobs proves both codecs end-to-end against an SQL oracle."""
     rng = np.random.default_rng(seed)
-    ids, fmt, blobs, tw, th, tc, ts, tsg = [], [], [], [], [], [], [], []
+    fmt, blobs, imgs = [], [], []
     for i in range(n):
         h = int(rng.integers(6, 40))
         w = int(rng.integers(6, 40))
@@ -1169,31 +1145,19 @@ def make_bmp_gif_fixture(n: int = 64, seed: int = 42) -> pa.Table:
                    ).astype(np.uint8)
             blobs.append(encode_gif(img))
             fmt.append("gif")
-        ids.append(i)
-        th.append(h)
-        tw.append(w)
-        tc.append(3)
-        ts.append(int(img.sum(dtype=np.int64)))
-        tsg.append(int(_to_grayscale(img).sum(dtype=np.int64)))
-    return pa.table({"item_id": pa.array(ids, pa.int64()),
-                     "data": pa.array(blobs, pa.binary()),
-                     "true_format": pa.array(fmt, pa.string()),
-                     "true_width": pa.array(tw, pa.int32()),
-                     "true_height": pa.array(th, pa.int32()),
-                     "true_channels": pa.array(tc, pa.int32()),
-                     "true_px_sum": pa.array(ts, pa.int64()),
-                     "true_px_sum_gray": pa.array(tsg, pa.int64())})
+        imgs.append(img)
+    return _image_fixture(blobs, imgs,
+                          true_format=pa.array(fmt, pa.string()))
 
 
 def make_tiff_fixture(n: int = 64, seed: int = 42) -> pa.Table:
     """Deterministic REAL-TIFF fixture: n seeded images cycling through
     gray/RGB/RGBA × II/MM byte order × uncompressed/PackBits × single/multi
-    strip, plus encode-time truth columns ``(true_width, true_height,
-    true_channels, true_px_sum, true_px_sum_gray)`` (TIFF is lossless, so
-    the truths come straight from the source array)."""
+    strip, plus the truth columns of :func:`_image_fixture` (TIFF is
+    lossless, so the truths come straight from the source array)."""
     rng = np.random.default_rng(seed)
     chans = [1, 3, 4]
-    ids, blobs, tw, th, tc, ts, tsg = [], [], [], [], [], [], []
+    blobs, imgs = [], []
     for i in range(n):
         c = chans[i % len(chans)]
         h = int(rng.integers(6, 40))
@@ -1201,23 +1165,11 @@ def make_tiff_fixture(n: int = 64, seed: int = 42) -> pa.Table:
         base = (np.arange(h)[:, None] + 2 * np.arange(w)[None, :])[:, :, None]
         img = ((base * (i + 5) + rng.integers(0, 256, (h, w, c)))
                % 256).astype(np.uint8)
-        buf = encode_tiff(img, big_endian=bool(i % 2),
-                          packbits=bool((i // 2) % 2),
-                          rows_per_strip=(None if (i // 4) % 2 else 5))
-        ids.append(i)
-        blobs.append(buf)
-        th.append(h)
-        tw.append(w)
-        tc.append(c)
-        ts.append(int(img.sum(dtype=np.int64)))
-        tsg.append(int(_to_grayscale(img).sum(dtype=np.int64)))
-    return pa.table({"item_id": pa.array(ids, pa.int64()),
-                     "data": pa.array(blobs, pa.binary()),
-                     "true_width": pa.array(tw, pa.int32()),
-                     "true_height": pa.array(th, pa.int32()),
-                     "true_channels": pa.array(tc, pa.int32()),
-                     "true_px_sum": pa.array(ts, pa.int64()),
-                     "true_px_sum_gray": pa.array(tsg, pa.int64())})
+        blobs.append(encode_tiff(img, big_endian=bool(i % 2),
+                                 packbits=bool((i // 2) % 2),
+                                 rows_per_strip=(None if (i // 4) % 2 else 5)))
+        imgs.append(img)
+    return _image_fixture(blobs, imgs)
 
 
 def make_binary_fixture(n: int = 64, seed: int = 42) -> pa.Table:

@@ -2,9 +2,9 @@
 
 The reference implies multi-file union only (``factory.rs:52-136``); union is
 ``Dataset.union``. Intersect/except are built the shuffle-minimal way: tag
-each side with a presence bit, ONE ``groupby(cols)`` shuffle over the
+each row of one scan with its side, ONE grouped exchange over the
 distinct-candidate rows (pre-deduped per batch so only unique rows move),
-then a vectorized per-group presence test.
+then a vectorized per-group presence test (:func:`select_setop`).
 """
 
 from __future__ import annotations
@@ -14,39 +14,17 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 
-def _tag(side: int, cols: list[str]):
-    def fn(batch: pa.Table) -> pa.Table:
-        # per-batch pre-dedup: only distinct rows enter the shuffle
-        batch = batch.select(cols).group_by(cols).aggregate([])
-        return batch.append_column(
-            "_side", pa.array([side] * batch.num_rows, pa.int8()))
-    return fn
-
-
-def presence_aggregate(a: rd.Dataset, b: rd.Dataset,
-                       cols: list[str]) -> rd.Dataset:
-    """Per distinct key: min/max of the side tag (0=a, 1=b). ONE shuffle
-    serves every set op (intersect = saw both sides, except = only side a);
-    callers needing several ops should ``materialize()`` the (tiny) result
-    and slice it rather than re-aggregating."""
-    from .groupagg import grouped_agg
-
-    both = a.map_batches(_tag(0, cols), batch_format="pyarrow").union(
-        b.map_batches(_tag(1, cols), batch_format="pyarrow"))
-    return grouped_agg(both, keys=cols, aggs=[("_side", "min", "_mn"),
-                                              ("_side", "max", "_mx")])
-
-
 def presence_aggregate_tagged(ds: rd.Dataset, cols: list[str],
                               tag_col: str, a_value, b_value) -> rd.Dataset:
-    """Single-scan variant of :func:`presence_aggregate`: when both set-op
-    sides are row subsets of ONE dataset distinguished by ``tag_col`` (e.g.
-    users-with-purchases vs users-with-errors over ``events``), scan the
-    input once and derive the side tag per row instead of issuing two reads
-    with complementary filters (which scan the source twice). Rows matching
-    neither value are dropped; rows matching ``a_value`` get side 0,
-    ``b_value`` side 1. Same downstream contract as
-    :func:`presence_aggregate` (feed :func:`select_setop`)."""
+    """Per distinct key of ``cols``: min/max of the side tag (0=a, 1=b),
+    where both set-op sides are row subsets of ONE dataset distinguished by
+    ``tag_col`` (e.g. users-with-purchases vs users-with-errors over
+    ``events``). The input is scanned once and the side derived per row
+    instead of issuing two reads with complementary filters (which scan the
+    source twice). Rows matching neither value are dropped; rows matching
+    ``a_value`` get side 0, ``b_value`` side 1. ONE exchange serves every set
+    op (intersect = saw both sides, except = only side a): feed the result to
+    :func:`select_setop`."""
     def tag(batch: pa.Table) -> pa.Table:
         col = batch[tag_col]
         is_a = pc.equal(col, a_value)
@@ -76,19 +54,3 @@ def select_setop(agg: rd.Dataset, cols: list[str], anti: bool) -> rd.Dataset:
 
     return agg.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
 
-
-def _setop(a: rd.Dataset, b: rd.Dataset, cols: list[str],
-           anti: bool) -> rd.Dataset:
-    return select_setop(presence_aggregate(a, b, cols), cols, anti)
-
-
-def intersect_distinct(a: rd.Dataset, b: rd.Dataset,
-                       cols: list[str]) -> rd.Dataset:
-    """Rows (projected to ``cols``, distinct) present in BOTH datasets."""
-    return _setop(a, b, cols, anti=False)
-
-
-def except_distinct(a: rd.Dataset, b: rd.Dataset,
-                    cols: list[str]) -> rd.Dataset:
-    """Distinct rows of ``a`` (projected to ``cols``) absent from ``b``."""
-    return _setop(a, b, cols, anti=True)

@@ -17,7 +17,6 @@ distinct counts in tests instead (rows-only driver check).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -72,7 +71,3 @@ def approx_distinct(ds: rd.Dataset, on: list[str]) -> int:
         est = M * np.log(M / zeros)            # linear counting
     return int(round(est))
 
-
-def approx_distinct_df(ds: rd.Dataset, on: list[str]) -> pd.DataFrame:
-    return pd.DataFrame({"column": ["+".join(on)],
-                         "approx_distinct": [approx_distinct(ds, on)]})

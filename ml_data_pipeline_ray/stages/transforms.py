@@ -1,5 +1,5 @@
 """Core batch transforms: schema alignment/widening, typed parsing, schema
-inference, projection helpers, transform chaining.
+inference, transform chaining.
 
 Reference parity (SURVEY.md §2.3):
 - T2/T3 ``RecordBatchTransform`` / ``TransformChain``
@@ -175,12 +175,6 @@ def chain(*fns: Callable[[pa.Table], pa.Table]) -> Callable[[pa.Table], pa.Table
             batch = fn(batch)
         return batch
     return composed
-
-
-def project(batch: pa.Table, names: list[str]) -> pa.Table:
-    """Column projection (T4; prefer ``columns=`` at read or
-    ``Dataset.select_columns`` — this is the in-batch form)."""
-    return batch.select(names)
 
 
 def parse_bool_synonyms(batch: pa.Table, col: str) -> pa.Table:

@@ -110,11 +110,3 @@ class GlobalDictApplier:
             vs = vs.cast(col.type)
         idx = pc.index_in(col, value_set=vs).cast(pa.int64())
         return batch.append_column(self.column + "_id", idx)
-
-
-def dictionary_encode_columns(batch: pa.Table, columns: list[str]) -> pa.Table:
-    """Stateless per-batch Arrow dictionary encoding (the zero-state path)."""
-    for c in columns:
-        pos = batch.column_names.index(c)
-        batch = batch.set_column(pos, c, pc.dictionary_encode(batch.column(c)))
-    return batch
