@@ -62,6 +62,11 @@ Dataflow (SURVEY.md §7.1)::
          sorted and folded (first record: state before the range, last
          record: state after) -> row diff
 
+    both reads: one task (at most SPLIT_MIB recorded bytes) -> one
+         Ray-core task at the call, its tables packed into blocks,
+         handed over as a materialized Dataset (no Ray Data execution);
+         several tasks -> one Ray Data map task each, streamed
+
 Correctness depends only on per-key max-LSN (commutative across arrival
 order), so Ray's unordered execution is safe and duplicate /
 out-of-order / late events are absorbed (idempotent replay ⇒ exactly-once
@@ -96,9 +101,12 @@ Scale notes (100 TB / 10^10 events):
   new segments.
 - Both lake reads plan from the manifest and the footers alone (no
   datasource re-planning or sampling per call) and group files into tasks
-  of up to ``SPLIT_MIB``. A snapshot task yields one table per row group,
-  so a partition larger than Ray Data's target block size streams as
-  several blocks instead of being held whole.
+  of up to ``SPLIT_MIB``. A read of one task runs eagerly and is held in
+  the object store whole (at most ``SPLIT_MIB`` of recorded bytes); a
+  larger one streams, so a lake larger than the object store is never
+  held at once. Either way a snapshot task yields one table per row
+  group, so a partition larger than Ray Data's target block size arrives
+  as several blocks instead of one.
 """
 
 from __future__ import annotations
@@ -914,12 +922,15 @@ class CDCEngine:
 
     def final_dataset(self, columns: list[str] | None = None,
                       version: int | None = None) -> rd.Dataset:
-        """The committed lake table as a streaming Dataset (``_lsn`` hidden),
-        planned like :meth:`table_changes`: each pid's base file and deltas
-        stay together, in tasks of up to ``SPLIT_MIB`` recorded bytes; a
-        task reads one row group at a time, aligned to the files' unified
+        """The committed lake table as a Dataset (``_lsn`` hidden), planned
+        like :meth:`table_changes`: each pid's base file and deltas stay
+        together, in tasks of up to ``SPLIT_MIB`` recorded bytes; a task
+        reads one row group at a time, aligned to the files' unified
         schema (evolved types widen; columns a file predates read as
         nulls), and resolves its pids' deltas (see :func:`_read_snapshot`).
+        A lake that fits one task is read at the call and returned
+        materialized, so a bad file raises here; a larger one streams
+        (see :func:`_file_tasks`).
         ``columns`` projects at the read (``None``: every user column; an
         unknown name raises ``ValueError``). ``version`` time-travels to any
         committed transaction (manifests are retained). An empty lake
@@ -978,7 +989,10 @@ class CDCEngine:
         of up to ``SPLIT_MIB`` of recorded bytes; a key lives in one pid,
         so any grouping is exact, and only a pid with several records in
         range needs a sort (see :func:`_fold_changes`). Rows come pid by
-        pid, not in key order. A
+        pid, not in key order. A diff that fits one task (an empty range
+        too: no records, the typed empty table) is read at the call and
+        returned materialized, so a bad file raises here; a larger one
+        streams (see :func:`_file_tasks`). A
         key live at both ends is an update (a newer event won it, so
         payload-equal rewrites are still reported, like the changelog); one
         live at neither is dropped.
@@ -1022,19 +1036,25 @@ class CDCEngine:
                pa.field(LSN_FROM_COL, pa.int64())]
             + [schema.field(n) for n in payload])
         key = list(self.key)
-
-        if not refs:
-            return rd.from_arrow(_fold_changes([], read_schema, key))
         return _file_tasks(((refs[pid], nbytes[pid]) for pid in sorted(refs)),
                            lambda us: _fold_changes(us, read_schema, key))
 
 
 def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
-    """One Ray Data task per group of ``(unit, recorded_bytes)`` pairs, taken
-    in order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
+    """One task per group of ``(unit, recorded_bytes)`` pairs, taken in
+    order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
     ``read(units)`` gets the group's units (JSON values naming the files of
-    one pid), in order, and returns a table or yields tables, which Ray Data
-    emits as blocks of at most its target block size."""
+    one pid), in order, and returns a table or yields tables.
+
+    The recorded bytes choose the path. A read that plans into at most one
+    task (a plan of no units too) runs at the call, as one Ray-core task
+    (:func:`_read_task`), and is handed over materialized; a bad file
+    raises here. Materialized matters: iterating an unexecuted
+    ``from_arrow_refs`` dataset still starts a Ray Data streaming executor
+    per read, which grows the driver's RSS, while a materialized one is
+    iterated from its blocks (see ROADMAP direction 3). A larger read
+    streams: one Ray Data task per group, whose tables Ray Data emits as
+    blocks of at most its target block size."""
     tasks: list[list] = []
     budget = 0
     for unit, nbytes in units:
@@ -1044,6 +1064,11 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
         tasks[-1].append(unit)
         budget += nbytes
 
+    if len(tasks) <= 1:
+        target = rd.DataContext.get_current().target_max_block_size
+        refs = list(_read_task.remote(tasks[0] if tasks else [], read, target))
+        return rd.from_arrow_refs(refs).materialize()
+
     def run(batch: pa.Table):
         return read(json.loads(batch["units"][0].as_py()))
 
@@ -1052,6 +1077,26 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
     return rd.from_items([{"units": json.dumps(t)} for t in tasks],
                          override_num_blocks=len(tasks)).map_batches(
         run, batch_size=1, batch_format="pyarrow")
+
+
+@ray.remote(num_returns="streaming")
+def _read_task(units: list, read, max_block_bytes: int | None) -> Iterator[pa.Table]:
+    """The one task of a small lake read: yield the tables of ``read(units)``
+    packed into blocks, each the concatenation of consecutive tables while
+    it stays within ``max_block_bytes`` (``None``: no bound). A table larger
+    than that is a block of its own, not sliced, so no row group of a
+    snapshot is split across blocks. Every read returns at least one
+    (maybe empty) table, so an empty read is one typed empty block."""
+    out = read(units)
+    block: list[pa.Table] = []
+    size = 0
+    for t in [out] if isinstance(out, pa.Table) else out:
+        if block and max_block_bytes is not None and size + t.nbytes > max_block_bytes:
+            yield pa.concat_tables(block)
+            block, size = [], 0
+        block.append(t)
+        size += t.nbytes
+    yield pa.concat_tables(block)
 
 
 def _read_snapshot(units: list[dict], schema: pa.Schema, key: list[str],

@@ -311,6 +311,58 @@ def test_snapshot_streams_a_partition_by_row_group(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkeypatch):
+    """A snapshot or row diff whose recorded bytes fit one task runs as one
+    Ray-core task and is handed over materialized: consuming it constructs
+    no Ray Data ``StreamingExecutor`` (one per read is what grew the
+    driver's RSS). With ``SPLIT_MIB`` at 0, one task per pid, the same
+    reads stream through Ray Data; both paths return the oracle's rows."""
+    from ray.data._internal.execution import streaming_executor
+
+    from ml_data_pipeline_ray.cdc import replay
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    eng.replay(files, lsn_min=(lo + hi) // 2)
+    v = eng.manifest.current_version()
+
+    made = []
+    init = streaming_executor.StreamingExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(streaming_executor.StreamingExecutor, "__init__", counting_init)
+
+    def consume(ds):
+        return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow")
+                                ).sort_by([(k, "ascending") for k in KEY])
+
+    def read_both():
+        made.clear()
+        return consume(eng.final_dataset()), consume(eng.table_changes(v - 1, v))
+
+    eager = read_both()
+    assert len(made) == 0
+    monkeypatch.setattr(replay, "SPLIT_MIB", 0)
+    streamed = read_both()
+    assert len(made) >= 1
+    for a, b in zip(eager, streamed):
+        assert a.equals(b)
+
+    snap, diff = eager
+    want = oracle_replay(_read_all(small_fixture["changelog"]))
+    pd.testing.assert_frame_equal(snap.to_pandas()[FINAL_COLUMNS], want.reset_index(drop=True),
+                                  check_dtype=False)
+    pd.testing.assert_frame_equal(diff.to_pandas(), _oracle_changes(eng, v - 1, v),
+                                  check_dtype=False)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_table_changes_diff_and_converged_empty(small_fixture, tmp_path):
     """table_changes(v1) between the mid-LSN and final versions equals the
     brute diff of the two materialized snapshots; re-replaying a converged
