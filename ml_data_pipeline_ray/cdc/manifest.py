@@ -101,13 +101,11 @@ class LakeManifest:
 
     def partitions(self, version: int | None = None) -> dict[int, dict[str, Any]]:
         """pid -> partition entry (at the current or a pinned version), its
-        base and delta paths absolute. An entry written before deltas
-        existed reads with none; it has no base ``bytes`` either, so the
-        replay folds it at its next write, which records them."""
+        base and delta paths absolute."""
         m = self.load(version)
         return {int(pid): {**e, "file": self._absolute(e["file"]),
                            "deltas": [{**d, "file": self._absolute(d["file"])}
-                                      for d in e.get("deltas", [])]}
+                                      for d in e["deltas"]]}
                 for pid, e in m["partitions"].items()}
 
     def partition_files(self, version: int | None = None) -> dict[int, str]:

@@ -813,10 +813,9 @@ class CDCEngine:
         version = self.manifest.current_version() + 1
         txn_dir = self.manifest.txn_data_dir(version)
         # a pid with a base merges against it; the driver decides here, from
-        # the committed entry, whether its deltas fold. An entry without
-        # base bytes (written before deltas existed) folds, which records them
-        states = {pid: {**e, "fold": "bytes" not in e
-                        or sum(d["bytes"] for d in e["deltas"]) > FOLD_FRACTION * e["bytes"]}
+        # the committed entry, whether its deltas fold
+        states = {pid: {**e, "fold": sum(d["bytes"] for d in e["deltas"])
+                        > FOLD_FRACTION * e["bytes"]}
                   for pid, e in parts.items()}
 
         t0 = time.perf_counter()
@@ -879,7 +878,10 @@ class CDCEngine:
         """Process the changelog in LSN-ordered micro-batches (one exactly-once
         transaction per round) so per-round merge state is bounded — the scale
         path for 10^10-event logs (SURVEY.md §7.5.2). Round bounds come from
-        parquet footer statistics (metadata-only)."""
+        parquet footer statistics (metadata-only). ``num_rounds < 1``
+        raises ``ValueError``."""
+        if num_rounds < 1:
+            raise ValueError(f"replay_in_rounds needs num_rounds >= 1, got {num_rounds}")
         files = _expand_paths(changelog)
         lo, hi = _lsn_bounds(files, self.lsn_col)
         edges = np.linspace(lo - 1, hi, num_rounds + 1).astype(np.int64)
@@ -998,9 +1000,10 @@ class CDCEngine:
         live at neither is dropped.
 
         ``payload_columns`` prunes the new-side payload carried through the
-        diff (``[]`` = keys + change only): a consumer that only needs the
-        change kind (e.g. incremental count maintenance) should not read
-        the wide text columns at all."""
+        diff (``[]`` = keys + change only; an unknown name raises
+        ``ValueError``): a consumer that only needs the change kind (e.g.
+        incremental count maintenance) should not read the wide text
+        columns at all."""
         v_to = self.manifest.current_version() if v_to is None else v_to
         if not 0 <= v_from <= v_to:
             raise ValueError(f"table_changes needs 0 <= v_from <= v_to, "
@@ -1013,10 +1016,8 @@ class CDCEngine:
                 raise ValueError(f"version {v} records no change files, so no "
                                  f"row diff can be read across it")
             for pid, e in changes.items():
-                # a record without a row group (one change file per pid,
-                # written before delta files) is its whole file
                 refs.setdefault(int(pid), []).append(
-                    {"row_group": None, **e, "file": os.path.join(self.lake_dir, e["file"])})
+                    {**e, "file": os.path.join(self.lake_dir, e["file"])})
                 nbytes[int(pid)] = nbytes.get(int(pid), 0) + int(e["bytes"])
         # one schema for every version in the range: key types widen across
         # an evolving commit (e.g. int32 -> int64), so all records align to
@@ -1027,6 +1028,10 @@ class CDCEngine:
             or sorted(self.manifest.partition_files(v_to).values()))
         payload = [n for n in schema.names if n not in (*self.key, *_LAKE_COLS)]
         if payload_columns is not None:
+            unknown = [c for c in payload_columns if c not in payload]
+            if unknown:
+                raise ValueError(f"unknown payload columns {unknown}; "
+                                 f"the diff has {payload}")
             payload = [c for c in payload if c in payload_columns]
         # declared, not unified: a range of first writes has no file with
         # _deleted (a first write's base file is its change record)

@@ -11,7 +11,9 @@ and the Ray engine can each (re)generate the fixture independently.
 
 Generation is fully vectorized (numpy + pyarrow); no per-row Python in the hot
 path except the final string assembly which is a single vectorized
-``np.char.multiply`` / ``np.char.add`` pass.
+``np.char.multiply`` / ``np.char.add`` pass. On disk, every parquet file of a
+fixture set is one shard that :func:`_write_shard` generates on its own, in a
+Ray task or in-process, to the same bytes.
 
 Reference analog: the reference synthesizes bench schemas/batches in
 ``ml-data/ml-data-bench/src/lib.rs:134-145``; this module plays the same role for
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
@@ -51,6 +54,10 @@ GENERATOR_VERSION = 3
 #: reference ParquetWriter default row-group size (parquet/writer.rs:43-56);
 #: also the unit of read-split planning in the replay exchange
 ROW_GROUP_SIZE = 65_536
+
+#: base rows from which a set is written as Ray tasks when a session is up; below
+#: it task start-up costs more than it saves (``small``, 1 CPU: 2.5 s vs 1.5 s)
+RAY_MIN_ROWS = 1_000_000
 
 ROLES = np.array(["system", "user", "assistant", "tool"])
 
@@ -85,8 +92,9 @@ _WORDS = [
 ]
 
 
+@lru_cache(maxsize=8)
 def _sentence_pool(seed: int, n: int = 64) -> np.ndarray:
-    """n deterministic sentences of varying length (~40-120 chars)."""
+    """n deterministic sentences (~40-120 chars), built once per process."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     out = []
     for _ in range(n):
@@ -152,8 +160,9 @@ def _shape(n_rows: int, seed: int) -> TranscriptShape:
 
 
 def _payload_columns(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int,
-                     version: np.ndarray | int, pool: np.ndarray) -> dict[str, pa.Array]:
+                     version: np.ndarray | int) -> dict[str, pa.Array]:
     """role/text/tool/ts payload as a pure function of (conv, turn, version)."""
+    pool = _sentence_pool(seed)
     h = _key_hash(conv_idx, turn_idx, seed)
     conv_h = mix64(conv_idx.astype(np.uint64) + np.uint64(seed))
     # role: turn 0 is system for ~20% of convs else user; then alternate
@@ -183,8 +192,7 @@ def _payload_columns(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int,
         bounds = np.append(starts, sv.size)
         groups = [_gen_text(h[order[bounds[i]:bounds[i + 1]]], int(v), pool)
                   for i, v in enumerate(uniq)]
-        ordered = pa.concat_arrays([g.combine_chunks() if isinstance(g, pa.ChunkedArray)
-                                    else g for g in groups])
+        ordered = pa.concat_arrays(groups)
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
         text = ordered.take(pa.array(inverse))
@@ -194,41 +202,33 @@ def _payload_columns(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int,
     stride_us = (30 + (conv_h % np.uint64(300)).astype(np.int64)) * 1_000_000
     ts = BASE_EPOCH_US + conv_start_us + turn_idx.astype(np.int64) * stride_us
 
-    return {
-        "role": role,
-        "text": text,
-        "tool": tool,
-        "ts": pa.array(ts, type=pa.timestamp("us")),
-    }
+    return {"role": role, "text": text, "tool": tool,
+            "ts": pa.array(ts, type=pa.timestamp("us"))}
 
 
-def _transcripts_rows(conv_idx: np.ndarray, turn_idx: np.ndarray,
-                      n_convs: int, seed: int, pool: np.ndarray,
-                      lo: int, hi: int) -> pa.Table:
-    """Materialize base-table rows ``[lo, hi)`` — pure per-row, shardable."""
-    cols = _payload_columns(conv_idx[lo:hi], turn_idx[lo:hi], seed, 0, pool)
+def _transcripts_rows(sh: TranscriptShape, seed: int,
+                      rows: slice | np.ndarray) -> pa.Table:
+    """Materialize the base-table rows at ``rows`` — pure per-row, shardable."""
+    conv_idx, turn_idx = sh.conv_idx[rows], sh.turn_idx[rows]
     return pa.table({
-        "conv_id": _conv_id_array(conv_idx[lo:hi], n_convs),
-        "turn_idx": pa.array(turn_idx[lo:hi], type=pa.int32()),
-        **cols,
+        "conv_id": _conv_ids(sh.n_convs).take(pa.array(conv_idx)),
+        "turn_idx": pa.array(turn_idx, type=pa.int32()),
+        **_payload_columns(conv_idx, turn_idx, seed, 0),
     })
 
 
 def gen_transcripts(scale: str | int = "tiny", seed: int = 42) -> pa.Table:
     """F1 base table (the state the engine converges to before any updates)."""
     n_rows = SCALES.get(scale, scale) if isinstance(scale, str) else int(scale)
-    sh = _shape(n_rows, seed)
-    pool = _sentence_pool(seed)
-    return _transcripts_rows(sh.conv_idx, sh.turn_idx, sh.n_convs, seed, pool,
-                             0, sh.conv_idx.size)
+    return _transcripts_rows(_shape(n_rows, seed), seed, slice(None))
 
 
-def _conv_id_array(conv_idx: np.ndarray, n_convs: int) -> pa.Array:
-    """conv-%08d ids via a unique-value table + Arrow take (one Python string
-    per conversation, not per row)."""
+@lru_cache(maxsize=4)
+def _conv_ids(n_convs: int) -> pa.Array:
+    """The conv-%08d id of every conversation, built once per process; rows
+    take from it (one Python string per conversation, not per row)."""
     uniq = np.char.add("conv-", np.char.mod("%08d", np.arange(n_convs)))
-    return pa.array(uniq.astype(object), type=pa.string()).take(
-        pa.array(conv_idx.astype(np.int64)))
+    return pa.array(uniq.astype(object), type=pa.string())
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +241,10 @@ class ChangelogSkeleton:
 
     The skeleton is the cheap, driver-side part of changelog generation
     (pure numpy — no text). Payload columns are pure per-row functions of
-    ``(conv_idx, turn_idx, version, seed)``, so any row slice of the final
-    table can be generated independently (the Ray-parallel writer's unit of
-    work) and is value-identical to the same slice of a sequential run."""
+    ``(conv_idx, turn_idx, version, seed)``, so any set of rows of the final
+    table can be generated independently (a fixture shard, see
+    :func:`_write_shard`) and is value-identical to the same rows of the
+    whole table."""
     conv_idx: np.ndarray   # int64
     turn_idx: np.ndarray   # int32
     op_code: np.ndarray    # int8: 0=insert 1=update 2=delete
@@ -335,224 +336,134 @@ def _changelog_skeleton(n_rows: int, seed: int) -> ChangelogSkeleton:
                              version[final], lsn[final], sh.n_convs)
 
 
-def _changelog_rows(sk: ChangelogSkeleton, seed: int, pool: np.ndarray,
-                    lo: int, hi: int) -> pa.Table:
-    """Materialize final-order changelog rows ``[lo, hi)`` from the skeleton —
-    the payload is a pure per-row function, so shards generate independently
-    and concat(shards) == the sequential whole."""
-    conv_idx = sk.conv_idx[lo:hi]
-    turn_idx = sk.turn_idx[lo:hi]
-    op_code = sk.op_code[lo:hi]
-    version = sk.version[lo:hi]
-    lsn = sk.lsn[lo:hi]
+def _changelog_rows(sk: ChangelogSkeleton, seed: int,
+                    rows: slice | np.ndarray) -> pa.Table:
+    """Materialize the final-order changelog rows at ``rows`` from the
+    skeleton — the payload is a pure per-row function, so shards generate
+    independently and concat(shards) == the whole."""
+    conv_idx, turn_idx, op_code = sk.conv_idx[rows], sk.turn_idx[rows], sk.op_code[rows]
 
     # payload (null for deletes) — Arrow if_else, no Python-object round trip
-    cols = _payload_columns(conv_idx, turn_idx, seed, version, pool)
-    is_del_arr = pa.array(op_code == 2)
-    payload = {}
-    for name, arr in cols.items():
-        typ = pa.timestamp("us") if name == "ts" else pa.string()
-        if name == "text":
-            typ = pa.large_string()
-        payload[name] = pc.if_else(is_del_arr, pa.scalar(None, type=typ), arr)
+    is_del = pa.array(op_code == 2)
+    payload = {name: pc.if_else(is_del, pa.scalar(None, type=arr.type), arr)
+               for name, arr in _payload_columns(conv_idx, turn_idx, seed,
+                                                 sk.version[rows]).items()}
 
     op_lookup = pa.array([OP_INSERT, OP_UPDATE, OP_DELETE], type=pa.string())
-    op_arr = op_lookup.take(pa.array(op_code.astype(np.int64)))
-
     return pa.table({
-        "lsn": pa.array(lsn, type=pa.int64()),
-        "op": op_arr,
-        "conv_id": _conv_id_array(conv_idx, sk.n_convs),
+        "lsn": pa.array(sk.lsn[rows], type=pa.int64()),
+        "op": op_lookup.take(pa.array(op_code.astype(np.int64))),
+        "conv_id": _conv_ids(sk.n_convs).take(pa.array(conv_idx)),
         "turn_idx": pa.array(turn_idx, type=pa.int32()),
         **payload,
     })
 
 
-def gen_changelog(scale: str | int = "tiny", seed: int = 42,
-                  evolve: bool = False) -> pa.Table:
+def gen_changelog(scale: str | int = "tiny", seed: int = 42) -> pa.Table:
     """F2 change-event log (see :func:`_changelog_skeleton` for the event
-    model). With ``evolve=True`` (F3): events past the 60th-percentile LSN
-    carry an added nullable ``model: string`` column; callers write those
-    rows with ``turn_idx`` widened to int64 (see :func:`write_fixture_set`)."""
+    model). The F3 evolved variant exists only on disk (see
+    :func:`write_fixture_set`)."""
     n_rows = SCALES.get(scale, scale) if isinstance(scale, str) else int(scale)
-    sk = _changelog_skeleton(n_rows, seed)
-    pool = _sentence_pool(seed)
-    tbl = _changelog_rows(sk, seed, pool, 0, sk.lsn.size)
-
-    if evolve:
-        cut = int(np.quantile(tbl.column("lsn").to_numpy(), 0.6))
-        lsn_np = tbl.column("lsn").to_numpy()
-        h = _key_hash(np.zeros(tbl.num_rows, dtype=np.int64), lsn_np, seed, 5)
-        model = np.char.add("m-", (h % np.uint64(3)).astype(np.int64).astype(np.str_)).astype(object)
-        is_del_now = np.asarray(tbl.column("op").to_numpy(zero_copy_only=False)) == OP_DELETE
-        model[(lsn_np <= cut) | is_del_now] = None
-        tbl = tbl.append_column("model", pa.array(model, type=pa.string()))
-        tbl = tbl.append_column("_evolved", pa.array(lsn_np > cut))
-    return tbl
+    return _changelog_rows(_changelog_skeleton(n_rows, seed), seed, slice(None))
 
 
 # ---------------------------------------------------------------------------
 # writing fixture sets to disk (many files => read parallelism)
 # ---------------------------------------------------------------------------
 
-def _downcast_large_strings(tbl: pa.Table) -> pa.Table:
-    """large_string (generation-time, >2GB safe) -> string for the on-disk
-    schema; each shard is far below the int32 offset limit.
-
-    The cast must see a rebased copy: a zero-copy slice still references the
-    parent >2GB value buffer and Arrow refuses the cast on it."""
-    if not any(f.type == pa.large_string() for f in tbl.schema):
-        return tbl
-    tbl = tbl.take(pa.array(np.arange(tbl.num_rows, dtype=np.int64)))
-    fields = [pa.field(f.name, pa.string()) if f.type == pa.large_string() else f
-              for f in tbl.schema]
-    return tbl.cast(pa.schema(fields))
+#: F3 ``model`` values (index 3: null, for deletes)
+_MODELS = pa.array(["m-0", "m-1", "m-2", None], type=pa.string())
 
 
-def _write_sharded(tbl: pa.Table, out_dir: str, n_files: int) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    n = tbl.num_rows
-    bounds = np.linspace(0, n, n_files + 1).astype(np.int64)
-    for i in range(n_files):
-        part = _downcast_large_strings(tbl.slice(bounds[i], bounds[i + 1] - bounds[i]))
-        p = os.path.join(out_dir, f"part-{i:04d}.parquet")
-        pq.write_table(part, p, compression="snappy",
-                       row_group_size=ROW_GROUP_SIZE)
-        paths.append(p)
-    return paths
+def _cuts(n: int, k: int) -> list[slice]:
+    """``k`` contiguous, near-equal slices of ``range(n)``."""
+    b = np.linspace(0, n, k + 1).astype(np.int64)
+    return [slice(int(b[i]), int(b[i + 1])) for i in range(k)]
 
 
-def _tr_shard_task(conv_idx: np.ndarray, turn_idx: np.ndarray, n_convs: int,
-                   seed: int, lo: int, hi: int, path: str) -> str:
-    pool = _sentence_pool(seed)
-    part = _downcast_large_strings(
-        _transcripts_rows(conv_idx, turn_idx, n_convs, seed, pool, lo, hi))
-    pq.write_table(part, path, compression="snappy",
-                   row_group_size=ROW_GROUP_SIZE)
+def _write_shard(src: TranscriptShape | ChangelogSkeleton, seed: int,
+                 rows: slice | np.ndarray, path: str, evolved: bool) -> str:
+    """Generate the rows at ``rows`` of the base table (``src`` a shape) or
+    of the changelog (``src`` a skeleton) and write them to ``path``.
+
+    An evolved changelog shard holds only events past the F3 cutover: it
+    carries the added nullable ``model`` column (null for deletes) and
+    ``turn_idx`` widened to int64. Text is generated as large_string and
+    written as string; a shard is far below the int32 offset limit."""
+    if isinstance(src, TranscriptShape):
+        part = _transcripts_rows(src, seed, rows)
+    else:
+        part = _changelog_rows(src, seed, rows)
+    if evolved:
+        lsn = src.lsn[rows]
+        h = _key_hash(np.zeros(lsn.size, dtype=np.int64), lsn, seed, 5)
+        model = np.where(src.op_code[rows] == 2, 3, (h % np.uint64(3)).astype(np.int64))
+        part = part.set_column(part.schema.get_field_index("turn_idx"), "turn_idx",
+                               part.column("turn_idx").cast(pa.int64()))
+        part = part.append_column("model", _MODELS.take(pa.array(model)))
+    part = part.cast(pa.schema([pa.field(f.name, pa.string())
+                                if f.type == pa.large_string() else f
+                                for f in part.schema]))
+    pq.write_table(part, path, compression="snappy", row_group_size=ROW_GROUP_SIZE)
     return path
-
-
-def _cl_shard_task(sk: ChangelogSkeleton, seed: int, lo: int, hi: int,
-                   path: str) -> str:
-    pool = _sentence_pool(seed)
-    part = _downcast_large_strings(_changelog_rows(sk, seed, pool, lo, hi))
-    pq.write_table(part, path, compression="snappy",
-                   row_group_size=ROW_GROUP_SIZE)
-    return path
-
-
-def _write_fixture_set_parallel(root: str, n_rows: int, seed: int,
-                                n_files: int) -> dict[str, str]:
-    """Ray-parallel fixture writer: the skeleton (conversation layout, event
-    ops/LSNs/permutation) is cheap driver-side numpy; the expensive part —
-    heavy-tailed text materialization + parquet encode, ~95% of a sequential
-    run's wall — is a pure per-row function, so each output file generates
-    independently in a Ray task. Output is VALUE-IDENTICAL to the sequential
-    writer (same rows, same order, same file boundaries — asserted by
-    ``tests/test_fixtures.py``), so cached fixture sets and recorded bench
-    numbers stay comparable; only the wall changes (~76 min -> minutes for
-    the 19.6M-event scaling fixture). Skeleton arrays ship via ``ray.put``
-    once and are sliced zero-copy in each task."""
-    import ray
-
-    sh = _shape(n_rows, seed)
-    sk = _changelog_skeleton(n_rows, seed)
-
-    tr_dir = os.path.join(root, "transcripts")
-    cl_dir = os.path.join(root, "changelog")
-    os.makedirs(tr_dir, exist_ok=True)
-    os.makedirs(cl_dir, exist_ok=True)
-
-    conv_ref = ray.put(sh.conv_idx)
-    turn_ref = ray.put(sh.turn_idx)
-    sk_ref = ray.put(sk)
-    tr_task = ray.remote(_tr_shard_task)
-    cl_task = ray.remote(_cl_shard_task)
-
-    refs = []
-    n_tr_files = max(8, n_files // 2)
-    bounds = np.linspace(0, sh.conv_idx.size, n_tr_files + 1).astype(np.int64)
-    for i in range(n_tr_files):
-        refs.append(tr_task.remote(
-            conv_ref, turn_ref, sh.n_convs, seed, int(bounds[i]),
-            int(bounds[i + 1]), os.path.join(tr_dir, f"part-{i:04d}.parquet")))
-    bounds = np.linspace(0, sk.lsn.size, n_files + 1).astype(np.int64)
-    for i in range(n_files):
-        refs.append(cl_task.remote(
-            sk_ref, seed, int(bounds[i]), int(bounds[i + 1]),
-            os.path.join(cl_dir, f"part-{i:04d}.parquet")))
-    ray.get(refs)
-    return {"transcripts": tr_dir, "changelog": cl_dir}
 
 
 def write_fixture_set(root: str, scale: str | int = "small", seed: int = 42,
-                      n_files: int = 16, evolve: bool = False,
-                      parallel: bool | None = None) -> dict[str, str]:
-    """Write transcripts/ + changelog/ under ``root``. Deterministic for a given
-    (scale, seed, n_files, evolve). Returns dir paths.
+                      n_files: int = 16, evolve: bool = False) -> dict[str, str]:
+    """Write transcripts/ + changelog/ under ``root``, one shard per file
+    (:func:`_write_shard`); deterministic for a given (scale, seed, n_files,
+    evolve). Returns dir paths.
 
-    For ``evolve=True``, pre-cutover changelog files keep the v1 schema
-    (no ``model``, int32 ``turn_idx``) and post-cutover files carry the evolved
-    schema (``model`` present, ``turn_idx`` widened to int64) — exercising
-    Arrow schema unification at read/merge time (FIXTURES.md F3).
+    With ``evolve=True`` (FIXTURES.md F3) the changelog splits at its
+    60th-percentile LSN: the first half of the files keep the v1 schema,
+    the second half carry the evolved one, exercising Arrow schema
+    unification at read/merge time. Sets of at least :data:`RAY_MIN_ROWS`
+    base rows run their shards as Ray tasks when a Ray session is up (the
+    layout ``ray.put`` once), others in a loop here, to the same bytes; this
+    never calls ``ray.init``."""
+    import ray
 
-    ``parallel=None`` auto-selects the Ray-parallel writer (value-identical
-    output, see :func:`_write_fixture_set_parallel`) for large non-evolved
-    sets when Ray is already initialized; it never calls ``ray.init``.
-    """
     n_rows = SCALES.get(scale, scale) if isinstance(scale, str) else int(scale)
-    if parallel is None:
-        try:
-            import ray
-            parallel = (not evolve and n_rows >= 1_000_000
-                        and ray.is_initialized())
-        except ImportError:      # pragma: no cover - ray is a hard dep
-            parallel = False
-    if parallel and not evolve:
-        return _write_fixture_set_parallel(root, n_rows, seed, n_files)
+    sh, sk = _shape(n_rows, seed), _changelog_skeleton(n_rows, seed)
+    out = {kind: os.path.join(root, kind) for kind in ("transcripts", "changelog")}
+    for d in out.values():
+        os.makedirs(d, exist_ok=True)
 
-    tr = gen_transcripts(scale, seed)
-    _write_sharded(tr, os.path.join(root, "transcripts"), max(8, n_files // 2))
-    cl = gen_changelog(scale, seed, evolve=evolve)
-    cl_dir = os.path.join(root, "changelog")
-    if not evolve:
-        _write_sharded(cl, cl_dir, n_files)
+    # one shard per file, in file order: (rows of the layout, evolved)
+    layout = {"transcripts": sh, "changelog": sk}
+    shards = {"transcripts": [(s, False) for s in
+                              _cuts(sh.conv_idx.size, max(8, n_files // 2))]}
+    if evolve:
+        cut = int(np.quantile(sk.lsn, 0.6))
+        shards["changelog"] = [
+            (pos[s], evolved)
+            for pos, evolved in ((np.flatnonzero(sk.lsn <= cut), False),
+                                 (np.flatnonzero(sk.lsn > cut), True))
+            for s in _cuts(pos.size, max(4, n_files // 2))]
     else:
-        evolved = cl.column("_evolved").to_numpy(zero_copy_only=False)
-        cl = cl.drop_columns(["_evolved"])
-        old = cl.filter(pa.array(~evolved)).drop_columns(["model"])
-        new = cl.filter(pa.array(evolved))
-        new = new.set_column(
-            new.schema.get_field_index("turn_idx"), "turn_idx",
-            new.column("turn_idx").cast(pa.int64()))
-        os.makedirs(cl_dir, exist_ok=True)
-        half = max(4, n_files // 2)
-        nb = np.linspace(0, old.num_rows, half + 1).astype(np.int64)
-        for i in range(half):
-            pq.write_table(_downcast_large_strings(old.slice(nb[i], nb[i + 1] - nb[i])),
-                           os.path.join(cl_dir, f"part-{i:04d}.parquet"),
-                           compression="snappy", row_group_size=ROW_GROUP_SIZE)
-        nb = np.linspace(0, new.num_rows, half + 1).astype(np.int64)
-        for i in range(half):
-            pq.write_table(_downcast_large_strings(new.slice(nb[i], nb[i + 1] - nb[i])),
-                           os.path.join(cl_dir, f"part-{half + i:04d}.parquet"),
-                           compression="snappy", row_group_size=ROW_GROUP_SIZE)
-    return {"transcripts": os.path.join(root, "transcripts"), "changelog": cl_dir}
+        shards["changelog"] = [(s, False) for s in _cuts(sk.lsn.size, n_files)]
+
+    on_ray = n_rows >= RAY_MIN_ROWS and ray.is_initialized()
+    if on_ray:
+        layout = {kind: ray.put(src) for kind, src in layout.items()}
+    write = ray.remote(_write_shard).remote if on_ray else _write_shard
+    done = [write(layout[kind], seed, rows,
+                  os.path.join(out[kind], f"part-{i:04d}.parquet"), evolved)
+            for kind, parts in shards.items()
+            for i, (rows, evolved) in enumerate(parts)]
+    if on_ray:
+        ray.get(done)
+    return out
 
 
 def ensure_fixture_set(root: str, scale: str | int = "small", seed: int = 42,
-                       n_files: int = 16, evolve: bool = False,
-                       parallel: bool | None = None) -> dict[str, str]:
+                       n_files: int = 16, evolve: bool = False) -> dict[str, str]:
     """Idempotent :func:`write_fixture_set` — skips generation iff the on-disk
-    marker matches the requested parameters (stale fixtures regenerate).
-    The stamp is version/parameter-based, not writer-based: sequential and
-    parallel writers produce value-identical sets, so either satisfies it."""
+    marker matches the requested parameters (stale fixtures regenerate)."""
     done = os.path.join(root, "_FIXTURE_DONE")
     stamp = (f"gen=v{GENERATOR_VERSION} scale={scale} seed={seed} "
              f"n_files={n_files} evolve={evolve}\n")
-    out = {"transcripts": os.path.join(root, "transcripts"),
-           "changelog": os.path.join(root, "changelog")}
+    out = {kind: os.path.join(root, kind) for kind in ("transcripts", "changelog")}
     if os.path.exists(done):
         with open(done) as f:
             if f.read() == stamp:
@@ -560,7 +471,7 @@ def ensure_fixture_set(root: str, scale: str | int = "small", seed: int = 42,
         import shutil
         shutil.rmtree(root, ignore_errors=True)
         os.makedirs(root, exist_ok=True)
-    write_fixture_set(root, scale, seed, n_files, evolve, parallel=parallel)
+    write_fixture_set(root, scale, seed, n_files, evolve)
     with open(done, "w") as f:
         f.write(stamp)
     return out

@@ -13,15 +13,20 @@ asserted vs exact counts in tests).
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from functools import partial
 from typing import Any
+
+import pandas as pd
+import pyarrow as pa
 
 from . import cdc_queries as C
 from . import parity_queries as P
 from . import text_queries as X
 from . import tpch as Q
 from . import oracle_sql as S
+from .fixture_paths import FIX_BASE, scale_for_sf_dir
 
 
 def build_queries() -> dict[str, Callable[[str], Any]]:
@@ -261,3 +266,66 @@ def build_oracle_sql() -> dict[str, str]:
         # rows-only (documented in build_queries docstring):
         # docs_fingerprint, neardup_simhash, ann_ivf
     }
+
+
+# -- the canonical query-vs-oracle compare (the driver's correctness check) --
+
+#: the sf dir's tables, registered in DuckDB as views of the same name
+TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
+          "lineitem", "events", "documents", "embeddings"]
+
+
+def register_views(con, sf_dir: str) -> None:
+    """Register each sf-dir table as a DuckDB view, as the driver does."""
+    for t in TABLES:
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+
+
+def oracle_sql_at(sql: str, sf_dir: str) -> str:
+    """An oracle query (written for the driver's sf0.01 run) pointed at the
+    fixtures of ``sf_dir``: its transcript scale and its tensor file."""
+    base = os.path.basename(os.path.normpath(sf_dir))
+    return (sql.replace(os.path.join(FIX_BASE, S.DRIVER_SCALE),
+                        os.path.join(FIX_BASE, scale_for_sf_dir(sf_dir)))
+            .replace("mdpr_parity_tensor_sf0.01", f"mdpr_parity_tensor_{base}"))
+
+
+def to_arrow(res) -> pa.Table:
+    """A query's result (Arrow table, pandas frame or Dataset) as one table."""
+    if isinstance(res, pa.Table):
+        return res
+    if isinstance(res, pd.DataFrame):
+        return pa.Table.from_pandas(res, preserve_index=False)
+    import ray
+    # materialize() first: to_arrow_refs() on a lazy shuffle plan re-plans the
+    # whole pipeline under limit=1 for its schema fetch (~2x execution). Empty
+    # blocks are dropped (their inferred types may not unify; an all-empty
+    # result keeps one); the join is strict: an int64 and a double block raise.
+    tables = ray.get(res.materialize().to_arrow_refs())
+    return pa.concat_tables([t for t in tables if t.num_rows > 0] or tables[:1])
+
+
+def canon(tbl: pa.Table) -> pd.DataFrame:
+    """Exact canonical form (predicts the driver's value hash): sort columns
+    by name, normalize representation-only type variants (timestamp unit,
+    int width, decimal->float64, large_string), keep int-vs-float and
+    null-vs-NaN distinctions EXACT, sort rows."""
+    tbl = tbl.select(sorted(tbl.column_names))
+    arrays, fields = [], []
+    for f in tbl.schema:
+        col, t = tbl[f.name], f.type
+        if pa.types.is_timestamp(t):
+            t = pa.timestamp("us")
+        elif pa.types.is_integer(t):
+            t = pa.int64()
+        elif pa.types.is_floating(t) or pa.types.is_decimal(t):
+            t = pa.float64()
+        elif pa.types.is_large_string(t):
+            t = pa.string()
+        if t != f.type:
+            col = col.cast(t)
+        arrays.append(col)
+        fields.append(pa.field(f.name, t))
+    tbl = pa.table(arrays, schema=pa.schema(fields))
+    df = tbl.to_pandas(types_mapper=pd.ArrowDtype)
+    return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)

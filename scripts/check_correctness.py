@@ -7,77 +7,40 @@ per-query PASS/FAIL summary (row count + sorted-value equality). An optional
 second arg restricts the run to a comma-separated subset of query names.
 """
 
+import os
 import sys
 import time
 
 import duckdb
-import numpy as np
 import pandas as pd
-import pyarrow as pa
+
+# the one canonical compare; perfbench/harness.py imports _canon and
+# _to_arrow from this script
+from ml_data_pipeline_ray.pipelines.registry import canon as _canon, to_arrow as _to_arrow
+from ml_data_pipeline_ray.pipelines.registry import oracle_sql_at, register_views
 
 SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
-
-
-def _to_arrow(res) -> pa.Table:
-    if isinstance(res, pa.Table):
-        return res
-    if isinstance(res, pd.DataFrame):
-        return pa.Table.from_pandas(res, preserve_index=False)
-    import ray
-    # materialize() first: to_arrow_refs() on a lazy shuffle plan re-plans
-    # the whole pipeline under limit=1 for its schema fetch (~2x execution)
-    return pa.concat_tables(ray.get(res.materialize().to_arrow_refs()))
-
-
-def _canon(tbl: pa.Table) -> pd.DataFrame:
-    """Exact canonical form (predicts the driver's value hash): sort columns
-    by name, normalize representation-only type variants (timestamp unit,
-    int width, decimal->float64, large_string), keep int-vs-float and
-    null-vs-NaN distinctions EXACT, sort rows, compare exactly."""
-    tbl = tbl.select(sorted(tbl.column_names))
-    arrays, fields = [], []
-    for f in tbl.schema:
-        col, t = tbl[f.name], f.type
-        if pa.types.is_timestamp(t):
-            t = pa.timestamp("us")
-        elif pa.types.is_integer(t):
-            t = pa.int64()
-        elif pa.types.is_floating(t) or pa.types.is_decimal(t):
-            t = pa.float64()
-        elif pa.types.is_large_string(t):
-            t = pa.string()
-        if t != f.type:
-            col = col.cast(t)
-        arrays.append(col)
-        fields.append(pa.field(f.name, t))
-    tbl = pa.table(arrays, schema=pa.schema(fields))
-    df = tbl.to_pandas(types_mapper=pd.ArrowDtype)
-    return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
 def main():
     import ray
-    import ray.data as rd
-    ncpu = int(__import__("os").environ.get("RAY_GRAFT_CPUS", 16))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", 16))
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ml_data_pipeline_ray.context import tune_data_context
     tune_data_context(ncpu)
 
     import __ray_entry__ as e
+    from ml_data_pipeline_ray.pipelines.fixture_paths import fixture_paths, scale_for_sf_dir
     q = e.queries()
     o = e.oracle_sql()
-    # map the oracle fixture scale to this sf dir
-    from ml_data_pipeline_ray.pipelines.fixture_paths import scale_for_sf_dir, fixture_paths
+    # the oracle reads the fixture scale of this sf dir
     scale = scale_for_sf_dir(SF_DIR)
     fixture_paths(scale); fixture_paths(scale, evolve=True)
 
     con = duckdb.connect()
-    for t in TABLES:
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
+    register_views(con, SF_DIR)
 
     n_pass = n_fail = 0
     for name, fn in q.items():
@@ -87,14 +50,7 @@ def main():
         try:
             got = _canon(_to_arrow(fn(SF_DIR)))
             if name in o:
-                base = __import__("os").path.basename(
-                    __import__("os").path.normpath(SF_DIR))
-                sql = (o[name]
-                       .replace("/tmp/mdpr_fixtures/small",
-                                f"/tmp/mdpr_fixtures/{scale}")
-                       .replace("mdpr_parity_tensor_sf0.01",
-                                f"mdpr_parity_tensor_{base}"))
-                want = _canon(con.sql(sql).arrow())
+                want = _canon(con.sql(oracle_sql_at(o[name], SF_DIR)).arrow())
                 assert list(got.columns) == list(want.columns), \
                     f"cols {list(got.columns)} vs {list(want.columns)}"
                 assert len(got) == len(want), f"rows {len(got)} vs {len(want)}"

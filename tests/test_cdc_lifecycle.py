@@ -628,7 +628,8 @@ def test_change_feed_files_and_manifest_records(small_fixture, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_table_changes_rejects_reversed_or_negative_range(small_fixture, tmp_path):
-    """A reversed or negative version range is an error, not a diff."""
+    """A reversed or negative version range is an error, not a diff; so is
+    an unknown payload column."""
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
 
     files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
@@ -639,6 +640,9 @@ def test_table_changes_rejects_reversed_or_negative_range(small_fixture, tmp_pat
     for v_from, v_to in [(2, 1), (-1, 2), (-1, None)]:
         with pytest.raises(ValueError, match="v_from <= v_to"):
             eng.table_changes(v_from, v_to)
+    # a misspelt payload column is an error, not a diff without it
+    with pytest.raises(ValueError, match=r"unknown payload columns \['txt'\]"):
+        eng.table_changes(0, payload_columns=["role", "txt"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -895,76 +899,3 @@ def test_manifest_entries_keep_the_benchmark_contract(small_fixture, tmp_path,
         stats = workloads._lake_stats(eng, m["version"])
         assert stats["bytes_written"] > 0
         assert stats["rows_rewritten"] == (0 if fold else len(live))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_replay_into_a_lake_in_the_copy_on_write_format(small_fixture, tmp_path,
-                                                        monkeypatch):
-    """A lake written before merge-on-read keeps working. Its partition
-    entries have no ``bytes`` or ``deltas``, and each version recorded
-    one whole change file per pid (``{file, bytes}``, no ``row_group``).
-    Such a lake reads, diffs and takes new polls: an entry without base
-    bytes folds on its next write, and a change record without a row
-    group is its whole file."""
-    import json
-    import math
-
-    from ml_data_pipeline_ray.cdc import replay as replay_mod
-    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
-
-    P = 4
-    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
-    log = _read_all(small_fixture["changelog"])
-    lo, hi = _lsn_bounds(files, "lsn")
-    cuts = [lo - 1] + [lo + (hi - lo) * i // 4 for i in (1, 2, 3)] + [hi]
-    lake = str(tmp_path / "lake")
-
-    def to_copy_on_write(v):
-        """Rewrite version ``v`` as the copy-on-write lake wrote it."""
-        path = os.path.join(lake, "_manifests", f"manifest-{v:06d}.json")
-        with open(path) as f:
-            man = json.load(f)
-        for e in man["partitions"].values():
-            assert not e.pop("deltas") and e.pop("bytes")
-        for pid, c in man["changes"].items():
-            if c["row_group"] is not None:
-                rows = _delta_rows({**c, "file": os.path.join(lake, c["file"])})
-                c["file"] = f"data/txn-{v:06d}/pid={int(pid):05d}.changes.parquet"
-                pq.write_table(rows, os.path.join(lake, c["file"]))
-                c["bytes"] = os.path.getsize(os.path.join(lake, c["file"]))
-            man["changes"][pid] = {"file": c["file"], "bytes": c["bytes"]}
-        with open(path, "w") as f:
-            json.dump(man, f, indent=1)
-        for f in glob.glob(os.path.join(lake, "data", f"txn-{v:06d}", "*.delta.parquet")):
-            os.remove(f)
-
-    # deltas never fold: every base written below is a first write or the
-    # fold of an entry without base bytes
-    monkeypatch.setattr(replay_mod, "FOLD_FRACTION", math.inf)
-    eng = CDCEngine(lake, num_partitions=P)
-    eng.replay(files, lsn_max=cuts[1])
-    to_copy_on_write(1)
-    m2 = eng.replay(files, lsn_min=cuts[1], lsn_max=cuts[2])
-    assert m2["partitions_written"] == m2["bases_written"] == P
-    to_copy_on_write(2)
-
-    eng = CDCEngine(lake, num_partitions=P)
-    m3 = eng.replay(files, lsn_min=cuts[2], lsn_max=cuts[3])
-    assert m3["partitions_written"] == m3["bases_written"] == P
-    assert eng.manifest.load(3)["changes"]["0"]["file"].endswith(".delta.parquet")
-    m4 = eng.replay(files, lsn_min=cuts[3])
-    assert m4["bases_written"] == 0 and m4["delta_bytes"] > 0
-
-    for v in range(1, 5):
-        got = eng.final_table(sort=True, version=v).to_pandas()[FINAL_COLUMNS]
-        want = oracle_replay(log.filter(pa.compute.less_equal(log["lsn"], cuts[v])))
-        pd.testing.assert_frame_equal(got.reset_index(drop=True),
-                                      want.reset_index(drop=True), check_dtype=False)
-        # from the empty table every live row is an insert
-        diff = eng.table_changes(0, v).to_pandas()
-        assert (diff["change"] == "insert").all()
-        assert sorted(zip(diff["conv_id"], diff["turn_idx"])) == list(
-            zip(want["conv_id"], want["turn_idx"]))
-    for a in range(1, 4):
-        for b in range(a + 1, 5):
-            _assert_changes_exact(eng, a, b)

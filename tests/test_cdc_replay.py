@@ -133,6 +133,10 @@ def test_hot_conversation_converges_exactly(tmp_path):
 def test_replay_in_rounds_converges_identically(small_fixture, tmp_path):
     lake = str(tmp_path / "lake3")
     eng = CDCEngine(lake, num_partitions=8)
+    # no rounds would replay nothing
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="num_rounds >= 1"):
+            eng.replay_in_rounds(small_fixture["changelog"], num_rounds=n)
     rounds = eng.replay_in_rounds(small_fixture["changelog"], num_rounds=3)
     assert sum(r["committed"] for r in rounds) >= 1
     got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]

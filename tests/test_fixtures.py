@@ -3,6 +3,7 @@
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from ml_data_pipeline_ray.fixtures import gen_changelog, gen_transcripts, write_fixture_set
 
@@ -78,26 +79,72 @@ def test_write_fixture_set_files(tmp_path):
     assert total == gen_changelog("tiny", seed=42).num_rows
 
 
-def test_parallel_writer_value_identical(tmp_path, ray_session):
-    """The Ray-parallel fixture writer must produce the SAME files (names,
-    row counts, values, order) as the sequential writer — the _FIXTURE_DONE
-    stamp is shared between them, so cached sets and recorded bench numbers
-    stay comparable regardless of which writer materialized them."""
-    import glob
+#: sha256 of each file of ``write_fixture_set(scale="tiny", seed=42,
+#: n_files=8)``, in file order. The transcripts are the same with and
+#: without ``evolve``. Parquet bytes also depend on the pyarrow writer
+#: (these are pyarrow 16.1.0's).
+TINY_TRANSCRIPTS_SHA256 = [
+    "e06e7f1fc7b3a6cec5278a7f02f77019447582e1621d3b61c219870040059fb2",
+    "1da0f28eefb65cb925f66b2c1ffdec7d855e3682530dcd26568807b8598990e9",
+    "555724746d6bbf1f357527d49ca66b598bab7fa5d4f3aae010d4a18f472d302c",
+    "5797f9d9609cb96886f3fbc3ae1a25d2ac8ad0ffd560d643d2450877e85d417c",
+    "9cf5c2e7132d3b4ed24cc14cee228c8aa56df560bc288bcc562f63018ae746cd",
+    "90c13805ea2945210e614cc9325965eb92c1f341c6f6f2899c2166a2371b6ff8",
+    "4f7200a782b1ae6f77675b347d1e88d9e781c9ce5bd09b7e46c30f99ed7b817f",
+    "c684b92a4ba0faddc49056854d428d3c62e5af27390cd7587ddc8e47a2cafeb7",
+]
+TINY_CHANGELOG_SHA256 = {
+    False: [
+        "41466ee0d4bc44ddeef61079f2155d9882405ece226e4dd7d88103c744f47564",
+        "116fee2e9f2575646b68451a5863f3c3ff58c89985e0488433028780a5a7147b",
+        "49f4daf3598869b2393f06ecf3f7fe975969ce323a49332e8e8c436435e6fd9c",
+        "7bf4e99a107fa0f9e3f91cd850c7eca768ee2deefe987df6be68d56f318e52fb",
+        "819a3f181ca57eb6cc98b96879724c363c7b3c88d95e18bd35b72aa163a36ad9",
+        "91504129f01861351a1cf9a4e6fb6330e4f7692a4bc2aa324130b62ea97b6cca",
+        "6829bf954f6bc345c7e8fa40699a18cb20147481eef9e7906a21abfeac147a75",
+        "67ee552fabfb9e52e2d5bec0d35b4b4a349a69c0e7ce7d3e970525c1d9744bc0",
+    ],
+    True: [
+        "29a5a047bc9e1f600536053c2a28de5e4ff435de49d2a3bb3860c90b964f1f90",
+        "4851fd384ddbb936abd216cd2a1a4c909a118f9a86140adaf31824083ba1c609",
+        "695d700e3dfbabe96bece74dcfdb5c03d9b07bdc2e835693fa77b04dc6f4854e",
+        "4c17aca817f9b8d738376ab59057880c8aba811607facaa1bc94d05af59b8038",
+        "2f388a5bc0f9cc9793dd716389d55c3ed1d50e80a95e68d49f5fccf50e0dc1f0",
+        "006779da937f491117e9825466d7c9af5544989bd051d68c33dbe1d4cea1d394",
+        "54e71f1f6b0c3abe289f2aecb9ee1ac443509810075007a039001d6131e9d48d",
+        "d5d2d02d93609486843c6ed59fca381c743003b67280ad3444c83975ac27a7b2",
+    ],
+}
 
-    seq = write_fixture_set(str(tmp_path / "seq"), scale="tiny", seed=42,
-                            n_files=8, parallel=False)
-    par = write_fixture_set(str(tmp_path / "par"), scale="tiny", seed=42,
-                            n_files=8, parallel=True)
-    for kind in ("transcripts", "changelog"):
-        sf = sorted(glob.glob(seq[kind] + "/*.parquet"))
-        pf = sorted(glob.glob(par[kind] + "/*.parquet"))
-        assert [f.rsplit("/", 1)[1] for f in sf] == \
-               [f.rsplit("/", 1)[1] for f in pf]
-        for a, b in zip(sf, pf):
-            ta, tb = pq.read_table(a), pq.read_table(b)
-            assert ta.schema.equals(tb.schema), (a, b)
-            assert ta.equals(tb), (a, b)
+
+@pytest.mark.parametrize("evolve", [False, True], ids=["v1", "evolved"])
+def test_fixture_set_bytes_are_pinned(tmp_path, ray_session, monkeypatch, evolve):
+    """The engine and its DuckDB oracle read the same fixture files, so a
+    change to the generated bytes passes every query-vs-oracle check; only
+    a pin catches it. Cached sets (``_FIXTURE_DONE``) also rely on the
+    bytes being a function of the stamp alone. The set is written twice,
+    through Ray tasks (``RAY_MIN_ROWS`` lowered so a ``tiny`` set takes
+    them) and in-process, to the same bytes."""
+    import glob
+    import hashlib
+
+    import ray
+
+    from ml_data_pipeline_ray.fixtures import transcripts
+
+    def digests(root):
+        paths = write_fixture_set(str(root), scale="tiny", seed=42, n_files=8,
+                                  evolve=evolve)
+        return [[hashlib.sha256(open(f, "rb").read()).hexdigest()
+                 for f in sorted(glob.glob(paths[kind] + "/*.parquet"))]
+                for kind in ("transcripts", "changelog")]
+
+    want = [TINY_TRANSCRIPTS_SHA256, TINY_CHANGELOG_SHA256[evolve]]
+    assert ray.is_initialized()
+    monkeypatch.setattr(transcripts, "RAY_MIN_ROWS", 0)
+    assert digests(tmp_path / "ray") == want
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert digests(tmp_path / "local") == want
 
 
 def test_evolved_changelog_schemas(tmp_path):

@@ -2,86 +2,32 @@
 entry at sf0.001 and compare row count + sorted values against its
 ``oracle_sql()`` in DuckDB (views registered like the driver does)."""
 
-import glob
-import os
-
 import duckdb
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pytest
 
+from ml_data_pipeline_ray.pipelines.registry import (canon, oracle_sql_at,
+                                                     register_views, to_arrow)
+
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
 
 
 @pytest.fixture(scope="module")
 def entry_mod(ray_session):
     import __ray_entry__ as e
-    # local harness runs at sf0.001 -> rewrite oracle fixture paths to tiny
     return e
 
 
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
-    for t in TABLES:
-        c.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
+    register_views(c, SF_DIR)
     return c
 
 
 def _to_df(res) -> pd.DataFrame:
-    if isinstance(res, pd.DataFrame):
-        return res
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res.to_pandas()  # ray Dataset
-
-
-def _to_arrow(res) -> pa.Table:
-    if isinstance(res, pa.Table):
-        return res
-    if isinstance(res, pd.DataFrame):
-        return pa.Table.from_pandas(res, preserve_index=False)
-    import ray
-    # materialize() first — to_arrow_refs() on a lazy shuffle plan re-plans
-    # the pipeline under limit=1 for its schema fetch (~2x execution)
-    return pa.concat_tables(
-        [t for t in ray.get(res.materialize().to_arrow_refs())
-         if t.num_rows > 0],
-        promote_options="permissive")
-
-
-def _canon(tbl: pa.Table) -> pd.DataFrame:
-    """EXACT canonical form, same as scripts/check_correctness.py (predicts
-    the driver's value hash): normalize representation-only type variants,
-    keep int-vs-float and null-vs-NaN distinctions exact."""
-    tbl = tbl.select(sorted(tbl.column_names))
-    arrays, fields = [], []
-    for f in tbl.schema:
-        col, t = tbl[f.name], f.type
-        if pa.types.is_timestamp(t):
-            t = pa.timestamp("us")
-        elif pa.types.is_integer(t):
-            t = pa.int64()
-        elif pa.types.is_floating(t) or pa.types.is_decimal(t):
-            t = pa.float64()
-        elif pa.types.is_large_string(t):
-            t = pa.string()
-        if t != f.type:
-            col = col.cast(t)
-        arrays.append(col)
-        fields.append(pa.field(f.name, t))
-    tbl = pa.table(arrays, schema=pa.schema(fields))
-    df = tbl.to_pandas(types_mapper=pd.ArrowDtype)
-    return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-
-
-def _oracle_for_tiny(e, name: str) -> str:
-    sql = e.oracle_sql()[name]
-    return (sql.replace("/tmp/mdpr_fixtures/small", "/tmp/mdpr_fixtures/tiny")
-            .replace("mdpr_parity_tensor_sf0.01", "mdpr_parity_tensor_sf0.001"))
+    # an Arrow table and a Dataset both convert
+    return res if isinstance(res, pd.DataFrame) else res.to_pandas()
 
 
 # Derived from the registry at collection time (a static list silently
@@ -95,8 +41,8 @@ ROWS_ONLY = [n for n in build_queries() if n not in set(QUERY_NAMES)]
 
 @pytest.mark.parametrize("name", QUERY_NAMES)
 def test_query_matches_oracle(entry_mod, con, name):
-    got = _canon(_to_arrow(entry_mod.queries()[name](SF_DIR)))
-    want = _canon(con.sql(_oracle_for_tiny(entry_mod, name)).arrow())
+    got = canon(to_arrow(entry_mod.queries()[name](SF_DIR)))
+    want = canon(con.sql(oracle_sql_at(entry_mod.oracle_sql()[name], SF_DIR)).arrow())
     assert list(got.columns) == list(want.columns), \
         f"columns differ: {list(got.columns)} vs {list(want.columns)}"
     assert len(got) == len(want), f"row count {len(got)} vs {len(want)}"
