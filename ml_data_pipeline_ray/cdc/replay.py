@@ -123,7 +123,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import cluster_cpus, key_hash
+from ..stages.exchange import (cluster_cpus, group_buffers, key_hash,
+                               merge_groups, pack_blocks, read_shard)
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
@@ -220,31 +221,21 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 # the exchange (fused map + P-way hash exchange + merge via Ray core)
 # ---------------------------------------------------------------------------
 #
-# Profiling at sandbox scale showed Ray Data's generic sort-based groupby
-# spending its wall time on shuffle-object handling (B input blocks x P
-# partitions small objects + sort sampling barriers), not on compute; the CDC
-# exchange needs no sort at all — the partition function pid = hash(conv_id)%P
-# is known up front. The exchange is therefore expressed directly with Ray
-# core tasks (the "custom operator" escape hatch, SURVEY.md §2 "Custom
-# operators"):
+# The exchange is the library's one Ray-core hash exchange
+# (stages/exchange.py, which has the why and the wire format: group
+# buffers, merge groups, per-shard reads); here a shard is a pid, and the
+# map and merge tasks wrap it in the replay's own work:
 #
 #   map task  (one per input split): read parquet split with pushdown ->
-#       schema-align -> op->rank -> pid -> per-split LWW combine -> return G
-#       Arrow IPC file buffers (one object per merge group, one record
-#       batch per pid of the group)
-#   merge task (one per group of pids): for each pid, read its batch from
-#       each of the B buffers -> concat -> LWW merge with the pid's stored
-#       keys -> its change rows (one row group of the group's delta file),
-#       plus a staged base file on a first write or a fold
+#       schema-align -> op->rank -> pid -> per-split LWW combine ->
+#       group_buffers (G = min(P, cpus) objects, a record batch per pid)
+#   merge task (one per group of pids): for each pid, read_shard ->
+#       LWW merge with the pid's stored keys -> its change rows (one row
+#       group of the group's delta file), plus a staged base file on a
+#       first write or a fold
 #
-# Shards travel as IPC buffers rather than pa.Tables: Ray pickles a table
-# column by column, while a buffer is one out-of-band blob that the merge
-# task reads back zero-copy from the object store (a 16x16 exchange of
-# ~170 KB shards measured ~40% less CPU than pickled tables). Grouping
-# the pids cuts the fixed cost per object and per task: with G = min(P,
-# cpus) there are never more merge tasks than CPUs to run them, and one
-# replay at P=16 on 1 CPU ships 16 objects to 1 merge task instead of 256
-# to 16 (Riffle's small-block merging, applied to Ray objects).
+# One replay at P=16 on 1 CPU ships 16 objects to 1 merge task instead of
+# 256 to 16.
 #
 # Partitioning assumption: every event of a key lands in exactly one pid
 # (guaranteed by the hash); a merge starts when all map outputs for its
@@ -321,16 +312,6 @@ def _plan_splits(files: list[str] | Footers, split_mib: int, lsn_col: str = "lsn
     return splits, pruned
 
 
-def _merge_groups(num_partitions: int, cpus: int) -> list[range]:
-    """The merge plan: ``min(P, cpus)`` contiguous ranges of pids covering
-    ``0..P-1``, sizes differing by at most one. One merge task per range:
-    more tasks than CPUs buy no parallelism, only objects and task
-    overhead, while with ``cpus >= P`` every pid is its own group."""
-    g = max(1, min(num_partitions, cpus))
-    return [range(i * num_partitions // g, (i + 1) * num_partitions // g)
-            for i in range(g)]
-
-
 @ray.remote
 def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
                        flt, key: list[str], lsn_col: str, op_col: str,
@@ -373,24 +354,9 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
     idx, ends, _ = _lww_sort(tbl, key, [lsn_col, RANK_COL], lead=(PID_COL,))
     tbl = tbl.take(idx[ends])
 
-    spid = tbl.column(PID_COL).to_numpy()
-    bounds = np.searchsorted(spid, np.arange(num_partitions + 1))
-    # a shard's pid is its position; one batch to slice (an empty table
-    # has none)
-    tbl = tbl.drop_columns([PID_COL]).combine_chunks()
-    rows = (tbl.to_batches()
-            or [pa.RecordBatch.from_pylist([], schema=tbl.schema)])[0]
-    # the IPC writer copies only a slice's own rows (a pickled zero-copy
-    # slice would drag its parent buffers into the object store), so each
-    # shard is written straight from its slice
-    out = []
-    for grp in groups:
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_file(sink, tbl.schema) as w:
-            for i in grp:
-                w.write_batch(rows.slice(bounds[i], bounds[i + 1] - bounds[i]))
-        out.append(sink.getvalue())
-    return out if len(groups) > 1 else out[0]
+    # a shard's pid is its position
+    return group_buffers(tbl.drop_columns([PID_COL]),
+                         tbl.column(PID_COL).to_numpy(), groups)
 
 
 @ray.remote
@@ -417,8 +383,8 @@ def _exchange_merge_task(pids: list[int], states: list[dict | None],
     changes: dict[int, pa.Table] = {}
     narrow: dict[int, pa.Table] = {}
     for i, pid in enumerate(pids):
-        m, ev = _pid_events(pid, [r.get_batch(i) for r in readers], ckpts[i],
-                            lsn_col, payload_names)
+        m, ev = _pid_events(pid, read_shard(readers, i), ckpts[i], lsn_col,
+                            payload_names)
         parts.append(m)
         if ev is None:
             continue
@@ -482,12 +448,10 @@ def _write_deltas(path: str, deltas: list[tuple[dict, pa.Table]]) -> None:
                 m["delta_bytes"] = ref["bytes"]
 
 
-def _pid_events(pid: int, shards: list[pa.RecordBatch], ckpt: int, lsn_col: str,
+def _pid_events(pid: int, ev: pa.Table, ckpt: int, lsn_col: str,
                 payload_names: list[str]) -> tuple[dict, pa.Table | None]:
-    """One pid's events above its checkpoint (``None`` if there are none)
-    and its metrics dict so far."""
-    # all-empty shards still keep one batch for the schema
-    ev = pa.Table.from_batches([s for s in shards if s.num_rows] or shards[:1])
+    """One pid's events above its checkpoint (``None`` if there are none),
+    from its exchanged rows ``ev``, and its metrics dict so far."""
     lo, hi = pc.min_max(ev.column(lsn_col)).values()
     # the filter copies every event, so it runs only when some event is
     # applied already: never on a first write, and after the read pushdown
@@ -809,7 +773,7 @@ class CDCEngine:
                     "partitions_written": 0, **plan}
 
         P = self.num_partitions
-        groups = _merge_groups(P, cluster_cpus())
+        groups = merge_groups(P, cluster_cpus())
         version = self.manifest.current_version() + 1
         txn_dir = self.manifest.txn_data_dir(version)
         # a pid with a base merges against it; the driver decides here, from
@@ -1087,21 +1051,13 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
 @ray.remote(num_returns="streaming")
 def _read_task(units: list, read, max_block_bytes: int | None) -> Iterator[pa.Table]:
     """The one task of a small lake read: yield the tables of ``read(units)``
-    packed into blocks, each the concatenation of consecutive tables while
-    it stays within ``max_block_bytes`` (``None``: no bound). A table larger
-    than that is a block of its own, not sliced, so no row group of a
-    snapshot is split across blocks. Every read returns at least one
-    (maybe empty) table, so an empty read is one typed empty block."""
+    packed into blocks of at most ``max_block_bytes``
+    (:func:`~..stages.exchange.pack_blocks`), so no row group of a snapshot
+    is split across blocks. Every read returns at least one (maybe empty)
+    table, so an empty read is one typed empty block."""
     out = read(units)
-    block: list[pa.Table] = []
-    size = 0
-    for t in [out] if isinstance(out, pa.Table) else out:
-        if block and max_block_bytes is not None and size + t.nbytes > max_block_bytes:
-            yield pa.concat_tables(block)
-            block, size = [], 0
-        block.append(t)
-        size += t.nbytes
-    yield pa.concat_tables(block)
+    yield from pack_blocks([out] if isinstance(out, pa.Table) else out,
+                           max_block_bytes)
 
 
 def _read_snapshot(units: list[dict], schema: pa.Schema, key: list[str],

@@ -213,11 +213,9 @@ def cdc_incremental_agg(sf_dir: str) -> pa.Table:
                           zero_copy_batch=True))
     delta = grouped_agg(delta, keys=["conv_id"], aggs=[("d", "sum", "d")])
 
-    # materialize both (tiny) aggregate outputs before the join:
-    # hash_join's schema probe on a LAZY shuffle plan re-plans it under
-    # limit=1 and the two-sided union re-executes each side again (~5x
-    # wall measured here); a materialized dataset answers schema() from
-    # block metadata
+    # materialize the (tiny) aggregate before the join: a materialized
+    # dataset answers hash_join's schema probe from block metadata instead
+    # of running the aggregate's last map for it
     joined = hash_join(base, delta.materialize(),
                        on=["conv_id"], how="outer")
 

@@ -23,8 +23,9 @@ components are clique-ish (every pair above threshold is its own edge), so
 the loop typically converges in 2-3 rounds; a ``max_iter`` guard raises on
 pathological chains rather than looping forever.
 
-Labels are materialized each round: the iteration would otherwise stack an
-unbounded lazy lineage (each round would re-execute every prior round).
+Each round's labels come out of a hash exchange, which runs at its call
+and starts a fresh plan, so no round re-executes or re-plans an earlier
+one.
 
 The reference has no graph ops; this is part of the brief's dedup family.
 """
@@ -39,7 +40,6 @@ from ray.data.aggregate import Sum
 
 from .exchange import shard_count
 from .joins import hash_join
-from .transforms import sever as _sever
 
 
 def connected_components(edges: rd.Dataset, src: str = "id_a",
@@ -53,14 +53,14 @@ def connected_components(edges: rd.Dataset, src: str = "id_a",
         rev = pa.table({"id": b.column(dst), "nbr": b.column(src)})
         return pa.concat_tables([fwd, rev])
 
-    e = _sever(edges.map_batches(both_dirs, batch_format="pyarrow",
-                                 zero_copy_batch=True))
+    e = edges.map_batches(both_dirs, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
     # bucket count from the exchange's one rule, computed ONCE from the
     # MEASURED bytes of the materialized edge list (labels are never
     # larger): tiny pair lists collapse to one bucket — at 48 fixed buckets
     # the per-round shuffle machinery was the whole wall — while huge edge
     # lists keep the ~512 MiB heap bound. An empty list counts as 1 byte.
-    nb = shard_count(e.materialize().size_bytes() or 1)
+    nb = shard_count(e.size_bytes() or 1)
 
     # init: comp(id) = min neighbor ∪ self  (round 1 fused into the init)
     def self_and_nbr(b: pa.Table) -> pa.Table:
@@ -71,10 +71,10 @@ def connected_components(edges: rd.Dataset, src: str = "id_a",
 
     from .groupagg import grouped_agg
 
-    labels = _sever(grouped_agg(
+    labels = grouped_agg(
         e.map_batches(self_and_nbr, batch_format="pyarrow",
                       zero_copy_batch=True),
-        keys=["id"], aggs=[("comp", "min", "comp")]))
+        keys=["id"], aggs=[("comp", "min", "comp")])
 
     def tag_old(b: pa.Table) -> pa.Table:
         return pa.table({"id": b.column("id"), "comp": b.column("comp"),
@@ -100,12 +100,8 @@ def connected_components(edges: rd.Dataset, src: str = "id_a",
                              zero_copy_batch=True)
                 .union(labels.map_batches(tag_old, batch_format="pyarrow",
                                           zero_copy_batch=True)))
-        # repartition to the bucket count (union+groupby double the block
-        # count every round otherwise) and SEVER the plan (see _sever)
-        mid = _sever(grouped_agg(cand, keys=["id"],
-                                 aggs=[("comp", "min", "comp"),
-                                       ("old", "max", "old")])
-                     .repartition(nb))
+        mid = grouped_agg(cand, keys=["id"],
+                          aggs=[("comp", "min", "comp"), ("old", "max", "old")])
         # pointer jump: comp ← comp(comp). Every label IS a node id with its
         # own label row, so the self-join is total; jumping doubles the
         # distance a minimum travels per round → O(log diameter) rounds on
@@ -119,12 +115,12 @@ def connected_components(edges: rd.Dataset, src: str = "id_a",
                 lambda b: b.select(["id", "comp"]).rename_columns(
                     ["comp", "comp_of"]),
                 batch_format="pyarrow", zero_copy_batch=True)
-            labels = _sever(hash_join(mid, jump, on=["comp"], num_buckets=nb
-                                      ).map_batches(
+            labels = hash_join(mid, jump, on=["comp"], num_buckets=nb
+                               ).map_batches(
                 lambda b: pa.table({"id": b.column("id"),
                                     "comp": b.column("comp_of"),
                                     "old": b.column("old")}),
-                batch_format="pyarrow", zero_copy_batch=True).repartition(nb))
+                batch_format="pyarrow", zero_copy_batch=True)
         changed = (labels.map_batches(n_changed, batch_format="pyarrow",
                                       zero_copy_batch=True)
                    .aggregate(Sum("changed", alias_name="s"))["s"])

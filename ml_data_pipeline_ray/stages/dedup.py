@@ -270,9 +270,6 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
     partials = hash_exchange(
         [ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)],
         ["_sh"], shard_stats, batch_format="pyarrow")
-    # materialize the shard exchange once: grouped_agg's schema probes on a
-    # lazy shuffle plan re-execute it (round-3 lesson, transforms.sever doc)
-    partials = partials.materialize()
     return grouped_agg(partials, keys=[id_col],
                        aggs=[("n_grams", "sum", "n_grams"),
                              ("n_dup_grams", "sum", "n_dup_grams")])

@@ -1,13 +1,24 @@
-"""The operator library's one hash exchange.
+"""The one hash exchange, shared by the operator library and the CDC engine.
 
 Every keyed operator that needs all rows of a key in one place (grouped
 aggregation, exact and near-dup dedup, hash / as-of / range joins, keyed
-window kernels, per-key gap fill) has the same wide step: tag each row with
-``key_hash(keys) % shards``, union the tagged inputs, run one
-``groupby(tag).map_groups`` and hand each shard to a vectorized kernel that
-resolves the real per-key grouping itself. Many keys share a shard on
-purpose: one Ray group PER KEY costs ~0.5 ms of group machinery each, which
-dominated at tens of thousands of keys.
+window kernels, per-key gap fill) and the CDC replay have the same wide
+step: hash each row's key to one of ``shards`` shards, ship every shard to
+one task and run a vectorized kernel over it that resolves the real per-key
+grouping itself. Many keys share a shard on purpose: a task or group PER
+KEY costs ~0.5 ms of machinery each, which dominated at tens of thousands
+of keys.
+
+The exchange runs on Ray-core tasks, not on Ray Data's sort-based groupby:
+the shard of a row is known up front, so nothing needs sorting or
+sampling, and the shuffle's cost is its objects (SURVEY.md §2, "custom
+operators"). A split task per input block hashes and orders its rows by
+shard and returns one Arrow IPC file buffer per merge group (record batch
+``i`` = the group's ``i``-th shard, empty shards included); G = min(shards,
+CPUs) merge tasks, one per contiguous range of shards
+(:func:`merge_groups`), read each shard's batches back zero-copy
+(:func:`read_shard`). B input blocks thus ship B x G objects, not
+B x shards (Riffle's small-block merging, applied to Ray objects).
 
 This module owns that step and everything it depends on:
 
@@ -16,36 +27,39 @@ This module owns that step and everything it depends on:
 - :func:`key_hash` — the one key hasher (bloom filters, HLL sketches and
   the CDC lake's persisted partition function ``key_hash([key[0]]) % P``
   hash with it too, so its output must stay stable);
-- :func:`hash_exchange` — tag, union, shuffle, run the kernel.
+- :func:`merge_groups`, :func:`group_buffers`, :func:`read_shard` — the
+  exchange's wire format, which ``cdc/replay.py``'s map and merge tasks
+  use around their own last-writer-wins logic;
+- :func:`pack_blocks` — how a streaming task packs its output tables into
+  blocks (the merge tasks here, the lake's small reads);
+- :func:`hash_exchange` — the operator library's exchange: split, merge,
+  run the kernel per shard.
 
-Partitioning assumption of every caller: one shard's rows fit one
-``map_groups`` group, which :func:`shard_count` bounds by bytes.
+Partitioning assumption of every caller: one shard's rows fit one task's
+heap, which :func:`shard_count` bounds by bytes.
 
-Only :func:`cluster_cpus` imports Ray, so the fixture generator can share
-:func:`mix64` without starting to import Ray.
+Ray is imported only inside functions, so the fixture generator can share
+:func:`mix64` and :func:`key_hash` without importing Ray.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Iterable, Iterator
+
 import numpy as np
 import pyarrow as pa
 
-#: the shard tag column; the kernel never sees it
-SHARD_COL = "_shard"
-
-#: per-shard in-memory target: each shard materializes as ONE map_groups
-#: group in a worker heap, so shards must be bytes-bounded, not just
-#: core-count-bounded — at 100 TB a cores-only count would put ~1 TB in a
-#: single group.
+#: per-shard in-memory target: a merge task holds one shard (and its
+#: kernel's output) in a worker heap at a time, so shards must be
+#: bytes-bounded, not just core-count-bounded — at 100 TB a cores-only count
+#: would put ~1 TB in a single kernel call.
 TARGET_SHARD_BYTES = 512 << 20
 
-#: below this, another shard buys no parallelism worth its machinery: each
-#: shard becomes one Ray group (~ms of sort/reduce bookkeeping), so 96 shards
-#: over a 2 MB filtered slice is pure fixed cost.
+#: below this, another shard buys no parallelism worth its machinery (a
+#: kernel call, a record batch per split task), so 96 shards over a 2 MB
+#: filtered slice is pure fixed cost.
 MIN_SHARD_BYTES = 4 << 20
-
-#: conservative parquet-compressed -> in-memory Arrow expansion factor
-_PARQUET_EXPANSION = 3
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -70,8 +84,8 @@ def cluster_cpus() -> int:
 
 def shard_count(est_bytes: int | None = None, cpus: int | None = None) -> int:
     """The shard-count rule. Unknown size: the parallelism floor
-    ``max(16, 3 × cpus)`` — enough groups to keep every core busy, few
-    enough that per-group machinery is negligible. Known size: tiny inputs
+    ``max(16, 3 × cpus)`` — enough shards to keep every core busy, few
+    enough that per-shard machinery is negligible. Known size: tiny inputs
     collapse to one shard per ``MIN_SHARD_BYTES`` (capped at the floor),
     and huge inputs grow PAST the floor so no shard exceeds
     ``TARGET_SHARD_BYTES`` in a worker heap."""
@@ -80,48 +94,6 @@ def shard_count(est_bytes: int | None = None, cpus: int | None = None) -> int:
         return floor
     return max(-(-est_bytes // TARGET_SHARD_BYTES),
                min(floor, -(-est_bytes // MIN_SHARD_BYTES)), 1)
-
-
-def _estimate_input_bytes(ds) -> int | None:
-    """Cheap (metadata-only) in-memory size estimate, without executing.
-    ``Dataset.size_bytes()`` executes mapped plans, so it can't be used
-    here, and ``Dataset.input_files()`` returns ``[]`` once any
-    ``map_batches`` wraps the read — so walk the logical plan to the Read
-    leaves and use each datasource's own metadata estimate (falling back to
-    on-disk bytes x expansion). Overestimates filtered/pruned scans, which
-    errs toward MORE buckets — the safe direction."""
-    try:
-        files = ds.input_files()
-    except Exception:
-        files = []
-    if files:
-        import os
-        total = 0
-        for f in files:
-            try:
-                total += os.path.getsize(f)
-            except OSError:
-                return None
-        return total * _PARQUET_EXPANSION
-
-    # mapped plan: find the Read leaves (private API — best-effort)
-    try:
-        total = 0
-        stack = [ds._logical_plan.dag]
-        while stack:
-            op = stack.pop()
-            deps = op.input_dependencies
-            if deps:
-                stack.extend(deps)
-                continue
-            dsrc = getattr(op, "_datasource", None)
-            est = dsrc.estimate_inmemory_data_size() if dsrc else None
-            if est is None:
-                return None
-            total += int(est)
-        return total or None
-    except Exception:
-        return None
 
 
 #: hash of a null in an integer or boolean key column
@@ -183,33 +155,162 @@ def key_hash(df_or_tbl, on: list[str]) -> np.ndarray:
     return h
 
 
+def merge_groups(shards: int, cpus: int) -> list[range]:
+    """The merge plan: ``min(shards, cpus)`` contiguous ranges of shards
+    covering ``0..shards-1``, sizes differing by at most one. One merge task
+    per range: more tasks than CPUs buy no parallelism, only objects and
+    task overhead, while with ``cpus >= shards`` every shard is its own
+    group."""
+    g = max(1, min(shards, cpus))
+    return [range(i * shards // g, (i + 1) * shards // g) for i in range(g)]
+
+
+def group_buffers(tbl: pa.Table, shard: np.ndarray, groups: list[range]
+                  ) -> list[pa.Buffer] | pa.Buffer:
+    """Split ``tbl``, whose rows are ordered by their ascending shard ids
+    ``shard``, into one Arrow IPC file buffer per merge group: record batch
+    ``i`` of a group's file holds the rows of the group's ``i``-th shard,
+    empty if it got none. Returns them as a Ray task with
+    ``num_returns=len(groups)`` must: a list, or with one group the lone
+    buffer itself.
+
+    Buffers rather than tables: Ray pickles a table column by column, while
+    a buffer is one out-of-band blob that the merge task reads back
+    zero-copy from the object store (a 16x16 exchange of ~170 KB shards
+    measured ~40% less CPU than pickled tables)."""
+    bounds = np.searchsorted(shard, np.arange(groups[-1].stop + 1))
+    # one batch to slice (an empty table has none)
+    tbl = tbl.combine_chunks()
+    rows = (tbl.to_batches()
+            or [pa.RecordBatch.from_pylist([], schema=tbl.schema)])[0]
+    # the IPC writer copies only a slice's own rows (a pickled zero-copy
+    # slice would drag its parent buffers into the object store), so each
+    # shard is written straight from its slice
+    out = []
+    for grp in groups:
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_file(sink, tbl.schema) as w:
+            for i in grp:
+                w.write_batch(rows.slice(bounds[i], bounds[i + 1] - bounds[i]))
+        out.append(sink.getvalue())
+    return out if len(groups) > 1 else out[0]
+
+
+def read_shard(readers: list, i: int) -> pa.Table:
+    """The ``i``-th shard of a merge group: record batch ``i`` of every
+    split's group buffer (``pa.ipc.open_file`` readers), empty ones
+    skipped; an empty table of the first batch's schema if all are empty.
+    Splits of different input blocks may disagree on a column's type (a
+    null-typed column, int32 vs int64), so batches concatenate
+    permissively."""
+    batches = [r.get_batch(i) for r in readers]
+    full = [b for b in batches if b.num_rows] or batches[:1]
+    return pa.concat_tables([pa.Table.from_batches([b]) for b in full],
+                            promote_options="permissive")
+
+
+def pack_blocks(tables: Iterable[pa.Table],
+                max_block_bytes: int | None) -> Iterator[pa.Table]:
+    """Concatenate consecutive non-empty ``tables`` into blocks of at most
+    ``max_block_bytes`` (``None``: no bound); a larger table is a block of
+    its own, never sliced. If every table is empty, the first is the one
+    block, so an empty result still carries a schema."""
+    block: list[pa.Table] = []
+    size, first = 0, None
+    for t in tables:
+        first = t if first is None else first
+        if not t.num_rows:
+            continue
+        if block and max_block_bytes is not None \
+                and size + t.nbytes > max_block_bytes:
+            yield pa.concat_tables(block, promote_options="permissive")
+            block, size = [], 0
+        block.append(t)
+        size += t.nbytes
+    if block:
+        yield pa.concat_tables(block, promote_options="permissive")
+    elif first is not None:
+        yield first
+
+
+def _shuffle_split(block, keys: list[str], shards: int, groups: list[range]):
+    """Split task: one input block's rows by ``key_hash(keys) % shards``,
+    as :func:`group_buffers`."""
+    from ray.data.block import BlockAccessor
+
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    shard = (key_hash(tbl, keys) % np.uint64(shards)).astype(np.int32)
+    order = np.argsort(shard, kind="stable")
+    return group_buffers(tbl.take(order), shard[order], groups)
+
+
+def _shuffle_merge(kernel, batch_format: str, max_block_bytes: int | None,
+                  *group_bufs) -> Iterator[pa.Table]:
+    """Merge task: for each non-empty shard of the group, the kernel over
+    its rows, converted to and from ``batch_format`` as ``map_groups``
+    converts them; the outputs leave packed into blocks, a shard at a time,
+    so the heap holds one shard's rows."""
+    from ray.data.block import BlockAccessor
+
+    # buffers arrive as top-level args so Ray resolves the ObjectRefs
+    # in-line; each is one IPC file, read zero-copy from the object store
+    readers = [pa.ipc.open_file(b) for b in group_bufs]
+
+    def outputs():
+        for i in range(readers[0].num_record_batches):
+            tbl = read_shard(readers, i)
+            if tbl.num_rows:
+                out = kernel(BlockAccessor.for_block(tbl).to_batch_format(
+                    batch_format))
+                yield BlockAccessor.for_block(
+                    BlockAccessor.batch_to_block(out)).to_arrow()
+
+    yield from pack_blocks(outputs(), max_block_bytes)
+
+
+@functools.cache
+def _tasks():
+    """The exchange's Ray-core tasks, defined once per process. Their names
+    carry "shuffle", which is how the perfbench tracer tells an operation's
+    exchange tasks from its reads and maps."""
+    import ray
+
+    return (ray.remote(_shuffle_split),
+            ray.remote(num_returns="streaming")(_shuffle_merge))
+
+
 def hash_exchange(inputs: list, keys: list[str], kernel, *,
                   batch_format: str, shards: int | None = None):
-    """One hash exchange over ``inputs`` (Datasets of one schema): every
-    row is tagged with ``key_hash(keys) % shards``, the inputs are unioned,
-    and ONE ``groupby(tag).map_groups`` calls ``kernel`` on each shard
-    (``batch_format`` "pyarrow" or "pandas"), tag column already removed.
-    All rows of a key, from every input, reach the same kernel call.
+    """One hash exchange over ``inputs`` (Datasets of one schema): all rows
+    of a key, from every input, reach the same ``kernel`` call, which gets
+    one shard's rows as a ``batch_format`` ("pyarrow" or "pandas") batch
+    and returns a batch.
 
-    The tag is a plain ``map_batches`` after the caller's own per-input
-    map, so Ray fuses the two. ``shards`` defaults to :func:`shard_count`
-    of the inputs' summed metadata size estimate."""
+    Runs at the call. The inputs execute first, and ``shards`` defaults to
+    :func:`shard_count` of their measured in-memory bytes. A split task per
+    non-empty input block and a merge task per :func:`merge_groups` group
+    follow (see the module notes). Returns the kernels' outputs as a
+    Dataset of blocks already in the object store, whose plan starts here;
+    no rows at all give an empty Dataset without a schema."""
+    import ray.data as rd
+
+    blocks = [(ref, md) for ds in inputs
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, md in bundle.blocks]
     if shards is None:
-        est = sum(_estimate_input_bytes(ds) or 0 for ds in inputs)
-        shards = shard_count(est or None)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        shard = key_hash(batch, keys) % np.uint64(shards)
-        return batch.append_column(SHARD_COL,
-                                   pa.array(shard.astype(np.int32)))
-
-    tagged = [ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-              for ds in inputs]
-    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-
-    def run(group):
-        if batch_format == "pandas":
-            return kernel(group.drop(columns=[SHARD_COL]))
-        return kernel(group.drop_columns([SHARD_COL]))
-
-    return both.groupby(SHARD_COL).map_groups(run, batch_format=batch_format)
+        shards = shard_count(sum(md.size_bytes or 0 for _, md in blocks))
+    # an empty block may carry no columns at all
+    refs = [ref for ref, md in blocks if md.num_rows]
+    if not refs:
+        return rd.from_arrow_refs([])
+    groups = merge_groups(shards, cluster_cpus())
+    split, merge = _tasks()
+    per_split = [split.options(num_returns=len(groups)).remote(
+        ref, keys, shards, groups) for ref in refs]
+    if len(groups) == 1:
+        # num_returns=1 yields one bare ref, not a sequence of refs
+        per_split = [[r] for r in per_split]
+    target = rd.DataContext.get_current().target_max_block_size
+    gens = [merge.remote(kernel, batch_format, target, *col)
+            for col in zip(*per_split)]
+    return rd.from_arrow_refs([ref for gen in gens for ref in gen])

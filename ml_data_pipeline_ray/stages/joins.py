@@ -187,59 +187,6 @@ def auto_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
     return broadcast_join(left, small, on=on, how=how)
 
 
-def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
-              direction: Literal["backward", "forward"] = "backward",
-              suffix: str = "_r") -> rd.Dataset:
-    """As-of join (the brief's canonical custom operator — absent from both
-    the reference and Ray Data): for each left row, the single right row
-    with the same ``by`` key and the nearest ``on`` value at-or-before
-    (``backward``) / at-or-after (``forward``) the left's. Left rows without
-    a match keep nulls (left-outer semantics).
-
-    Ray-native shape: both sides are side-tagged under a padded common
-    schema, ONE :func:`~.exchange.hash_exchange` on ``by`` co-locates every
-    key's rows (many keys per shard), and the in-shard match is a single
-    vectorized ``pd.merge_asof(..., by=by)`` over the sorted shard."""
-    lschema = _pa_schema(left)
-    rschema = _pa_schema(right)
-    lcols = list(lschema.names)
-    rrename = {c: (c + suffix if c in lcols and c not in (by, on) else c)
-               for c in rschema.names}
-    rcols = [rrename[c] for c in rschema.names if c not in (by, on)]
-
-    fields = {f.name: f for f in lschema}
-    for f in rschema:
-        name = rrename[f.name]
-        if name not in fields:
-            fields[name] = pa.field(name, f.type)
-    unified = pa.schema(list(fields.values()))
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            if side == 1:
-                batch = batch.rename_columns(
-                    [rrename[c] for c in batch.column_names])
-            return _with_side(align_to_schema(batch, unified), side)
-        return fn
-
-    sides = [left.map_batches(tag(0), batch_format="pyarrow",
-                              zero_copy_batch=True),
-             right.map_batches(tag(1), batch_format="pyarrow",
-                               zero_copy_batch=True)]
-
-    # Exact output schema: left columns keep the left types, right value
-    # columns keep the RIGHT types (nullable — unmatched left rows pad with
-    # null). Emitting Arrow with this schema from the group kernel prevents
-    # pandas' null-introduced float64/NaN promotion from leaking into the
-    # result (int64-with-null stays int64-with-null).
-    out_schema = pa.schema(
-        [lschema.field(c) for c in lcols]
-        + [pa.field(rrename[f.name], f.type) for f in rschema
-           if rrename[f.name] in rcols])
-
-    return _asof_reduce(sides, lcols, rcols, by, on, direction, out_schema)
-
-
 def _with_side(batch: pa.Table, side: int) -> pa.Table:
     """``batch`` plus an int8 ``_side`` column (0 = left, 1 = right)."""
     return batch.append_column(
@@ -274,12 +221,19 @@ def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
                      left_cols: list[str], right_cols: list[str],
                      direction: Literal["backward", "forward"] = "backward",
                      suffix: str = "_r") -> rd.Dataset:
-    """As-of join where BOTH sides are row-slices of ONE dataset (e.g.
-    purchases vs clicks of the same events table): a single scan tags the
-    two sides with vectorized boolean masks. ``asof_join(slice_a, slice_b)``
-    over the same source executes the shared read lineage twice — Ray Data
-    does not dedupe common subplans across union branches — so this variant
-    halves the scan (and at 100 TB, scans dominate).
+    """As-of join (the brief's canonical custom operator — absent from both
+    the reference and Ray Data): for each left row, the single right row
+    with the same ``by`` key and the nearest ``on`` value at-or-before
+    (``backward``) / at-or-after (``forward``) the left's. Left rows without
+    a match keep nulls (left-outer semantics).
+
+    Both sides are row-slices of ONE dataset (e.g. purchases vs clicks of
+    the same events table): a single scan tags the two sides with
+    vectorized boolean masks (two scans of one source would execute its
+    read lineage twice — Ray Data does not dedupe common subplans), ONE
+    :func:`~.exchange.hash_exchange` on ``by`` co-locates every key's rows
+    (many keys per shard), and the in-shard match is a single vectorized
+    ``pd.merge_asof(..., by=by)`` over the sorted shard.
 
     ``left_mask`` / ``right_mask``: callables ``pa.Table ->`` boolean array
     (e.g. ``lambda b: pc.equal(b["event_type"], "purchase")``). Mask-only
@@ -318,46 +272,21 @@ def asof_join_sliced(ds: rd.Dataset, by: str, on: str,
                         out_schema)
 
 
-def range_join_count(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
-                     lo_offset, hi_offset,
-                     count_col: str = "n_in_range") -> rd.Dataset:
-    """Range (interval) join aggregate: for each left row, the COUNT of
-    right rows with the same ``by`` key and ``on`` in the half-open window
-    ``(left.on + lo_offset, left.on + hi_offset]``.
-
-    Counting (not pair emission) keeps the output linear in the left side —
-    a pair-emitting range join can explode quadratically; when pairs are
-    truly needed, bound the window first. Shape: side-tag + ONE
-    :func:`~.exchange.hash_exchange` on ``by`` (many keys per shard), then
-    per key inside the shard two vectorized ``searchsorted`` scans over that
-    key's sorted right-side times."""
-    lschema = _pa_schema(left)
-    lcols = list(lschema.names)
-
-    def tag(side: int, keep: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.select(keep)
-            target = pa.schema([lschema.field(c) if c in lschema.names
-                                else batch.schema.field(c) for c in lcols])
-            return _with_side(align_to_schema(batch, target), side)
-        return fn
-
-    sides = [left.map_batches(tag(0, lcols), batch_format="pyarrow",
-                              zero_copy_batch=True),
-             right.map_batches(tag(1, [by, on]), batch_format="pyarrow",
-                               zero_copy_batch=True)]
-    return _range_reduce(sides, lcols, by, on, lo_offset, hi_offset,
-                         count_col, lschema)
-
-
 def range_join_count_sliced(ds: rd.Dataset, by: str, on: str,
                             left_mask, right_mask, left_cols: list[str],
                             lo_offset, hi_offset,
                             count_col: str = "n_in_range") -> rd.Dataset:
-    """Range-join count where both sides are row-slices of ONE dataset: a
-    single scan tags sides with vectorized masks (see
-    :func:`asof_join_sliced` for why — Ray Data executes the shared read
-    lineage once per union branch)."""
+    """Range (interval) join aggregate: for each left row, the COUNT of
+    right rows with the same ``by`` key and ``on`` in the half-open window
+    ``(left.on + lo_offset, left.on + hi_offset]``. Counting (not pair
+    emission) keeps the output linear in the left side — a pair-emitting
+    range join can explode quadratically.
+
+    Both sides are row-slices of ONE dataset, tagged in a single scan by
+    vectorized masks (see :func:`asof_join_sliced`); then ONE
+    :func:`~.exchange.hash_exchange` on ``by`` (many keys per shard), and
+    per key inside the shard two vectorized ``searchsorted`` scans over
+    that key's sorted right-side times."""
     schema = _pa_schema(ds)
     lschema = pa.schema([schema.field(c) for c in left_cols])
     lcols = list(left_cols)
@@ -442,8 +371,8 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
     small side's unmatched rows span every probe batch).
 
     ``num_buckets`` defaults to the exchange's bytes-aware
-    :func:`~.exchange.shard_count` of both inputs' size estimate; pass it
-    when the caller has measured the bytes itself."""
+    :func:`~.exchange.shard_count` of both inputs' measured bytes; pass it
+    to keep one count across calls (an iterative loop)."""
     lschema = _pa_schema(left)
     rschema = _pa_schema(right)
     shared = [c for c in rschema.names if c in lschema.names and c not in on]

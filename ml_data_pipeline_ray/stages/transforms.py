@@ -233,24 +233,3 @@ def infer_schema(rows: list[list[str | None]], names: list[str],
         col = [r[i] if i < len(r) else None for r in sample]
         fields.append(pa.field(name, infer_column_type(col)))
     return pa.schema(fields)
-
-
-def sever(ds):
-    """Execute a Dataset and rebuild it from its materialized block refs
-    with a FRESH logical plan (blocks never touch the driver — refs only).
-
-    Use at ITERATION boundaries only: ``materialize()`` keeps the full lazy
-    plan attached, so iterative loops build a plan DAG that doubles per
-    round and tree-recursive plan walks make round r ~1.7× slower than
-    round r-1 (measured in ``components.py``). For single-level multi-pass
-    or schema-probe cases prefer plain ``materialize()`` — it already
-    answers ``schema()`` from block metadata, and severed datasets
-    correlate with a Ray-core task-bookkeeping crash on long sessions
-    (task_manager.cc:930; the keepalive below pins the source
-    MaterializedDataset so its executor cleanup cannot race block refs
-    still in use)."""
-    import ray.data as rd
-    mat = ds.materialize()
-    out = rd.from_arrow_refs(mat.to_arrow_refs())
-    out._mdpr_keepalive = mat
-    return out

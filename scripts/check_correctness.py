@@ -25,7 +25,7 @@ ONLY = set(sys.argv[2].split(",")) if len(sys.argv) > 2 else None
 
 def main():
     import ray
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", 16))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ml_data_pipeline_ray.context import tune_data_context

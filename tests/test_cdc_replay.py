@@ -355,12 +355,11 @@ def test_map_task_group_buffers_hold_their_pids_rows(tmp_path):
     of a compacted copy of its rows (up to alignment padding)."""
     import pyarrow.compute as pc
 
-    from ml_data_pipeline_ray.cdc.replay import (
-        RANK_COL, _exchange_map_task, _merge_groups)
-    from ml_data_pipeline_ray.stages.exchange import key_hash
+    from ml_data_pipeline_ray.cdc.replay import RANK_COL, _exchange_map_task
+    from ml_data_pipeline_ray.stages.exchange import key_hash, merge_groups
 
     P, key = 8, ["conv_id", "turn_idx"]
-    groups = _merge_groups(P, 3)
+    groups = merge_groups(P, 3)
     rng = np.random.default_rng(3)
     files = []
     for i in range(2):
@@ -423,9 +422,9 @@ def test_map_task_group_buffers_hold_their_pids_rows(tmp_path):
 def test_merge_groups_are_balanced_contiguous_ranges(P, cpus):
     """min(P, cpus) groups, in order, covering pids 0..P-1 once each,
     sizes differing by at most one."""
-    from ml_data_pipeline_ray.cdc.replay import _merge_groups
+    from ml_data_pipeline_ray.stages.exchange import merge_groups
 
-    groups = _merge_groups(P, cpus)
+    groups = merge_groups(P, cpus)
     assert len(groups) == min(P, cpus)
     assert [p for g in groups for p in g] == list(range(P))
     assert all(g.step == 1 and len(g) for g in groups)

@@ -226,36 +226,57 @@ def test_simhash_banding_equals_all_pairs():
     pd.testing.assert_frame_equal(got, want)
 
 
+def _sliced(frames: dict[str, pd.DataFrame]) -> pa.Table:
+    """The frames as row slices of one table, told apart by ``side``."""
+    both = pd.concat([f.assign(side=name) for name, f in frames.items()],
+                     ignore_index=True)
+    return pa.Table.from_pandas(both, preserve_index=False)
+
+
+def _masks():
+    import pyarrow.compute as pc
+
+    return {"left_mask": lambda b: pc.equal(b["side"], "l"),
+            "right_mask": lambda b: pc.equal(b["side"], "r")}
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_asof_join_directions():
-    import pandas as pd
-    import ray.data as rd
-    from ml_data_pipeline_ray.stages.joins import asof_join
+    """Backward and forward as-of matches equal ``pd.merge_asof`` on the
+    same frames, unmatched left rows keeping nulls."""
+    from ml_data_pipeline_ray.stages.joins import asof_join_sliced
 
     left = pd.DataFrame({"k": ["a", "a", "b", "c"], "t": [10, 20, 5, 7],
-                         "lv": [1, 2, 3, 4]})
+                         "lv": pd.array([1, 2, 3, 4], dtype="Int64")})
     right = pd.DataFrame({"k": ["a", "a", "b"], "t": [8, 15, 9],
                           "rv": ["x", "y", "z"]})
-    back = asof_join(rd.from_pandas(left), rd.from_pandas(right),
-                     by="k", on="t").to_pandas().sort_values("lv")
-    assert [v if pd.notna(v) else None for v in back["rv"]] \
-        == ["x", "y", None, None]
-    fwd = asof_join(rd.from_pandas(left), rd.from_pandas(right),
-                    by="k", on="t", direction="forward"
-                    ).to_pandas().sort_values("lv")
-    assert [v if pd.notna(v) else None for v in fwd["rv"]] \
-        == ["y", None, "z", None]
+    tbl = _sliced({"l": left, "r": right})
+    ds = rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+
+    def nulls(vals):
+        return [v if pd.notna(v) else None for v in vals]
+
+    for direction, want in (("backward", ["x", "y", None, None]),
+                            ("forward", ["y", None, "z", None])):
+        got = asof_join_sliced(ds, by="k", on="t", left_cols=["k", "t", "lv"],
+                               right_cols=["k", "t", "rv"], direction=direction,
+                               **_masks()).to_pandas().sort_values("lv")
+        ref = pd.merge_asof(left.sort_values("t"), right.sort_values("t"),
+                            on="t", by="k", direction=direction
+                            ).sort_values("lv")
+        assert nulls(got["rv"]) == nulls(ref["rv"]) == want
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_sliced_variants_match_two_dataset_forms(tmp_path):
+def test_sliced_variants_match_single_process_references(tmp_path):
     """asof_join_sliced / range_join_count_sliced (single scan + mask
-    tagging) must equal the two-dataset forms over the same slices."""
-    import pyarrow.compute as pc
+    tagging) equal ``pd.merge_asof`` and a numpy window count over the same
+    two slices. Two right rows of one key may share a time; either is that
+    time's match, so the as-of check compares each left row's matched
+    right time."""
     import pyarrow.parquet as pq
-    from ml_data_pipeline_ray.stages.joins import (
-        asof_join, asof_join_sliced, range_join_count,
-        range_join_count_sliced)
+    from ml_data_pipeline_ray.stages.joins import (asof_join_sliced,
+                                                   range_join_count_sliced)
 
     rng = np.random.default_rng(7)
     n = 400
@@ -266,65 +287,89 @@ def test_sliced_variants_match_two_dataset_forms(tmp_path):
         "side": pa.array(rng.choice(["l", "r"], n)),
     })
     path = str(tmp_path / "both.parquet")
-    pq.write_table(t, path)
+    pq.write_table(t, path, row_group_size=100)
     ds = rd.read_parquet(path)
-    lds = rd.read_parquet(path, filter=pc.field("side") == "l"
-                          ).select_columns(["k", "t", "v"])
-    rds = rd.read_parquet(path, filter=pc.field("side") == "r"
-                          ).select_columns(["k", "t", "v"])
+    df = t.to_pandas()
+    left = df[df.side == "l"][["k", "t", "v"]]
+    right = df[df.side == "r"][["k", "t", "v"]]
 
     def canon(df):
         return (df.sort_values(list(df.columns), kind="mergesort")
                 .reset_index(drop=True))
 
-    a1 = canon(asof_join(lds, rds, by="k", on="t").to_pandas())
-    a2 = canon(asof_join_sliced(
-        ds, by="k", on="t",
-        left_mask=lambda b: pc.equal(b["side"], "l"),
-        right_mask=lambda b: pc.equal(b["side"], "r"),
-        left_cols=["k", "t", "v"], right_cols=["k", "t", "v"]).to_pandas())
-    pd.testing.assert_frame_equal(a1, a2)
+    got = asof_join_sliced(
+        ds, by="k", on="t", left_cols=["k", "t", "v"],
+        right_cols=["k", "t", "v"], **_masks()).to_pandas()
+    want = pd.merge_asof(
+        left.sort_values("t"),
+        right.rename(columns={"v": "v_r"}).assign(t_r=right.t).sort_values("t"),
+        on="t", by="k", direction="backward")
+    t_of = dict(zip(right.v, right.t))        # v is a row id
+    matched = {v: None if pd.isna(r) else t_of[int(r)]
+               for v, r in zip(got.v, got.v_r)}
+    assert len(got) == len(left)
+    assert matched == {v: None if pd.isna(r) else int(r)
+                       for v, r in zip(want.v, want.t_r)}
 
-    r1 = canon(range_join_count(lds, rds, by="k", on="t",
-                                lo_offset=-50, hi_offset=0).to_pandas())
-    r2 = canon(range_join_count_sliced(
-        ds, by="k", on="t",
-        left_mask=lambda b: pc.equal(b["side"], "l"),
-        right_mask=lambda b: pc.equal(b["side"], "r"),
-        left_cols=["k", "t", "v"],
-        lo_offset=-50, hi_offset=0).to_pandas())
-    pd.testing.assert_frame_equal(r1, r2)
+    got = canon(range_join_count_sliced(
+        ds, by="k", on="t", left_cols=["k", "t", "v"], lo_offset=-50,
+        hi_offset=0, **_masks()).to_pandas())
+    lk, lt = left.k.to_numpy()[:, None], left.t.to_numpy()[:, None]
+    rk, rt = right.k.to_numpy()[None, :], right.t.to_numpy()[None, :]
+    in_window = (lk == rk) & (rt > lt - 50) & (rt <= lt)
+    want = canon(left.assign(n_in_range=in_window.sum(axis=1)))
+    pd.testing.assert_frame_equal(got, want)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_keyed_shards_bytes_aware(tmp_path):
-    """Tiny inputs collapse to a few shards; estimates survive mapped plans
-    (input_files() is empty after map_batches — the walk to Read leaves
-    must still find the datasource)."""
-    import pyarrow.parquet as pq
-    from ml_data_pipeline_ray.sources.readers import read_parquet
-    from ml_data_pipeline_ray.stages.exchange import (_estimate_input_bytes,
-                                                      shard_count)
+def test_keyed_shards_bytes_aware():
+    """The exchange sizes its shards from the bytes it measured: a ~10 MB
+    input (no datasource, no file) gets one shard per ``MIN_SHARD_BYTES``,
+    fewer than ``shard_count()``'s floor, and the kernel runs once per
+    shard."""
+    from ml_data_pipeline_ray.stages.exchange import hash_exchange, shard_count
 
-    t = pa.table({"a": pa.array(np.arange(1000), pa.int64())})
-    path = str(tmp_path / "tiny.parquet")
-    pq.write_table(t, path)
-    ds = read_parquet(path)          # wrapper adds a map_batches
-    assert ds.input_files() == []    # the failure mode being guarded
-    est = _estimate_input_bytes(ds)
-    assert est is not None and 0 < est < (4 << 20)
-    n = shard_count(2 * est)         # both sides of a self-join
-    assert isinstance(n, int)
-    assert 1 <= n < shard_count()
+    n = 1_200_000
+    ds = rd.from_arrow(pa.table({"a": pa.array(np.arange(n), pa.int64())}))
+    want = shard_count(ds.materialize().size_bytes())
+    assert 1 < want < shard_count()
+    out = hash_exchange([ds], ["a"], lambda g: pa.table({"rows": [g.num_rows]}),
+                        batch_format="pyarrow").to_pandas()
+    assert len(out) == want and out["rows"].sum() == n
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+def test_hash_exchange_skips_empty_blocks(batch_format):
+    """An empty block without any column among non-empty ones (as an
+    upstream map may emit) is skipped, not hashed; an input of empty blocks
+    only gives an empty Dataset."""
+    from ml_data_pipeline_ray.stages.exchange import hash_exchange
+
+    def kernel(g):
+        return g
+
+    typed = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.string())})
+    parts = [pa.table({"k": [1, 2, 3], "v": ["a", "b", "c"]}), pa.table({}),
+             typed, pa.table({"k": [3, 4], "v": ["d", "e"]})]
+    ds = rd.from_arrow(parts)
+    assert ds.num_blocks() == 4
+    got = hash_exchange([ds], ["k"], kernel, batch_format=batch_format)
+    assert sorted(got.to_pandas().itertuples(index=False)) == [
+        (1, "a"), (2, "b"), (3, "c"), (3, "d"), (4, "e")]
+
+    empty = hash_exchange([rd.from_arrow([pa.table({}), typed])], ["k"], kernel,
+                          batch_format=batch_format)
+    assert empty.count() == 0
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_hash_exchange_colocates_keys_across_inputs():
     """Two multi-block inputs with int, string and null keys (nulls only in
     some blocks): every key's rows from both inputs reach exactly one
-    kernel call, per-key counts equal pandas, and the kernel never sees
-    the shard tag."""
-    from ml_data_pipeline_ray.stages.exchange import SHARD_COL, hash_exchange
+    kernel call, per-key counts equal pandas, and the kernel sees only the
+    input columns."""
+    from ml_data_pipeline_ray.stages.exchange import hash_exchange
 
     rng = np.random.default_rng(11)
 
@@ -353,7 +398,7 @@ def test_hash_exchange_colocates_keys_across_inputs():
                               for p in parts])
 
     def kernel(g: pa.Table) -> pa.Table:
-        assert SHARD_COL not in g.column_names
+        assert g.column_names == ["k_int", "k_str", "src"]
         out = g.group_by(["k_int", "k_str"]).aggregate([([], "count_all")])
         return pa.table({"k_int": out["k_int"], "k_str": out["k_str"],
                          "n": out["count_all"]})
