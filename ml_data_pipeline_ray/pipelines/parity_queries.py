@@ -37,6 +37,7 @@ from ..sources.arrow_ipc import read_arrow_ipc_dataset, write_arrow_ipc
 from ..sources.tfrecord import read_tfrecords, write_tfrecords
 from ..stages import multimodal as MM
 from ..stages.encoders import MinMaxScaler, StandardScaler
+from ..stages.groupagg import grouped_agg
 from ..stages.timeseries import regularize_per_key
 from ..state.dictionary import GlobalDictApplier, build_global_dictionary
 from .tpch import _haround, _round, _stab, _t
@@ -153,9 +154,9 @@ def text_lines_docs(sf_dir: str) -> pd.DataFrame:
         _mark_ready(d, key)
 
     ds = read_text_lines(paths, trim=True, skip_empty=True)
-    out = (ds.groupby("text")
-           .aggregate(Count(alias_name="n"),
-                      Sum("line_number", alias_name="sum_line"))).to_pandas()
+    out = grouped_agg(ds, keys=["text"],
+                      aggs=[(None, "count_star", "n"),
+                            ("line_number", "sum", "sum_line")]).to_pandas()
     out = out.rename(columns={"text": "source"})
     out["sum_line"] = out["sum_line"].astype(np.int64)
     return out[["source", "n", "sum_line"]]
@@ -260,10 +261,10 @@ def jsonl_roundtrip_events(sf_dir: str) -> pd.DataFrame:
     # file-parallelism without the per-file tax
     ds.repartition(8).write_json(d)
     back = read_json_typed(sorted(_glob.glob(os.path.join(d, "*.json"))))
-    out = (back.groupby("event_type")
-           .aggregate(Count(alias_name="n"),
-                      Sum("event_id", alias_name="sum_id"),
-                      Sum("user_id", alias_name="sum_user"))).to_pandas()
+    out = grouped_agg(back, keys=["event_type"],
+                      aggs=[(None, "count_star", "n"),
+                            ("event_id", "sum", "sum_id"),
+                            ("user_id", "sum", "sum_user")]).to_pandas()
     for c in ("n", "sum_id", "sum_user"):
         out[c] = out[c].astype(np.int64)
     return out[["event_type", "n", "sum_id", "sum_user"]]
@@ -389,8 +390,8 @@ def dict_encode_docs(sf_dir: str) -> pd.DataFrame:
     ref = ray.put(mapping)
     enc = ds.map_batches(GlobalDictApplier(ref, "source"),
                          batch_format="pyarrow")
-    out = (enc.groupby(["source", "source_id"])
-           .aggregate(Count(alias_name="n"))).to_pandas()
+    out = grouped_agg(enc, keys=["source", "source_id"],
+                      aggs=[(None, "count_star", "n")]).to_pandas()
     out["source_id"] = out["source_id"].astype(np.int64)
     return out[["source", "source_id", "n"]]
 
@@ -472,6 +473,18 @@ class _Codec(NamedTuple):
     sums: tuple[tuple[str, str, str | None], ...]
 
 
+class _LengthDims:
+    """The sniff query's stand-in decoder: ``width`` and ``height`` hashed
+    from each blob's byte length (the fixture's payloads after the magic
+    bytes are noise, so there is nothing to decode)."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        n = pc.binary_length(batch["data"]).to_numpy(zero_copy_only=False)
+        h = n.astype(np.int64) * 2654435761 % (1 << 31)
+        return batch.append_column("width", pa.array(16 + h % 241)) \
+                    .append_column("height", pa.array(16 + (h >> 8) % 241))
+
+
 _IMAGE_SUMS = (("sum_width", "width", "true_width"),
                ("sum_height", "height", "true_height"),
                ("sum_px", "px_sum", "true_px_sum"),
@@ -486,8 +499,8 @@ _GRAY = {"gray_witness": True}
 #: the blobs — any decode bug changes the hash. JPEG truths are build-time
 #: decodes (lossy codec; proven against the spec in unit tests), video
 #: decodes with ``frame_step=2`` against the even-frame luma witness, and
-#: ``multimodal_sniff_decode`` runs the deterministic fake decode behind the
-#: vectorized sniff (its oracle recomputes magic bytes and the fake hash
+#: ``multimodal_sniff_decode`` runs :class:`_LengthDims` behind the
+#: vectorized sniff (its oracle recomputes magic bytes and the length hash
 #: arithmetic).
 CODECS = {
     "image_decode_stats": _Codec(
@@ -517,7 +530,7 @@ CODECS = {
          ("sum_sampled", "n_sampled", "(true_frames + 1) // 2"),
          ("sum_luma", "y_sum", "true_y_sum_even"))),
     "multimodal_sniff_decode": _Codec(
-        MM.make_binary_fixture, 256, MM.ImageDecoder, {"fake": True},
+        MM.make_binary_fixture, 256, _LengthDims, {},
         32, ("format", None),
         (("sum_width", "width", None), ("sum_height", "height", None))),
 }
@@ -540,9 +553,9 @@ def codec_witness(name: str, sf_dir: str) -> pd.DataFrame:
     ds = ds.map_batches(c.decoder, fn_constructor_kwargs=c.kwargs,
                         batch_format="pyarrow", concurrency=2,
                         batch_size=c.batch_size)
-    out = ds.groupby(key).aggregate(
-        Count(alias_name="n"),
-        *(Sum(col, alias_name=alias) for alias, col, _ in c.sums)).to_pandas()
+    out = grouped_agg(ds, keys=[key], aggs=[
+        (None, "count_star", "n"),
+        *((col, "sum", alias) for alias, col, _ in c.sums)]).to_pandas()
     cols = [key, "n", *(alias for alias, _, _ in c.sums)]
     return out[cols].astype({col: np.int64 for col in cols if col != "format"})
 
@@ -727,7 +740,6 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
                      MM.ImageDecoder, "px_sum")
               .union(branch(("wav",), MM.AudioDecoder, "abs_sum"))
               .union(branch(("y4m",), MM.VideoDecoder, "y_sum")))
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(merged, keys=["modality"],
                       aggs=[(None, "count_star", "n"),
                             ("witness", "sum", "sum_witness")]).to_pandas()
@@ -790,9 +802,9 @@ def sql_source_events(sf_dir: str) -> pd.DataFrame:
          f"FROM read_parquet('{_t(sf_dir, 'events')}') "
          f"WHERE event_type IN ('purchase', 'signup')")
     ds = read_sql_typed(q, override_num_blocks=8)
-    out = (ds.groupby(["user_id", "event_type"])
-           .aggregate(Count(alias_name="n"),
-                      Sum("value", alias_name="sum_value"))).to_pandas()
+    out = grouped_agg(ds, keys=["user_id", "event_type"],
+                      aggs=[(None, "count_star", "n"),
+                            ("value", "sum", "sum_value")]).to_pandas()
     out["n"] = out["n"].astype(np.int64)
     return _round(_stab(out, {"sum_value": 2}),
                   {"sum_value": 2})[["user_id", "event_type", "n", "sum_value"]]
@@ -926,10 +938,10 @@ def avro_roundtrip_events(sf_dir: str) -> pd.DataFrame:
         _mark_ready(d, key)
 
     ds = read_avro(paths)
-    out = (ds.groupby("event_type")
-           .aggregate(Count(alias_name="n"),
-                      Sum("event_id", alias_name="sum_id"),
-                      Sum("value", alias_name="sum_value"))).to_pandas()
+    out = grouped_agg(ds, keys=["event_type"],
+                      aggs=[(None, "count_star", "n"),
+                            ("event_id", "sum", "sum_id"),
+                            ("value", "sum", "sum_value")]).to_pandas()
     out["n"] = out["n"].astype(np.int64)
     out["sum_id"] = out["sum_id"].astype(np.int64)
     return _round(_stab(out, {"sum_value": 2}),
@@ -987,10 +999,10 @@ def http_source_events(sf_dir: str) -> pd.DataFrame:
     try:
         urls = [f"http://127.0.0.1:{port}/{n}" for n in names]
         ds = read_http(urls, format="parquet")
-        out = (ds.groupby("event_type")
-               .aggregate(Count(alias_name="n"),
-                          Sum("event_id", alias_name="sum_id"),
-                          Sum("value", alias_name="sum_value"))).to_pandas()
+        out = grouped_agg(ds, keys=["event_type"],
+                          aggs=[(None, "count_star", "n"),
+                                ("event_id", "sum", "sum_id"),
+                                ("value", "sum", "sum_value")]).to_pandas()
     finally:
         srv.shutdown()
         thread.join(timeout=5)

@@ -10,7 +10,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
 
 from ..sources.readers import read_parquet
 from ..stages import text as T
@@ -18,6 +17,7 @@ from ..stages.packing import pack_by_token_budget
 from ..stages.sampling import mixture_sample
 from ..stages.topk import grouped_topk, topk
 from ..stages.ann import brute_force_topk, cosine_pairs_bucketed, ivf_topk
+from ..stages.groupagg import grouped_agg
 from ..stages.dedup import (exact_dedup, minhash_candidate_pairs,
                             simhash_candidate_pairs, verify_candidate_pairs)
 from .fixture_paths import fixture_paths, scale_for_sf_dir, transcripts_glob
@@ -84,13 +84,13 @@ def docs_quality_by_source(sf_dir: str) -> pd.DataFrame:
             "n_digits",
             pc.count_substring_regex(b["text"], T.DIGIT_RE).cast(pa.int64()))
 
-    m = (ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True)
-         .groupby("source")
-         .aggregate(Count(alias_name="n_docs"),
-                    Sum("n_tokens", alias_name="total_tokens"),
-                    Sum("n_stopwords", alias_name="sum_stop"),
-                    Sum("n_chars_text", alias_name="sum_chars"),
-                    Sum("n_digits", alias_name="sum_digits"))).to_pandas()
+    m = grouped_agg(
+        ds.map_batches(metrics, batch_format="pyarrow", zero_copy_batch=True),
+        keys=["source"], aggs=[(None, "count_star", "n_docs"),
+                               ("n_tokens", "sum", "total_tokens"),
+                               ("n_stopwords", "sum", "sum_stop"),
+                               ("n_chars_text", "sum", "sum_chars"),
+                               ("n_digits", "sum", "sum_digits")]).to_pandas()
     # integer sums + one final division == exact float agreement with SQL
     m["stop_ratio"] = (m["sum_stop"] / m["total_tokens"].clip(lower=1)).round(6)
     m["digit_ratio"] = (m["sum_digits"] / m["sum_chars"].clip(lower=1)).round(6)
@@ -99,9 +99,10 @@ def docs_quality_by_source(sf_dir: str) -> pd.DataFrame:
 
 def docs_langid(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "documents"), columns=["text"])
-    out = (ds.map_batches(T.add_lang_pred, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("lang_pred").aggregate(Count(alias_name="n"))).to_pandas()
+    out = grouped_agg(
+        ds.map_batches(T.add_lang_pred, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        keys=["lang_pred"], aggs=[(None, "count_star", "n")]).to_pandas()
     return out
 
 
@@ -151,7 +152,6 @@ def docs_vocab_topk(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "documents"), columns=["text"])
     partial = ds.map_batches(T.token_count_partial, batch_format="pyarrow",
                              zero_copy_batch=True)
-    from ..stages.groupagg import grouped_agg
     agg = grouped_agg(partial, keys=["token"], aggs=[("n", "sum", "n")])
     return topk(agg, by=["n", "token"], k=50,
                 descending=[True, False]).reset_index(drop=True)
@@ -189,7 +189,6 @@ def docs_train_split(sf_dir: str) -> pd.DataFrame:
     ``grouped_agg`` exchange of <= splits x langs x blocks partial rows;
     at corpus scale the split column would feed partitioned writes
     (``write_parquet(partition_cols=['split'])``) instead of an agg."""
-    from ..stages.groupagg import grouped_agg
 
     ds = read_parquet(_t(sf_dir, "documents"),
                       columns=["doc_id", "lang", "n_chars"])
@@ -581,8 +580,6 @@ def docs_corpus_curation(sf_dir: str) -> pd.DataFrame:
     deterministic per-source mixture sampling → per-source stats. Only the
     dedup shuffles; everything else is fused per-batch kernels under
     backpressure. Oracle: the same five stages as one SQL CTE chain."""
-    from ray.data.aggregate import Count, Sum
-
     ds = read_parquet(_t(sf_dir, "documents"),
                       columns=["doc_id", "source", "lang", "n_chars", "text"])
     m = ds.map_batches(T.add_quality_metrics, batch_format="pyarrow",
@@ -604,9 +601,9 @@ def docs_corpus_curation(sf_dir: str) -> pd.DataFrame:
                       batch_format="pyarrow", zero_copy_batch=True)
     d = exact_dedup(m, cols=["text"], order_col="doc_id")
     s = mixture_sample(d, MIXTURE_RATES_1024)
-    out = (s.groupby("source")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("n_tokens", alias_name="total_tokens"))).to_pandas()
+    out = grouped_agg(s, keys=["source"],
+                      aggs=[(None, "count_star", "n_docs"),
+                            ("n_tokens", "sum", "total_tokens")]).to_pandas()
     out["total_tokens"] = out["total_tokens"].astype(np.int64)
     return out.sort_values("source").reset_index(drop=True)
 
@@ -641,7 +638,6 @@ def docs_repetition_scores(sf_dir: str) -> pd.DataFrame:
     flags (integer cross-multiply — no float thresholds). Map-side
     per-batch partials (vectorized factorize/bincount over (doc, bigram)
     pairs), one tiny grouped combine."""
-    from ..stages.groupagg import grouped_agg
     from ..stages.text import repetition_partial
 
     ds = read_parquet(_t(sf_dir, "documents"),

@@ -24,10 +24,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Sum
 
 from ..sources.readers import read_parquet
 from ..stages.exchange import hash_exchange
+from ..stages.groupagg import grouped_agg
 from ..stages.joins import (auto_join, broadcast_join,
                             broadcast_semi_join, hash_join)
 from ..stages.predicates import And, Compare
@@ -99,7 +100,6 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
         return (b.append_column("disc_price", disc_price)
                  .append_column("charge", charge))
 
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(
         ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True),
         keys=["l_returnflag", "l_linestatus"],
@@ -187,7 +187,6 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
 
     # group by the key alone (narrower sort); o_orderdate / o_orderpriority
     # are functionally dependent on l_orderkey, so Max() carries them exactly
-    from ..stages.groupagg import grouped_agg
     agg = grouped_agg(
         joined.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True),
         keys=["l_orderkey"],
@@ -241,9 +240,9 @@ def nation_revenue(sf_dir: str) -> pd.DataFrame:
                               pc.subtract(pa.scalar(1.0), b["l_discount"]))
         return pa.table({"n_name": b["n_name"], "revenue": revenue})
 
-    out = (joined.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("n_name").aggregate(Sum("revenue", alias_name="revenue"))
-           ).to_pandas()
+    out = grouped_agg(
+        joined.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True),
+        keys=["n_name"], aggs=[("revenue", "sum", "revenue")]).to_pandas()
     return _round(_stab(out, {"revenue": 4}), {"revenue": 2})
 
 
@@ -260,7 +259,6 @@ def top_orders(sf_dir: str) -> pd.DataFrame:
 def orders_per_priority(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "orders"),
                          columns=["o_orderpriority", "o_totalprice"])
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["o_orderpriority"],
                       aggs=[(None, "count_star", "n_orders"),
                             ("o_totalprice", "sum", "_sum")]).to_pandas()
@@ -272,7 +270,6 @@ def orders_per_priority(sf_dir: str) -> pd.DataFrame:
 def customer_segments(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "customer"),
                          columns=["c_mktsegment", "c_acctbal"])
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["c_mktsegment"],
                       aggs=[(None, "count_star", "n_customers"),
                             ("c_acctbal", "sum", "_sum"),
@@ -287,7 +284,6 @@ def customer_segments(sf_dir: str) -> pd.DataFrame:
 def parts_by_brand(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "part"),
                          columns=["p_brand", "p_retailprice"])
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["p_brand"],
                       aggs=[(None, "count_star", "n_parts"),
                             ("p_retailprice", "sum", "_sum")]).to_pandas()
@@ -303,7 +299,6 @@ def supplier_balance_by_nation(sf_dir: str) -> pd.DataFrame:
                          columns=["s_nationkey", "s_acctbal"])
     ds = broadcast_join(ds, nation.rename_columns(["s_nationkey", "n_name"]),
                         on=["s_nationkey"])
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["n_name"],
                       aggs=[(None, "count_star", "n_suppliers"),
                             ("s_acctbal", "sum", "total_bal")]).to_pandas()
@@ -349,11 +344,12 @@ def part_filter_string_predicates(sf_dir: str) -> pd.DataFrame:
     def apply_pred(b: pa.Table) -> pa.Table:
         return b.filter(expr)
 
-    out = (ds.map_batches(apply_pred, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("p_brand")
-           .aggregate(Count(alias_name="n_parts"),
-                      Sum("p_retailprice", alias_name="sum_price"))).to_pandas()
+    out = grouped_agg(
+        ds.map_batches(apply_pred, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        keys=["p_brand"], aggs=[(None, "count_star", "n_parts"),
+                                ("p_retailprice", "sum", "sum_price")]
+    ).to_pandas()
     return _round(_stab(out, {"sum_price": 2}), {"sum_price": 2})
 
 
@@ -364,9 +360,9 @@ def lineitem_filter_predicates(sf_dir: str) -> pd.DataFrame:
                          columns=["l_returnflag", "l_quantity", "l_shipdate",
                                   "l_extendedprice"],
                          filter=LINEITEM_PRED.to_expression())
-    out = (ds.groupby("l_returnflag")
-           .aggregate(Count(alias_name="n_rows"),
-                      Sum("l_quantity", alias_name="sum_qty"))).to_pandas()
+    out = grouped_agg(ds, keys=["l_returnflag"],
+                      aggs=[(None, "count_star", "n_rows"),
+                            ("l_quantity", "sum", "sum_qty")]).to_pandas()
     return _round(_stab(out, {"sum_qty": 2}), {"sum_qty": 2})
 
 
@@ -379,7 +375,6 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     def hour(b: pa.Table) -> pa.Table:
         return b.append_column("hour", pc.floor_temporal(b["ts"], unit="hour"))
 
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(
         ds.map_batches(hour, batch_format="pyarrow", zero_copy_batch=True),
         keys=["event_type", "hour"],
@@ -400,7 +395,6 @@ def events_rollup(sf_dir: str) -> pd.DataFrame:
     def hour(b: pa.Table) -> pa.Table:
         return b.append_column("hour", pc.floor_temporal(b["ts"], unit="hour"))
 
-    from ..stages.groupagg import grouped_agg
     fine = grouped_agg(
         ds.map_batches(hour, batch_format="pyarrow", zero_copy_batch=True),
         keys=["event_type", "hour"],
@@ -423,7 +417,6 @@ def events_cube(sf_dir: str) -> pd.DataFrame:
     result on the driver — the scale-correct cube shape (never N shuffles
     for N grouping sets). Cents via sign*floor(|v|*100+0.5), the module's
     half-away-from-zero contract matching the oracle's round(v*100)."""
-    from ..stages.groupagg import grouped_agg
 
     ds = read_parquet(_t(sf_dir, "events"),
                       columns=["event_type", "ts", "value"])
@@ -489,7 +482,6 @@ def events_user_stats(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "event_type", "value"],
                          filter=pc.field("event_type") == "purchase")
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["user_id"],
                       aggs=[(None, "count_star", "n_purchases"),
                             ("value", "sum", "total_value")]).to_pandas()
@@ -509,7 +501,6 @@ def events_systematic_sample(sf_dir: str) -> pd.DataFrame:
         return t.filter(pc.equal(m, 0))
 
     ds = ds.map_batches(mod20, batch_format="pyarrow", zero_copy_batch=True)
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(ds, keys=["event_type"],
                       aggs=[(None, "count_star", "n"),
                             ("value", "sum", "sum_value")]).to_pandas()
@@ -525,7 +516,6 @@ def union_event_slices(sf_dir: str) -> pd.DataFrame:
     b = read_parquet(_t(sf_dir, "events"), columns=base,
                         filter=pc.field("event_type") == "error")
     u = a.union(b)
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(u, keys=["event_type"],
                       aggs=[(None, "count_star", "n"),
                             ("value", "sum", "sum_value")]).to_pandas()
@@ -543,7 +533,6 @@ def events_props_k(sf_dir: str) -> pd.DataFrame:
         k = pc.struct_field(m, "k").cast(pa.int64())
         return pa.table({"event_type": b["event_type"], "k": k})
 
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(
         ds.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True),
         keys=["event_type"],
@@ -734,7 +723,6 @@ def events_rolling_3h(sf_dir: str) -> pd.DataFrame:
                          "hour": pc.floor_temporal(b["ts"], unit="hour"),
                          "value": b["value"]})
 
-    from ..stages.groupagg import grouped_agg
     agg = grouped_agg(
         ds.map_batches(hour, batch_format="pyarrow", zero_copy_batch=True),
         keys=["event_type", "hour"], aggs=[("value", "sum", "sv")])
@@ -801,7 +789,6 @@ def events_distinct_users(sf_dir: str) -> pd.DataFrame:
     than the distinct-pair set ever moves, and the approximate sibling
     (HyperLogLog, `events_approx_distinct`) handles cardinalities where
     even that is too big."""
-    from ..stages.groupagg import grouped_agg
 
     ds = read_parquet(_t(sf_dir, "events"),
                       columns=["event_type", "user_id"])
@@ -858,7 +845,6 @@ def lineitem_unpivot_stats(sf_dir: str) -> pd.DataFrame:
                                "l_extendedprice", "l_discount"])
     long = unpivot(ds, ["l_returnflag"],
                    ["l_quantity", "l_extendedprice", "l_discount"])
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(long, keys=["l_returnflag", "metric"],
                       aggs=[(None, "count_star", "n"),
                             ("value", "sum", "sum_value")]).to_pandas()
@@ -885,7 +871,6 @@ def lineitem_above_p95(sf_dir: str) -> pd.DataFrame:
     flt = read_parquet(_t(sf_dir, "lineitem"),
                        columns=["l_returnflag", "l_extendedprice"],
                        filter=pc.field("l_extendedprice") > p95)
-    from ..stages.groupagg import grouped_agg
     out = grouped_agg(flt, keys=["l_returnflag"],
                       aggs=[(None, "count_star", "n_above"),
                             ("l_extendedprice", "sum", "sum_price")]
@@ -919,13 +904,13 @@ def events_hive_roundtrip(sf_dir: str) -> pd.DataFrame:
                                  "event_type", et.cast(pa.string()))
             return b
 
-        out = (back.map_batches(fix, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .groupby("event_type")
-               .aggregate(Count(alias_name="n"),
-                          Sum("value", alias_name="sum_value"),
-                          Max("event_id", alias_name="max_event_id"))
-               ).to_pandas()
+        out = grouped_agg(
+            back.map_batches(fix, batch_format="pyarrow",
+                             zero_copy_batch=True),
+            keys=["event_type"], aggs=[(None, "count_star", "n"),
+                                       ("value", "sum", "sum_value"),
+                                       ("event_id", "max", "max_event_id")]
+        ).to_pandas()
     finally:
         # the roundtrip copy is per-call scratch: best-of-2 bench + gate
         # sweeps would otherwise accumulate a full events copy per run
@@ -959,10 +944,9 @@ def lineitem_bloom_join(sf_dir: str) -> pd.DataFrame:
                                     "l_extendedprice"]),
         batch_format="pyarrow", zero_copy_batch=True)
     joined = hash_join(pre, urgent, on=["o_orderkey"])
-    out = (joined.groupby("l_returnflag")
-           .aggregate(Count(alias_name="n"),
-                      Sum("l_extendedprice", alias_name="sum_price"))
-           ).to_pandas()
+    out = grouped_agg(joined, keys=["l_returnflag"],
+                      aggs=[(None, "count_star", "n"),
+                            ("l_extendedprice", "sum", "sum_price")]).to_pandas()
     return _round(_stab(out, {"sum_price": 2}), {"sum_price": 2})
 
 
@@ -1079,8 +1063,7 @@ def orders_customer_salted(sf_dir: str) -> pd.DataFrame:
     cust = read_parquet(_t(sf_dir, "customer"),
                         columns=["c_custkey", "c_mktsegment"])
     joined = salted_hash_join(orders, cust, on=["c_custkey"], salts=8)
-    out = (joined.groupby("c_mktsegment")
-           .aggregate(Count(alias_name="n_orders"),
-                      Sum("o_totalprice", alias_name="sum_price"))
-           ).to_pandas()
+    out = grouped_agg(joined, keys=["c_mktsegment"],
+                      aggs=[(None, "count_star", "n_orders"),
+                            ("o_totalprice", "sum", "sum_price")]).to_pandas()
     return _round(_stab(out, {"sum_price": 2}), {"sum_price": 2})

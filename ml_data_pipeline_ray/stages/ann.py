@@ -4,8 +4,9 @@
   once via ``ray.put`` and read zero-copy in every task; each batch does one
   numpy matmul (batch × queries). This is the baseline and the verification
   oracle for approximate variants.
-- :class:`CosinePairFinder` — all pairs with cosine >= threshold against a
-  broadcast index matrix (embedding near-dup detection).
+- :func:`cosine_pairs_bucketed` — all pairs with cosine >= threshold,
+  compared only within shared centroid buckets (embedding near-dup
+  detection).
 - :func:`ivf_topk` — the scale path: k-means-lite centroids on a sample
   (deterministic seed), vectors assigned to their nearest centroid bucket,
   queries probe ``nprobe`` buckets; at 100 TB the bucket assignment is the
@@ -97,49 +98,6 @@ def brute_force_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.nda
     out = cand.groupby("query_id", sort=True).head(k).reset_index(drop=True)
     out["rank"] = out.groupby("query_id").cumcount() + 1
     return out[["query_id", "neighbor_id", "rank"]]
-
-
-class CosinePairFinder:
-    """Per-batch: all (id, index_id) pairs with cosine >= threshold vs the
-    broadcast (normalized) index matrix. Used for embedding near-dup."""
-
-    def __init__(self, index_ref, threshold: float, id_col: str = "vec_id",
-                 emb_col: str = "embedding"):
-        self._ref = index_ref
-        self.ixm = None
-        self.threshold = threshold
-        self.id_col, self.emb_col = id_col, emb_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.ixm is None:
-            ix = (ray.get(self._ref)
-                  if isinstance(self._ref, ray.ObjectRef) else self._ref)
-            self.ix_ids = ix["ids"]
-            self.ixm = _normalize(ix["matrix"])
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        m = _normalize(_to_matrix(batch.column(self.emb_col)))
-        sims = m @ self.ixm.T
-        r, c = np.where(sims >= self.threshold)
-        a, b = ids[r], self.ix_ids[c]
-        keep = a < b                               # dedupe unordered pairs + self
-        return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep]),
-                         "sim": pa.array(sims[r, c][keep])})
-
-
-def cosine_pairs(ds: rd.Dataset, threshold: float, id_col: str = "vec_id",
-                 emb_col: str = "embedding") -> pd.DataFrame:
-    """All unordered id pairs with cosine similarity >= threshold —
-    **all-pairs oracle variant** (the index side is the whole dataset,
-    broadcast once). O(n²) compute and O(n) broadcast memory: use only as
-    the verification oracle for :func:`cosine_pairs_bucketed` in tests; the
-    scale path is the bucketed version."""
-    tbl = _dataset_to_table(ds, [id_col, emb_col])
-    ref = ray.put({"ids": tbl.column(id_col).to_numpy(zero_copy_only=False),
-                   "matrix": _to_matrix(tbl.column(emb_col))})
-    pairs = ds.map_batches(CosinePairFinder(ref, threshold, id_col, emb_col),
-                           batch_format="pyarrow").to_pandas()
-    return (pairs.sort_values(["id_a", "id_b"], kind="mergesort")
-            .reset_index(drop=True))
 
 
 def _train_centroids(ds: rd.Dataset, id_col: str, emb_col: str,

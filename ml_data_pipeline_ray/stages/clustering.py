@@ -183,7 +183,6 @@ def label_centroids(ds: rd.Dataset, label_col: str = "label",
     1/8-grid snapped means, bit-identical to the SQL mirror by the module's
     determinism contract. Returns a DataFrame (label, n, centroid (k,d))."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     qds = ds.map_batches(quantize_batch, batch_format="pyarrow",
                          zero_copy_batch=True,

@@ -716,10 +716,3 @@ def simhash_candidate_pairs(ds: rd.Dataset, id_col: str,
     cand["hamming"] = cand["hamming"].astype(np.int64)
     return (cand.sort_values(["id_a", "id_b"], kind="mergesort")
             .reset_index(drop=True))
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a ^ b
-    # vectorized popcount via uint8 view + lookup
-    lut = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
-    return lut[x.view(np.uint8).reshape(-1, 8)].sum(1)

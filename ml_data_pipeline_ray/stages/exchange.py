@@ -9,6 +9,14 @@ grouping itself. Many keys share a shard on purpose: a task or group PER
 KEY costs ~0.5 ms of machinery each, which dominated at tens of thousands
 of keys.
 
+Every keyed aggregate of the library (:func:`.groupagg.grouped_agg`) and
+every gap fill (:func:`.timeseries.regularize_per_key`) runs on this
+exchange; Ray Data's ``groupby().aggregate()`` is not used. Ray Data's
+``groupby(key).map_groups`` is left only where one group is one unit of
+work: ``packing.pack_by_token_budget`` (a domain's documents),
+``ann.ivf_topk`` and ``ann.cosine_pairs_bucketed`` (a centroid bucket) and
+``tpch.events_rolling_3h`` (one event type's hourly series).
+
 The exchange runs on Ray-core tasks, not on Ray Data's sort-based groupby:
 the shard of a row is known up front, so nothing needs sorting or
 sampling, and the shuffle's cost is its objects (SURVEY.md §2, "custom

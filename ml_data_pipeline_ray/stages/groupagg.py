@@ -1,22 +1,25 @@
-"""Arrow-native grouped aggregation (P5 hot path).
+"""Arrow-native grouped aggregation: the library's one keyed aggregate.
 
-``Dataset.groupby(...).aggregate(...)`` in Ray Data is a sort-based
-exchange whose map/reduce sub-operators walk per-key group boundaries in
-Python — measured here at ~40k rows/s on 313k rows × 64k string keys
-(7.7 s map + 3.6 s reduce for an aggregate Arrow's hash kernels finish in
-tens of milliseconds). This operator keeps the same distributed shape but
-does ALL per-row work in Arrow C++:
+Every keyed aggregate of the operator library and the registry queries
+runs here. ``Dataset.groupby(...).aggregate(...)`` in Ray Data is a
+sort-based exchange whose map/reduce sub-operators walk per-key group
+boundaries in Python — measured here at ~40k rows/s on 313k rows × 64k
+string keys (7.7 s map + 3.6 s reduce for an aggregate Arrow's hash kernels
+finish in tens of milliseconds) — and it is not used; only the global
+aggregates behind ``Dataset.aggregate`` / ``unique`` (no key, so no
+exchange) stay on Ray Data. This operator keeps the same distributed shape
+but does ALL per-row work in Arrow C++:
 
 1. **partial** — each block is pre-aggregated with ``Table.group_by``
    (hash aggregation, C++), so at most one row per (key, block) enters
    the exchange; sums/counts/mins/maxes decompose associatively (mean
-   travels as sum+count and is finalized after the combine);
+   travels as sum+count and is finalized in the combine);
 2. **exchange** — partials go through the library's one
    :func:`~.exchange.hash_exchange` (shards by ``key_hash(keys)``, count
    from the shared bytes-aware rule), moving key+partial columns only;
 3. **combine** — each shard re-aggregates its partials with one more
-   ``Table.group_by`` call (C++ again; Python touches a shard, never a
-   key).
+   ``Table.group_by`` call and finishes them (C++ again; Python touches a
+   shard, never a key), so the exchange's output is the result.
 
 Supported fns: ``sum count min max mean count_star`` (count = non-null
 count of the named column, mirroring SQL ``COUNT(col)``; ``count_star``
@@ -48,17 +51,14 @@ def grouped_agg(ds: rd.Dataset, keys: list[str],
     with fn in {sum, count, min, max, mean}. Returns a Dataset with
     columns ``keys + [out_name...]``; one hash exchange of partial rows
     only."""
-    # decompose: mean → (sum, count) partials + a finalize division.
-    # tmp_of maps each plan entry to its partial-column name; the arrow
-    # aggregate list is deduped on (col, kernel) since pyarrow names its
-    # outputs "{col}_{kernel}".
+    # decompose: mean → (sum, count) partials + a finalize division. The
+    # arrow aggregate list is deduped on (col, kernel) since pyarrow names
+    # its outputs "{col}_{kernel}".
     plan: list[tuple[str, str, str, str]] = []   # (col, arrow_fn, tmp, comb)
-    finalize_means: list[tuple[str, str, str]] = []  # (out, sum_tmp, cnt_tmp)
     for col, fn, out in aggs:
         if fn == "mean":
             plan.append((col, "sum", f"_s_{out}", "sum"))
             plan.append((col, "count", f"_c_{out}", "sum"))
-            finalize_means.append((out, f"_s_{out}", f"_c_{out}"))
         elif fn in ("count_star", "count_all"):
             # SQL COUNT(*): col is ignored; Arrow's count_all kernel
             # counts every row of the group, NULLs included
@@ -85,28 +85,18 @@ def grouped_agg(ds: rd.Dataset, keys: list[str],
 
     def combine(t: pa.Table) -> pa.Table:
         # pure Arrow — a pandas round-trip here would coerce nullable
-        # int64 partials (all-NULL-group sums) to float64
+        # int64 partials (all-NULL-group sums) to float64. Finishing here,
+        # not in a map after the exchange, saves a Ray Data execution.
         agged = t.group_by(keys).aggregate(
             [(tmp, cfn) for _, _, tmp, cfn in plan])
+        part = {tmp: agged[f"{tmp}_{cfn}"] for _, _, tmp, cfn in plan}
         cols = {k: agged[k] for k in keys}
-        for _, _, tmp, cfn in plan:
-            cols[tmp] = agged[f"{tmp}_{cfn}"]
+        for _, fn, out in aggs:
+            cols[out] = (pc.divide(pc.cast(part[f"_s_{out}"], pa.float64()),
+                                   pc.cast(part[f"_c_{out}"], pa.float64()))
+                         if fn == "mean" else part[f"_p_{out}"])
         return pa.table(cols)
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    combined = hash_exchange([parts], keys, combine, batch_format="pyarrow")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        cols = {k: batch[k] for k in keys}
-        for col, fn, out in aggs:
-            if fn != "mean":
-                cols[out] = batch[f"_p_{out}"]
-        for out, s, c in finalize_means:
-            cols[out] = pc.divide(
-                pc.cast(batch[s], pa.float64()),
-                pc.cast(batch[c], pa.float64()))
-        return pa.table(cols)
-
-    return combined.map_batches(finish, batch_format="pyarrow",
-                                zero_copy_batch=True)
+    return hash_exchange([parts], keys, combine, batch_format="pyarrow")

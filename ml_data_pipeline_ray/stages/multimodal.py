@@ -17,9 +17,7 @@ witness columns mean the same on every host:
   from the public ITU-T T.81 spec (Huffman, dequant, IDCT,
   4:2:0/4:2:2/4:4:4, restart markers);
 - **BMP** (BI_RGB), **GIF** (LZW) and baseline **TIFF** (PackBits, either
-  byte order); a sniffed format without a codec (WebP) raises;
-- ``fake=True`` — the deterministic stand-in (hash-derived dims + feature
-  vector) kept for plumbing tests and format-agnostic oracles.
+  byte order); a sniffed format without a codec (WebP) raises.
 
 Options mirror the reference's enum (``image.rs:93-132``): ``resize``
 (nearest-neighbour, deterministic), ``grayscale`` (integer ITU-R 601 luma),
@@ -692,23 +690,18 @@ class ImageDecoder:
     and ``features`` are per-channel means (÷255 when ``normalize``).
 
     Options (reference ``image.rs:93-132``): ``resize=(w, h)`` nearest-
-    neighbour, ``grayscale`` integer luma, ``normalize`` floats in [0, 1].
-    ``fake=True`` keeps the deterministic no-decode stand-in (hash-derived
-    dims + feature vector) for format-agnostic plumbing tests."""
+    neighbour, ``grayscale`` integer luma, ``normalize`` floats in [0, 1]."""
 
     def __init__(self, data_col: str = "data", feature_dim: int = 8,
-                 fake: bool = False, resize: tuple[int, int] | None = None,
+                 resize: tuple[int, int] | None = None,
                  grayscale: bool = False, normalize: bool = False,
                  gray_witness: bool = False):
         self.data_col = data_col
         self.feature_dim = feature_dim
-        self.fake = fake
         self.resize, self.grayscale, self.normalize = resize, grayscale, normalize
         self.gray_witness = gray_witness
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.fake:
-            return self._call_fake(batch)
         col = batch.column(self.data_col)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -740,25 +733,6 @@ class ImageDecoder:
         batch = batch.append_column("px_sum", pa.array(px_sum))
         if self.gray_witness:
             batch = batch.append_column("px_sum_gray", pa.array(px_sum_gray))
-        batch = batch.append_column(
-            "features", pa.array(list(feats), type=pa.list_(pa.float64())))
-        return batch
-
-    def _call_fake(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.data_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        # deterministic fake: dims/features from payload length + first bytes
-        lens = pa.compute.binary_length(col).to_numpy(zero_copy_only=False)
-        lens = np.nan_to_num(lens).astype(np.int64)
-        h = (lens * 2654435761 % (1 << 31)).astype(np.int64)
-        width = 16 + (h % 241)
-        height = 16 + ((h >> 8) % 241)
-        feats = ((h[:, None] * (np.arange(self.feature_dim) + 1)) % 1000) / 1000.0
-        batch = batch.append_column("width", pa.array(width.astype(np.int32)))
-        batch = batch.append_column("height", pa.array(height.astype(np.int32)))
-        batch = batch.append_column("channels",
-                                    pa.array(np.full(len(lens), 3, np.int32)))
         batch = batch.append_column(
             "features", pa.array(list(feats), type=pa.list_(pa.float64())))
         return batch

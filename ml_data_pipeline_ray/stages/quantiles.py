@@ -44,7 +44,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min
 
 
 def _bin_of(v: np.ndarray, vmin: np.ndarray, width: np.ndarray,

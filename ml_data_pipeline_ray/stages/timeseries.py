@@ -1,15 +1,14 @@
-"""Time-series operators: frequency parsing, regularity detection, gap fill
-(SURVEY.md S9 parity — the reference's timeseries source is a stub but its
-options surface defines the semantics: frequency strings like "5min"
-(``ml-data/ml-data-readers/src/timeseries.rs:46-122``), regular/irregular
-metadata (``:222-226``), and fill methods Forward/Backward/Linear/Zero/Nan
-(``:172-184``)).
+"""Time-series operators: frequency parsing and gap fill (SURVEY.md S9
+parity — the reference's timeseries source is a stub but its options
+surface defines the semantics: frequency strings like "5min"
+(``ml-data/ml-data-readers/src/timeseries.rs:46-122``) and fill methods
+Forward/Backward/Linear/Zero/Nan (``:172-184``)).
 
-Ray-native shape: per-key gap fill runs over ts-sorted series that one
-exchange co-locates — the library's hash exchange for the vectorized
-non-linear fills, ``groupby(key).map_groups`` for the per-key pandas kernel.
-The partitioning assumption is one key's series fits one group (standard for
-per-entity series)."""
+Ray-native shape: every per-key gap fill runs over the series that the
+library's one hash exchange co-locates; each shard fills all its on-grid
+series in one vectorized pass, and off-grid or ``linear`` series through the
+per-key pandas kernel :func:`fill_gaps`. The partitioning assumption is one
+key's series fits one shard (standard for per-entity series)."""
 
 from __future__ import annotations
 
@@ -17,6 +16,7 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from .exchange import hash_exchange
@@ -41,18 +41,6 @@ def parse_frequency(freq: str) -> int:
         raise ValueError(f"unparseable frequency {freq!r}")
     count = int(m.group(1) or 1)
     return count * _UNIT_NS[m.group(2).lower()]
-
-
-def infer_regularity(ts: pd.Series) -> dict:
-    """Is the series regular? Returns {regular, freq_ns (mode gap), n_gaps}."""
-    t = ts.sort_values().to_numpy(dtype="datetime64[ns]").astype(np.int64)
-    if t.size < 2:
-        return {"regular": True, "freq_ns": 0, "n_gaps": 0}
-    gaps = np.diff(t)
-    vals, counts = np.unique(gaps, return_counts=True)
-    mode = int(vals[counts.argmax()])
-    irregular = int((gaps != mode).sum())
-    return {"regular": irregular == 0, "freq_ns": mode, "n_gaps": irregular}
 
 
 def fill_gaps(df: pd.DataFrame, ts_col: str, value_cols: list[str],
@@ -86,48 +74,59 @@ def regularize_per_key(ds: rd.Dataset, key: str, ts_col: str,
                        method: str = "forward", pre=None,
                        combine: str | None = None,
                        post_combine=None) -> rd.Dataset:
-    """Distributed per-key gap fill: one shuffle on ``key``, then each series
-    regularizes independently inside ``map_groups``.
-
-    For on-grid inputs (timestamps already multiples of ``freq`` from each
-    key's start — e.g. the output of an hourly/daily bucketing aggregate)
-    with a non-linear method, this dispatches to the BUCKETED vectorized
-    path: one :func:`~.exchange.hash_exchange` on ``key`` (shard count from
-    the shared bytes-aware rule) and every series in a shard fills in one
-    numpy pass — thousands of per-key Python calls collapse to one call per
-    shard. Off-grid or ``linear`` inputs use the per-key pandas kernel.
+    """Distributed per-key gap fill: one :func:`~.exchange.hash_exchange`
+    on ``key`` (shard count from the shared bytes-aware rule), then every
+    series of a shard fills in one call of :func:`_fill_many` — one numpy
+    pass for on-grid inputs (timestamps already multiples of ``freq`` from
+    each key's start, e.g. the output of an hourly bucketing aggregate)
+    with a non-linear method, the per-key pandas kernel otherwise.
 
     ``pre`` (optional, Arrow table -> Arrow table) runs in the map that
-    feeds the exchange (Ray fuses it with the tag pass), so a caller's
-    per-batch pre-transform (e.g. deriving the bucket timestamp) doesn't
-    cost its own map stage before the fill shuffle.
+    feeds the exchange, so a caller's per-batch pre-transform (e.g.
+    deriving the bucket timestamp) doesn't cost its own map stage before
+    the fill shuffle.
 
     ``combine="sum"`` handles inputs with MULTIPLE rows per (key, ts) — the
     usual "bucket raw events to the grid, then fill" pipeline — WITHOUT a
-    separate distributed aggregate: the tag pass partially sums duplicates
+    separate distributed aggregate: the map partially sums duplicates
     per batch (map-side combine, so only pre-shrunk rows enter the ONE fill
-    shuffle) and each bucket finishes the sum before filling. This replaces
-    the aggregate-shuffle + fill-shuffle two-exchange shape with a single
-    exchange. ``post_combine`` (pandas df -> df) runs per bucket after the
-    final combine and before the fill — the hook for decimal stabilization
-    of completed sums."""
-    if method in ("forward", "backward", "zero", "nan"):
-        return _regularize_bucketed(ds, key, ts_col, value_cols, freq, method,
-                                    pre=pre, combine=combine,
-                                    post_combine=post_combine)
-    if combine is not None:
-        raise ValueError("combine= requires a non-linear fill method")
-    if pre is not None:
-        ds = ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-    other = [key] + value_cols
+    shuffle) and each shard finishes the sum before filling. ``post_combine``
+    (pandas df -> df) runs per shard after the final combine and before the
+    fill — the hook for decimal stabilization of completed sums."""
+    if method not in FILL_METHODS:
+        raise ValueError(f"unknown fill method {method!r}")
+    if combine not in (None, "sum"):
+        raise ValueError(f"unsupported combine {combine!r}")
+    freq_ns = parse_frequency(freq)
+    cols = [key, ts_col] + value_cols
 
-    def fix(g: pd.DataFrame) -> pd.DataFrame:
-        filled = fill_gaps(g, ts_col, value_cols, freq, method)
-        filled[key] = g[key].iloc[0]
-        return filled[[key, ts_col] + value_cols]
+    def prepare(batch: pa.Table) -> pa.Table:
+        if pre is not None:
+            batch = pre(batch)
+        batch = batch.select(cols)
+        if combine == "sum":
+            # map-side partial combine: duplicates of (key, ts) within the
+            # batch collapse before the shuffle; rebuild by NAME (pyarrow's
+            # output column order — keys first vs aggregates first — varied
+            # across versions, so a positional rename is unsafe)
+            agg = batch.group_by([key, ts_col]).aggregate(
+                [(c, "sum") for c in value_cols])
+            batch = pa.table(
+                {key: agg.column(key), ts_col: agg.column(ts_col),
+                 **{c: agg.column(f"{c}_sum") for c in value_cols}})
+        return batch
 
-    return ds.select_columns([c for c in set(other + [ts_col])]) \
-             .groupby(key).map_groups(fix, batch_format="pandas")
+    def fill_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        if combine == "sum":
+            g = g.groupby([key, ts_col], as_index=False, sort=False)[
+                value_cols].sum()
+        if post_combine is not None:
+            g = post_combine(g)
+        return _fill_many(g, key, ts_col, value_cols, freq_ns, method)
+
+    return hash_exchange(
+        [ds.map_batches(prepare, batch_format="pyarrow", zero_copy_batch=True)],
+        [key], fill_bucket, batch_format="pandas")
 
 
 def _fill_many(g: pd.DataFrame, key: str, ts_col: str,
@@ -135,8 +134,8 @@ def _fill_many(g: pd.DataFrame, key: str, ts_col: str,
                method: str) -> pd.DataFrame:
     """Vectorized multi-series gap fill: every key's series in ``g`` at once
     (sort + segment arithmetic + one scatter + one accumulate; zero per-row
-    or per-key Python). Requires on-grid timestamps; falls back to the
-    per-key pandas kernel otherwise."""
+    or per-key Python). Requires on-grid timestamps and a non-linear
+    method; falls back to the per-key pandas kernel otherwise."""
     g = g.sort_values([key, ts_col], kind="mergesort")
     t = g[ts_col].to_numpy(dtype="datetime64[ns]").astype(np.int64)
     k = g[key].to_numpy()
@@ -148,8 +147,7 @@ def _fill_many(g: pd.DataFrame, key: str, ts_col: str,
     tmin = t[new]                                   # first (= min) per segment
     last = np.roll(new, -1)
     tmax = t[last]
-    if ((t - tmin[seg_id]) % freq_ns != 0).any():
-        # off-grid: per-key exact kernel
+    if method == "linear" or ((t - tmin[seg_id]) % freq_ns != 0).any():
         parts = []
         for _, sub in g.groupby(key, sort=False):
             f = fill_gaps(sub, ts_col, value_cols,
@@ -190,43 +188,3 @@ def _fill_many(g: pd.DataFrame, key: str, ts_col: str,
     df = pd.DataFrame(out)
     df[ts_col] = df[ts_col].astype(g[ts_col].dtype)
     return df
-
-
-def _regularize_bucketed(ds: rd.Dataset, key: str, ts_col: str,
-                         value_cols: list[str], freq: str, method: str,
-                         pre=None, combine: str | None = None,
-                         post_combine=None) -> rd.Dataset:
-    import pyarrow as pa
-
-    if combine not in (None, "sum"):
-        raise ValueError(f"unsupported combine {combine!r}")
-    freq_ns = parse_frequency(freq)
-    cols = [key, ts_col] + value_cols
-
-    def prepare(batch: pa.Table) -> pa.Table:
-        if pre is not None:
-            batch = pre(batch)
-        batch = batch.select(cols)
-        if combine == "sum":
-            # map-side partial combine: duplicates of (key, ts) within the
-            # batch collapse before the shuffle; rebuild by NAME (pyarrow's
-            # output column order — keys first vs aggregates first — varied
-            # across versions, so a positional rename is unsafe)
-            agg = batch.group_by([key, ts_col]).aggregate(
-                [(c, "sum") for c in value_cols])
-            batch = pa.table(
-                {key: agg.column(key), ts_col: agg.column(ts_col),
-                 **{c: agg.column(f"{c}_sum") for c in value_cols}})
-        return batch
-
-    def fill_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if combine == "sum":
-            g = g.groupby([key, ts_col], as_index=False, sort=False)[
-                value_cols].sum()
-        if post_combine is not None:
-            g = post_combine(g)
-        return _fill_many(g, key, ts_col, value_cols, freq_ns, method)
-
-    return hash_exchange(
-        [ds.map_batches(prepare, batch_format="pyarrow", zero_copy_batch=True)],
-        [key], fill_bucket, batch_format="pandas")

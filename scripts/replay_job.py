@@ -68,10 +68,9 @@ def main() -> int:
         if args.diff_out:
             ds = ds.materialize()
             ds.write_parquet(args.diff_out)
-        from ray.data.aggregate import Count
-        counts = {r["change"]: r["n"] for r in
-                  ds.groupby("change").aggregate(
-                      Count(alias_name="n")).take_all()}
+        from ml_data_pipeline_ray.stages.groupagg import grouped_agg
+        counts = {r["change"]: r["n"] for r in grouped_agg(
+            ds, keys=["change"], aggs=[(None, "count_star", "n")]).take_all()}
         wall = time.perf_counter() - t0
         print(json.dumps({
             "metric": "table_changes_wall_sec", "value": round(wall, 3),

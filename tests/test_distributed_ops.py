@@ -5,11 +5,38 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from ml_data_pipeline_ray.stages import ann, dedup
 from ml_data_pipeline_ray.stages.joins import (broadcast_join,
                                                broadcast_semi_join, hash_join)
+
+
+def cosine_pairs(ds: rd.Dataset, threshold: float) -> pd.DataFrame:
+    """All-pairs reference of ``ann.cosine_pairs_bucketed``: every unordered
+    ``vec_id`` pair with cosine similarity >= threshold, each batch compared
+    against the whole dataset broadcast once (O(n²))."""
+    tbl = ann._dataset_to_table(ds, ["vec_id", "embedding"])
+    index = ray.put((tbl.column("vec_id").to_numpy(zero_copy_only=False),
+                     ann._normalize(ann._to_matrix(tbl.column("embedding")))))
+
+    # a closure, so the workers get it by value: this test module is not
+    # importable on them
+    def pairs(batch: pa.Table) -> pa.Table:
+        ix_ids, ixm = ray.get(index)
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        m = ann._normalize(ann._to_matrix(batch.column("embedding")))
+        sims = m @ ixm.T
+        r, c = np.where(sims >= threshold)
+        a, b = ids[r], ix_ids[c]
+        keep = a < b                               # dedupe unordered pairs + self
+        return pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep]),
+                         "sim": pa.array(sims[r, c][keep])})
+
+    out = ds.map_batches(pairs, batch_format="pyarrow").to_pandas()
+    return (out.sort_values(["id_a", "id_b"], kind="mergesort")
+            .reset_index(drop=True))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -151,7 +178,7 @@ def test_cosine_pairs_threshold():
     V = np.vstack([v[0], v[0] * 2 + 1e-9, v[1], v[2] + 0.9 * v[1]])
     t = pa.table({"vec_id": pa.array(np.arange(4, dtype=np.int64)),
                   "embedding": list(V.astype(np.float32))})
-    pairs = ann.cosine_pairs(rd.from_arrow(t), threshold=0.6)
+    pairs = cosine_pairs(rd.from_arrow(t), threshold=0.6)
     assert set(map(tuple, pairs[["id_a", "id_b"]].to_numpy())) == {(0, 1), (2, 3)}
 
 
@@ -181,15 +208,11 @@ def test_ivf_recall_vs_brute_force():
 def test_bucketed_cosine_pairs_match_all_pairs(sf_dir):
     """The IVF-bucketed pair search must equal the all-pairs oracle at the
     query's configured probe width (the driver gate relies on this)."""
-    import ray.data as rd
-    from ml_data_pipeline_ray.stages.ann import (cosine_pairs,
-                                                 cosine_pairs_bucketed)
-
     ds = rd.read_parquet(sf_dir + "/embeddings.parquet",
                          columns=["vec_id", "embedding"])
     want = cosine_pairs(ds, threshold=0.4)[["id_a", "id_b"]]
-    got = cosine_pairs_bucketed(ds, threshold=0.4, n_centroids=16,
-                                nprobe=6)[["id_a", "id_b"]]
+    got = ann.cosine_pairs_bucketed(ds, threshold=0.4, n_centroids=16,
+                                    nprobe=6)[["id_a", "id_b"]]
     pd.testing.assert_frame_equal(got.reset_index(drop=True),
                                   want.reset_index(drop=True))
 

@@ -18,6 +18,26 @@ def entry_mod(ray_session):
     return e
 
 
+@pytest.fixture(scope="module", autouse=True)
+def no_keyed_ray_aggregate():
+    """Every keyed aggregate runs through ``stages.groupagg.grouped_agg``:
+    Ray Data's sort-based ``GroupedData.aggregate`` may only run the global
+    aggregates (key ``None``) behind ``Dataset.aggregate`` / ``unique``."""
+    from ray.data.grouped_data import GroupedData
+
+    keyed = GroupedData.aggregate
+
+    def guarded(self, *aggs):
+        if self._key is not None:
+            raise AssertionError(
+                f"Ray Data groupby({self._key!r}).aggregate: use grouped_agg")
+        return keyed(self, *aggs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroupedData, "aggregate", guarded)
+        yield
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()

@@ -12,8 +12,7 @@ from ml_data_pipeline_ray.sources.tfrecord import (masked_crc,
                                                    read_tfrecord_file,
                                                    read_tfrecords,
                                                    write_tfrecords)
-from ml_data_pipeline_ray.stages.timeseries import (fill_gaps, infer_regularity,
-                                                    parse_frequency,
+from ml_data_pipeline_ray.stages.timeseries import (fill_gaps, parse_frequency,
                                                     regularize_per_key)
 
 
@@ -118,11 +117,9 @@ def test_parse_frequency():
         parse_frequency("fortnight")
 
 
-def test_infer_regularity_and_fill():
+def test_fill_gaps():
     ts = pd.to_datetime(["2026-01-01 00:00", "2026-01-01 00:05",
                          "2026-01-01 00:15", "2026-01-01 00:20"])
-    reg = infer_regularity(pd.Series(ts))
-    assert not reg["regular"] and reg["freq_ns"] == 5 * 60 * 1_000_000_000
     df = pd.DataFrame({"ts": ts, "v": [1.0, 2.0, 4.0, 5.0]})
     filled = fill_gaps(df, "ts", ["v"], "5min", method="linear")
     assert len(filled) == 5
@@ -145,6 +142,9 @@ def test_regularize_per_key():
     a = out[out.k == "a"].sort_values("ts")["v"].tolist()
     assert a == [1.0, 2.0, 3.0]
     assert len(out[out.k == "b"]) == 2
+    with pytest.raises(ValueError, match="unknown fill method"):
+        regularize_per_key(rd.from_pandas(df), "k", "ts", ["v"], "5min",
+                           method="cubic")
 
 
 def test_csv_row_index_and_seek(tmp_path):
@@ -169,10 +169,8 @@ def test_csv_row_index_and_seek(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_bucketed_fill_matches_pandas_kernel():
     """The vectorized multi-series bucketed fill must equal the per-key
-    pandas kernel for every non-linear method on an on-grid multi-key set."""
+    pandas kernel for every method on an on-grid multi-key set."""
     import ray.data as rd
-    from ml_data_pipeline_ray.stages.timeseries import (_regularize_bucketed,
-                                                        fill_gaps)
 
     rng = np.random.default_rng(5)
     rows = []
@@ -184,9 +182,9 @@ def test_bucketed_fill_matches_pandas_kernel():
             rows.append({"k": f"key-{k:02d}", "ts": base + pd.Timedelta(hours=int(h)),
                          "v": float(rng.integers(0, 100))})
     df = pd.DataFrame(rows)
-    for method in ("forward", "backward", "zero", "nan"):
-        got = _regularize_bucketed(rd.from_pandas(df), "k", "ts", ["v"],
-                                   "1h", method).to_pandas()
+    for method in ("forward", "backward", "linear", "zero", "nan"):
+        got = regularize_per_key(rd.from_pandas(df), "k", "ts", ["v"],
+                                 "1h", method).to_pandas()
         got = got.sort_values(["k", "ts"]).reset_index(drop=True)
         want = []
         for k, sub in df.groupby("k"):

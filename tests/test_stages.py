@@ -7,8 +7,7 @@ import pyarrow as pa
 import pytest
 
 from ml_data_pipeline_ray.stages import dedup, predicates as P, text as T
-from ml_data_pipeline_ray.stages.multimodal import (ImageDecoder, make_binary_fixture,
-                                                    sniff_format)
+from ml_data_pipeline_ray.stages.multimodal import make_binary_fixture, sniff_format
 from ml_data_pipeline_ray.stages.transforms import (align_to_schema, chain,
                                                     infer_column_type,
                                                     parse_bool_synonyms)
@@ -77,8 +76,8 @@ def test_simhash_hamming():
              "the quick brown fox jumps over the lazy cat",
              "unrelated text about parquet manifests and checkpoints"]
     sig = dedup.simhash_bits(pa.array(texts))
-    d01 = dedup.hamming_distance(sig[0:1], sig[1:2])[0]
-    d02 = dedup.hamming_distance(sig[0:1], sig[2:3])[0]
+    d01 = bin(int(sig[0] ^ sig[1])).count("1")
+    d02 = bin(int(sig[0] ^ sig[2])).count("1")
     assert d01 < d02
 
 
@@ -203,7 +202,7 @@ def test_string_dictionary_grows_across_batches():
 
 # -- multimodal -------------------------------------------------------------
 
-def test_multimodal_sniff_and_fake_decode():
+def test_multimodal_sniff_format():
     t = make_binary_fixture(n=16, seed=42)
     out = sniff_format(t)
     fmts = set(out["format"].to_pylist())
@@ -217,13 +216,6 @@ def test_multimodal_sniff_and_fake_decode():
     ], pa.binary())})
     got = sniff_format(extra)["format"].to_pylist()
     assert got == ["wav", "webp", "y4m", "webp"]
-    dec = ImageDecoder(fake=True)
-    feat = dec(out)
-    assert feat["features"].type == pa.list_(pa.float64())
-    assert len(feat["features"][0]) == 8
-    # deterministic
-    feat2 = ImageDecoder(fake=True)(sniff_format(make_binary_fixture(n=16, seed=42)))
-    assert feat.equals(feat2)
 
 
 def test_wav_codec_roundtrip_and_decode_stats():
