@@ -13,6 +13,7 @@ import tempfile
 import pyarrow as pa
 
 from ..cdc import CDCEngine
+from ..stages.exchange import collect_arrow
 from .fixture_paths import fixture_paths, scale_for_sf_dir
 
 NUM_PARTITIONS = 16
@@ -161,10 +162,7 @@ def cdc_table_changes(sf_dir: str) -> pa.Table:
     an update is a key live before and after). Oracle: the same diff
     computed from the changelog with two LWW window queries FULL JOINed
     in SQL."""
-    import ray
-
-    # every diff block has the same typed schema, empty ones included
-    out = pa.concat_tables(ray.get(_two_txn_diff(sf_dir).to_arrow_refs()))
+    out = collect_arrow(_two_txn_diff(sf_dir))
     return out.select(["conv_id", "turn_idx", "change", *FINAL_COLS[2:]])
 
 
@@ -227,8 +225,4 @@ def cdc_incremental_agg(sf_dir: str) -> pa.Table:
 
     out = joined.map_batches(finish, batch_format="pyarrow",
                              zero_copy_batch=True)
-    import ray as _ray
-    tables = [t for t in _ray.get(out.materialize().to_arrow_refs())
-              if t.num_rows]
-    return pa.concat_tables(tables, promote_options="permissive") \
-        .sort_by([("conv_id", "ascending")])
+    return collect_arrow(out).sort_by([("conv_id", "ascending")])

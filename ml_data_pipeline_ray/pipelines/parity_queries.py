@@ -28,7 +28,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 from ray.data.aggregate import Count, Max, Sum
 
 from ..sources import read_csv_typed, read_json_typed, read_text_lines
@@ -460,29 +459,27 @@ def _codec_fixture(tag: str, maker: Callable[..., pa.Table], n: int,
 
 class _Codec(NamedTuple):
     """One codec witness query: decode the blobs of ``maker(n=n, seed=42)``
-    with ``decoder(**kwargs)``, group by ``key`` = (decoded column, its
+    with ``decoder(batch, **kwargs)``, group by ``key`` = (decoded column, its
     truth column) and sum ``sums`` = ((output, decoded column, truth SQL
     expression), ...). Grouping by ``format`` groups by the blobs' sniffed
     magic bytes."""
     maker: Callable[..., pa.Table]
     n: int
-    decoder: type
+    decoder: Callable[..., pa.Table]
     kwargs: dict
     batch_size: int
     key: tuple[str, str | None]
     sums: tuple[tuple[str, str, str | None], ...]
 
 
-class _LengthDims:
+def _length_dims(batch: pa.Table) -> pa.Table:
     """The sniff query's stand-in decoder: ``width`` and ``height`` hashed
     from each blob's byte length (the fixture's payloads after the magic
     bytes are noise, so there is nothing to decode)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = pc.binary_length(batch["data"]).to_numpy(zero_copy_only=False)
-        h = n.astype(np.int64) * 2654435761 % (1 << 31)
-        return batch.append_column("width", pa.array(16 + h % 241)) \
-                    .append_column("height", pa.array(16 + (h >> 8) % 241))
+    n = pc.binary_length(batch["data"]).to_numpy(zero_copy_only=False)
+    h = n.astype(np.int64) * 2654435761 % (1 << 31)
+    return batch.append_column("width", pa.array(16 + h % 241)) \
+                .append_column("height", pa.array(16 + (h >> 8) % 241))
 
 
 _IMAGE_SUMS = (("sum_width", "width", "true_width"),
@@ -493,44 +490,44 @@ _GRAY = {"gray_witness": True}
 
 #: REAL decode end-to-end per codec (the reference sniffs these formats,
 #: ``image.rs:51-77``, but its decode is a stub): seeded blobs are decoded
-#: by the builtin spec-based codec in an actor pool, exact witnesses are
+#: by the builtin spec-based codec in stateless tasks, exact witnesses are
 #: recomputed from the decoded pixels / PCM samples / luma planes, and the
 #: grouped sums are checked against encode-time truth columns stored beside
 #: the blobs — any decode bug changes the hash. JPEG truths are build-time
 #: decodes (lossy codec; proven against the spec in unit tests), video
 #: decodes with ``frame_step=2`` against the even-frame luma witness, and
-#: ``multimodal_sniff_decode`` runs :class:`_LengthDims` behind the
+#: ``multimodal_sniff_decode`` runs :func:`_length_dims` behind the
 #: vectorized sniff (its oracle recomputes magic bytes and the length hash
 #: arithmetic).
 CODECS = {
     "image_decode_stats": _Codec(
-        MM.make_png_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        MM.make_png_fixture, 96, MM.decode_images, _GRAY, 32,
         ("channels", "true_channels"), _IMAGE_SUMS),
     "jpeg_decode_stats": _Codec(
-        MM.make_jpeg_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        MM.make_jpeg_fixture, 96, MM.decode_images, _GRAY, 32,
         ("channels", "true_channels"), _IMAGE_SUMS),
     "tiff_decode_stats": _Codec(
-        MM.make_tiff_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        MM.make_tiff_fixture, 96, MM.decode_images, _GRAY, 32,
         ("channels", "true_channels"), _IMAGE_SUMS),
     "bmp_gif_decode_stats": _Codec(
-        MM.make_bmp_gif_fixture, 96, MM.ImageDecoder, _GRAY, 32,
+        MM.make_bmp_gif_fixture, 96, MM.decode_images, _GRAY, 32,
         ("format", "true_format"), _IMAGE_SUMS),
     "audio_decode_stats": _Codec(
-        MM.make_wav_fixture, 96, MM.AudioDecoder, {}, 32,
+        MM.make_wav_fixture, 96, MM.decode_audio, {}, 32,
         ("channels", "true_channels"),
         (("sum_rate", "sample_rate", "true_rate"),
          ("sum_samples", "n_samples", "true_n_samples"),
          ("sum_dur_ms", "duration_ms", "true_n_samples * 1000 // true_rate"),
          ("sum_abs", "abs_sum", "true_abs_sum"))),
     "video_frame_sample_stats": _Codec(
-        MM.make_y4m_fixture, 72, MM.VideoDecoder, {"frame_step": 2},
+        MM.make_y4m_fixture, 72, MM.decode_video, {"frame_step": 2},
         16, ("width", "true_w"),
         (("sum_height", "height", "true_h"),
          ("sum_frames", "n_frames", "true_frames"),
          ("sum_sampled", "n_sampled", "(true_frames + 1) // 2"),
          ("sum_luma", "y_sum", "true_y_sum_even"))),
     "multimodal_sniff_decode": _Codec(
-        MM.make_binary_fixture, 256, _LengthDims, {},
+        MM.make_binary_fixture, 256, _length_dims, {},
         32, ("format", None),
         (("sum_width", "width", None), ("sum_height", "height", None))),
 }
@@ -543,16 +540,15 @@ def _codec_path(name: str) -> str:
 
 def codec_witness(name: str, sf_dir: str) -> pd.DataFrame:
     """Run the :data:`CODECS` query ``name``: fixture → optional sniff →
-    decoder actor pool → per-key count + witness sums (int64)."""
+    decoder tasks → per-key count + witness sums (int64)."""
     c = CODECS[name]
     key = c.key[0]
     ds = read_parquet(_codec_path(name), columns=["item_id", "data"])
     if key == "format":
         ds = ds.map_batches(MM.sniff_format, batch_format="pyarrow",
                             zero_copy_batch=True)
-    ds = ds.map_batches(c.decoder, fn_constructor_kwargs=c.kwargs,
-                        batch_format="pyarrow", concurrency=2,
-                        batch_size=c.batch_size)
+    ds = ds.map_batches(c.decoder, fn_kwargs=c.kwargs,
+                        batch_format="pyarrow", batch_size=c.batch_size)
     out = grouped_agg(ds, keys=[key], aggs=[
         (None, "count_star", "n"),
         *((col, "sum", alias) for alias, col, _ in c.sums)]).to_pandas()
@@ -699,9 +695,9 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
     """Flagship multimodal pipeline over the FULL decodable sniff table:
     ONE mixed binary table (PNG + baseline JPEG + BMP + GIF + TIFF images,
     WAV audio, Y4M video interleaved) → vectorized magic-byte sniff → the
-    sniffed format ROUTES each blob to its real spec-based decoder in an
-    actor pool (ONE image pool handles all five image formats — the
-    per-blob magic dispatch lives inside ``ImageDecoder``) → each decoder
+    sniffed format ROUTES each blob to its real spec-based decoder (ONE
+    image branch handles all five image formats — the per-blob magic
+    dispatch lives inside ``decode_images``) → each decoder
     recomputes an exact integer witness from the decoded payload (pixels /
     PCM samples / luma planes) → union → grouped aggregate per sniffed
     format. The modality column is NOT read by the Ray side — routing is
@@ -711,19 +707,10 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
     sniffed = ds.map_batches(MM.sniff_format, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
 
-    def branch(fmts: tuple[str, ...], decoder_cls, witness_col: str):
+    def branch(fmts: tuple[str, ...], decoder, witness_col: str):
         pred = " or ".join(f"format == '{f}'" for f in fmts)
-        sub = sniffed.filter(expr=pred)
-        # the union runs all THREE decode branches concurrently; at
-        # num_cpus=1, min-1 autoscaling pools could pin most CPUs and
-        # starve the upstream filter tasks on a small (4-cpu test)
-        # cluster — a scheduling deadlock (hit when this was 4 branches).
-        # Half-CPU actors keep the pools at ≤2 CPU total at min scale;
-        # decode is single-threaded Python, so the worst case is mild
-        # oversubscription, never starvation.
-        dec = sub.map_batches(decoder_cls, batch_format="pyarrow",
-                              concurrency=(1, 4), batch_size=32,
-                              num_cpus=0.5)
+        dec = sniffed.filter(expr=pred).map_batches(
+            decoder, batch_format="pyarrow", batch_size=32)
 
         def pick(b: pa.Table) -> pa.Table:
             # modality = the SNIFFED format (carried through the decoder),
@@ -737,9 +724,9 @@ def multimodal_curation(sf_dir: str) -> pd.DataFrame:
                                zero_copy_batch=True)
 
     merged = (branch(("png", "jpeg", "bmp", "gif", "tiff"),
-                     MM.ImageDecoder, "px_sum")
-              .union(branch(("wav",), MM.AudioDecoder, "abs_sum"))
-              .union(branch(("y4m",), MM.VideoDecoder, "y_sum")))
+                     MM.decode_images, "px_sum")
+              .union(branch(("wav",), MM.decode_audio, "abs_sum"))
+              .union(branch(("y4m",), MM.decode_video, "y_sum")))
     out = grouped_agg(merged, keys=["modality"],
                       aggs=[(None, "count_star", "n"),
                             ("witness", "sum", "sum_witness")]).to_pandas()

@@ -52,7 +52,7 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
         "q3_top_orders": Q.q3_top_orders,
         "nation_revenue": Q.nation_revenue,
         # (a) multimodal: Adam7/16-bit PNG, JPEG routing, 4-arm curation,
-        # AudioDecoder metadata contract
+        # decode_audio metadata contract
         "multimodal_curation": P.multimodal_curation,
         "image_decode_stats": partial(P.codec_witness, "image_decode_stats"),
         "audio_decode_stats": partial(P.codec_witness, "audio_decode_stats"),

@@ -109,8 +109,8 @@ def docs_langid(sf_dir: str) -> pd.DataFrame:
 def docs_fingerprint(sf_dir: str) -> pd.DataFrame:
     """Rolling-hash fingerprints (rows-only check: no SQL equivalent)."""
     ds = read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    out = ds.map_batches(T.Fingerprinter(), batch_format="pyarrow",
-                         concurrency=2).to_pandas()
+    out = ds.map_batches(T.Fingerprinter(),
+                         batch_format="pyarrow").to_pandas()
     out["fp_content"] = out["fp_content"].apply(lambda v: f"{v:016x}")
     out["fp_min"] = out["fp_min"].apply(lambda v: f"{v:016x}")
     return out[["doc_id", "fp_content", "fp_min"]]
@@ -301,11 +301,12 @@ def docs_bigram_logprob(sf_dir: str) -> pd.DataFrame:
     """CCNet/Gopher-style LM quality scoring: train an add-0.5-smoothed
     word-bigram LM on the corpus (one `grouped_agg` exchange of distinct
     bigram-count partials, vocab²-bounded model broadcast once via
-    ``ray.put``), then score every doc's bigram occurrences in a single
-    shuffle-free actor-pool pass. Output is integer-exact: ``lp_micro_sum``
-    = Σ floor(1e6·ln P(w2|w1)) per doc (same IEEE doubles + libm ln on both
-    engines, so no float-sum-order divergence); the avg-log-likelihood
-    filter threshold is ``lp_micro_sum / n_bigrams / 1e6``."""
+    ``ray.put``), then score every doc's bigram occurrences in one
+    shuffle-free pass of stateless tasks. Output is integer-exact:
+    ``lp_micro_sum`` = Σ floor(1e6·ln P(w2|w1)) per doc (same IEEE doubles
+    + libm ln on both engines, so no float-sum-order divergence); the
+    avg-log-likelihood filter threshold is ``lp_micro_sum / n_bigrams /
+    1e6``."""
     import ray
 
     from ..stages.text import BigramLMScorer, build_bigram_lm
@@ -313,9 +314,8 @@ def docs_bigram_logprob(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     kp, lpm, _, unseen = build_bigram_lm(ds)
     ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    out = ds.map_batches(BigramLMScorer, fn_constructor_args=(ref,),
-                         batch_format="pyarrow", zero_copy_batch=True,
-                         concurrency=(1, 4))
+    out = ds.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
+                         zero_copy_batch=True)
     return (out.to_pandas().sort_values("doc_id").reset_index(drop=True)
             [["doc_id", "n_bigrams", "lp_micro_sum"]])
 

@@ -23,11 +23,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..sources.readers import read_parquet
-from ..stages.exchange import hash_exchange
+from ..stages.exchange import collect_arrow, hash_exchange
 from ..stages.groupagg import grouped_agg
 from ..stages.joins import (auto_join, broadcast_join,
                             broadcast_semi_join, hash_join)
@@ -36,24 +35,6 @@ from ..stages.predicates import And, Compare
 
 def _t(sf_dir: str, name: str) -> str:
     return os.path.join(sf_dir, f"{name}.parquet")
-
-
-def _collect_arrow(ds: "rd.Dataset") -> pa.Table:
-    """Materialize a SMALL result Dataset as one Arrow table, preserving
-    exact types (int64-with-null stays int64 — ``to_pandas`` would promote
-    to float64/NaN). Empty shuffle partitions produce schema-less 0-row
-    blocks; drop them before concat.
-
-    ``materialize()`` first: ``to_arrow_refs()`` on a lazy plan ending in a
-    shuffle/``map_groups`` streams the bundles and THEN calls
-    ``schema(fetch_if_missing=True)``, which re-plans the WHOLE pipeline
-    under a ``limit=1`` — every collected shuffle query paid ~2x execution
-    (measured: the as-of join's second plan cost ~2.4 s of a 5.3 s wall).
-    A materialized dataset answers ``schema()`` from block metadata."""
-    import ray as _ray
-    mat = ds.materialize()
-    tables = [t for t in _ray.get(mat.to_arrow_refs()) if t.num_rows > 0]
-    return pa.concat_tables(tables, promote_options="permissive")
 
 
 def _haround(x, nd: int):
@@ -560,7 +541,7 @@ def events_asof_click(sf_dir: str) -> pd.DataFrame:
         right_cols=["user_id", "event_id", "ts"])
     # Collect as Arrow (small result) so click_event_id stays int64-with-null
     # rather than pandas' float64-with-NaN — the driver's value hash is exact.
-    tbl = _collect_arrow(joined)
+    tbl = collect_arrow(joined)
     tbl = tbl.rename_columns(
         ["click_event_id" if c == "event_id_r" else c for c in tbl.column_names])
     return tbl.select(["user_id", "event_id", "click_event_id"])
@@ -583,7 +564,7 @@ def events_range_click_count(sf_dir: str) -> pd.DataFrame:
         left_cols=["user_id", "event_id", "ts"],
         lo_offset=np.timedelta64(-1, "h"), hi_offset=np.timedelta64(0, "h"),
         count_col="n_clicks_1h")
-    tbl = _collect_arrow(out)
+    tbl = collect_arrow(out)
     return tbl.select(["user_id", "event_id", "n_clicks_1h"])
 
 
@@ -613,7 +594,7 @@ def orders_customer_outer(sf_dir: str) -> pa.Table:
         lambda b: b.rename_columns(["custkey", "o_orderkey", "o_totalprice"]),
         batch_format="pyarrow", zero_copy_batch=True)
     joined = hash_join(cust, orders, on=["custkey"], how="outer")
-    return _collect_arrow(joined).select(
+    return collect_arrow(joined).select(
         ["custkey", "c_acctbal", "o_orderkey", "o_totalprice"])
 
 
@@ -635,7 +616,7 @@ def customers_without_urgent_orders(sf_dir: str) -> pa.Table:
                         filter=pc.field("c_mktsegment") == "AUTOMOBILE"
                         ).select_columns(["c_custkey", "c_name", "c_acctbal"])
     out = broadcast_semi_join(cust, keys, on=["c_custkey"], anti=True)
-    return _collect_arrow(out)
+    return collect_arrow(out)
 
 
 def events_value_quantiles(sf_dir: str) -> pd.DataFrame:
@@ -707,7 +688,7 @@ def events_lag_delta(sf_dir: str) -> pd.DataFrame:
         }, schema=out_schema)
 
     out = hash_exchange([ds], ["user_id"], window_shard, batch_format="pandas")
-    return _collect_arrow(out).select(
+    return collect_arrow(out).select(
         ["user_id", "event_id", "rn", "delta_us"])
 
 
@@ -999,7 +980,7 @@ def events_user_cumsum(sf_dir: str) -> pd.DataFrame:
                         schema=out_schema)
 
     out = hash_exchange([ds], ["user_id"], kern, batch_format="pandas")
-    return _collect_arrow(out).select(["user_id", "event_id", "cum_cents"])
+    return collect_arrow(out).select(["user_id", "event_id", "cum_cents"])
 
 
 def events_session_stats(sf_dir: str) -> pd.DataFrame:
@@ -1042,7 +1023,7 @@ def events_session_stats(sf_dir: str) -> pd.DataFrame:
              "n_events": np.int64, "dur_us": np.int64})
 
     out = hash_exchange([ds], ["user_id"], kern, batch_format="pandas")
-    return _collect_arrow(out).select(
+    return collect_arrow(out).select(
         ["user_id", "session_id", "n_events", "dur_us"])
 
 

@@ -43,9 +43,10 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class BruteForceTopK:
-    """Actor-pool stage: per batch, exact cosine top-k against the broadcast
-    query matrix. Emits (query_id, neighbor_id, sim) candidate rows; a final
-    small ``groupby(query_id)`` re-top-k merges per-batch candidates.
+    """Per-batch stage: exact cosine top-k against the broadcast query
+    matrix, which resolves from the object store once per task. Emits
+    (query_id, neighbor_id, sim) candidate rows; a final small
+    ``groupby(query_id)`` re-top-k merges per-batch candidates.
     """
 
     def __init__(self, queries_ref, id_col: str = "vec_id",
@@ -79,8 +80,7 @@ class BruteForceTopK:
 
 def brute_force_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray,
                      id_col: str = "vec_id", emb_col: str = "embedding",
-                     k: int = 10, exclude_self: bool = True,
-                     concurrency: int | None = None) -> pd.DataFrame:
+                     k: int = 10, exclude_self: bool = True) -> pd.DataFrame:
     """Exact cosine top-k of each query over the whole dataset.
 
     Two stages: per-batch top-k candidates (map-side reduce — at most
@@ -211,8 +211,6 @@ def ivf_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray,
     qm = _normalize(query_matrix)
     probe = np.argsort(-(qm @ cent.T), axis=1)[:, :nprobe]     # (Q, nprobe)
 
-    # stateless task-pool stage (no actor pool: nothing to amortize beyond
-    # the object-store resolve, and a task pool uses every free core)
     assigned = ds.map_batches(_ProbeAssigner(cent_ref, emb_col, nprobe=1),
                               batch_format="pyarrow")
 

@@ -38,6 +38,7 @@ import ray
 import ray.data as rd
 
 from .ann import _to_matrix
+from .exchange import collect_arrow
 
 QUANT_SCALE = 1024.0      #: input grid: floor(x * 1024 + 0.5)
 MEAN_GRID = 8.0           #: centroid grid: floor(mean * 8 + 0.5) / 8
@@ -133,10 +134,8 @@ def kmeans_fit(ds: rd.Dataset, k: int, n_iter: int,
     counts = id_sums = None
     for _ in range(n_iter):
         ref = ray.put(cent)
-        parts = pa.concat_tables([t for t in ray.get(
-            qds.map_batches(_PartialStats(ref, id_col, emb_col),
-                            batch_format="pyarrow").materialize()
-            .to_arrow_refs()) if t.num_rows], promote_options="permissive")
+        parts = collect_arrow(qds.map_batches(
+            _PartialStats(ref, id_col, emb_col), batch_format="pyarrow"))
         counts, id_sums, sums = _reduce_partials(parts, k, d)
         nz = counts > 0
         # snap means to the 1/8 grid — s and c are exact, so this float64 is
@@ -189,9 +188,7 @@ def label_centroids(ds: rd.Dataset, label_col: str = "label",
                          fn_kwargs={"emb_col": emb_col})
     parts = qds.map_batches(_LabelPartials(label_col, emb_col),
                             batch_format="pyarrow", zero_copy_batch=True)
-    tbl = pa.concat_tables(
-        [t for t in ray.get(parts.materialize().to_arrow_refs())
-         if t.num_rows], promote_options="permissive")
+    tbl = collect_arrow(parts)
     df = pd.DataFrame({"label": tbl.column("label").to_pandas(),
                        "n": tbl.column("n").to_pandas()})
     vs = _to_matrix(tbl.column("vec_sum"))

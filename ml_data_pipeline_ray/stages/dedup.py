@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .exchange import hash_exchange, mix64
+from .exchange import collect_arrow, hash_exchange, mix64
 
 TOKEN_SPLIT_RE = r"[^A-Za-z0-9]+"
 
@@ -122,8 +122,6 @@ def benchmark_shingle_hashes(bench: rd.Dataset, text_col: str = "text",
     count, not its row count — the benchmark/eval set is the small side by
     definition (it must be broadcastable for the scan-side membership
     test)."""
-    import ray
-
     def distinct_hashes(batch: pa.Table) -> pa.Table:
         th, counts = tokenize_offsets(batch[text_col])
         sh, _ = shingle_hashes(th, counts, k=k)
@@ -131,11 +129,10 @@ def benchmark_shingle_hashes(bench: rd.Dataset, text_col: str = "text",
 
     parts = bench.map_batches(distinct_hashes, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tables = [t for t in ray.get(parts.materialize().to_arrow_refs())
-              if t.num_rows > 0]
-    if not tables:
+    tbl = collect_arrow(parts)
+    if not tbl.num_rows:
         return np.zeros(0, np.uint64)
-    return np.unique(pa.concat_tables(tables)["h"].to_numpy())
+    return np.unique(tbl["h"].to_numpy())
 
 
 class _ContaminationCounter:
@@ -280,9 +277,9 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 
 class MinHashStage:
-    """Actor-pool stage: text → (id, band, band_hash) LSH bucket rows.
+    """Per-batch stage: text → (id, band, band_hash) LSH bucket rows.
 
-    ``__init__`` fixes the signature/banding configuration once per actor;
+    ``__init__`` fixes the signature/banding configuration once;
     ``__call__`` emits ``num_bands`` rows per input row — only ids and two
     integer columns ever hit the subsequent groupby shuffle.
     """
@@ -315,15 +312,14 @@ class MinHashStage:
 def _candidate_pairs_raw(ds: rd.Dataset, id_col: str,
                          text_col: str = "text",
                          k: int = 3, num_hashes: int = 128,
-                         num_bands: int = 32,
-                         concurrency: int | None = None) -> rd.Dataset:
+                         num_bands: int = 32) -> rd.Dataset:
     """Banding + bucket-shard pipeline producing candidate ``(id_a, id_b)``
     rows WITHOUT cross-shard dedup (a pair found in several bands appears
     once per band-shard). Shared by the Dataset and driver-collecting
     entry points, which dedup distributed / on the driver respectively."""
-    stage = MinHashStage(id_col, text_col, k, num_hashes, num_bands)
-    kw = {"concurrency": concurrency} if concurrency else {}
-    buckets = ds.map_batches(stage, batch_format="pyarrow", **kw)
+    buckets = ds.map_batches(
+        MinHashStage(id_col, text_col, k, num_hashes, num_bands),
+        batch_format="pyarrow")
 
     # Many LSH buckets per shard (bucket-per-group costs ~0.3 ms of Ray
     # group machinery each; bands x docs buckets = tens of thousands of
@@ -364,8 +360,7 @@ def _candidate_pairs_raw(ds: rd.Dataset, id_col: str,
 def minhash_candidate_pairs_ds(ds: rd.Dataset, id_col: str,
                                text_col: str = "text",
                                k: int = 3, num_hashes: int = 128,
-                               num_bands: int = 32,
-                               concurrency: int | None = None) -> rd.Dataset:
+                               num_bands: int = 32) -> rd.Dataset:
     """Distributed LSH candidate generation: distinct id pairs sharing at
     least one (band, band_hash) bucket. Returns a MATERIALIZED Dataset of
     ``(id_a, id_b)`` — the pair list never lands on the driver, so a
@@ -375,7 +370,7 @@ def minhash_candidate_pairs_ds(ds: rd.Dataset, id_col: str,
     from several bands (and therefore several shards), so dedup needs an
     exchange here."""
     cand = _candidate_pairs_raw(ds, id_col, text_col, k, num_hashes,
-                                num_bands, concurrency)
+                                num_bands)
 
     def drop_count(b: pa.Table) -> pa.Table:
         return b.select(["id_a", "id_b"])
@@ -390,8 +385,7 @@ def minhash_candidate_pairs_ds(ds: rd.Dataset, id_col: str,
 
 def minhash_candidate_pairs(ds: rd.Dataset, id_col: str, text_col: str = "text",
                             k: int = 3, num_hashes: int = 128,
-                            num_bands: int = 32,
-                            concurrency: int | None = None) -> pd.DataFrame:
+                            num_bands: int = 32) -> pd.DataFrame:
     """Driver-collecting candidate generation for callers that want the
     (near-dup-density-bounded) pair list as a DataFrame. Same banding +
     shard pipeline as :func:`minhash_candidate_pairs_ds` but the cross-band
@@ -401,7 +395,7 @@ def minhash_candidate_pairs(ds: rd.Dataset, id_col: str, text_col: str = "text",
     # reuse the shard pipeline up to (but not including) the distinct
     # exchange by running the _ds body inline without it
     cand = _candidate_pairs_raw(ds, id_col, text_col, k, num_hashes,
-                                num_bands, concurrency).to_pandas()
+                                num_bands).to_pandas()
     if len(cand) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
                              "id_b": pd.Series([], dtype=np.int64)})

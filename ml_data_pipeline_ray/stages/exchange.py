@@ -41,7 +41,9 @@ This module owns that step and everything it depends on:
 - :func:`pack_blocks` — how a streaming task packs its output tables into
   blocks (the merge tasks here, the lake's small reads);
 - :func:`hash_exchange` — the operator library's exchange: split, merge,
-  run the kernel per shard.
+  run the kernel per shard;
+- :func:`collect_arrow` — the library's one driver collect of a small
+  result (an exchange's output, a set of per-block partials).
 
 Partitioning assumption of every caller: one shard's rows fit one task's
 heap, which :func:`shard_count` bounds by bytes.
@@ -322,3 +324,24 @@ def hash_exchange(inputs: list, keys: list[str], kernel, *,
     gens = [merge.remote(kernel, batch_format, target, *col)
             for col in zip(*per_split)]
     return rd.from_arrow_refs([ref for gen in gens for ref in gen])
+
+
+def collect_arrow(ds) -> pa.Table:
+    """A small Dataset as one Arrow table on the driver, exact types kept
+    (``to_pandas`` would turn int64-with-null into float64/NaN). Empty
+    blocks are dropped, since an empty shard's block may carry no columns
+    or other types; if every block is empty, one is kept so the result
+    still has a schema (no blocks at all: a table without columns). The
+    rest concatenate with permissive type promotion.
+
+    ``materialize()`` first: ``to_arrow_refs()`` on a lazy plan streams the
+    blocks and then asks for the schema, which re-plans the whole pipeline
+    under ``limit=1`` (~2x execution); a materialized Dataset answers from
+    its block metadata."""
+    import ray
+
+    tables = ray.get(ds.materialize().to_arrow_refs())
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables([t for t in tables if t.num_rows] or tables[:1],
+                            promote_options="permissive")

@@ -90,23 +90,16 @@ class _BroadcastJoiner:
 
 
 def broadcast_join(ds: rd.Dataset, small: pd.DataFrame | pa.Table,
-                   on: list[str], how: Literal["inner", "left"] = "inner",
-                   concurrency: int | None = None) -> rd.Dataset:
+                   on: list[str], how: Literal["inner", "left"] = "inner"
+                   ) -> rd.Dataset:
     """Join a streaming Dataset against a small in-memory table: broadcast
     once via ``ray.put`` and resolved lazily from the local object store
-    inside each task (never re-shipped per batch, no actor-pool startup).
-    No shuffle; the probe side stays zero-copy Arrow end to end. Pass
-    ``concurrency`` to switch to an actor pool when the resolve cost itself
-    matters (very large broadcast sides)."""
+    inside each task (never re-shipped per batch). No shuffle; the probe
+    side stays zero-copy Arrow end to end."""
     if isinstance(small, pd.DataFrame):
         small = pa.Table.from_pandas(small, preserve_index=False)
     small = small.combine_chunks()
     ref = ray.put(small)
-    if concurrency:
-        return ds.map_batches(_BroadcastJoiner,
-                              fn_constructor_args=(ref, on, how),
-                              batch_format="pyarrow", zero_copy_batch=True,
-                              concurrency=concurrency)
     return ds.map_batches(_BroadcastJoiner(ref, on, how),
                           batch_format="pyarrow", zero_copy_batch=True)
 

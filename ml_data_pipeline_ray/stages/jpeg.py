@@ -21,7 +21,7 @@ stub; this is a REAL sequential-baseline implementation:
 
 Per-block entropy coding is bit-serial Python (inherent to Huffman); the
 DCT/IDCT, color transforms and up/downsampling are vectorized numpy. At
-corpus scale the decode runs inside actor-pool ``map_batches`` stages, so
+corpus scale the decode runs inside stateless ``map_batches`` tasks, so
 the per-image cost parallelizes across the cluster.
 """
 

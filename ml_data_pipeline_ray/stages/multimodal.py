@@ -4,7 +4,8 @@ Mirrors the reference's image source surface (format sniffing + load modes +
 decode options, ``ml-data/ml-data-readers/src/image.rs:51-77,93-132,183-413``
 — whose decode is itself a stub returning placeholder dims) the Ray-native
 way: binary payloads ride in an Arrow ``binary`` column; decode/resize/
-feature stages are actor-pool ``map_batches`` classes.
+feature stages are stateless ``map_batches`` functions whose options ride
+as ``fn_kwargs``.
 
 Image decode is builtin only, magic-routed per blob, with zero external
 dependencies — so the decoded channel count is the file's own, and the
@@ -23,8 +24,8 @@ Options mirror the reference's enum (``image.rs:93-132``): ``resize``
 (nearest-neighbour, deterministic), ``grayscale`` (integer ITU-R 601 luma),
 ``normalize`` (float32 / 255 on the feature output).
 
-Audio and video ride the same design: a binary column + an actor-pool
-decode stage. Both decoders are real and written from public specs with
+Audio and video ride the same design: a binary column + a stateless
+decode function. Both decoders are real and written from public specs with
 zero external dependencies — RIFF/PCM WAV (chunk walk, fmt parse, 8/16/32
 bit integer PCM) and YUV4MPEG2 (header tag parse, FRAME walk, planar
 colorspace math, zero-copy frame sampling) — with matching deterministic
@@ -659,7 +660,7 @@ def _decode_jpeg_lazy(b: bytes) -> np.ndarray:
 
 #: sniffed format -> builtin decoder; a format present in IMAGE_MAGIC but
 #: absent here (webp, unknown) raises a clear NotImplementedError in
-#: ImageDecoder instead of falling through to the wrong codec
+#: decode_images instead of falling through to the wrong codec
 _IMAGE_DECODERS = {
     "png": decode_png,
     "jpeg": _decode_jpeg_lazy,
@@ -679,63 +680,54 @@ def _decode_image(buf: bytes) -> np.ndarray:
     return dec(b)
 
 
-class ImageDecoder:
-    """Actor-pool decode/feature stage over a binary image column.
-
-    ``__init__`` fixes the option set once per actor; ``__call__`` decodes
-    each blob with the builtin codec its magic bytes name and appends
-    ``(width, height, channels, px_sum, features: list<float>)`` where
-    ``px_sum`` is the exact int64 sum of all pixel values AFTER
-    resize/grayscale (the end-to-end decode witness an oracle can check)
-    and ``features`` are per-channel means (÷255 when ``normalize``).
+def decode_images(batch: pa.Table, data_col: str = "data",
+                  feature_dim: int = 8, resize: tuple[int, int] | None = None,
+                  grayscale: bool = False, normalize: bool = False,
+                  gray_witness: bool = False) -> pa.Table:
+    """Decode/feature stage over a binary image column (options ride as
+    ``map_batches(..., fn_kwargs=...)``): decodes each blob with the
+    builtin codec its magic bytes name and appends ``(width, height,
+    channels, px_sum, features: list<float>)`` where ``px_sum`` is the
+    exact int64 sum of all pixel values AFTER resize/grayscale (the
+    end-to-end decode witness an oracle can check) and ``features`` are
+    per-channel means (÷255 when ``normalize``); ``gray_witness`` adds
+    ``px_sum_gray``, the luma sum of the full-size decode.
 
     Options (reference ``image.rs:93-132``): ``resize=(w, h)`` nearest-
     neighbour, ``grayscale`` integer luma, ``normalize`` floats in [0, 1]."""
-
-    def __init__(self, data_col: str = "data", feature_dim: int = 8,
-                 resize: tuple[int, int] | None = None,
-                 grayscale: bool = False, normalize: bool = False,
-                 gray_witness: bool = False):
-        self.data_col = data_col
-        self.feature_dim = feature_dim
-        self.resize, self.grayscale, self.normalize = resize, grayscale, normalize
-        self.gray_witness = gray_witness
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.data_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        width = np.zeros(n, np.int32)
-        height = np.zeros(n, np.int32)
-        channels = np.zeros(n, np.int32)
-        px_sum = np.zeros(n, np.int64)
-        px_sum_gray = np.zeros(n, np.int64)
-        feats = np.zeros((n, self.feature_dim), np.float64)
-        for i in range(n):                    # per-image decode is inherent
-            img = _decode_image(col[i].as_py())
-            if self.gray_witness:
-                px_sum_gray[i] = int(_to_grayscale(img).sum(dtype=np.int64))
-            if self.grayscale:
-                img = _to_grayscale(img)
-            if self.resize is not None:
-                img = _resize_nearest(img, self.resize)
-            h, w, c = img.shape
-            width[i], height[i], channels[i] = w, h, c
-            px_sum[i] = int(img.sum(dtype=np.int64))
-            means = img.reshape(-1, c).mean(axis=0, dtype=np.float64)
-            if self.normalize:
-                means = means / 255.0
-            feats[i, :min(c, self.feature_dim)] = means[:self.feature_dim]
-        batch = batch.append_column("width", pa.array(width))
-        batch = batch.append_column("height", pa.array(height))
-        batch = batch.append_column("channels", pa.array(channels))
-        batch = batch.append_column("px_sum", pa.array(px_sum))
-        if self.gray_witness:
-            batch = batch.append_column("px_sum_gray", pa.array(px_sum_gray))
-        batch = batch.append_column(
-            "features", pa.array(list(feats), type=pa.list_(pa.float64())))
-        return batch
+    col = batch.column(data_col)
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    width = np.zeros(n, np.int32)
+    height = np.zeros(n, np.int32)
+    channels = np.zeros(n, np.int32)
+    px_sum = np.zeros(n, np.int64)
+    px_sum_gray = np.zeros(n, np.int64)
+    feats = np.zeros((n, feature_dim), np.float64)
+    for i in range(n):                        # per-image decode is inherent
+        img = _decode_image(col[i].as_py())
+        if gray_witness:
+            px_sum_gray[i] = int(_to_grayscale(img).sum(dtype=np.int64))
+        if grayscale:
+            img = _to_grayscale(img)
+        if resize is not None:
+            img = _resize_nearest(img, resize)
+        h, w, c = img.shape
+        width[i], height[i], channels[i] = w, h, c
+        px_sum[i] = int(img.sum(dtype=np.int64))
+        means = img.reshape(-1, c).mean(axis=0, dtype=np.float64)
+        if normalize:
+            means = means / 255.0
+        feats[i, :min(c, feature_dim)] = means[:feature_dim]
+    batch = batch.append_column("width", pa.array(width))
+    batch = batch.append_column("height", pa.array(height))
+    batch = batch.append_column("channels", pa.array(channels))
+    batch = batch.append_column("px_sum", pa.array(px_sum))
+    if gray_witness:
+        batch = batch.append_column("px_sum_gray", pa.array(px_sum_gray))
+    return batch.append_column(
+        "features", pa.array(list(feats), type=pa.list_(pa.float64())))
 
 
 # -- builtin WAV (RIFF/PCM) codec (public spec) ------------------------------
@@ -787,48 +779,42 @@ def decode_wav(buf: bytes) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
-class AudioDecoder:
-    """Actor-pool decode/feature stage over a binary WAV column — the audio
-    analogue of :class:`ImageDecoder`. Appends ``(channels, sample_rate,
-    n_samples, duration_ms, abs_sum)`` where ``abs_sum`` is the exact int64
-    sum of absolute sample values (the decode witness an oracle can check),
-    plus ``energy`` (mean square per sample, float64). ``frame_step``
+def decode_audio(batch: pa.Table, data_col: str = "data",
+                 frame_step: int | None = None) -> pa.Table:
+    """Decode/feature stage over a binary WAV column — the audio analogue
+    of :func:`decode_images`. Appends ``(channels, sample_rate, n_samples,
+    duration_ms, abs_sum)`` where ``abs_sum`` is the exact int64 sum of
+    absolute sample values (the decode witness an oracle can check), plus
+    ``energy`` (mean square per sample, float64). ``frame_step``
     optionally frame-samples: keep every ``frame_step``-th sample before
     the stats (the video/audio frame-sampling shape)."""
-
-    def __init__(self, data_col: str = "data",
-                 frame_step: int | None = None):
-        self.data_col = data_col
-        self.frame_step = frame_step
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.data_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        ch = np.zeros(n, np.int32)
-        rate = np.zeros(n, np.int32)
-        nsamp = np.zeros(n, np.int64)
-        dur = np.zeros(n, np.int64)
-        abs_sum = np.zeros(n, np.int64)
-        energy = np.zeros(n, np.float64)
-        for i in range(n):                    # per-clip decode is inherent
-            s, r = decode_wav(bytes(col[i].as_py()))
-            # clip-level metadata comes from the FULL decode; frame_step
-            # subsamples only the witness/energy stats below
-            ch[i], rate[i] = s.shape[1], r
-            nsamp[i] = s.shape[0]
-            dur[i] = s.shape[0] * 1000 // r
-            if self.frame_step:
-                s = s[::self.frame_step]
-            a = s.astype(np.int64)
-            abs_sum[i] = int(np.abs(a).sum())
-            energy[i] = float((a * a).mean()) if a.size else 0.0
-        for name, arr in (("channels", ch), ("sample_rate", rate),
-                          ("n_samples", nsamp), ("duration_ms", dur),
-                          ("abs_sum", abs_sum), ("energy", energy)):
-            batch = batch.append_column(name, pa.array(arr))
-        return batch
+    col = batch.column(data_col)
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    ch = np.zeros(n, np.int32)
+    rate = np.zeros(n, np.int32)
+    nsamp = np.zeros(n, np.int64)
+    dur = np.zeros(n, np.int64)
+    abs_sum = np.zeros(n, np.int64)
+    energy = np.zeros(n, np.float64)
+    for i in range(n):                        # per-clip decode is inherent
+        s, r = decode_wav(bytes(col[i].as_py()))
+        # clip-level metadata comes from the FULL decode; frame_step
+        # subsamples only the witness/energy stats below
+        ch[i], rate[i] = s.shape[1], r
+        nsamp[i] = s.shape[0]
+        dur[i] = s.shape[0] * 1000 // r
+        if frame_step:
+            s = s[::frame_step]
+        a = s.astype(np.int64)
+        abs_sum[i] = int(np.abs(a).sum())
+        energy[i] = float((a * a).mean()) if a.size else 0.0
+    for name, arr in (("channels", ch), ("sample_rate", rate),
+                      ("n_samples", nsamp), ("duration_ms", dur),
+                      ("abs_sum", abs_sum), ("energy", energy)):
+        batch = batch.append_column(name, pa.array(arr))
+    return batch
 
 
 def make_wav_fixture(n: int = 64, seed: int = 42) -> pa.Table:
@@ -950,47 +936,42 @@ def decode_y4m(buf: bytes, frame_step: int = 1
     return y, w, h, fps, idx
 
 
-class VideoDecoder:
-    """Actor-pool decode/frame-sample stage over a binary Y4M column — the
-    video analogue of :class:`ImageDecoder` / :class:`AudioDecoder`.
-    Decodes every ``frame_step``-th frame's luma plane and appends
-    ``(width, height, n_frames, n_sampled, duration_ms, y_sum)`` where
-    ``y_sum`` is the exact int64 luma sum over the SAMPLED frames (the
-    decode witness an oracle can check) plus ``mean_luma`` (float64).
+def decode_video(batch: pa.Table, data_col: str = "data",
+                 frame_step: int = 1) -> pa.Table:
+    """Decode/frame-sample stage over a binary Y4M column — the video
+    analogue of :func:`decode_images` / :func:`decode_audio`. Decodes
+    every ``frame_step``-th frame's luma plane and appends ``(width,
+    height, n_frames, n_sampled, duration_ms, y_sum)`` where ``y_sum`` is
+    the exact int64 luma sum over the SAMPLED frames (the decode witness
+    an oracle can check) plus ``mean_luma`` (float64).
 
     Scale notes: video blobs are the largest multimodal payload — run with
     small ``batch_size`` (≤16) and let frame_step bound the decoded bytes;
     unsampled frames and chroma planes are never copied out of the blob."""
-
-    def __init__(self, data_col: str = "data", frame_step: int = 1):
-        self.data_col = data_col
-        self.frame_step = frame_step
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.data_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        wid = np.zeros(n, np.int32)
-        hei = np.zeros(n, np.int32)
-        nf = np.zeros(n, np.int64)
-        ns = np.zeros(n, np.int64)
-        dur = np.zeros(n, np.int64)
-        ysum = np.zeros(n, np.int64)
-        mean = np.zeros(n, np.float64)
-        for i in range(n):                    # per-clip decode is inherent
-            y, w, h, (fn, fd), total = decode_y4m(bytes(col[i].as_py()),
-                                                  self.frame_step)
-            wid[i], hei[i], nf[i], ns[i] = w, h, total, y.shape[0]
-            dur[i] = total * 1000 * fd // fn
-            ysum[i] = int(y.sum(dtype=np.int64))
-            mean[i] = float(y.mean()) if y.size else 0.0
-        for name, arr in (("width", wid), ("height", hei),
-                          ("n_frames", nf), ("n_sampled", ns),
-                          ("duration_ms", dur), ("y_sum", ysum),
-                          ("mean_luma", mean)):
-            batch = batch.append_column(name, pa.array(arr))
-        return batch
+    col = batch.column(data_col)
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    wid = np.zeros(n, np.int32)
+    hei = np.zeros(n, np.int32)
+    nf = np.zeros(n, np.int64)
+    ns = np.zeros(n, np.int64)
+    dur = np.zeros(n, np.int64)
+    ysum = np.zeros(n, np.int64)
+    mean = np.zeros(n, np.float64)
+    for i in range(n):                        # per-clip decode is inherent
+        y, w, h, (fn, fd), total = decode_y4m(bytes(col[i].as_py()),
+                                              frame_step)
+        wid[i], hei[i], nf[i], ns[i] = w, h, total, y.shape[0]
+        dur[i] = total * 1000 * fd // fn
+        ysum[i] = int(y.sum(dtype=np.int64))
+        mean[i] = float(y.mean()) if y.size else 0.0
+    for name, arr in (("width", wid), ("height", hei),
+                      ("n_frames", nf), ("n_sampled", ns),
+                      ("duration_ms", dur), ("y_sum", ysum),
+                      ("mean_luma", mean)):
+        batch = batch.append_column(name, pa.array(arr))
+    return batch
 
 
 def make_y4m_fixture(n: int = 48, seed: int = 42) -> pa.Table:
@@ -1073,7 +1054,7 @@ def make_jpeg_fixture(n: int = 64, seed: int = 42) -> pa.Table:
     build-time DECODED stats (one local decode per blob here); the codec
     itself is proven against the spec in unit tests (analytic constant-tile
     exactness, PSNR bounds, restart/stuffing paths) — the driver query then
-    proves the distributed actor-pool decode reproduces the same sums
+    proves the distributed decode tasks reproduce the same sums
     bit-exactly through sniff-routing, batching and aggregation."""
     from .jpeg import decode_jpeg, encode_jpeg
 

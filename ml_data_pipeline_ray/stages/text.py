@@ -18,6 +18,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import collect_arrow
+
 TOKEN_RE = r"[A-Za-z0-9]+"
 DIGIT_RE = r"[0-9]"
 #: GPT-2-style BPE pre-tokenizer, RE2-safe (no lookahead — the original's
@@ -166,8 +168,9 @@ _SEED = np.uint64(0xCBF29CE484222325)
 
 
 class Fingerprinter:
-    """Stateful fingerprint stage for an actor pool: precomputes power tables
-    once per actor (``__init__``), then appends two columns per batch:
+    """Fingerprint stage: precomputes power tables once (``__init__``, on
+    the driver; they ride to every task with the stage), then appends two
+    columns per batch:
 
     - ``fp_content``: polynomial hash of the full UTF-8 byte string (mod 2^64)
     - ``fp_min``: minimum rolling k-gram hash (winnowing-style fingerprint;
@@ -295,18 +298,14 @@ def build_doc_freq(ds, text_col: str = "text", id_col: str = "doc_id"):
                        zero_copy_batch=True,
                        fn_kwargs={"text_col": text_col}),
         keys=["word"], aggs=[("df", "sum", "df")])
-    tbl = pa.concat_tables([t for t in _collect_refs(agg) if t.num_rows],
-                           promote_options="permissive")
+    tbl = collect_arrow(agg)
+    if not tbl.num_rows:  # empty corpus: no words, no docs
+        return np.zeros(0, object), np.zeros(0, np.int64), 0
     words = tbl.column("word").to_numpy(zero_copy_only=False)
     dfs = tbl.column("df").to_numpy(zero_copy_only=False)
     sent = words == ""
     n_docs = int(dfs[sent].sum())
     return words[~sent], dfs[~sent], n_docs
-
-
-def _collect_refs(ds):
-    import ray as _ray
-    return _ray.get(ds.materialize().to_arrow_refs())
 
 
 class TfIdfTopTerm:
@@ -428,10 +427,9 @@ def build_bigram_lm(ds, text_col: str = "text"):
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
         keys=["kp"],
         aggs=[("c", "sum", "c"), ("h1", "max", "h1"), ("h2", "max", "h2")])
-    tabs = [t for t in _collect_refs(agg) if t.num_rows]
-    if not tabs:  # no doc has >=2 tokens: empty model, like the oracle
+    tbl = collect_arrow(agg)
+    if not tbl.num_rows:  # no doc has >=2 tokens: empty model, like the oracle
         return np.zeros(0, np.uint64), np.zeros(0, np.int64), 0, None
-    tbl = pa.concat_tables(tabs, promote_options="permissive")
     kp = tbl.column("kp").to_numpy(zero_copy_only=False)
     h1 = tbl.column("h1").to_numpy(zero_copy_only=False)
     h2 = tbl.column("h2").to_numpy(zero_copy_only=False)
@@ -467,11 +465,12 @@ def build_bigram_lm(ds, text_col: str = "text"):
 
 
 class BigramLMScorer:
-    """Actor-pool scoring stage against the broadcast bigram LM: per doc,
-    the number of bigram occurrences and the integer-exact sum of their
-    ``lp_micro`` scores (``lp_micro_sum / n_bigrams / 1e6`` ≈ avg token
-    log-likelihood — the CCNet quality/perplexity signal). Docs with <2
-    tokens emit nothing, like the SQL oracle's empty bigram list."""
+    """Per-batch scoring against the broadcast bigram LM, which resolves
+    from the object store once per task (like :class:`TfIdfTopTerm`): per
+    doc, the number of bigram occurrences and the integer-exact sum of
+    their ``lp_micro`` scores (``lp_micro_sum / n_bigrams / 1e6`` ≈ avg
+    token log-likelihood — the CCNet quality/perplexity signal). Docs with
+    <2 tokens emit nothing, like the SQL oracle's empty bigram list."""
 
     def __init__(self, model_ref, text_col: str = "text",
                  id_col: str = "doc_id"):

@@ -1,1 +1,1 @@
-from .dictionary import StringDictionary, DictionaryEncodeStage, build_global_dictionary  # noqa: F401
+from .dictionary import build_global_dictionary  # noqa: F401

@@ -84,7 +84,8 @@ def test_image_decoder_ignores_installed_pil(monkeypatch):
     monkeypatch.setitem(sys.modules, "PIL", pil)
     monkeypatch.setitem(sys.modules, "PIL.Image", image)
     t = M.make_png_fixture(n=9, seed=1)
-    out = M.ImageDecoder(gray_witness=True)(t.select(["item_id", "data"]))
+    out = M.decode_images(t.select(["item_id", "data"]),
+                          gray_witness=True)
     assert out["channels"].to_pylist() == t["true_channels"].to_pylist()
     assert out["px_sum"].to_pylist() == t["true_px_sum"].to_pylist()
     assert out["px_sum_gray"].to_pylist() == t["true_px_sum_gray"].to_pylist()

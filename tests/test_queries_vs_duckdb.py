@@ -2,6 +2,11 @@
 entry at sf0.001 and compare row count + sorted values against its
 ``oracle_sql()`` in DuckDB (views registered like the driver does)."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import duckdb
 import pandas as pd
 import pytest
@@ -35,6 +40,30 @@ def no_keyed_ray_aggregate():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GroupedData, "aggregate", guarded)
+        yield
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_actor_pool_map_batches():
+    """Every ``map_batches`` stage of a registry query is a stateless task:
+    a function or a callable instance, never a class (an actor pool), and
+    no ``concurrency``/``compute``/constructor arguments."""
+    from ray.data import Dataset
+
+    map_batches = Dataset.map_batches
+    actor_only = ("concurrency", "compute", "fn_constructor_args",
+                  "fn_constructor_kwargs")
+
+    def guarded(self, fn, *args, **kwargs):
+        given = [k for k in actor_only if kwargs.get(k) is not None]
+        if inspect.isclass(fn) or given:
+            raise AssertionError(
+                f"map_batches({getattr(fn, '__name__', fn)!r}, {given}): "
+                "run the stage as a task")
+        return map_batches(self, fn, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dataset, "map_batches", guarded)
         yield
 
 
@@ -88,3 +117,19 @@ def test_every_query_has_oracle_or_documented_exception(entry_mod):
     o = set(entry_mod.oracle_sql())
     assert o <= q
     assert q - o == set(ROWS_ONLY)
+
+
+def test_decode_and_lm_queries_finish_in_one_cpu_session():
+    """The codec, multimodal-curation and bigram-LM queries finish in a
+    1-CPU Ray session (the gate script in a subprocess with its own
+    session): a stage that waits for a CPU another stage holds would hang
+    here, where the 4-CPU session of the other tests hides it."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "RAY_GRAFT_CPUS": "1", "PYTHONPATH": os.pathsep.join(
+        [repo, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "check_correctness.py"),
+         SF_DIR, "jpeg_decode_stats,multimodal_curation,docs_bigram_logprob"],
+        env=env, capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-3000:]
+    assert "3 ok, 0 failed" in proc.stdout, proc.stdout[-3000:]

@@ -11,7 +11,6 @@ from ml_data_pipeline_ray.stages.multimodal import make_binary_fixture, sniff_fo
 from ml_data_pipeline_ray.stages.transforms import (align_to_schema, chain,
                                                     infer_column_type,
                                                     parse_bool_synonyms)
-from ml_data_pipeline_ray.state import StringDictionary
 
 
 # -- text -------------------------------------------------------------------
@@ -188,18 +187,6 @@ def test_detect_format(tmp_path):
     assert detect_format("a.parquet") == "parquet"
 
 
-# -- dictionary state -------------------------------------------------------
-
-def test_string_dictionary_grows_across_batches():
-    d = StringDictionary()
-    idx1 = d.encode_array(pa.array(["a", "b", "a"]))
-    idx2 = d.encode_array(pa.array(["c", "a"]))
-    assert idx1.tolist() == [0, 1, 0]
-    assert idx2.tolist() == [2, 0]
-    assert len(d) == 3
-    assert d.value_of(2) == "c"
-
-
 # -- multimodal -------------------------------------------------------------
 
 def test_multimodal_sniff_format():
@@ -222,7 +209,7 @@ def test_wav_codec_roundtrip_and_decode_stats():
     import numpy as np
 
     from ml_data_pipeline_ray.stages.multimodal import (
-        AudioDecoder, decode_wav, encode_wav, make_wav_fixture)
+        decode_audio, decode_wav, encode_wav, make_wav_fixture)
 
     rng = np.random.default_rng(7)
     for ch in (1, 2):
@@ -239,11 +226,11 @@ def test_wav_codec_roundtrip_and_decode_stats():
     assert s[:, 0].tolist() == [1, 2, 3]
     # decoder stats vs encode-time truth, incl. frame-sampled variant
     t = make_wav_fixture(n=24, seed=11)
-    out = AudioDecoder()(t)
+    out = decode_audio(t)
     assert out["channels"].to_pylist() == [
         int(x) for x in t["true_channels"].to_pylist()]
     assert out["abs_sum"].to_pylist() == t["true_abs_sum"].to_pylist()
-    framed = AudioDecoder(frame_step=4)(t)
+    framed = decode_audio(t, frame_step=4)
     # clip metadata (n_samples/duration_ms) comes from the FULL decode —
     # frame_step subsamples only the witness/energy stats
     assert framed["n_samples"].to_pylist() == t["true_n_samples"].to_pylist()
@@ -254,7 +241,7 @@ def test_y4m_codec_roundtrip_and_frame_sampling():
     import numpy as np
 
     from ml_data_pipeline_ray.stages.multimodal import (
-        VideoDecoder, decode_y4m, encode_y4m, make_y4m_fixture)
+        decode_video, decode_y4m, encode_y4m, make_y4m_fixture)
 
     rng = np.random.default_rng(9)
     clip = rng.integers(0, 256, (7, 10, 12), dtype=np.uint8)
@@ -273,12 +260,12 @@ def test_y4m_codec_roundtrip_and_frame_sampling():
         decode_y4m(b"RIFFjunkjunkjunk")
     # stage stats vs encode-time truth (all frames + even-frame witness)
     t = make_y4m_fixture(n=12, seed=5)
-    out = VideoDecoder(frame_step=2)(t)
+    out = decode_video(t, frame_step=2)
     assert out["width"].to_pylist() == [
         int(x) for x in t["true_w"].to_pylist()]
     assert out["n_frames"].to_pylist() == t["true_frames"].to_pylist()
     assert out["y_sum"].to_pylist() == t["true_y_sum_even"].to_pylist()
-    assert VideoDecoder()(t)["y_sum"].to_pylist() == \
+    assert decode_video(t)["y_sum"].to_pylist() == \
         t["true_y_sum_all"].to_pylist()
 
 
@@ -373,15 +360,15 @@ def test_jpeg_codec_spec_paths():
 
 
 def test_jpeg_fixture_and_imagedecoder_routing():
-    """ImageDecoder magic-routes JPEG blobs to the builtin T.81 decoder and
+    """decode_images magic-routes JPEG blobs to the builtin T.81 decoder and
     reproduces the fixture's build-time decoded witnesses exactly."""
     import numpy as np
 
-    from ml_data_pipeline_ray.stages.multimodal import (ImageDecoder,
+    from ml_data_pipeline_ray.stages.multimodal import (decode_images,
                                                         make_jpeg_fixture)
 
     t = make_jpeg_fixture(n=18, seed=3)
-    out = ImageDecoder(gray_witness=True)(t)
+    out = decode_images(t, gray_witness=True)
     assert out["width"].to_pylist() == [
         int(x) for x in t["true_width"].to_pylist()]
     assert out["height"].to_pylist() == [
@@ -448,13 +435,13 @@ def test_png_decode_unfilters_sub_up_avg_paeth():
 def test_image_decoder_options_real_decode():
     import numpy as np
 
-    from ml_data_pipeline_ray.stages.multimodal import (ImageDecoder,
+    from ml_data_pipeline_ray.stages.multimodal import (decode_images,
                                                         _resize_nearest,
                                                         _to_grayscale,
                                                         make_png_fixture)
 
     t = make_png_fixture(n=9, seed=1)
-    out = ImageDecoder(gray_witness=True)(t)
+    out = decode_images(t, gray_witness=True)
     assert (out["width"].to_numpy() == t["true_width"].to_numpy()).all()
     assert (out["height"].to_numpy() == t["true_height"].to_numpy()).all()
     assert (out["channels"].to_numpy() == t["true_channels"].to_numpy()).all()
@@ -463,7 +450,7 @@ def test_image_decoder_options_real_decode():
             == t["true_px_sum_gray"].to_numpy()).all()
     # resize: every output dim forced to (10, 7); nearest-neighbour picks
     # existing pixels, so the resized sum equals the numpy gather
-    r = ImageDecoder(resize=(10, 7))(t)
+    r = decode_images(t, resize=(10, 7))
     assert (r["width"].to_numpy() == 10).all()
     assert (r["height"].to_numpy() == 7).all()
     from ml_data_pipeline_ray.stages.multimodal import decode_png
@@ -471,7 +458,7 @@ def test_image_decoder_options_real_decode():
     assert r["px_sum"][0].as_py() == int(
         _resize_nearest(img0, (10, 7)).sum(dtype=np.int64))
     # grayscale + normalize: single channel, features in [0, 1]
-    g = ImageDecoder(grayscale=True, normalize=True)(t)
+    g = decode_images(t, grayscale=True, normalize=True)
     assert (g["channels"].to_numpy() == 1).all()
     f0 = np.asarray(g["features"][0].as_py())
     assert 0.0 <= f0[0] <= 1.0
@@ -524,7 +511,7 @@ def test_jpeg_fill_bytes_and_multiscan_refusal():
     import pyarrow as pa
 
     from ml_data_pipeline_ray.stages.jpeg import decode_jpeg, encode_jpeg
-    from ml_data_pipeline_ray.stages.multimodal import ImageDecoder
+    from ml_data_pipeline_ray.stages.multimodal import decode_images
 
     img = np.stack([(np.arange(24)[:, None] * 3 + np.arange(16)[None, :]
                      + 40 * ch) % 256 for ch in range(3)],
@@ -546,7 +533,7 @@ def test_jpeg_fill_bytes_and_multiscan_refusal():
     webp = b"RIFF" + bytes(4) + b"WEBPVP8 " + bytes(16)
     t = pa.table({"data": pa.array([webp], type=pa.large_binary())})
     with pytest.raises(Exception, match="webp"):
-        ImageDecoder()(t)
+        decode_images(t)
 
 
 def test_tiff_codec():
@@ -674,12 +661,12 @@ def test_gif_codec():
 
 
 def test_imagedecoder_routes_bmp_gif():
-    """ImageDecoder magic-routes BMP and GIF blobs to the builtin codecs;
+    """decode_images magic-routes BMP and GIF blobs to the builtin codecs;
     px_sum witnesses match the source arrays exactly."""
     import numpy as np
     import pyarrow as pa
 
-    from ml_data_pipeline_ray.stages.multimodal import (ImageDecoder,
+    from ml_data_pipeline_ray.stages.multimodal import (decode_images,
                                                         encode_bmp,
                                                         encode_gif)
 
@@ -689,7 +676,7 @@ def test_imagedecoder_routes_bmp_gif():
         np.uint8)
     t = pa.table({"data": pa.array(
         [encode_bmp(bmp_img), encode_gif(gif_img)], type=pa.large_binary())})
-    out = ImageDecoder()(t)
+    out = decode_images(t)
     assert out["width"].to_pylist() == [7, 10]
     assert out["height"].to_pylist() == [9, 6]
     assert out["channels"].to_pylist() == [3, 3]
@@ -1026,9 +1013,8 @@ def test_bigram_lm_vs_python_oracle(ray_session):
     assert n_model == len(c2)
     assert unseen <= 0
     ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    got = ds.map_batches(BigramLMScorer, fn_constructor_args=(ref,),
-                         batch_format="pyarrow", zero_copy_batch=True,
-                         concurrency=(1, 2)).to_pandas()
+    got = ds.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
+                         zero_copy_batch=True).to_pandas()
     got_map = {int(r.doc_id): (int(r.n_bigrams), int(r.lp_micro_sum))
                for r in got.itertuples()}
     assert got_map == want
@@ -1040,13 +1026,22 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     an EMPTY model (no crash) that refuses to score new text with bigrams;
     scoring NEW text against a trained model
     assigns unseen bigrams the broadcast smoothing floor instead of a
-    neighboring model row's score."""
+    neighboring model row's score. An empty corpus has an empty model and
+    an empty document-frequency table."""
     import math
 
     import ray
     import ray.data as rd
     from ml_data_pipeline_ray.stages.text import (BigramLMScorer,
-                                                  build_bigram_lm)
+                                                  build_bigram_lm,
+                                                  build_doc_freq)
+
+    # 0) empty corpus -> no words, no docs, no model (no crash)
+    empty = rd.from_items([{"doc_id": 0, "text": "two words"}]).filter(
+        expr="doc_id < 0")
+    words, dfs, n_docs = build_doc_freq(empty)
+    assert words.size == 0 and dfs.size == 0 and n_docs == 0
+    assert build_bigram_lm(empty)[2:] == (0, None)
 
     # 1) bigram-free corpus -> empty model, scorer emits nothing
     ds0 = rd.from_items([{"doc_id": 0, "text": "single"},
@@ -1055,8 +1050,7 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     kp, lpm, n_model, unseen = build_bigram_lm(ds0)
     assert n_model == 0 and kp.size == 0 and lpm.size == 0
     ref0 = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    out0 = ds0.map_batches(BigramLMScorer, fn_constructor_args=(ref0,),
-                           batch_format="pyarrow", concurrency=1,
+    out0 = ds0.map_batches(BigramLMScorer(ref0), batch_format="pyarrow",
                            zero_copy_batch=True).to_pandas()
     assert len(out0) == 0
     # ... and has no unseen floor: scoring text WITH bigrams against it
@@ -1064,8 +1058,7 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     assert unseen is None
     with pytest.raises(Exception, match="unseen_lpm"):
         rd.from_items([{"doc_id": 5, "text": "two words"}]).map_batches(
-            BigramLMScorer, fn_constructor_args=(ref0,),
-            batch_format="pyarrow", concurrency=1,
+            BigramLMScorer(ref0), batch_format="pyarrow",
             zero_copy_batch=True).to_pandas()
 
     # 2) unseen bigrams on new text score the c1=0 smoothing floor
@@ -1075,8 +1068,7 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     assert unseen == math.floor(math.log(0.5 / (0.5 * vocab)) * 1e6)
     ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
     new = rd.from_items([{"doc_id": 9, "text": "zebra quux totally unseen"}])
-    got = new.map_batches(BigramLMScorer, fn_constructor_args=(ref,),
-                          batch_format="pyarrow", concurrency=1,
+    got = new.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
                           zero_copy_batch=True).to_pandas()
     assert int(got.n_bigrams[0]) == 3
     assert int(got.lp_micro_sum[0]) == 3 * unseen
@@ -1084,8 +1076,7 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     ref_old = ray.put({"kp": kp, "lpm": lpm})
     import pytest as _pytest
     with _pytest.raises(Exception, match="unseen_lpm"):
-        new.map_batches(BigramLMScorer, fn_constructor_args=(ref_old,),
-                        batch_format="pyarrow", concurrency=1,
+        new.map_batches(BigramLMScorer(ref_old), batch_format="pyarrow",
                         zero_copy_batch=True).to_pandas()
 
 
