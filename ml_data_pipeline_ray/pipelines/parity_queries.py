@@ -38,7 +38,7 @@ from ..stages import multimodal as MM
 from ..stages.encoders import MinMaxScaler, StandardScaler
 from ..stages.groupagg import grouped_agg
 from ..stages.timeseries import regularize_per_key
-from ..state.dictionary import GlobalDictApplier, build_global_dictionary
+from ..state.dictionary import apply_global_dictionary, build_global_dictionary
 from .tpch import _haround, _round, _stab, _t
 
 #: rows per generated artifact file (small files => real file-parallelism)
@@ -380,15 +380,14 @@ FROM m
 
 def dict_encode_docs(sf_dir: str) -> pd.DataFrame:
     """Global string dictionary: distributed distinct → deterministic sorted
-    id assignment → broadcast applier. Oracle: ``dense_rank() - 1`` over the
-    sorted distinct values."""
-    import ray
-
+    id assignment → one ``index_in`` per batch against the dictionary,
+    handed to every task through ``fn_kwargs``. Oracle: ``dense_rank() - 1``
+    over the sorted distinct values."""
     ds = read_parquet(_t(sf_dir, "documents"), columns=["source"])
-    mapping = build_global_dictionary(ds, "source")
-    ref = ray.put(mapping)
-    enc = ds.map_batches(GlobalDictApplier(ref, "source"),
-                         batch_format="pyarrow")
+    enc = ds.map_batches(
+        apply_global_dictionary, batch_format="pyarrow",
+        fn_kwargs={"values": build_global_dictionary(ds, "source"),
+                   "column": "source"})
     out = grouped_agg(enc, keys=["source", "source_id"],
                       aggs=[(None, "count_star", "n")]).to_pandas()
     out["source_id"] = out["source_id"].astype(np.int64)

@@ -56,9 +56,9 @@ def docs_decontaminate(sf_dir: str) -> pd.DataFrame:
     training doc that shares ANY 3-token shingle with the held-out
     eval/benchmark slice (here ``doc_id % 97 == 0``), with the count of
     overlapping distinct shingles. Benchmark shingle set built distributed,
-    deduped map-side, broadcast once; the training-side scan is one
-    shuffle-free membership pass. Oracle: DuckDB list_intersect over the
-    same 3-gram shingles."""
+    deduped map-side, handed to every task through ``fn_kwargs``; the
+    training-side scan is one shuffle-free membership pass. Oracle: DuckDB
+    list_intersect over the same 3-gram shingles."""
     from ..stages.dedup import decontaminate_flags
 
     def slice_mod(want_bench: bool):
@@ -300,22 +300,19 @@ FROM documents ORDER BY doc_id
 def docs_bigram_logprob(sf_dir: str) -> pd.DataFrame:
     """CCNet/Gopher-style LM quality scoring: train an add-0.5-smoothed
     word-bigram LM on the corpus (one `grouped_agg` exchange of distinct
-    bigram-count partials, vocab²-bounded model broadcast once via
-    ``ray.put``), then score every doc's bigram occurrences in one
+    bigram-count partials, vocab²-bounded model handed to every task through
+    ``fn_kwargs``), then score every doc's bigram occurrences in one
     shuffle-free pass of stateless tasks. Output is integer-exact:
     ``lp_micro_sum`` = Σ floor(1e6·ln P(w2|w1)) per doc (same IEEE doubles
     + libm ln on both engines, so no float-sum-order divergence); the
     avg-log-likelihood filter threshold is ``lp_micro_sum / n_bigrams /
     1e6``."""
-    import ray
-
-    from ..stages.text import BigramLMScorer, build_bigram_lm
-
     ds = read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    kp, lpm, _, unseen = build_bigram_lm(ds)
-    ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    out = ds.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
-                         zero_copy_batch=True)
+    kp, lpm, _, unseen = T.build_bigram_lm(ds)
+    out = ds.map_batches(T.bigram_lm_score, batch_format="pyarrow",
+                         zero_copy_batch=True,
+                         fn_kwargs={"kp": kp, "lpm": lpm,
+                                    "unseen_lpm": unseen})
     return (out.to_pandas().sort_values("doc_id").reset_index(drop=True)
             [["doc_id", "n_bigrams", "lp_micro_sum"]])
 
@@ -556,19 +553,13 @@ def neardup_components(sf_dir: str) -> pd.DataFrame:
 
 def docs_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     """TF-IDF top term per document: document frequency built distributed
-    (per-batch distinct partials, ONE vocab-scale groupby) and broadcast
-    once; tf + tf-idf + per-doc argmax fuse into a single shuffle-free
-    batch pass (a doc's rows never leave their batch). Floats never leave
-    the pipeline — output is (doc_id, top_term, tf, df)."""
-    import ray as _ray
-
-    from ..stages.text import TfIdfTopTerm, build_doc_freq
-
+    (per-batch distinct partials, ONE vocab-scale groupby) and handed to
+    every task through ``fn_kwargs``; tf + tf-idf + per-doc argmax fuse
+    into a single shuffle-free batch pass (a doc's rows never leave their
+    batch). Floats never leave the pipeline — output is (doc_id, top_term,
+    tf, df)."""
     ds = read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    words, dfs, n_docs = build_doc_freq(ds)
-    ref = _ray.put({"words": words, "dfs": dfs, "n_docs": n_docs})
-    out = ds.map_batches(TfIdfTopTerm(ref), batch_format="pyarrow",
-                         zero_copy_batch=True).to_pandas()
+    out = T.tfidf_top_terms(ds).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

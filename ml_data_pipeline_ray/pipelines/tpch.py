@@ -6,7 +6,7 @@ aggregates are rounded (2-4 dp) on BOTH sides so partial-sum ordering
 differences between Ray and DuckDB cannot flip the value hash.
 
 Scale discipline: reads prune columns; filters are Arrow dataset expressions
-pushed to parquet row groups; dimension tables broadcast (``ray.put`` once);
+pushed to parquet row groups; dimension tables broadcast (by ``fn_kwargs``);
 the orders x lineitem joins go through ``auto_join`` — a bounded broadcast
 attempt with automatic fallback to the bucketed shuffle hash join (the
 unbounded round-1 driver materialization can no longer occur by
@@ -603,7 +603,7 @@ def customers_without_urgent_orders(sf_dir: str) -> pa.Table:
     only pytest proof): AUTOMOBILE-segment customers that placed no URGENT
     order. The key set is the distinct ``o_custkey`` values of the filtered
     slice, deduplicated distributed (only distinct keys reach the driver)
-    and broadcast ONCE via ``ray.put`` — at a scale where even the distinct
+    and broadcast through ``fn_kwargs`` — at a scale where even the distinct
     key set exceeds the broadcast caps, flip to ``hash_join(how='outer')``
     + null-filter, which shuffles instead. Oracle: NOT IN subquery."""
     keys = set(read_parquet(_t(sf_dir, "orders"),

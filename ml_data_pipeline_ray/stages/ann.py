@@ -1,9 +1,10 @@
 """Similarity search over an embedding column (``list<float>``).
 
-- :class:`BruteForceTopK` — exact cosine top-k: the query matrix is broadcast
-  once via ``ray.put`` and read zero-copy in every task; each batch does one
-  numpy matmul (batch × queries). This is the baseline and the verification
-  oracle for approximate variants.
+- :func:`brute_force_topk` — exact cosine top-k: the query matrix is
+  normalized once on the driver and reaches every task through
+  ``map_batches(fn_kwargs=...)``; each batch does one numpy matmul (batch ×
+  queries). This is the baseline and the verification oracle for
+  approximate variants.
 - :func:`cosine_pairs_bucketed` — all pairs with cosine >= threshold,
   compared only within shared centroid buckets (embedding near-dup
   detection).
@@ -23,8 +24,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
+
+from .exchange import collect_arrow
+from .joins import _pa_schema
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -42,40 +45,24 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-class BruteForceTopK:
-    """Per-batch stage: exact cosine top-k against the broadcast query
-    matrix, which resolves from the object store once per task. Emits
-    (query_id, neighbor_id, sim) candidate rows; a final small
-    ``groupby(query_id)`` re-top-k merges per-batch candidates.
-    """
-
-    def __init__(self, queries_ref, id_col: str = "vec_id",
-                 emb_col: str = "embedding", k: int = 10):
-        self._ref = queries_ref
-        self.qm = None
-        self.id_col, self.emb_col, self.k = id_col, emb_col, k
-
-    def _resolve(self):
-        q = ray.get(self._ref) if isinstance(self._ref, ray.ObjectRef) else self._ref
-        self.q_ids = q["ids"]                     # (Q,)
-        self.qm = _normalize(q["matrix"])         # (Q, d)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.qm is None:
-            self._resolve()
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        m = _normalize(_to_matrix(batch.column(self.emb_col)))
-        sims = m @ self.qm.T                      # (n, Q)
-        # per-query top-k within this batch (argpartition, then exact sort later)
-        k = min(self.k + 1, sims.shape[0])        # +1 to survive self-match removal
-        part = np.argpartition(-sims, k - 1, axis=0)[:k]   # (k, Q)
-        qidx = np.repeat(np.arange(sims.shape[1]), k)
-        nidx = part.T.reshape(-1)
-        return pa.table({
-            "query_id": pa.array(self.q_ids[qidx]),
-            "neighbor_id": pa.array(ids[nidx]),
-            "sim": pa.array(sims[nidx, qidx]),
-        })
+def _topk_candidates(batch: pa.Table, q_ids: np.ndarray, qm: np.ndarray,
+                     id_col: str, emb_col: str, k: int) -> pa.Table:
+    """Per-batch exact cosine top-k against the normalized query matrix
+    ``qm``. Emits (query_id, neighbor_id, sim) candidate rows; a final small
+    per-query re-top-k merges the per-batch candidates."""
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    m = _normalize(_to_matrix(batch.column(emb_col)))
+    sims = m @ qm.T                           # (n, Q)
+    # per-query top-k within this batch (argpartition, then exact sort later)
+    k = min(k + 1, sims.shape[0])             # +1 to survive self-match removal
+    part = np.argpartition(-sims, k - 1, axis=0)[:k]   # (k, Q)
+    qidx = np.repeat(np.arange(sims.shape[1]), k)
+    nidx = part.T.reshape(-1)
+    return pa.table({
+        "query_id": pa.array(q_ids[qidx]),
+        "neighbor_id": pa.array(ids[nidx]),
+        "sim": pa.array(sims[nidx, qidx]),
+    })
 
 
 def brute_force_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray,
@@ -88,9 +75,10 @@ def brute_force_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.nda
     driver-side merge. Ties broken by (sim desc, neighbor_id asc) to match
     the SQL oracle deterministically.
     """
-    ref = ray.put({"ids": query_ids, "matrix": query_matrix})
-    cand = ds.map_batches(BruteForceTopK(ref, id_col, emb_col, k),
-                          batch_format="pyarrow").to_pandas()
+    cand = ds.map_batches(
+        _topk_candidates, batch_format="pyarrow",
+        fn_kwargs={"q_ids": query_ids, "qm": _normalize(query_matrix),
+                   "id_col": id_col, "emb_col": emb_col, "k": k}).to_pandas()
     if exclude_self:
         cand = cand[cand["query_id"] != cand["neighbor_id"]]
     cand = cand.sort_values(["query_id", "sim", "neighbor_id"],
@@ -105,14 +93,16 @@ def _train_centroids(ds: rd.Dataset, id_col: str, emb_col: str,
                      iters: int = 5) -> np.ndarray:
     """Deterministic k-means-lite centroids on a seeded random sample (not
     first-rows — a ``random_sample`` avoids ordering bias in the training
-    set). Returns unit-norm (C, d) centroids."""
+    set). Returns unit-norm (C, d) centroids, or None for an empty ``ds``."""
     total = ds.count()
+    if not total:
+        return None
     if total > sample_size:
         frac = min(1.0, (sample_size * 1.25) / total)
         sample_ds = ds.random_sample(frac, seed=seed).limit(sample_size)
     else:
         sample_ds = ds
-    sample = _dataset_to_table(sample_ds, [id_col, emb_col])
+    sample = collect_arrow(sample_ds.select_columns([id_col, emb_col]))
     sm = _normalize(_to_matrix(sample.column(emb_col)))
     rng = np.random.default_rng(seed)
     cent = sm[rng.choice(sm.shape[0], size=min(n_centroids, sm.shape[0]),
@@ -129,28 +119,17 @@ def _train_centroids(ds: rd.Dataset, id_col: str, emb_col: str,
     return cent
 
 
-class _ProbeAssigner:
+def _assign_probes(batch: pa.Table, cent: np.ndarray, emb_col: str,
+                   nprobe: int) -> pa.Table:
     """Append each vector's top-``nprobe`` centroid buckets: one output row
-    per (vector, probed bucket). Lazy object-store resolve per worker."""
-
-    def __init__(self, cent_ref, emb_col: str, nprobe: int):
-        self._ref = cent_ref
-        self.cent = None
-        self.emb_col, self.nprobe = emb_col, nprobe
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.cent is None:
-            self.cent = (ray.get(self._ref)
-                         if isinstance(self._ref, ray.ObjectRef) else self._ref)
-        m = _normalize(_to_matrix(batch.column(self.emb_col)))
-        sims = m @ self.cent.T
-        p = min(self.nprobe, sims.shape[1])
-        probes = np.argpartition(-sims, p - 1, axis=1)[:, :p]     # (n, p)
-        n = batch.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), p))
-        out = batch.take(idx)
-        return out.append_column(
-            "_bucket", pa.array(probes.reshape(-1).astype(np.int32)))
+    per (vector, probed bucket)."""
+    m = _normalize(_to_matrix(batch.column(emb_col)))
+    sims = m @ cent.T
+    p = min(nprobe, sims.shape[1])
+    probes = np.argpartition(-sims, p - 1, axis=1)[:, :p]     # (n, p)
+    idx = pa.array(np.repeat(np.arange(batch.num_rows, dtype=np.int64), p))
+    return batch.take(idx).append_column(
+        "_bucket", pa.array(probes.reshape(-1).astype(np.int32)))
 
 
 def cosine_pairs_bucketed(ds: rd.Dataset, threshold: float,
@@ -170,9 +149,13 @@ def cosine_pairs_bucketed(ds: rd.Dataset, threshold: float,
     all-pairs oracle in tests). Partitioning assumption: bucket contents fit
     one group (bound n_centroids ≈ n / desired_bucket_size)."""
     cent = _train_centroids(ds, id_col, emb_col, n_centroids, seed, sample_size)
-    cent_ref = ray.put(cent)
-    probed = ds.map_batches(_ProbeAssigner(cent_ref, emb_col, nprobe),
-                            batch_format="pyarrow")
+    if cent is None:
+        id_t = _pa_schema(ds).field(id_col).type
+        return pa.table({"id_a": pa.array([], id_t), "id_b": pa.array([], id_t),
+                         "sim": pa.array([], pa.float64())}).to_pandas()
+    probed = ds.map_batches(_assign_probes, batch_format="pyarrow",
+                            fn_kwargs={"cent": cent, "emb_col": emb_col,
+                                       "nprobe": nprobe})
 
     def pairs_in_bucket(g: pa.Table) -> pd.DataFrame:
         ids = g.column(id_col).to_numpy(zero_copy_only=False)
@@ -206,28 +189,30 @@ def ivf_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray,
     recall, not equality (hence no SQL oracle; see tests).
     """
     cent = _train_centroids(ds, id_col, emb_col, n_centroids, seed, sample_size)
-    cent_ref = ray.put(cent)
+    if cent is None:
+        id_t = _pa_schema(ds).field(id_col).type
+        return pa.table({"query_id": pa.array([], id_t),
+                         "neighbor_id": pa.array([], id_t),
+                         "rank": pa.array([], pa.int64())}).to_pandas()
 
     qm = _normalize(query_matrix)
     probe = np.argsort(-(qm @ cent.T), axis=1)[:, :nprobe]     # (Q, nprobe)
 
-    assigned = ds.map_batches(_ProbeAssigner(cent_ref, emb_col, nprobe=1),
-                              batch_format="pyarrow")
+    assigned = ds.map_batches(_assign_probes, batch_format="pyarrow",
+                              fn_kwargs={"cent": cent, "emb_col": emb_col,
+                                         "nprobe": 1})
 
-    # queries grouped by probed bucket: query q participates in buckets probe[q]
-    out = []
-    qref = ray.put({"ids": query_ids, "matrix": qm, "probe": probe})
-
+    # queries grouped by probed bucket: query q participates in buckets
+    # probe[q]; the closure carries the query state into every group task
     def per_bucket(g: pa.Table) -> pd.DataFrame:
-        q = ray.get(qref)
         b = g.column("_bucket")[0].as_py()
-        qmask = (q["probe"] == b).any(1)
+        qmask = (probe == b).any(1)
         if not qmask.any():
             return pd.DataFrame({"query_id": [], "neighbor_id": [], "sim": []})
         ids = g.column(id_col).to_numpy(zero_copy_only=False)
         m = _normalize(_to_matrix(g.column(emb_col)))
-        sims = m @ q["matrix"][qmask].T
-        qids = q["ids"][qmask]
+        sims = m @ qm[qmask].T
+        qids = query_ids[qmask]
         kk = min(k + 1, sims.shape[0])
         part = np.argpartition(-sims, kk - 1, axis=0)[:kk]
         qidx = np.repeat(np.arange(sims.shape[1]), kk)
@@ -243,11 +228,3 @@ def ivf_topk(ds: rd.Dataset, query_ids: np.ndarray, query_matrix: np.ndarray,
     out = cand.groupby("query_id", sort=True).head(k).reset_index(drop=True)
     out["rank"] = out.groupby("query_id").cumcount() + 1
     return out[["query_id", "neighbor_id", "rank"]]
-
-
-def _dataset_to_table(ds: rd.Dataset, columns: list[str]) -> pa.Table:
-    batches = []
-    for b in ds.select_columns(columns).iter_batches(batch_size=65536,
-                                                     batch_format="pyarrow"):
-        batches.append(pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b)
-    return pa.concat_tables(batches, promote_options="permissive")

@@ -3,12 +3,12 @@ the build side before any exchange.
 
 The classic runtime-filter optimization for large joins: the build side's
 key set is summarized into an m-bit Bloom filter with map-side partial
-bitmaps, the OR of all partials is broadcast once via ``ray.put``, and the
-probe side tests membership inside ``map_batches`` — shuffle bytes for the
-subsequent exact join drop by the true selectivity. EXACT by construction:
-a Bloom filter has no false negatives, so the surviving superset feeds the
-normal exact join/semi-join; false positives only cost a little extra
-shuffle.
+bitmaps, the OR of all partials reaches the probe side through
+``map_batches(fn_kwargs=...)``, which tests membership per batch — shuffle
+bytes for the subsequent exact join drop by the true selectivity. EXACT by
+construction: a Bloom filter has no false negatives, so the surviving
+superset feeds the normal exact join/semi-join; false positives only cost a
+little extra shuffle.
 
 Scale notes: bits are sized from the build-side key estimate for a ~1%
 false-positive rate (k=7 double-hashed probes, ~10 bits/key), so at 100M
@@ -18,18 +18,16 @@ not batch size: exactly one partial leaves each input block
 (``batch_size=None``), a task-side fan-in stage OR-combines partials 64:1
 before anything reaches the driver, and the driver streams the survivors
 one row at a time (peak driver memory = 2 bitmaps, not 64). The final
-bitmap is the only driver-resident state and reaches every worker through
-the object store, never per task. The reference has no joins at all
-(SURVEY.md §2.5 — designed from scratch here); this is the standard
+bitmap is the only driver-resident state; Ray Data puts it in the object
+store once per execution, never once per task. The reference has no joins
+at all (SURVEY.md §2.5 — designed from scratch here); this is the standard
 companion to the bucketed ``hash_join``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from .exchange import key_hash
@@ -102,10 +100,11 @@ _FAN_IN = 64
 
 
 def build_bloom(build: rd.Dataset, on: list[str],
-                n_keys_hint: int | None = None) -> "ray.ObjectRef":
-    """OR-combine per-block partial bitmaps into one broadcast filter.
-    ``n_keys_hint`` sizes the filter (defaults to ``build.count()`` — one
-    cheap metadata pass on parquet inputs).
+                n_keys_hint: int | None = None) -> dict:
+    """OR-combine per-block partial bitmaps into one filter, returned as
+    its state ``{"bm": uint64 words, "m_bits": int}`` for
+    :func:`bloom_prefilter`. ``n_keys_hint`` sizes the filter (defaults to
+    ``build.count()`` — one cheap metadata pass on parquet inputs).
 
     Reduction shape: one partial per input block -> 64:1 task-side fan-in
     -> driver streams the survivors ONE row at a time, so the driver never
@@ -122,31 +121,24 @@ def build_bloom(build: rd.Dataset, on: list[str],
         t = pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
         if t.num_rows:
             np.bitwise_or(bm, _or_rows(t), out=bm)
-    return ray.put({"bm": bm, "m_bits": m_bits, "on": on})
+    return {"bm": bm, "m_bits": m_bits}
 
 
-class _BloomProbe:
+def _bloom_probe(batch: pa.Table, bm: np.ndarray, m_bits: int,
+                 on: list[str]) -> pa.Table:
     """Per-batch membership pre-filter against the broadcast bitmap."""
-
-    def __init__(self, bloom_ref, on: list[str]):
-        self._ref = bloom_ref
-        self.state = None
-        self.on = on
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.state is None:
-            self.state = (ray.get(self._ref)
-                          if isinstance(self._ref, ray.ObjectRef)
-                          else self._ref)
-        if batch.num_rows == 0:
-            return batch
-        pos = _positions(key_hash(batch, self.on), self.state["m_bits"])
-        return batch.filter(pa.array(_test_bits(self.state["bm"], pos)))
+    if batch.num_rows == 0:
+        return batch
+    pos = _positions(key_hash(batch, on), m_bits)
+    return batch.filter(pa.array(_test_bits(bm, pos)))
 
 
-def bloom_prefilter(probe: rd.Dataset, bloom_ref, on: list[str]
+def bloom_prefilter(probe: rd.Dataset, bloom: dict, on: list[str]
                     ) -> rd.Dataset:
     """Rows of ``probe`` whose key possibly exists in the build side (a
-    strict superset of the true matches — feed the exact join next)."""
-    return probe.map_batches(_BloomProbe(bloom_ref, on),
-                             batch_format="pyarrow", zero_copy_batch=True)
+    strict superset of the true matches — feed the exact join next).
+    ``bloom`` is the state :func:`build_bloom` returned; it reaches every
+    task through ``fn_kwargs``."""
+    return probe.map_batches(_bloom_probe, batch_format="pyarrow",
+                             zero_copy_batch=True,
+                             fn_kwargs={**bloom, "on": on})

@@ -1,10 +1,11 @@
 """Distributed k-means (Lloyd's algorithm) over an embedding column.
 
-The textbook Ray Data pattern: centroids broadcast once per iteration via
-``ray.put``; each ``map_batches`` task emits per-cluster PARTIAL SUMS
-(k rows per batch: count + per-dimension sum), so each Lloyd iteration is
-one streaming pass with a tiny driver-side reduce (k × n_blocks rows) — no
-shuffle at all, and nothing larger than (k × d) ever sits on the driver.
+The textbook Ray Data pattern: each iteration's centroids reach every
+task through ``map_batches(fn_kwargs=...)``; each task emits per-cluster
+PARTIAL SUMS (k rows per batch: count + per-dimension sum), so each Lloyd
+iteration is one streaming pass with a tiny driver-side reduce (k ×
+n_blocks rows) — no shuffle at all, and nothing larger than (k × d) ever
+sits on the driver.
 At 100 TB each iteration re-scans the input (standard for Lloyd); here the
 quantized input is materialized once into the object store so iterations
 don't re-read parquet.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from .ann import _to_matrix
@@ -55,44 +55,35 @@ def quantize_batch(batch: pa.Table, emb_col: str = "embedding") -> pa.Table:
     return batch.set_column(idx, emb_col, arr.cast(pa.list_(pa.float64())))
 
 
-class _PartialStats:
+def _partial_stats(batch: pa.Table, cent: np.ndarray, id_col: str,
+                   emb_col: str) -> pa.Table:
     """Per-batch map-side combine of one Lloyd iteration: assign each row to
     its nearest centroid (exact argmin, ties → smallest index), emit one row
     per non-empty cluster: count, per-dimension sum, and the per-cluster sum
     of an id column (an integer witness that the full assignment matches)."""
-
-    def __init__(self, cent_ref, id_col: str, emb_col: str):
-        self._ref = cent_ref
-        self.cent = None
-        self.id_col, self.emb_col = id_col, emb_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.cent is None:
-            self.cent = (ray.get(self._ref)
-                         if isinstance(self._ref, ray.ObjectRef) else self._ref)
-        x = _to_matrix(batch.column(self.emb_col))          # (n, d) exact ints
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        # (n, k, d) diff tensor: every term is an exact multiple of 1/64
-        # bounded << 2^53, so the sum is order-independent (see module doc)
-        d2 = ((x[:, None, :] - self.cent[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)                           # first min = smallest idx
-        k = self.cent.shape[0]
-        counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, x.shape[1]))
-        np.add.at(sums, assign, x)                           # integer-exact
-        # accumulate the id-sum witness in int64 (float64 bincount weights
-        # silently lose precision past 2^53 — large ids x big batches)
-        id_sums = np.zeros(k, dtype=np.int64)
-        np.add.at(id_sums, assign, ids.astype(np.int64))
-        nz = np.flatnonzero(counts)
-        return pa.table({
-            "cluster": pa.array(nz.astype(np.int64)),
-            "n": pa.array(counts[nz].astype(np.int64)),
-            "id_sum": pa.array(id_sums[nz].astype(np.int64)),
-            "vec_sum": pa.FixedSizeListArray.from_arrays(
-                pa.array(sums[nz].reshape(-1), pa.float64()),
-                x.shape[1]).cast(pa.list_(pa.float64())),
-        })
+    x = _to_matrix(batch.column(emb_col))                # (n, d) exact ints
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    # (n, k, d) diff tensor: every term is an exact multiple of 1/64
+    # bounded << 2^53, so the sum is order-independent (see module doc)
+    d2 = ((x[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)                           # first min = smallest idx
+    k = cent.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    sums = np.zeros((k, x.shape[1]))
+    np.add.at(sums, assign, x)                           # integer-exact
+    # accumulate the id-sum witness in int64 (float64 bincount weights
+    # silently lose precision past 2^53 — large ids x big batches)
+    id_sums = np.zeros(k, dtype=np.int64)
+    np.add.at(id_sums, assign, ids.astype(np.int64))
+    nz = np.flatnonzero(counts)
+    return pa.table({
+        "cluster": pa.array(nz.astype(np.int64)),
+        "n": pa.array(counts[nz].astype(np.int64)),
+        "id_sum": pa.array(id_sums[nz].astype(np.int64)),
+        "vec_sum": pa.FixedSizeListArray.from_arrays(
+            pa.array(sums[nz].reshape(-1), pa.float64()),
+            x.shape[1]).cast(pa.list_(pa.float64())),
+    })
 
 
 def _reduce_partials(parts, k: int, d: int):
@@ -133,9 +124,9 @@ def kmeans_fit(ds: rd.Dataset, k: int, n_iter: int,
     d = cent.shape[1]
     counts = id_sums = None
     for _ in range(n_iter):
-        ref = ray.put(cent)
         parts = collect_arrow(qds.map_batches(
-            _PartialStats(ref, id_col, emb_col), batch_format="pyarrow"))
+            _partial_stats, batch_format="pyarrow",
+            fn_kwargs={"cent": cent, "id_col": id_col, "emb_col": emb_col}))
         counts, id_sums, sums = _reduce_partials(parts, k, d)
         nz = counts > 0
         # snap means to the 1/8 grid — s and c are exact, so this float64 is

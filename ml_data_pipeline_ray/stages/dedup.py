@@ -135,46 +135,34 @@ def benchmark_shingle_hashes(bench: rd.Dataset, text_col: str = "text",
     return np.unique(tbl["h"].to_numpy())
 
 
-class _ContaminationCounter:
-    """Per-batch contamination count against the broadcast benchmark
-    shingle-hash set (resolved lazily from the local object store — never
-    re-shipped per batch). Emits only contaminated rows: (id, n_contaminated
-    = count of the row's DISTINCT shingles present in the benchmark set)."""
-
-    def __init__(self, bench_ref, id_col: str, text_col: str, k: int):
-        self._ref = bench_ref
-        self.bench = None
-        self.id_col, self.text_col, self.k = id_col, text_col, k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-        if self.bench is None:
-            self.bench = (ray.get(self._ref)
-                          if isinstance(self._ref, ray.ObjectRef)
-                          else self._ref)
-        th, counts = tokenize_offsets(batch[self.text_col])
-        sh, win = shingle_hashes(th, counts, k=self.k)
-        n_rows = batch.num_rows
-        row = np.repeat(np.arange(n_rows, dtype=np.int64), win)
-        # per-row distinct shingles: lexsort (row, hash), drop repeats
-        order = np.lexsort((sh, row))
-        r2, s2 = row[order], sh[order]
-        keep = np.ones(r2.size, dtype=bool)
-        keep[1:] = (r2[1:] != r2[:-1]) | (s2[1:] != s2[:-1])
-        r3, s3 = r2[keep], s2[keep]
-        # membership via searchsorted on the sorted benchmark array
-        if self.bench.size:
-            idx = np.minimum(np.searchsorted(self.bench, s3),
-                             self.bench.size - 1)
-            hit = self.bench[idx] == s3
-        else:
-            hit = np.zeros(s3.size, dtype=bool)
-        n_hits = np.bincount(r3[hit], minlength=n_rows).astype(np.int64)
-        flag = n_hits > 0
-        return pa.table({
-            self.id_col: batch[self.id_col].filter(pa.array(flag)),
-            "n_contaminated": pa.array(n_hits[flag], pa.int64()),
-        })
+def _contamination_counts(batch: pa.Table, bench: np.ndarray, id_col: str,
+                          text_col: str, k: int) -> pa.Table:
+    """Per-batch contamination count against the broadcast (sorted)
+    benchmark shingle-hash set. Emits only contaminated rows: (id,
+    n_contaminated = count of the row's DISTINCT shingles present in the
+    benchmark set)."""
+    th, counts = tokenize_offsets(batch[text_col])
+    sh, win = shingle_hashes(th, counts, k=k)
+    n_rows = batch.num_rows
+    row = np.repeat(np.arange(n_rows, dtype=np.int64), win)
+    # per-row distinct shingles: lexsort (row, hash), drop repeats
+    order = np.lexsort((sh, row))
+    r2, s2 = row[order], sh[order]
+    keep = np.ones(r2.size, dtype=bool)
+    keep[1:] = (r2[1:] != r2[:-1]) | (s2[1:] != s2[:-1])
+    r3, s3 = r2[keep], s2[keep]
+    # membership via searchsorted on the sorted benchmark array
+    if bench.size:
+        idx = np.minimum(np.searchsorted(bench, s3), bench.size - 1)
+        hit = bench[idx] == s3
+    else:
+        hit = np.zeros(s3.size, dtype=bool)
+    n_hits = np.bincount(r3[hit], minlength=n_rows).astype(np.int64)
+    flag = n_hits > 0
+    return pa.table({
+        id_col: batch[id_col].filter(pa.array(flag)),
+        "n_contaminated": pa.array(n_hits[flag], pa.int64()),
+    })
 
 
 def decontaminate_flags(ds: rd.Dataset, bench: rd.Dataset,
@@ -182,15 +170,14 @@ def decontaminate_flags(ds: rd.Dataset, bench: rd.Dataset,
                         k: int = 3) -> rd.Dataset:
     """Benchmark decontamination: rows of ``ds`` sharing ANY k-token shingle
     with the benchmark corpus, with the count of overlapping distinct
-    shingles. Shape: benchmark shingle set built distributed + broadcast
-    once (``ray.put``), then one embarrassingly-parallel membership scan —
-    no shuffle touches the big side."""
-    import ray
-
+    shingles. Shape: benchmark shingle set built distributed and handed to
+    every task through ``fn_kwargs``, then one embarrassingly-parallel
+    membership scan — no shuffle touches the big side."""
     bench_hashes = benchmark_shingle_hashes(bench, text_col=text_col, k=k)
-    ref = ray.put(bench_hashes)
-    return ds.map_batches(_ContaminationCounter(ref, id_col, text_col, k),
-                          batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(_contamination_counts, batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          fn_kwargs={"bench": bench_hashes, "id_col": id_col,
+                                     "text_col": text_col, "k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -449,37 +436,25 @@ def _expand_membership(b: pa.Table, id_col: str) -> pa.Table:
                              one_side("id_b", 1)]).combine_chunks()
 
 
-class _MembershipJoiner:
-    """Broadcast-membership shingle emitter: per batch, one vectorized Arrow
-    hash join of the batch's (id, text) rows against the (id, id_a, id_b,
-    side) membership table, then shingle-set computation for the matched
-    rows only. Emits ``(id_a, id_b, side, sh: list<uint64>)`` — only
-    candidate rows' shingle sets ever leave the batch; no per-pair Python
+def _member_shingles(batch: pa.Table, members: pa.Table, id_col: str,
+                     text_col: str, k: int) -> pa.Table:
+    """Broadcast-membership shingle emitter: one vectorized Arrow hash join
+    of the batch's (id, text) rows against the (id, id_a, id_b, side)
+    membership table, then shingle-set computation for the matched rows
+    only. Emits ``(id_a, id_b, side, sh: list<uint64>)`` — only candidate
+    rows' shingle sets ever leave the batch; no per-pair Python
     anywhere."""
-
-    def __init__(self, members_ref, id_col: str, text_col: str, k: int):
-        self._ref = members_ref
-        self.members: pa.Table | None = None
-        self.id_col, self.text_col, self.k = id_col, text_col, k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-        if self.members is None:
-            m = (ray.get(self._ref)
-                 if not isinstance(self._ref, pa.Table) else self._ref)
-            self.members = m.combine_chunks()
-        m = self.members
-        col_t = batch.schema.field(self.id_col).type
-        if m.schema.field(self.id_col).type != col_t:
-            m = m.set_column(m.schema.get_field_index(self.id_col),
-                             self.id_col, m.column(self.id_col).cast(col_t))
-        sub = batch.select([self.id_col, self.text_col]).join(
-            m, keys=self.id_col, join_type="inner")
-        return pa.table({"id_a": sub.column("id_a"),
-                         "id_b": sub.column("id_b"),
-                         "side": sub.column("side"),
-                         "sh": _shingle_blob(sub.column(self.text_col),
-                                             self.k)})
+    col_t = batch.schema.field(id_col).type
+    if members.schema.field(id_col).type != col_t:
+        members = members.set_column(
+            members.schema.get_field_index(id_col), id_col,
+            members.column(id_col).cast(col_t))
+    sub = batch.select([id_col, text_col]).join(
+        members, keys=id_col, join_type="inner")
+    return pa.table({"id_a": sub.column("id_a"),
+                     "id_b": sub.column("id_b"),
+                     "side": sub.column("side"),
+                     "sh": _shingle_blob(sub.column(text_col), k)})
 
 
 def _verify_emitted_pairs(emitted: rd.Dataset, threshold: float) -> rd.Dataset:
@@ -532,9 +507,10 @@ def verify_candidate_pairs(ds: rd.Dataset, candidates: pd.DataFrame,
                            threshold: float = 0.8, k: int = 3) -> pd.DataFrame:
     """Distributed exact-Jaccard verification, broadcast-membership path:
     the candidate pair list (bounded by true near-dup density) expands to a
-    compact Arrow membership table broadcast once via ``ray.put``; each map
-    batch joins against it vectorized (Arrow hash join — no per-pair Python
-    anywhere), computes shingle sets for matched rows only, and ONE
+    compact Arrow membership table handed to every task through
+    ``fn_kwargs``; each map batch joins against it vectorized (Arrow hash
+    join — no per-pair Python anywhere), computes shingle sets for matched
+    rows only, and ONE
     pair-bucket shuffle co-locates each pair's two sides. Returns the pairs
     with word-``k``-gram Jaccard >= threshold.
 
@@ -546,13 +522,12 @@ def verify_candidate_pairs(ds: rd.Dataset, candidates: pd.DataFrame,
     if len(candidates) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype=object),
                              "id_b": pd.Series([], dtype=object)})
-    import ray
-
     pairs = pa.Table.from_pandas(candidates[["id_a", "id_b"]],
                                  preserve_index=False)
-    ref = ray.put(_expand_membership(pairs, id_col))
-    emitted = ds.map_batches(_MembershipJoiner(ref, id_col, text_col, k),
-                             batch_format="pyarrow")
+    emitted = ds.map_batches(
+        _member_shingles, batch_format="pyarrow",
+        fn_kwargs={"members": _expand_membership(pairs, id_col),
+                   "id_col": id_col, "text_col": text_col, "k": k})
     out = _verify_emitted_pairs(emitted, threshold).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype=object),

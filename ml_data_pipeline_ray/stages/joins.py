@@ -3,10 +3,11 @@
 The reference implements no joins (SURVEY.md §2.5); these are the engine's
 join surface, designed around shuffle cost:
 
-- :func:`broadcast_join` / :func:`broadcast_semi_join` — small side goes
-  through ``ray.put`` ONCE and is read zero-copy in every task (never
-  re-shipped per batch); the probe side streams. Use whenever one side fits
-  in memory (dimension tables, key sets) — no shuffle at all.
+- :func:`broadcast_join` / :func:`broadcast_semi_join` — the small side
+  reaches every task through ``map_batches(fn_kwargs=...)``, which Ray
+  Data puts in the object store once per execution; the probe side
+  streams. Use whenever one side fits in memory (dimension tables, key
+  sets) — no shuffle at all.
 - :func:`hash_join` — both sides large: one :func:`~.exchange.hash_exchange`
   on the join key co-locates both sides' rows of every key, then Arrow's
   hash join runs inside each shard. Skewed keys go through
@@ -20,7 +21,7 @@ from typing import Literal
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 import ray.data as rd
 
 from .exchange import hash_exchange
@@ -49,104 +50,70 @@ _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
                     "outer": "full outer"}
 
 
-class _BroadcastJoiner:
-    """Per-batch zero-copy Arrow hash join against the broadcast side. The
-    instance holds only the ObjectRef (tiny per-task pickle); the table
-    resolves lazily from the local object store on first use in each worker
-    (zero-copy read — never re-shipped per batch)."""
-
-    def __init__(self, small_ref, on: list[str], how: str):
-        self._ref = small_ref
-        self._small = None
-        self.on, self.how = on, how
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._small is None:
-            small = (ray.get(self._ref)
-                     if isinstance(self._ref, ray.ObjectRef) else self._ref)
-            # Arrow's join requires exactly matching key types; snap the
-            # small side onto the probe stream's key types once per worker
-            for k in self.on:
-                bt = batch.schema.field(k).type
-                if small.schema.field(k).type != bt:
-                    small = small.set_column(
-                        small.column_names.index(k), k, small[k].cast(bt))
-            # rename colliding non-key columns with the same "_r" suffix
-            # hash_join uses, so both auto_join arms produce one schema
-            # (Table.join has no suffix support and would raise on select)
-            ren = {c: c + "_r" for c in small.column_names
-                   if c in batch.column_names and c not in self.on}
-            if ren:
-                small = small.rename_columns(
-                    [ren.get(c, c) for c in small.column_names])
-            self._small = small
-            self._out_cols = (batch.column_names
-                              + [c for c in small.column_names
-                                 if c not in batch.column_names])
-        joined = batch.join(self._small, keys=self.on,
-                            join_type=_ARROW_JOIN_TYPE[self.how])
-        return joined.select([c for c in self._out_cols
-                              if c in joined.column_names])
+def _broadcast_join(batch: pa.Table, small: pa.Table, on: list[str],
+                    how: str) -> pa.Table:
+    """One zero-copy Arrow hash join of a probe batch against the broadcast
+    side."""
+    # Arrow's join requires exactly matching key types; snap the small side
+    # onto the probe batch's key types
+    for k in on:
+        bt = batch.schema.field(k).type
+        if small.schema.field(k).type != bt:
+            small = small.set_column(
+                small.column_names.index(k), k, small[k].cast(bt))
+    # rename colliding non-key columns with the same "_r" suffix hash_join
+    # uses, so both auto_join arms produce one schema (Table.join has no
+    # suffix support and would raise on select)
+    small = small.rename_columns(
+        [c + "_r" if c in batch.column_names and c not in on else c
+         for c in small.column_names])
+    out_cols = batch.column_names + [c for c in small.column_names
+                                     if c not in batch.column_names]
+    joined = batch.join(small, keys=on, join_type=_ARROW_JOIN_TYPE[how])
+    return joined.select([c for c in out_cols if c in joined.column_names])
 
 
 def broadcast_join(ds: rd.Dataset, small: pd.DataFrame | pa.Table,
                    on: list[str], how: Literal["inner", "left"] = "inner"
                    ) -> rd.Dataset:
-    """Join a streaming Dataset against a small in-memory table: broadcast
-    once via ``ray.put`` and resolved lazily from the local object store
-    inside each task (never re-shipped per batch). No shuffle; the probe
-    side stays zero-copy Arrow end to end."""
+    """Join a streaming Dataset against a small in-memory table, handed to
+    every task through ``fn_kwargs`` (Ray Data stores it once per
+    execution). No shuffle; the probe side stays zero-copy Arrow end to
+    end."""
     if isinstance(small, pd.DataFrame):
         small = pa.Table.from_pandas(small, preserve_index=False)
-    small = small.combine_chunks()
-    ref = ray.put(small)
-    return ds.map_batches(_BroadcastJoiner(ref, on, how),
-                          batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(_broadcast_join, batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          fn_kwargs={"small": small.combine_chunks(),
+                                     "on": on, "how": how})
 
 
-class _SemiFilter:
+def _semi_filter(batch, keys, on: list[str], anti: bool):
     """Single-column keys filter with a zero-copy Arrow ``is_in`` kernel;
     composite keys fall back to a pandas MultiIndex membership test."""
-
-    def __init__(self, keys_ref, on: list[str], anti: bool):
-        self._ref = keys_ref
-        self.keys = None
-        self.on, self.anti = on, anti
-
-    def _resolve(self):
-        self.keys = (ray.get(self._ref)
-                     if isinstance(self._ref, ray.ObjectRef) else self._ref)
-        if len(self.on) == 1:
-            self._value_set = pa.array(sorted(self.keys))
-
-    def __call__(self, batch):
-        if self.keys is None:
-            self._resolve()
-        if isinstance(batch, pa.Table):
-            import pyarrow.compute as pc
-            vs = self._value_set
-            col = batch[self.on[0]]
-            if vs.type != col.type:
-                vs = vs.cast(col.type)
-            mask = pc.is_in(col, value_set=vs)
-            mask = pc.fill_null(mask, False)
-            return batch.filter(pc.invert(mask) if self.anti else mask)
-        idx = pd.MultiIndex.from_frame(batch[self.on])
-        mask = idx.isin(self.keys)
-        return batch[~mask] if self.anti else batch[mask]
+    if isinstance(batch, pa.Table):
+        col = batch[on[0]]
+        vs = keys if keys.type == col.type else keys.cast(col.type)
+        mask = pc.fill_null(pc.is_in(col, value_set=vs), False)
+        return batch.filter(pc.invert(mask) if anti else mask)
+    mask = pd.MultiIndex.from_frame(batch[on]).isin(keys)
+    return batch[~mask] if anti else batch[mask]
 
 
 def broadcast_semi_join(ds: rd.Dataset, keys, on: list[str],
                         anti: bool = False) -> rd.Dataset:
     """Semi (or anti) join: keep rows whose key is (not) in the broadcast key
     set. ``keys`` is a set / Index / array for single-column keys, or a
-    MultiIndex-able frame for composite keys."""
+    MultiIndex-able frame for composite keys. A null key matches no row, so
+    an anti join keeps the rows whose key is null."""
     if isinstance(keys, pd.DataFrame):
         keys = pd.MultiIndex.from_frame(keys[on]) if len(on) > 1 else set(keys[on[0]])
-    ref = ray.put(keys)
+    if len(on) == 1:
+        keys = pa.array(sorted(k for k in keys if k is not None))
     fmt = "pyarrow" if len(on) == 1 else "pandas"
-    return ds.map_batches(_SemiFilter(ref, on, anti), batch_format=fmt,
-                          zero_copy_batch=(fmt == "pyarrow"))
+    return ds.map_batches(_semi_filter, batch_format=fmt,
+                          zero_copy_batch=(fmt == "pyarrow"),
+                          fn_kwargs={"keys": keys, "on": on, "anti": anti})
 
 
 def auto_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
@@ -403,7 +370,6 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
     rout = [rrename.get(c, c) for c in rschema.names if c not in on]
 
     def join_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         side = g.column("_side")
         lg = g.filter(pc.equal(side, 0)).select(lout)
         rg = g.filter(pc.equal(side, 1)).select(on + rout)

@@ -105,32 +105,25 @@ def grouped_quantiles(ds: rd.Dataset, key: str, value: str,
     key_arr = pa.array(keys)
 
     # -- pass 2: per-group fixed-width histograms (map-side partials) -------
-    import ray
-    state = ray.put((key_arr, vmin, width))
+    # the per-group state reaches every task through fn_kwargs
+    state = {"key_arr": key_arr, "vmin": vmin, "width": width}
 
-    class _Hist:
-        def __init__(self, state_ref):
-            self._ref = state_ref
-            self.state = None
+    def cells(b: pa.Table, key_arr, vmin, width):
+        """(histogram cell = group * num_bins + bin, value) per row."""
+        g = pc.index_in(b[key], value_set=key_arr).cast(pa.int64()
+                                                        ).to_numpy()
+        v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
+        return g * num_bins + _bin_of(v, vmin[g], width[g], num_bins), v
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            if self.state is None:
-                self.state = (ray.get(self._ref)
-                              if isinstance(self._ref, ray.ObjectRef)
-                              else self._ref)
-            key_arr, vmin, width = self.state
-            g = pc.index_in(b[key], value_set=key_arr).cast(pa.int64()
-                                                            ).to_numpy()
-            v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-            bins = _bin_of(v, vmin[g], width[g], num_bins)
-            flat = g * num_bins + bins
-            uniq, cnt = np.unique(flat, return_counts=True)
-            return pa.table({"_cell": pa.array(uniq),
-                             "cnt": pa.array(cnt.astype(np.int64))})
+    def bin_counts(b: pa.Table, **state) -> pa.Table:
+        flat, _ = cells(b, **state)
+        uniq, cnt = np.unique(flat, return_counts=True)
+        return pa.table({"_cell": pa.array(uniq),
+                         "cnt": pa.array(cnt.astype(np.int64))})
 
     hist = grouped_agg(
-        clean.map_batches(_Hist(state), batch_format="pyarrow",
-                          zero_copy_batch=True),
+        clean.map_batches(bin_counts, batch_format="pyarrow",
+                          zero_copy_batch=True, fn_kwargs=state),
         keys=["_cell"], aggs=[("cnt", "sum", "sum(cnt)")]).to_pandas()
     cell = hist["_cell"].to_numpy().astype(np.int64)
     cnt = hist["sum(cnt)"].to_numpy().astype(np.int64)
@@ -164,46 +157,32 @@ def grouped_quantiles(ds: rd.Dataset, key: str, value: str,
     want_flat = np.fromiter((g * num_bins + b for (g, b) in want),
                             dtype=np.int64)
     want_flat.sort()
-    pick_state = ray.put((key_arr, vmin, width, want_flat))
 
-    class _Pick:
-        def __init__(self, state_ref):
-            self._ref = state_ref
-            self.state = None
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            if self.state is None:
-                self.state = (ray.get(self._ref)
-                              if isinstance(self._ref, ray.ObjectRef)
-                              else self._ref)
-            key_arr, vmin, width, want_flat = self.state
-            g = pc.index_in(b[key], value_set=key_arr).cast(pa.int64()
-                                                            ).to_numpy()
-            v = b[value].to_numpy(zero_copy_only=False).astype(np.float64)
-            bins = _bin_of(v, vmin[g], width[g], num_bins)
-            flat = g * num_bins + bins
-            idx = np.searchsorted(want_flat, flat)
-            hit = np.zeros(flat.size, dtype=bool)
-            if want_flat.size:
-                idx = np.minimum(idx, want_flat.size - 1)
-                hit = want_flat[idx] == flat
-            if not hit.any():
-                return pa.table({"_cell": pa.array([], pa.int64()),
-                                 "val": pa.array([], pa.float64()),
-                                 "cnt": pa.array([], pa.int64())})
-            # dedupe (cell, value) per task: a constant-valued hot bin ships
-            # one row per task, not one per input row
-            pairs = np.stack([flat[hit].astype(np.float64), v[hit]], axis=1)
-            uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-            return pa.table({
-                "_cell": pa.array(uniq[:, 0].astype(np.int64)),
-                "val": pa.array(uniq[:, 1]),
-                "cnt": pa.array(counts.astype(np.int64)),
-            })
+    def bin_values(b: pa.Table, want_flat: np.ndarray, **state) -> pa.Table:
+        flat, v = cells(b, **state)
+        idx = np.searchsorted(want_flat, flat)
+        hit = np.zeros(flat.size, dtype=bool)
+        if want_flat.size:
+            idx = np.minimum(idx, want_flat.size - 1)
+            hit = want_flat[idx] == flat
+        if not hit.any():
+            return pa.table({"_cell": pa.array([], pa.int64()),
+                             "val": pa.array([], pa.float64()),
+                             "cnt": pa.array([], pa.int64())})
+        # dedupe (cell, value) per task: a constant-valued hot bin ships
+        # one row per task, not one per input row
+        pairs = np.stack([flat[hit].astype(np.float64), v[hit]], axis=1)
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+        return pa.table({
+            "_cell": pa.array(uniq[:, 0].astype(np.int64)),
+            "val": pa.array(uniq[:, 1]),
+            "cnt": pa.array(counts.astype(np.int64)),
+        })
 
     picked = grouped_agg(
-        clean.map_batches(_Pick(pick_state), batch_format="pyarrow",
-                          zero_copy_batch=True),
+        clean.map_batches(bin_values, batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          fn_kwargs={**state, "want_flat": want_flat}),
         keys=["_cell", "val"], aggs=[("cnt", "sum", "sum(cnt)")]).to_pandas()
     pcell = picked["_cell"].to_numpy().astype(np.int64)
     pval = picked["val"].to_numpy(dtype=np.float64)

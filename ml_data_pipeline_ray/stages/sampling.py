@@ -44,8 +44,8 @@ def mixture_sample(ds: rd.Dataset, rates_1024: dict[str, int],
     """Keep each row iff ``hash_bucket_1024(id) < rates_1024[domain]``.
 
     Domains absent from ``rates_1024`` are dropped (rate 0). The rate table
-    is tiny and ships inside the map closure (broadcast once per task by
-    Ray's closure serialization, not per batch).
+    is tiny and ships inside the map closure, which Ray Data puts in the
+    object store once per execution (not per batch).
     """
     domains = pa.array(list(rates_1024.keys()), pa.string())
     rates = np.array(list(rates_1024.values()), dtype=np.int64)

@@ -308,61 +308,57 @@ def build_doc_freq(ds, text_col: str = "text", id_col: str = "doc_id"):
     return words[~sent], dfs[~sent], n_docs
 
 
-class TfIdfTopTerm:
+def _tfidf_top_term(batch: pa.Table, words: pa.Array, dfs: np.ndarray,
+                    idf: np.ndarray, text_col: str,
+                    id_col: str) -> pa.Table:
     """Per-batch fused tf + tf-idf + per-doc top-term pick against the
     broadcast df table. A document's rows are whole within its batch, so
-    the per-doc argmax needs NO shuffle — output is one row per doc.
+    the per-doc argmax needs NO shuffle — output is one row per doc."""
+    text = pc.utf8_lower(batch.column(text_col))
+    lists = pc.split_pattern_regex(text, "[^a-z]+")
+    flat = pc.list_flatten(lists)
+    parent = pc.list_parent_indices(lists)
+    mask = pc.not_equal(flat, "")
+    t = pa.table({"d": parent.filter(mask), "word": flat.filter(mask)})
+    tf = t.group_by(["d", "word"]).aggregate([("word", "count")])
+    drow = tf.column("d").to_numpy(zero_copy_only=False)
+    tfv = tf.column("word_count").to_numpy(zero_copy_only=False)
+    wix = pc.index_in(tf.column("word"), words) \
+        .to_numpy(zero_copy_only=False)
+    tfidf = tfv * idf[wix]
+    tw = tf.column("word").to_numpy(zero_copy_only=False)
+    # per-doc argmax with (tfidf desc, word asc) tie-break: lexsort is
+    # stable from the last key, so order by doc, then -tfidf, then word
+    order = np.lexsort((tw, -tfidf, drow))
+    first = np.flatnonzero(np.diff(drow[order], prepend=np.int64(-1)))
+    pick = order[first]
+    ids = batch.column(id_col).take(pa.array(drow[pick]))
+    return pa.table({
+        id_col: ids,
+        "top_term": pa.array(tw[pick], pa.string()),
+        "tf": pa.array(tfv[pick].astype(np.int64)),
+        "df": pa.array(dfs[wix[pick]]),
+    })
 
-    Determinism: idf = ln(n_docs/df) is precomputed per distinct df with
+
+def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id"):
+    """TF-IDF top term per document, ``(id, top_term, tf, df)``: the df
+    table built by :func:`build_doc_freq` reaches every task through
+    ``fn_kwargs`` with its idf column, computed once here.
+
+    Determinism: idf = ln(n_docs/df) is computed per distinct df with
     ``math.log`` (glibc libm — the same correctly-rounded path DuckDB's
     ``ln`` uses; numpy's SIMD ``np.log`` can differ by 1 ulp and is
     avoided); ties broken by (tfidf desc, word asc) in both engines."""
+    import math
 
-    def __init__(self, df_ref, text_col: str = "text",
-                 id_col: str = "doc_id"):
-        self._ref = df_ref
-        self.idf = None
-        self.text_col, self.id_col = text_col, id_col
-
-    def _resolve(self):
-        import math
-
-        import ray as _ray
-        d = (_ray.get(self._ref)
-             if isinstance(self._ref, _ray.ObjectRef) else self._ref)
-        words, dfs, n = d["words"], d["dfs"], d["n_docs"]
-        self.words = pa.array(words, pa.string())
-        self.dfs = np.asarray(dfs, dtype=np.int64)
-        self.idf = np.array([math.log(n / int(f)) for f in dfs])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.idf is None:
-            self._resolve()
-        text = pc.utf8_lower(batch.column(self.text_col))
-        lists = pc.split_pattern_regex(text, "[^a-z]+")
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists)
-        mask = pc.not_equal(flat, "")
-        t = pa.table({"d": parent.filter(mask), "word": flat.filter(mask)})
-        tf = t.group_by(["d", "word"]).aggregate([("word", "count")])
-        drow = tf.column("d").to_numpy(zero_copy_only=False)
-        tfv = tf.column("word_count").to_numpy(zero_copy_only=False)
-        wix = pc.index_in(tf.column("word"), self.words) \
-            .to_numpy(zero_copy_only=False)
-        tfidf = tfv * self.idf[wix]
-        words = tf.column("word").to_numpy(zero_copy_only=False)
-        # per-doc argmax with (tfidf desc, word asc) tie-break: lexsort is
-        # stable from the last key, so order by doc, then -tfidf, then word
-        order = np.lexsort((words, -tfidf, drow))
-        first = np.flatnonzero(np.diff(drow[order], prepend=np.int64(-1)))
-        pick = order[first]
-        ids = batch.column(self.id_col).take(pa.array(drow[pick]))
-        return pa.table({
-            self.id_col: ids,
-            "top_term": pa.array(words[pick], pa.string()),
-            "tf": pa.array(tfv[pick].astype(np.int64)),
-            "df": pa.array(self.dfs[wix[pick]]),
-        })
+    words, dfs, n = build_doc_freq(ds, text_col=text_col)
+    return ds.map_batches(
+        _tfidf_top_term, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"words": pa.array(words, pa.string()),
+                   "dfs": np.asarray(dfs, dtype=np.int64),
+                   "idf": np.array([math.log(n / int(f)) for f in dfs]),
+                   "text_col": text_col, "id_col": id_col})
 
 
 def _bigram_keys(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -405,7 +401,7 @@ def build_bigram_lm(ds, text_col: str = "text"):
     integer-exact to sum in any order, and bit-identical to DuckDB's
     ``floor(ln(...) * 1000000)`` because the ratio is the same IEEE double
     and ``math.log`` is the same correctly-rounded libm path as DuckDB's
-    ``ln`` (see :class:`TfIdfTopTerm`)."""
+    ``ln`` (see :func:`tfidf_top_terms`)."""
     import math
 
     from .groupagg import grouped_agg
@@ -464,59 +460,42 @@ def build_bigram_lm(ds, text_col: str = "text"):
     return kp[o], lpm[o], kp.size, unseen
 
 
-class BigramLMScorer:
-    """Per-batch scoring against the broadcast bigram LM, which resolves
-    from the object store once per task (like :class:`TfIdfTopTerm`): per
-    doc, the number of bigram occurrences and the integer-exact sum of
-    their ``lp_micro`` scores (``lp_micro_sum / n_bigrams / 1e6`` ≈ avg
-    token log-likelihood — the CCNet quality/perplexity signal). Docs with
-    <2 tokens emit nothing, like the SQL oracle's empty bigram list."""
-
-    def __init__(self, model_ref, text_col: str = "text",
-                 id_col: str = "doc_id"):
-        self._ref = model_ref
-        self.kp = None
-        self.text_col, self.id_col = text_col, id_col
-
-    def _resolve(self):
-        import ray as _ray
-        d = (_ray.get(self._ref)
-             if isinstance(self._ref, _ray.ObjectRef) else self._ref)
-        self.kp, self.lpm = d["kp"], d["lpm"]
-        self.unseen = d.get("unseen_lpm")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.kp is None:
-            self._resolve()
-        _, _, kp, row = _bigram_keys(batch.column(self.text_col))
-        ix = np.searchsorted(self.kp, kp)
-        ix = np.minimum(ix, max(self.kp.size - 1, 0))
-        if self.kp.size:
-            hit = self.kp[ix] == kp
-            lpm = self.lpm[ix]
-        else:
-            hit = np.zeros(kp.size, bool)
-            lpm = np.zeros(kp.size, np.int64)
-        if not hit.all():
-            # bigram absent from the model — scoring NEW text: use the
-            # broadcast unseen-bigram smoothing floor, never a neighboring
-            # model row's score; fail loudly if the model has none (an
-            # empty model, or one that predates the floor)
-            if self.unseen is None:
-                raise ValueError(
-                    f"{int((~hit).sum())} bigrams absent from the LM and "
-                    "no 'unseen_lpm' floor in the broadcast model dict")
-            lpm = np.where(hit, lpm, np.int64(self.unseen))
-        n_rows = batch.num_rows
-        n_big = np.bincount(row, minlength=n_rows).astype(np.int64)
-        # float64 bincount weights are exact for |int| < 2^53
-        s = np.bincount(row, weights=lpm.astype(np.float64),
-                        minlength=n_rows).astype(np.int64)
-        has = n_big > 0
-        ids = batch.column(self.id_col).filter(pa.array(has))
-        return pa.table({self.id_col: ids,
-                         "n_bigrams": pa.array(n_big[has]),
-                         "lp_micro_sum": pa.array(s[has])})
+def bigram_lm_score(batch: pa.Table, kp: np.ndarray, lpm: np.ndarray,
+                    unseen_lpm: int | None, text_col: str = "text",
+                    id_col: str = "doc_id") -> pa.Table:
+    """Per-batch scoring against the bigram LM of :func:`build_bigram_lm`
+    (``kp``, ``lpm`` and ``unseen_lpm`` by ``fn_kwargs``): per doc, the
+    number of bigram occurrences and the integer-exact sum of their
+    ``lp_micro`` scores (``lp_micro_sum / n_bigrams / 1e6`` ≈ avg token
+    log-likelihood — the CCNet quality/perplexity signal). Docs with <2
+    tokens emit nothing, like the SQL oracle's empty bigram list."""
+    _, _, bk, row = _bigram_keys(batch.column(text_col))
+    ix = np.minimum(np.searchsorted(kp, bk), max(kp.size - 1, 0))
+    if kp.size:
+        hit = kp[ix] == bk
+        lp = lpm[ix]
+    else:
+        hit = np.zeros(bk.size, bool)
+        lp = np.zeros(bk.size, np.int64)
+    if not hit.all():
+        # bigram absent from the model — scoring NEW text: use the
+        # unseen-bigram smoothing floor, never a neighboring model row's
+        # score; fail loudly if the model has none (an empty model)
+        if unseen_lpm is None:
+            raise ValueError(
+                f"{int((~hit).sum())} bigrams absent from the LM and "
+                "no 'unseen_lpm' floor in the model")
+        lp = np.where(hit, lp, np.int64(unseen_lpm))
+    n_rows = batch.num_rows
+    n_big = np.bincount(row, minlength=n_rows).astype(np.int64)
+    # float64 bincount weights are exact for |int| < 2^53
+    s = np.bincount(row, weights=lp.astype(np.float64),
+                    minlength=n_rows).astype(np.int64)
+    has = n_big > 0
+    ids = batch.column(id_col).filter(pa.array(has))
+    return pa.table({id_col: ids,
+                     "n_bigrams": pa.array(n_big[has]),
+                     "lp_micro_sum": pa.array(s[has])})
 
 
 def repetition_partial(batch: pa.Table, id_col: str = "doc_id",

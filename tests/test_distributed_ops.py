@@ -9,6 +9,7 @@ import ray
 import ray.data as rd
 
 from ml_data_pipeline_ray.stages import ann, dedup
+from ml_data_pipeline_ray.stages.exchange import collect_arrow
 from ml_data_pipeline_ray.stages.joins import (broadcast_join,
                                                broadcast_semi_join, hash_join)
 
@@ -17,7 +18,7 @@ def cosine_pairs(ds: rd.Dataset, threshold: float) -> pd.DataFrame:
     """All-pairs reference of ``ann.cosine_pairs_bucketed``: every unordered
     ``vec_id`` pair with cosine similarity >= threshold, each batch compared
     against the whole dataset broadcast once (O(n²))."""
-    tbl = ann._dataset_to_table(ds, ["vec_id", "embedding"])
+    tbl = collect_arrow(ds.select_columns(["vec_id", "embedding"]))
     index = ray.put((tbl.column("vec_id").to_numpy(zero_copy_only=False),
                      ann._normalize(ann._to_matrix(tbl.column("embedding")))))
 
@@ -151,6 +152,18 @@ def test_semi_and_anti_join():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_semi_and_anti_join_null_key():
+    """A null in the key set matches no row: semi keeps the rows whose key
+    equals a non-null key, anti keeps the rest, null-key rows included."""
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", None], "v": [1, 2, 3]}))
+    keys = {"a", None}
+    semi = broadcast_semi_join(ds, keys, on=["k"]).to_pandas()
+    anti = broadcast_semi_join(ds, keys, on=["k"], anti=True).to_pandas()
+    assert semi["v"].tolist() == [1]
+    assert sorted(anti["v"]) == [2, 3]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_brute_force_topk_matches_numpy():
     rng = np.random.default_rng(0)
     E = rng.normal(size=(200, 16))
@@ -200,6 +213,29 @@ def test_ivf_recall_vs_brute_force():
         b = set(approx[approx.query_id == q]["neighbor_id"])
         recalls.append(len(a & b) / len(a))
     assert np.mean(recalls) >= 0.8
+
+
+def _empty_embeddings() -> rd.Dataset:
+    t = pa.table({"vec_id": pa.array([1, 2], pa.int64()),
+                  "embedding": [[1.0, 0.0], [0.0, 1.0]]})
+    return rd.from_arrow(t).filter(expr="vec_id < 0")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_cosine_pairs_bucketed_empty_dataset():
+    got = ann.cosine_pairs_bucketed(_empty_embeddings(), threshold=0.5)
+    assert len(got) == 0
+    assert got.dtypes.to_dict() == {"id_a": np.int64, "id_b": np.int64,
+                                    "sim": np.float64}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_ivf_topk_empty_dataset():
+    got = ann.ivf_topk(_empty_embeddings(), np.array([1], np.int64),
+                       np.array([[1.0, 0.0]]), k=3)
+    assert len(got) == 0
+    assert got.dtypes.to_dict() == {"query_id": np.int64,
+                                    "neighbor_id": np.int64, "rank": np.int64}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -623,8 +659,8 @@ def test_bloom_filter_superset_and_fpr(ray_session):
     probe_keys = np.arange(60_000)
     probe = rd.from_arrow(pa.table({"k": probe_keys})).repartition(6)
 
-    ref = build_bloom(build, on=["k"])
-    kept = bloom_prefilter(probe, ref, on=["k"]).to_pandas()["k"].to_numpy()
+    bloom = build_bloom(build, on=["k"])
+    kept = bloom_prefilter(probe, bloom, on=["k"]).to_pandas()["k"].to_numpy()
 
     members = np.intersect1d(probe_keys, build_keys)
     assert np.isin(members, kept).all()          # no false negatives

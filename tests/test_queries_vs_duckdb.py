@@ -67,6 +67,50 @@ def no_actor_pool_map_batches():
         yield
 
 
+@pytest.fixture(scope="module", autouse=True)
+def no_hand_rolled_broadcast():
+    """Driver-built state reaches a registry query's tasks by value, through
+    ``fn_kwargs`` or a closure, which Ray Data puts in the object store once
+    per execution: no module under ``ml_data_pipeline_ray.stages``,
+    ``.state`` or ``.pipelines`` calls ``ray.put``, and no ``map_batches``
+    or ``map_groups`` is handed an ``ObjectRef`` in ``fn_args``, in
+    ``fn_kwargs`` or as an attribute of the callable."""
+    import ray
+    from ray.data import Dataset
+    from ray.data.grouped_data import GroupedData
+
+    library = tuple(f"ml_data_pipeline_ray.{m}"
+                    for m in ("stages", "state", "pipelines"))
+    put = ray.put
+
+    def guarded_put(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith(library):
+            raise AssertionError(
+                f"ray.put from {caller}: pass the value through fn_kwargs")
+        return put(*args, **kwargs)
+
+    def guard(method, name):
+        def guarded(self, fn, *args, **kwargs):
+            given = [*(kwargs.get("fn_args") or ()),
+                     *(kwargs.get("fn_kwargs") or {}).values(),
+                     *getattr(fn, "__dict__", {}).values()]
+            if any(isinstance(v, ray.ObjectRef) for v in given):
+                raise AssertionError(
+                    f"{name}({getattr(fn, '__name__', fn)!r}) handed an "
+                    "ObjectRef: pass the value")
+            return method(self, fn, *args, **kwargs)
+        return guarded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ray, "put", guarded_put)
+        mp.setattr(Dataset, "map_batches",
+                   guard(Dataset.map_batches, "map_batches"))
+        mp.setattr(GroupedData, "map_groups",
+                   guard(GroupedData.map_groups, "map_groups"))
+        yield
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()

@@ -972,15 +972,14 @@ def test_duplicate_shingle_stats_vs_string_oracle(ray_session):
 
 
 def test_bigram_lm_vs_python_oracle(ray_session):
-    """build_bigram_lm + BigramLMScorer vs a pure-Python string-bigram
+    """build_bigram_lm + bigram_lm_score vs a pure-Python string-bigram
     oracle with the same smoothing/floor contract: repeated bigrams,
     single-token and empty docs (absent), cross-doc sharing."""
     import math
     import re
 
-    import ray
     import ray.data as rd
-    from ml_data_pipeline_ray.stages.text import (BigramLMScorer,
+    from ml_data_pipeline_ray.stages.text import (bigram_lm_score,
                                                   build_bigram_lm)
 
     rows = [
@@ -1012,9 +1011,9 @@ def test_bigram_lm_vs_python_oracle(ray_session):
     kp, lpm, n_model, unseen = build_bigram_lm(ds)
     assert n_model == len(c2)
     assert unseen <= 0
-    ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    got = ds.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
-                         zero_copy_batch=True).to_pandas()
+    model = {"kp": kp, "lpm": lpm, "unseen_lpm": unseen}
+    got = ds.map_batches(bigram_lm_score, batch_format="pyarrow",
+                         zero_copy_batch=True, fn_kwargs=model).to_pandas()
     got_map = {int(r.doc_id): (int(r.n_bigrams), int(r.lp_micro_sum))
                for r in got.itertuples()}
     assert got_map == want
@@ -1030,9 +1029,8 @@ def test_bigram_lm_empty_and_unseen(ray_session):
     an empty document-frequency table."""
     import math
 
-    import ray
     import ray.data as rd
-    from ml_data_pipeline_ray.stages.text import (BigramLMScorer,
+    from ml_data_pipeline_ray.stages.text import (bigram_lm_score,
                                                   build_bigram_lm,
                                                   build_doc_freq)
 
@@ -1049,35 +1047,35 @@ def test_bigram_lm_empty_and_unseen(ray_session):
                          {"doc_id": 2, "text": " ., "}]).repartition(2)
     kp, lpm, n_model, unseen = build_bigram_lm(ds0)
     assert n_model == 0 and kp.size == 0 and lpm.size == 0
-    ref0 = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
-    out0 = ds0.map_batches(BigramLMScorer(ref0), batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
+    model0 = {"kp": kp, "lpm": lpm, "unseen_lpm": unseen}
+    out0 = ds0.map_batches(bigram_lm_score, batch_format="pyarrow",
+                           zero_copy_batch=True, fn_kwargs=model0).to_pandas()
     assert len(out0) == 0
     # ... and has no unseen floor: scoring text WITH bigrams against it
     # fails loudly instead of passing every bigram at lp=0
     assert unseen is None
     with pytest.raises(Exception, match="unseen_lpm"):
         rd.from_items([{"doc_id": 5, "text": "two words"}]).map_batches(
-            BigramLMScorer(ref0), batch_format="pyarrow",
-            zero_copy_batch=True).to_pandas()
+            bigram_lm_score, batch_format="pyarrow",
+            zero_copy_batch=True, fn_kwargs=model0).to_pandas()
 
     # 2) unseen bigrams on new text score the c1=0 smoothing floor
     train = rd.from_items([{"doc_id": 0, "text": "the cat sat"}])
     kp, lpm, _, unseen = build_bigram_lm(train)
     vocab = 3  # the cat sat
     assert unseen == math.floor(math.log(0.5 / (0.5 * vocab)) * 1e6)
-    ref = ray.put({"kp": kp, "lpm": lpm, "unseen_lpm": unseen})
+    model = {"kp": kp, "lpm": lpm, "unseen_lpm": unseen}
     new = rd.from_items([{"doc_id": 9, "text": "zebra quux totally unseen"}])
-    got = new.map_batches(BigramLMScorer(ref), batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
+    got = new.map_batches(bigram_lm_score, batch_format="pyarrow",
+                          zero_copy_batch=True, fn_kwargs=model).to_pandas()
     assert int(got.n_bigrams[0]) == 3
     assert int(got.lp_micro_sum[0]) == 3 * unseen
-    # legacy model dict without the fallback fails loudly, never silently
-    ref_old = ray.put({"kp": kp, "lpm": lpm})
+    # a model without the fallback fails loudly, never silently
     import pytest as _pytest
     with _pytest.raises(Exception, match="unseen_lpm"):
-        new.map_batches(BigramLMScorer(ref_old), batch_format="pyarrow",
-                        zero_copy_batch=True).to_pandas()
+        new.map_batches(bigram_lm_score, batch_format="pyarrow",
+                        zero_copy_batch=True,
+                        fn_kwargs={"kp": kp, "lpm": lpm}).to_pandas()
 
 
 def test_dup_ngram_spans_tokenless_corpus(ray_session, tmp_path):
