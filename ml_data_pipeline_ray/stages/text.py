@@ -261,8 +261,7 @@ class Fingerprinter:
 # TF-IDF — document-frequency broadcast + fused per-batch top-term pick
 # ---------------------------------------------------------------------------
 
-def doc_freq_partial(batch: pa.Table, text_col: str = "text",
-                     id_col: str = "doc_id") -> pa.Table:
+def doc_freq_partial(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Map-side combine of the document-frequency count: per batch, one
     ``(word, df)`` row per distinct (doc, word) — bounded by vocabulary ×
     docs-in-batch, so the groupby(word) shuffle that follows moves
@@ -285,7 +284,7 @@ def doc_freq_partial(batch: pa.Table, text_col: str = "text",
     return pa.table({"word": words, "df": dfs})
 
 
-def build_doc_freq(ds, text_col: str = "text", id_col: str = "doc_id"):
+def build_doc_freq(ds, text_col: str = "text"):
     """Distributed document frequency: per-batch distinct partials → ONE
     groupby(word) Sum → the (vocab-sized) df table plus the total doc
     count, which rides the same exchange as the ``""`` sentinel word (no

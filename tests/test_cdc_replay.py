@@ -101,6 +101,9 @@ def test_unknown_op_fails_replay_and_commits_nothing(tmp_path):
         eng.replay([base, bad])
     assert "'UPDATE'" in str(err.value) and "None" in str(err.value)
     assert eng.manifest.current_version() == v
+    # the failed replay recorded no file as applied: a retry reads bad again
+    with pytest.raises(ValueError, match="unknown op values"):
+        eng.replay([base, bad])
     assert eng.final_table().column("conv_id").to_pylist() == ["z"]
 
 
@@ -147,12 +150,15 @@ def test_replay_in_rounds_converges_identically(small_fixture, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_idempotent_re_replay(small_fixture, tmp_path):
     """Re-running the full log over a converged lake applies zero events
-    (at-least-once delivery absorbed by checkpoints + LWW)."""
+    (at-least-once delivery absorbed by checkpoints + LWW). The re-run goes
+    through a fresh engine, which skips no file, so the checkpoints alone
+    absorb it."""
     lake = str(tmp_path / "lake4")
     eng = CDCEngine(lake, num_partitions=8)
     eng.replay(small_fixture["changelog"])
     v1 = eng.manifest.current_version()
-    m2 = eng.replay(small_fixture["changelog"])
+    m2 = CDCEngine(lake, num_partitions=8).replay(small_fixture["changelog"])
+    assert m2["files_skipped"] == 0
     assert m2["committed"] is False
     assert m2["events_applied"] == 0
     assert eng.manifest.current_version() == v1
@@ -267,28 +273,33 @@ def test_replay_in_rounds_plans_only_its_window(small_fixture, tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_tail_poll_schedules_only_new_row_groups(small_fixture, tmp_path):
-    """P=1, so the lake's only checkpoint is the last applied LSN: after
-    the base log is applied, a poll that finds one new segment plans that
-    segment alone, and an idle poll plans nothing, commits nothing and
-    leaves no staging directory."""
+    """After the base log is applied, a poll that finds one new segment
+    plans that segment alone (the engine skips the files it applied, unread:
+    no pruned row groups, input bytes of the segment only), and an idle poll
+    plans nothing, commits nothing and leaves no staging directory."""
     log = _read_all(small_fixture["changelog"]).sort_by([("lsn", "ascending")])
     n_base = log.num_rows * 9 // 10
     spool = str(tmp_path / "spool")
     _write_lsn_slices(log.slice(0, n_base), spool, 4, "base")
     eng = CDCEngine(str(tmp_path / "lake"), num_partitions=1)
-    assert eng.tail(spool, max_polls=1)[0]["map_tasks"] == 4
+    [first] = eng.tail(spool, max_polls=1)
+    assert (first["map_tasks"], first["files_skipped"]) == (4, 0)
 
-    _write_lsn_slices(log.slice(n_base), spool, 1, "delta")
+    [delta] = _write_lsn_slices(log.slice(n_base), spool, 1, "delta")
     [poll] = eng.tail(spool, max_polls=1)
     assert poll["committed"] and poll["events_applied"] > 0
-    assert (poll["map_tasks"], poll["row_groups_pruned"]) == (1, 4)
+    assert (poll["map_tasks"], poll["row_groups_pruned"], poll["files_skipped"]) == (1, 0, 4)
+    md = pq.read_metadata(delta)
+    assert poll["input_bytes"] == sum(md.row_group(0).column(j).total_compressed_size
+                                      for j in range(md.num_columns))
+    assert eng.manifest.load(poll["version"])["metrics"]["files_skipped"] == 4
 
     data_dir = os.path.join(eng.lake_dir, "data")
     txns = sorted(os.listdir(data_dir))
     [idle] = eng.tail(spool, max_polls=1)
     assert idle == {"version": poll["version"], "committed": False,
                     "events_applied": 0, "partitions_written": 0,
-                    "map_tasks": 0, "row_groups_pruned": 5}
+                    "map_tasks": 0, "row_groups_pruned": 0, "files_skipped": 5}
     assert sorted(os.listdir(data_dir)) == txns
     got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
     _assert_tables_equal(got, oracle_replay(log))
@@ -297,16 +308,199 @@ def test_tail_poll_schedules_only_new_row_groups(small_fixture, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_idle_poll_leaves_no_txn_dir(small_fixture, tmp_path):
     """With P=8 the lowest checkpoint sits below the log's last LSNs, so an
-    idle poll still runs map tasks; its merges write nothing, and no
-    ``data/txn-*`` directory appears for the version it did not commit."""
-    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    idle poll through a fresh engine (which has applied no file) still runs
+    map tasks; its merges write nothing, and no ``data/txn-*``
+    directory appears for the version it did not commit. The engine that
+    applied the log polls it with no task at all."""
+    lake = str(tmp_path / "lake")
+    eng = CDCEngine(lake, num_partitions=8)
     v = eng.replay(small_fixture["changelog"])["version"]
     data_dir = os.path.join(eng.lake_dir, "data")
     assert os.listdir(data_dir) == [f"txn-{v:06d}"]
-    polls = eng.tail(small_fixture["changelog"], max_polls=2, idle_stop=2)
+    [same] = eng.tail(small_fixture["changelog"], max_polls=1)
+    assert (same["committed"], same["map_tasks"]) == (False, 0)
+    polls = [CDCEngine(lake, num_partitions=8).tail(small_fixture["changelog"],
+                                                    max_polls=1)[0] for _ in range(2)]
     assert [p["committed"] for p in polls] == [False, False]
     assert all(p["map_tasks"] > 0 for p in polls)
     assert os.listdir(data_dir) == [f"txn-{v:06d}"]
+
+
+def _data_files(lake: str) -> dict[str, bytes]:
+    """Relative path -> bytes of every data file of a lake."""
+    root = os.path.join(lake, "data")
+    return {os.path.relpath(f, root): open(f, "rb").read()
+            for f in sorted(glob.glob(os.path.join(root, "*", "*.parquet")))}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_rewritten_changelog_file_is_planned_again(tmp_path):
+    """A file rewritten in place is a new file to the skip (its size and
+    mtime changed): the next poll plans it again and applies its new
+    events, while the unchanged file beside it stays skipped."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    a, b = str(spool / "a.parquet"), str(spool / "b.parquet")
+    pq.write_table(_events([1, 2], ["insert"] * 2, ["x", "y"], [0, 0]), a)
+    pq.write_table(_events([3], ["insert"], ["z"], [0]), b)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    assert eng.replay(str(spool))["committed"]
+
+    log = _events([3, 4, 5], ["insert", "update", "delete"], ["z", "x", "y"], [0, 0, 0])
+    pq.write_table(log, b)
+    m = eng.replay(str(spool))
+    assert m["committed"] and m["events_applied"] == 2
+    assert (m["files_skipped"], m["map_tasks"]) == (1, 1)
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    want = oracle_replay(pa.concat_tables([pq.read_table(a), log]))
+    _assert_tables_equal(got, want)
+    assert eng.replay(str(spool))["files_skipped"] == 2
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_bounded_replays_record_no_applied_files(small_fixture, tmp_path):
+    """Only an unbounded replay marks its files applied: after a replay
+    with ``lsn_max`` or ``lsn_min``, or ``replay_in_rounds``, the next full
+    replay plans every file again and the lake converges to the oracle."""
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    log = _read_all(small_fixture["changelog"])
+    mid = int(np.median(log["lsn"].to_numpy()))
+    want = oracle_replay(log)
+    # the lsn_min replay follows one up to mid: checkpoints are watermarks
+    bounded = [[lambda e: e.replay(files, lsn_max=mid)],
+               [lambda e: e.replay(files, lsn_max=mid),
+                lambda e: e.replay(files, lsn_min=mid)],
+               [lambda e: e.replay_in_rounds(files, num_rounds=2)]]
+    for i, before in enumerate(bounded):
+        eng = CDCEngine(str(tmp_path / f"lake-{i}"), num_partitions=8)
+        for replay in before:
+            replay(eng)
+        m = eng.replay(files)
+        assert m["files_skipped"] == 0, i
+        got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+        _assert_tables_equal(got, want)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_commit_by_another_engine_replans_every_file(small_fixture, tmp_path):
+    """The applied files are valid only at the lake version their replay
+    left: after a second engine commits, the first one plans every file
+    again, and the lake still equals the oracle."""
+    log = _read_all(small_fixture["changelog"]).sort_by([("lsn", "ascending")])
+    spool = str(tmp_path / "spool")
+    n = log.num_rows
+    _write_lsn_slices(log.slice(0, n // 2), spool, 2, "a")
+    lake = str(tmp_path / "lake")
+    first = CDCEngine(lake, num_partitions=8)
+    assert first.replay(spool)["committed"]
+
+    _write_lsn_slices(log.slice(n // 2, n // 4), spool, 1, "b")
+    m = CDCEngine(lake, num_partitions=8).replay(spool)
+    assert m["committed"] and m["files_skipped"] == 0
+
+    _write_lsn_slices(log.slice(n // 2 + n // 4), spool, 1, "c")
+    m = first.replay(spool)
+    assert m["committed"] and m["files_skipped"] == 0 and m["map_tasks"] >= 2
+    got = first.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    _assert_tables_equal(got, oracle_replay(log))
+    assert first.replay(spool)["files_skipped"] == 4
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_segment_without_a_column_keeps_it_in_the_delta(tmp_path):
+    """A poll whose only new file lacks a payload column unifies with the
+    skipped files' schemas: its delta still carries that column as nulls,
+    and the lake's files are byte for byte those a fresh engine (which
+    skips nothing) writes."""
+    rng = np.random.default_rng(11)
+    convs = [f"c{i}" for i in range(30)]
+    base = _events(list(range(1, 301)), ["insert"] * 300,
+                   rng.choice(convs, 300).tolist(), list(range(300)))
+    seg = _events([301, 302, 303], ["update", "update", "delete"],
+                  [base["conv_id"][i].as_py() for i in (0, 1, 2)], [0, 1, 2])
+    seg = seg.drop_columns(["tool"])
+    for lake in ("kept", "fresh"):
+        spool = tmp_path / f"spool-{lake}"
+        spool.mkdir()
+        pq.write_table(base, str(spool / "base.parquet"))
+        eng = CDCEngine(str(tmp_path / lake), num_partitions=4)
+        eng.replay(str(spool))
+        pq.write_table(seg, str(spool / "seg.parquet"))
+        if lake == "fresh":
+            eng = CDCEngine(str(tmp_path / lake), num_partitions=4)
+        m = eng.replay(str(spool))
+        assert m["committed"] and m["files_skipped"] == (1 if lake == "kept" else 0)
+        deltas = {d["file"] for e in eng.manifest.partitions().values()
+                  for d in e["deltas"]}
+        assert deltas and all("tool" in pq.read_schema(d).names for d in deltas)
+    assert _data_files(str(tmp_path / "kept")) == _data_files(str(tmp_path / "fresh"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_merge_task_decodes_each_delta_row_group_once(tmp_path, monkeypatch):
+    """Folding pids of one merge group share its delta files: the merge
+    task decodes each delta file once per projection (the folds' whole
+    rows, the narrow merge's keys), not once per pid, and its folds write
+    the bases the engine's own fold writes."""
+    import math
+
+    from ml_data_pipeline_ray.cdc import replay as replay_mod
+    from ml_data_pipeline_ray.stages.exchange import cluster_cpus, merge_groups
+
+    P, key = 12, ["conv_id", "turn_idx"]
+    groups = merge_groups(P, cluster_cpus())
+    grp = list(groups[0])
+    assert len(grp) >= 3, "a merge group of several pids"
+    rng = np.random.default_rng(5)
+    convs = [f"c{i}" for i in range(60)]
+
+    def segment(i: int, n: int) -> str:
+        path = str(tmp_path / f"seg-{i}.parquet")
+        pq.write_table(_events(list(range(i * 1000 + 1, i * 1000 + n + 1)),
+                               ["insert"] * n if i == 0 else
+                               rng.choice(["update", "delete"], n).tolist(),
+                               rng.choice(convs, n).tolist(),
+                               rng.integers(0, 20, n).tolist()), path)
+        return path
+
+    monkeypatch.setattr(replay_mod, "FOLD_FRACTION", math.inf)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=P)
+    for i, n in enumerate((1200, 300, 300)):
+        assert eng.replay(segment(i, n))["committed"]
+    parts = eng.manifest.partitions()
+    deltas = {d["file"] for p in grp for d in parts[p]["deltas"]}
+    assert all(len(parts[p]["deltas"]) == 2 for p in grp) and len(deltas) == 2
+
+    # every pid of the group but the last folds; the last merges narrow
+    states = [{**parts[p], "fold": p != grp[-1]} for p in grp]
+    path = segment(3, 300)
+    schema = pq.read_schema(path)
+    bufs = replay_mod._exchange_map_task._function(
+        [(path, [0])], schema, None, key, "lsn", "op", P, groups)
+    payload = [n for n in schema.names if n not in ("lsn", "op")]
+
+    calls = []
+    read_row_groups = pq.ParquetFile.read_row_groups
+
+    def counted(self, row_groups, columns=None, **kw):
+        calls.append((id(self), tuple(row_groups), columns and tuple(columns)))
+        return read_row_groups(self, row_groups, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", counted)
+    out = replay_mod._exchange_merge_task._function(
+        grp, states, [int(parts[p]["last_lsn"]) for p in grp], key, "lsn", payload,
+        str(tmp_path / "txn"), bufs[0])
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", read_row_groups)
+    assert len(calls) == len(set(calls)) == 2 * len(deltas)
+
+    monkeypatch.setattr(replay_mod, "FOLD_FRACTION", 0.0)
+    m = eng.replay(path)
+    assert m["committed"]
+    after = eng.manifest.partitions()
+    assert [r["rows"] for r in out["partitions"]] == [after[p]["rows"] for p in grp]
+    for p in grp[:-1]:
+        with open(os.path.join(tmp_path, "txn", f"pid={p:05d}.parquet"), "rb") as f:
+            assert f.read() == open(after[p]["file"], "rb").read()
 
 
 @pytest.mark.usefixtures("ray_session")

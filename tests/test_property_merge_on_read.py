@@ -13,9 +13,16 @@ rows by LSN alone), and, from a drawn poll on, the evolved schema (int64
 and no ``model``. The fold fraction is drawn too: 0 folds a partition at
 its first write after a delta, so polls alternate on both sides of a
 fold; infinity never folds, so the evolved schema stays in deltas only.
+
+The tail polls the whole log directory through one long-lived engine, which
+skips the files it has applied; after every poll its snapshot and every
+data file's bytes equal those of a second lake that a fresh engine (which
+skips nothing) brings to the same version over the same log.
 """
 
+import glob
 import math
+import os
 
 import hypothesis.strategies as st
 import pandas as pd
@@ -85,6 +92,13 @@ def _segment(events, evolved: bool) -> pa.Table:
     return pa.table(cols)
 
 
+def _data_files(lake: str) -> dict[str, bytes]:
+    """Relative path -> bytes of every data file of a lake."""
+    root = os.path.join(lake, "data")
+    return {os.path.relpath(f, root): open(f, "rb").read()
+            for f in sorted(glob.glob(os.path.join(root, "*", "*.parquet")))}
+
+
 def _rows(df: pd.DataFrame, cols: list[str]) -> list[tuple]:
     """Rows as tuples in key order, every null as None and every key int."""
     df = df.reindex(columns=cols).astype(object)
@@ -124,15 +138,21 @@ def test_merge_on_read_matches_oracle(tail, tmp_path_factory, monkeypatch):
     polls, evolve_from, fold = tail
     monkeypatch.setattr(replay_mod, "FOLD_FRACTION", fold)
     root = tmp_path_factory.mktemp("mor")
+    log_dir, fresh_lake = str(root / "log"), str(root / "fresh")
+    os.makedirs(log_dir)
     eng = CDCEngine(str(root / "lake"), num_partitions=2)
     segments, kinds = [], []
     for p, events in enumerate(polls):
         seg = _segment(events, evolved=p >= evolve_from)
-        path = str(root / f"seg-{p}.parquet")
-        pq.write_table(seg, path)
+        pq.write_table(seg, os.path.join(log_dir, f"seg-{p}.parquet"))
         segments.append(seg)
-        m = eng.replay(path)
+        m = eng.replay(log_dir)
         assert m["committed"] and m["version"] == p + 1
+        assert m["files_skipped"] == p
+        fresh = CDCEngine(fresh_lake, num_partitions=2)
+        assert fresh.replay(log_dir)["files_skipped"] == 0
+        assert _data_files(eng.lake_dir) == _data_files(fresh_lake), p
+        assert eng.final_table().equals(fresh.final_table()), p
         assert eng.manifest.load(p + 1)["metrics"]["bases_written"] == m["bases_written"]
         kinds.append((m["bases_written"], m["delta_bytes"] > 0))
     if fold == 0.0:
