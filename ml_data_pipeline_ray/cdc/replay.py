@@ -64,8 +64,9 @@ Dataflow (SURVEY.md §7.1)::
          record: state after) -> row diff
 
     both reads: one task (at most SPLIT_MIB recorded bytes) -> one
-         Ray-core task at the call, its tables packed into blocks,
-         handed over as a materialized Dataset (no Ray Data execution);
+         Ray-core task at the call, its tables packed into blocks and
+         followed by their metadata, handed over as one executed
+         Dataset (no metadata task, no Ray Data execution);
          several tasks -> one Ray Data map task each, streamed
 
 Correctness depends only on per-key max-LSN (commutative across arrival
@@ -126,8 +127,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import (cluster_cpus, group_buffers, key_hash,
-                               merge_groups, pack_blocks, read_shard)
+from ..stages.exchange import (blocks_dataset, cluster_cpus, group_buffers,
+                               key_hash, merge_groups, pack_blocks,
+                               read_shard)
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
@@ -360,7 +362,7 @@ def _exchange_map_task(split: list[tuple[str, list[int]]], schema: pa.Schema,
     # scan AND the partition split both read off it (pid never splits a key —
     # it is a function of key[0]); the wide payload is gathered once, for
     # the winners alone (~11% less CPU than sort_by + filter: 107 -> 95 ms
-    # over the 16 seed-41 backfill splits, 1 vCPU)
+    # over the 16 seed-41 backfill splits, 1-CPU Ray session)
     idx, ends, _ = _lww_sort(tbl, key, [lsn_col, RANK_COL], lead=(PID_COL,))
     tbl = tbl.take(idx[ends])
 
@@ -429,7 +431,8 @@ def _write_deltas(path: str, deltas: list[tuple[dict, pa.Table]]) -> None:
     ``DELTA_ROW_GROUP_MIB`` of rows; a pid never spans two. Reading a row
     group costs ~20 us per column before its rows: a tail poll's delta
     file of 688 rows read in 3.4 ms as 16 one-pid row groups, in 0.9 ms as
-    one (9 columns, 1 vCPU), and a snapshot reads every delta of its pids."""
+    one (9 columns, 1-CPU Ray session), and a snapshot reads every delta
+    of its pids."""
     # every pid's change rows are its events' rows: one schema per task
     groups: list[list[tuple[dict, pa.Table]]] = [[]]
     size = 0
@@ -669,9 +672,9 @@ def _write_durably(tbl: pa.Table, path: str) -> None:
     of the transcript columns gains from it. Writing the 16 partitions of
     the seed-41 ``backfill`` lake (116,085 rows) in memory, plain pages
     made the files 15.6% smaller (3,761,710 -> 3,176,687 bytes) and cut
-    encoding ~30% (~105 -> ~75 ms) and decoding ~15% (~40 -> ~35 ms) on
-    1 vCPU; keeping dictionaries on the low-cardinality ``role`` and
-    ``tool`` alone saved another 1.9% of bytes at the same CPU.
+    encoding ~30% (~105 -> ~75 ms) and decoding ~15% (~40 -> ~35 ms) in a
+    1-CPU Ray session; keeping dictionaries on the low-cardinality ``role``
+    and ``tool`` alone saved another 1.9% of bytes at the same CPU.
 
     Each data file is fsynced by the task that wrote it, in parallel
     across tasks, so the commit-time manifest fsync is tiny: otherwise it
@@ -949,8 +952,8 @@ class CDCEngine:
         reads one row group at a time, aligned to the files' unified
         schema (evolved types widen; columns a file predates read as
         nulls), and resolves its pids' deltas (see :func:`_read_snapshot`).
-        A lake that fits one task is read at the call and returned
-        materialized, so a bad file raises here; a larger one streams
+        A lake that fits one task is read at the call and returned as an
+        executed Dataset, so a bad file raises here; a larger one streams
         (see :func:`_file_tasks`).
         ``columns`` projects at the read (``None``: every user column; an
         unknown name raises ``ValueError``). ``version`` time-travels to any
@@ -1012,8 +1015,8 @@ class CDCEngine:
         range needs a sort (see :func:`_fold_changes`). Rows come pid by
         pid, not in key order. A diff that fits one task (an empty range
         too: no records, the typed empty table) is read at the call and
-        returned materialized, so a bad file raises here; a larger one
-        streams (see :func:`_file_tasks`). A
+        returned as an executed Dataset, so a bad file raises here; a
+        larger one streams (see :func:`_file_tasks`). A
         key live at both ends is an update (a newer event won it, so
         payload-equal rewrites are still reported, like the changelog); one
         live at neither is dropped.
@@ -1072,11 +1075,12 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
 
     The recorded bytes choose the path. A read that plans into at most one
     task (a plan of no units too) runs at the call, as one Ray-core task
-    (:func:`_read_task`), and is handed over materialized; a bad file
-    raises here. Materialized matters: iterating an unexecuted
-    ``from_arrow_refs`` dataset still starts a Ray Data streaming executor
-    per read, which grows the driver's RSS, while a materialized one is
-    iterated from its blocks (see ROADMAP direction 3). A larger read
+    (:func:`_read_task`) that yields its blocks and then their metadata,
+    and is handed over as the executed Dataset of
+    :func:`~..stages.exchange.blocks_dataset`; a bad file raises here. So
+    the hand-over runs no metadata task per block and builds one Dataset,
+    and consuming it starts no Ray Data streaming executor (one per read
+    grew the driver's RSS; see ROADMAP direction 3). A larger read
     streams: one Ray Data task per group, whose tables Ray Data emits as
     blocks of at most its target block size."""
     tasks: list[list] = []
@@ -1090,8 +1094,8 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
 
     if len(tasks) <= 1:
         target = rd.DataContext.get_current().target_max_block_size
-        refs = list(_read_task.remote(tasks[0] if tasks else [], read, target))
-        return rd.from_arrow_refs(refs).materialize()
+        return blocks_dataset([_read_task.remote(tasks[0] if tasks else [],
+                                                 read, target)])
 
     def run(batch: pa.Table):
         return read(json.loads(batch["units"][0].as_py()))
@@ -1104,9 +1108,10 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
 
 
 @ray.remote(num_returns="streaming")
-def _read_task(units: list, read, max_block_bytes: int | None) -> Iterator[pa.Table]:
+def _read_task(units: list, read, max_block_bytes: int | None
+               ) -> Iterator[pa.Table | list]:
     """The one task of a small lake read: yield the tables of ``read(units)``
-    packed into blocks of at most ``max_block_bytes``
+    packed into blocks of at most ``max_block_bytes``, then their metadata
     (:func:`~..stages.exchange.pack_blocks`), so no row group of a snapshot
     is split across blocks. Every read returns at least one (maybe empty)
     table, so an empty read is one typed empty block."""

@@ -38,8 +38,12 @@ This module owns that step and everything it depends on:
 - :func:`merge_groups`, :func:`group_buffers`, :func:`read_shard` — the
   exchange's wire format, which ``cdc/replay.py``'s map and merge tasks
   use around their own last-writer-wins logic;
-- :func:`pack_blocks` — how a streaming task packs its output tables into
-  blocks (the merge tasks here, the lake's small reads);
+- :func:`pack_blocks` and :func:`blocks_dataset` — the one hand-over of
+  Ray-core task output to Ray Data: a streaming task (the merge tasks here,
+  the lake's small reads) yields its packed blocks and then their metadata,
+  and the driver wraps them in an executed Dataset without a metadata task
+  per block (this module is the only one that touches
+  ``ray.data._internal``, see there);
 - :func:`hash_exchange` — the operator library's exchange: split, merge,
   run the kernel per shard;
 - :func:`collect_arrow` — the library's one driver collect of a small
@@ -219,28 +223,79 @@ def read_shard(readers: list, i: int) -> pa.Table:
                             promote_options="permissive")
 
 
-def pack_blocks(tables: Iterable[pa.Table],
-                max_block_bytes: int | None) -> Iterator[pa.Table]:
-    """Concatenate consecutive non-empty ``tables`` into blocks of at most
-    ``max_block_bytes`` (``None``: no bound); a larger table is a block of
-    its own, never sliced. If every table is empty, the first is the one
-    block, so an empty result still carries a schema."""
-    block: list[pa.Table] = []
-    size, first = 0, None
-    for t in tables:
-        first = t if first is None else first
-        if not t.num_rows:
-            continue
-        if block and max_block_bytes is not None \
-                and size + t.nbytes > max_block_bytes:
+def pack_blocks(tables: Iterable[pa.Table], max_block_bytes: int | None
+                ) -> Iterator[pa.Table | list]:
+    """The body of a streaming task whose output :func:`blocks_dataset`
+    takes over. Concatenate consecutive non-empty ``tables`` into blocks of
+    at most ``max_block_bytes`` (``None``: no bound); a larger table is a
+    block of its own, never sliced. If every table is empty, the first is
+    the one block, so an empty result still carries a schema. After the
+    blocks, yield one list of their ``BlockMetadataWithSchema``."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    def blocks():
+        block: list[pa.Table] = []
+        size, first = 0, None
+        for t in tables:
+            first = t if first is None else first
+            if not t.num_rows:
+                continue
+            if block and max_block_bytes is not None \
+                    and size + t.nbytes > max_block_bytes:
+                yield pa.concat_tables(block, promote_options="permissive")
+                block, size = [], 0
+            block.append(t)
+            size += t.nbytes
+        if block:
             yield pa.concat_tables(block, promote_options="permissive")
-            block, size = [], 0
-        block.append(t)
-        size += t.nbytes
-    if block:
-        yield pa.concat_tables(block, promote_options="permissive")
-    elif first is not None:
-        yield first
+        elif first is not None:
+            yield first
+
+    meta = []
+    for b in blocks():
+        meta.append(BlockMetadataWithSchema.from_block(b))
+        yield b
+    yield meta
+
+
+def blocks_dataset(gens: Iterable):
+    """One executed Dataset over the blocks of streaming tasks whose body is
+    :func:`pack_blocks` (``gens``: their ObjectRefGenerators), in task
+    order. Each task's last item, the metadata of its blocks, describes
+    them, so no metadata task runs per block; a failed task raises here.
+
+    The Dataset is built as ``rd.from_blocks`` builds one, minus its
+    ``ray.put`` (the blocks are already in the object store), and its plan
+    is executed once, which for a source with output data runs nothing. So
+    ``count()``, consuming the blocks and ``schema()`` (unless no block
+    has one) start no ``StreamingExecutor``, and an operator chained on the
+    result plans from a fresh source, not from the lineage that made the
+    blocks. No blocks at all give an empty Dataset without a schema.
+
+    Ray Data has no public constructor for this, so the plan is assembled
+    from ``ray.data._internal`` here, the one module of the package that
+    imports it: a Ray upgrade that moves these internals fails in this
+    function, not silently elsewhere."""
+    import ray
+    import ray.data as rd
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromBlocks
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    refs = [list(gen) for gen in gens]
+    meta = [m for ms in ray.get([r[-1] for r in refs]) for m in ms]
+    blocks = [b for r in refs for b in r[:-1]]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromBlocks": meta}, parent=None),
+                         rd.DataContext.get_current().copy())
+    ds = MaterializedDataset(
+        plan, LogicalPlan(FromBlocks(blocks, meta), plan._context))
+    ds._plan.execute()
+    if not ds._plan.has_computed_output():
+        raise RuntimeError("Ray Data no longer executes a FromBlocks source "
+                           "in place; consuming it would start an executor")
+    return ds
 
 
 def _shuffle_split(block, keys: list[str], shards: int, groups: list[range]):
@@ -255,7 +310,7 @@ def _shuffle_split(block, keys: list[str], shards: int, groups: list[range]):
 
 
 def _shuffle_merge(kernel, batch_format: str, max_block_bytes: int | None,
-                  *group_bufs) -> Iterator[pa.Table]:
+                  *group_bufs) -> Iterator[pa.Table | list]:
     """Merge task: for each non-empty shard of the group, the kernel over
     its rows, converted to and from ``batch_format`` as ``map_groups``
     converts them; the outputs leave packed into blocks, a shard at a time,
@@ -299,9 +354,10 @@ def hash_exchange(inputs: list, keys: list[str], kernel, *,
     Runs at the call. The inputs execute first, and ``shards`` defaults to
     :func:`shard_count` of their measured in-memory bytes. A split task per
     non-empty input block and a merge task per :func:`merge_groups` group
-    follow (see the module notes). Returns the kernels' outputs as a
-    Dataset of blocks already in the object store, whose plan starts here;
-    no rows at all give an empty Dataset without a schema."""
+    follow (see the module notes). Returns the kernels' outputs as the
+    executed Dataset of :func:`blocks_dataset`: its plan starts here, and
+    collecting it runs no Ray Data execution. No rows at all give an empty
+    Dataset without a schema."""
     import ray.data as rd
 
     blocks = [(ref, md) for ds in inputs
@@ -311,8 +367,6 @@ def hash_exchange(inputs: list, keys: list[str], kernel, *,
         shards = shard_count(sum(md.size_bytes or 0 for _, md in blocks))
     # an empty block may carry no columns at all
     refs = [ref for ref, md in blocks if md.num_rows]
-    if not refs:
-        return rd.from_arrow_refs([])
     groups = merge_groups(shards, cluster_cpus())
     split, merge = _tasks()
     per_split = [split.options(num_returns=len(groups)).remote(
@@ -321,9 +375,9 @@ def hash_exchange(inputs: list, keys: list[str], kernel, *,
         # num_returns=1 yields one bare ref, not a sequence of refs
         per_split = [[r] for r in per_split]
     target = rd.DataContext.get_current().target_max_block_size
-    gens = [merge.remote(kernel, batch_format, target, *col)
-            for col in zip(*per_split)]
-    return rd.from_arrow_refs([ref for gen in gens for ref in gen])
+    # no non-empty input block: no split, no merge, no block
+    return blocks_dataset([merge.remote(kernel, batch_format, target, *col)
+                           for col in zip(*per_split)])
 
 
 def collect_arrow(ds) -> pa.Table:
@@ -337,10 +391,14 @@ def collect_arrow(ds) -> pa.Table:
     ``materialize()`` first: ``to_arrow_refs()`` on a lazy plan streams the
     blocks and then asks for the schema, which re-plans the whole pipeline
     under ``limit=1`` (~2x execution); a materialized Dataset answers from
-    its block metadata."""
+    its block metadata. A Dataset already executed (an exchange's result,
+    :func:`blocks_dataset`) is collected as it is: materializing it again
+    would only build two more Datasets (~10 ms)."""
     import ray
 
-    tables = ray.get(ds.materialize().to_arrow_refs())
+    if not ds._plan.has_computed_output():
+        ds = ds.materialize()
+    tables = ray.get(ds.to_arrow_refs())
     if not tables:
         return pa.table({})
     return pa.concat_tables([t for t in tables if t.num_rows] or tables[:1],

@@ -311,14 +311,16 @@ def test_snapshot_streams_a_partition_by_row_group(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkeypatch):
+def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkeypatch,
+                                                 ray_data_runs):
     """A snapshot or row diff whose recorded bytes fit one task runs as one
-    Ray-core task and is handed over materialized: consuming it constructs
-    no Ray Data ``StreamingExecutor`` (one per read is what grew the
-    driver's RSS). With ``SPLIT_MIB`` at 0, one task per pid, the same
-    reads stream through Ray Data; both paths return the oracle's rows."""
-    from ray.data._internal.execution import streaming_executor
-
+    Ray-core task, which hands its blocks' metadata over with them: no
+    metadata task runs (``from_arrow_refs`` is off), ``count()`` and
+    ``schema()`` answer from that metadata, and consuming the read
+    constructs no Ray Data ``StreamingExecutor`` (one per read is what grew
+    the driver's RSS). An empty-range diff keeps its typed schema so. With
+    ``SPLIT_MIB`` at 0, one task per pid, the same reads stream through
+    Ray Data; both paths return the oracle's rows."""
     from ml_data_pipeline_ray.cdc import replay
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
 
@@ -329,28 +331,27 @@ def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkey
     eng.replay(files, lsn_min=(lo + hi) // 2)
     v = eng.manifest.current_version()
 
-    made = []
-    init = streaming_executor.StreamingExecutor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(streaming_executor.StreamingExecutor, "__init__", counting_init)
-
     def consume(ds):
         return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow")
                                 ).sort_by([(k, "ascending") for k in KEY])
 
     def read_both():
-        made.clear()
+        ray_data_runs.clear()
         return consume(eng.final_dataset()), consume(eng.table_changes(v - 1, v))
 
     eager = read_both()
-    assert len(made) == 0
+    assert len(ray_data_runs) == 0
+    for ds, tbl in zip([eng.final_dataset(), eng.table_changes(v - 1, v)], eager):
+        assert ds.count() == tbl.num_rows > 0
+        assert ds.schema().base_schema == tbl.schema
+    empty = eng.table_changes(v, v)
+    assert empty.count() == 0
+    assert empty.schema().base_schema == eager[1].schema
+    assert len(ray_data_runs) == 0
+
     monkeypatch.setattr(replay, "SPLIT_MIB", 0)
     streamed = read_both()
-    assert len(made) >= 1
+    assert len(ray_data_runs) >= 1
     for a, b in zip(eager, streamed):
         assert a.equals(b)
 

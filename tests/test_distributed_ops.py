@@ -478,6 +478,65 @@ def test_hash_exchange_colocates_keys_across_inputs():
             == {norm((i, s)): n for i, s, n in got.itertuples(index=False)})
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_hash_exchange_result_is_collected_without_ray_data_execution(ray_data_runs):
+    """An exchange's result is an executed Dataset over the merge tasks'
+    blocks, described by the metadata the tasks yield: counting and
+    collecting it (``collect_arrow``, ``registry.to_arrow``) runs no
+    metadata task and constructs no ``StreamingExecutor``. A ``map_batches``
+    chained on it plans from it as a fresh source and gives the same rows.
+    A kernel's error raises at the call. An all-empty input gives an empty
+    Dataset without a schema."""
+    from ml_data_pipeline_ray.pipelines.registry import to_arrow
+    from ml_data_pipeline_ray.stages.exchange import hash_exchange
+
+    def kernel(g: pa.Table) -> pa.Table:
+        return g.group_by("k").aggregate([("v", "sum")])
+
+    src = rd.from_items([{"k": i % 7, "v": i} for i in range(60)],
+                        override_num_blocks=3).materialize()
+    want = {k: sum(range(k, 60, 7)) for k in range(7)}
+
+    def rows(tbl: pa.Table) -> dict:
+        return dict(zip(tbl["k"].to_pylist(), tbl["v_sum"].to_pylist()))
+
+    ray_data_runs.clear()
+    out = hash_exchange([src], ["k"], kernel, batch_format="pyarrow", shards=3)
+    assert out.count() == 7
+    assert rows(collect_arrow(out)) == want
+    assert rows(to_arrow(out)) == want
+    assert len(ray_data_runs) == 0
+
+    chained = out.map_batches(lambda b: b, batch_format="pyarrow")
+    assert rows(collect_arrow(chained)) == want
+
+    def failing(g: pa.Table) -> pa.Table:
+        raise ValueError("kernel failed")
+
+    with pytest.raises(ValueError, match="kernel failed"):
+        hash_exchange([src], ["k"], failing, batch_format="pyarrow")
+
+    empty = hash_exchange([src.filter(lambda r: False)], ["k"], kernel,
+                          batch_format="pyarrow")
+    assert empty.count() == 0 and empty.schema() is None
+
+
+def test_only_the_exchange_module_imports_ray_data_internals():
+    """The package reaches Ray Data's private modules from one module,
+    ``stages/exchange.py`` (its ``blocks_dataset``), so a Ray upgrade that
+    moves them fails there and nowhere else."""
+    import pathlib
+    import re
+
+    import ml_data_pipeline_ray
+
+    root = pathlib.Path(ml_data_pipeline_ray.__file__).parent
+    internal = re.compile(r"ray\.data\._internal|from\s+ray\.data\s+import\s+_internal")
+    users = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")
+                   if internal.search(p.read_text()))
+    assert users == ["stages/exchange.py"]
+
+
 def _row_hash_reference(tbl: pa.Table, on: list[str]) -> np.ndarray:
     """key_hash's string path as it was: pandas' hash of every row's value
     (the CDC lake's persisted partition function must not move)."""
