@@ -116,24 +116,22 @@ def run_bench(num_cpus: int, sf_dir: str, include_queries: bool = True) -> dict:
     from ml_data_pipeline_ray.pipelines.fixture_paths import (fixture_paths,
                                                               scale_for_sf_dir)
     from ml_data_pipeline_ray.pipelines.registry import build_queries
+    from ml_data_pipeline_ray.sources.readers import read_parquet
 
     scale = os.environ.get("MDPR_BENCH_SCALE") or scale_for_sf_dir(sf_dir)
     paths = fixture_paths(scale)          # idempotent; cached on disk
 
-    # for scaling runs the physical layout (partitions, block floor) must be
+    # for scaling runs the physical layout (lake partitions) must be
     # IDENTICAL across cluster sizes — only executor slots may differ
     fixed_layout = os.environ.get("MDPR_FIXED_LAYOUT")
     num_partitions = int(fixed_layout) if fixed_layout else max(2 * num_cpus, 16)
-    if fixed_layout:
-        from ray.data.context import DataContext
-        DataContext.get_current().read_op_min_num_blocks = int(fixed_layout)
 
     no_headline = os.environ.get("MDPR_BENCH_NO_HEADLINE") == "1"
     only = os.environ.get("MDPR_BENCH_ONLY")
     suite = only.split(",") if only else QUERY_SUITE
 
     # warm the page cache (reference-style untimed warmup) + raw event count
-    events = 0 if no_headline else rd.read_parquet(paths["changelog"]).count()
+    events = 0 if no_headline else read_parquet(paths["changelog"]).count()
 
     # drain any dirty writeback before timing: a COLD run generates the
     # multi-GB fixture just above, and its page writeback otherwise stalls

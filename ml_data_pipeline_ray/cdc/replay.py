@@ -63,11 +63,10 @@ Dataflow (SURVEY.md §7.1)::
          sorted and folded (first record: state before the range, last
          record: state after) -> row diff
 
-    both reads: one task (at most SPLIT_MIB recorded bytes) -> one
-         Ray-core task at the call, its tables packed into blocks and
-         followed by their metadata, handed over as one executed
-         Dataset (no metadata task, no Ray Data execution);
-         several tasks -> one Ray Data map task each, streamed
+    both reads run on the package's one Parquet reader
+         (sources/parquet.py::_file_tasks): one task -> one Ray-core
+         task at the call, handed over as one executed Dataset; several
+         tasks -> one Ray Data map task each, streamed
 
 Correctness depends only on per-key max-LSN (commutative across arrival
 order), so Ray's unordered execution is safe and duplicate /
@@ -103,22 +102,16 @@ Scale notes (100 TB / 10^10 events):
   unbounded replay listed (an offset into the log, like Delta Lake's
   streaming source), so a tail poll reads footers and schedules map tasks
   only for the new segments.
-- Both lake reads plan from the manifest and the footers alone (no
-  datasource re-planning or sampling per call) and group files into tasks
-  of up to ``SPLIT_MIB``. A read of one task runs eagerly and is held in
-  the object store whole (at most ``SPLIT_MIB`` of recorded bytes); a
-  larger one streams, so a lake larger than the object store is never
-  held at once. Either way a snapshot task yields one table per row
-  group, so a partition larger than Ray Data's target block size arrives
-  as several blocks instead of one.
+- Both lake reads plan from the manifest and the footers alone; a
+  snapshot task yields one table per row group, so a partition larger
+  than Ray Data's target block size arrives as several blocks.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -127,9 +120,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import (blocks_dataset, cluster_cpus, group_buffers,
-                               key_hash, merge_groups, pack_blocks,
-                               read_shard)
+from ..sources.parquet import (SPLIT_MIB, Footers, _expand_paths, _file_tasks,
+                               _footers, _LakeFiles, _rg_bytes, _row_groups,
+                               unify_parquet_schemas)
+from ..stages.exchange import (cluster_cpus, collect_arrow, group_buffers, key_hash,
+                               merge_groups, read_shard)
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 from .manifest import LakeManifest
 
@@ -142,10 +137,6 @@ LSN_FROM_COL = "_lsn_from"  # change rows: the previous winner's LSN
 _LAKE_COLS = (LAKE_LSN_COL, LAKE_DELETED_COL, LSN_FROM_COL)
 
 OPS = ["insert", "update", "delete"]  # rank 0, 1, 2
-
-# upper bound on compressed input bytes per map task, and on the lake
-# bytes a final_dataset or table_changes task takes on before it closes
-SPLIT_MIB = 16
 
 # a pid's deltas are folded into a new base by the first merge after their
 # bytes pass this fraction of its base file's bytes (see ROADMAP direction
@@ -191,42 +182,11 @@ def _lww_sort(tbl: pa.Table, key: list[str], order: list[str],
     return idx.to_numpy().astype(np.int64), ends, srt
 
 
-Footers = dict[str, pq.FileMetaData]
-
-
-def _footers(files: Iterable[str] | Footers) -> Footers:
-    """path -> parquet footer (metadata-only reads); footers already read
-    pass through, so one replay reads each file's footer once."""
-    if isinstance(files, dict):
-        return files
-    return {f: pq.read_metadata(f) for f in files}
-
-
-def unify_parquet_schemas(files: Iterable[str] | Footers) -> pa.Schema:
-    """Unified (permissively promoted) schema across parquet footers —
-    metadata-only reads, cheap even for many files."""
-    schemas = [md.schema.to_arrow_schema() for md in _footers(files).values()]
-    return pa.unify_schemas(schemas, promote_options="permissive")
-
-
 def _file_id(path: str) -> tuple[str, int, int, int]:
     """A file's identity for skipping it: absolute path, size, mtime and
     inode, so a file rewritten in place (or replaced) is a new one."""
     st = os.stat(path)
     return os.path.abspath(path), st.st_size, st.st_mtime_ns, st.st_ino
-
-
-def _expand_paths(paths: str | list[str]) -> list[str]:
-    if isinstance(paths, str):
-        paths = [paths]
-    out: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            out.extend(sorted(
-                os.path.join(p, f) for f in os.listdir(p) if f.endswith(".parquet")))
-        else:
-            out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +214,6 @@ def _expand_paths(paths: str | list[str]) -> list[str]:
 # group exist (an inherent barrier of any exchange). Object count is B x G,
 # which replay_in_rounds bounds: LSN-chunked rounds bound B, and G is at
 # most the cluster's CPUs.
-
-
-def _row_groups(files: list[str] | Footers, lsn_col: str):
-    """Yield ``(file, rg_idx, compressed_bytes, lsn_min, lsn_max)`` for every
-    row group, from parquet footers (metadata-only reads); the LSN bounds
-    are ``None`` where the footer carries no statistics."""
-    for f, md in _footers(files).items():
-        leaves = [md.schema.column(j).path for j in range(md.num_columns)]
-        idx = leaves.index(lsn_col) if lsn_col in leaves else None
-        for rg in range(md.num_row_groups):
-            b = _rg_bytes(md, rg)
-            st = md.row_group(rg).column(idx).statistics if idx is not None else None
-            if st is None or not st.has_min_max:
-                yield f, rg, b, None, None
-            else:
-                yield f, rg, b, st.min, st.max
-
-
-def _rg_bytes(md: pq.FileMetaData, rg: int) -> int:
-    """Compressed bytes of row group ``rg``, from its file's footer."""
-    g = md.row_group(rg)
-    return sum(g.column(j).total_compressed_size for j in range(md.num_columns))
 
 
 def _plan_splits(files: list[str] | Footers, split_mib: int, lsn_col: str = "lsn",
@@ -605,66 +543,6 @@ def _stored_rows(states: list[dict], lsn_col: str, files: "_LakeFiles",
             np.repeat(np.array(owner, dtype=np.int32), [t.num_rows for t in tables]))
 
 
-class _LakeFiles:
-    """The parquet files (lake or changelog) one task reads, each opened
-    once. A delta file holds the rows of every pid of its merge group, so
-    the records a task wants from one file are read in one call, and each
-    row-group read is decoded once per projection for the object's life:
-    the folding pids of one merge task share their delta row groups, and
-    each fold decodes a whole group for its own rows. Keeping the decode
-    cut a merge task with 3 of 16 pids folding over 5 shared delta files
-    from 79.1 to 71.4 ms CPU (median of 40, in-process, seed-41 ``tail``
-    lake, 1-CPU host). Whole files (bases) are never kept, so a merge
-    task's heap still holds at most one base plus its group's deltas."""
-
-    def __init__(self):
-        self._open: dict[str, pq.ParquetFile] = {}
-        self._decoded: dict[tuple, pa.Table] = {}
-
-    def open(self, path: str) -> pq.ParquetFile:
-        pf = self._open.get(path)
-        if pf is None:
-            pf = self._open[path] = pq.ParquetFile(path)
-        return pf
-
-    def read(self, refs: list[dict], columns: list[str] | None = None,
-             schema: pa.Schema | None = None) -> list[pa.Table]:
-        """The rows of each record of ``refs``, in order: ``{file,
-        row_group: None}`` is a whole file, ``{file, row_group}`` one whole
-        row group, ``{file, row_group, offset, rows}`` a pid's rows of a
-        delta file. Read single-threaded (one task is one CPU's work),
-        projected to the ``columns`` (or ``schema`` columns) the file has
-        and aligned to ``schema`` if given."""
-        cols = schema.names if schema is not None else columns
-        todo: dict[str, dict] = {}
-        for r in refs:
-            todo.setdefault(r["file"], {})[r["row_group"]] = None
-        got = {}
-        for path, rgs in todo.items():
-            pf = self.open(path)
-            rgs = list(rgs)
-            names = pf.schema_arrow.names
-            proj = None if cols is None else [c for c in cols if c in names]
-            if rgs == [None]:
-                t = pf.read(columns=proj, use_threads=False)
-            else:
-                k = (path, tuple(rgs), None if proj is None else tuple(proj))
-                t = self._decoded.get(k)
-                if t is None:
-                    t = self._decoded[k] = pf.read_row_groups(
-                        rgs, columns=proj, use_threads=False)
-            if schema is not None:
-                t = align_to_schema(t, schema)
-            start = 0
-            for rg in rgs:
-                n = t.num_rows if rg is None else pf.metadata.row_group(rg).num_rows
-                got[path, rg] = t.slice(start, n)
-                start += n
-        return [got[r["file"], r["row_group"]].slice(r.get("offset", 0),
-                                                     r.get("rows"))
-                for r in refs]
-
-
 def _write_durably(tbl: pa.Table, path: str) -> None:
     """Write one lake file and fsync it. zstd-1 halves lake bytes vs snappy
     at equal CPU (partition-write disk bandwidth is the merge wall's floor
@@ -928,8 +806,12 @@ class CDCEngine:
         that appear later must only contain events with LSN above the
         already-applied checkpoints — checkpoints are watermarks meaning
         "everything at or below is applied". Out-of-order backfill across
-        polls violates that; for such logs, replay the full set in one call
-        (idempotent, order-free) instead of tailing."""
+        polls violates that, and today an event at or below its pid's
+        checkpoint is dropped without a report: pruned at planning or
+        filtered in the merge, even when it would win its key. Replaying
+        the full set in one call applies such an event only into a new
+        lake; on an existing one the checkpoints already cover it (see
+        ROADMAP direction 10)."""
         out = []
         idle = 0
         for _ in range(max_polls):
@@ -987,10 +869,9 @@ class CDCEngine:
     def final_table(self, sort: bool = True, version: int | None = None) -> pa.Table:
         """Materialized final state, sorted by key — for tests/verification
         only (stable turn ordering per BASELINE.json); never call on 100 TB."""
-        # materialized, the blocks keep the typed empty one of an
-        # all-deleted lake (iteration skips empty blocks)
-        ds = self.final_dataset(version=version).materialize()
-        tbl = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        # collected as blocks, an all-deleted lake keeps its typed empty
+        # one (iteration skips empty blocks)
+        tbl = collect_arrow(self.final_dataset(version=version))
         if sort:
             tbl = tbl.sort_by([(k, "ascending") for k in self.key])
         return tbl
@@ -1065,59 +946,6 @@ class CDCEngine:
         key = list(self.key)
         return _file_tasks(((refs[pid], nbytes[pid]) for pid in sorted(refs)),
                            lambda us: _fold_changes(us, read_schema, key))
-
-
-def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
-    """One task per group of ``(unit, recorded_bytes)`` pairs, taken in
-    order until the group holds ``SPLIT_MIB`` bytes (no unit is split).
-    ``read(units)`` gets the group's units (JSON values naming the files of
-    one pid), in order, and returns a table or yields tables.
-
-    The recorded bytes choose the path. A read that plans into at most one
-    task (a plan of no units too) runs at the call, as one Ray-core task
-    (:func:`_read_task`) that yields its blocks and then their metadata,
-    and is handed over as the executed Dataset of
-    :func:`~..stages.exchange.blocks_dataset`; a bad file raises here. So
-    the hand-over runs no metadata task per block and builds one Dataset,
-    and consuming it starts no Ray Data streaming executor (one per read
-    grew the driver's RSS; see ROADMAP direction 3). A larger read
-    streams: one Ray Data task per group, whose tables Ray Data emits as
-    blocks of at most its target block size."""
-    tasks: list[list] = []
-    budget = 0
-    for unit, nbytes in units:
-        if not tasks or budget >= SPLIT_MIB << 20:
-            tasks.append([])
-            budget = 0
-        tasks[-1].append(unit)
-        budget += nbytes
-
-    if len(tasks) <= 1:
-        target = rd.DataContext.get_current().target_max_block_size
-        return blocks_dataset([_read_task.remote(tasks[0] if tasks else [],
-                                                 read, target)])
-
-    def run(batch: pa.Table):
-        return read(json.loads(batch["units"][0].as_py()))
-
-    # as JSON text, every task's item has one Arrow type, however its
-    # units nest
-    return rd.from_items([{"units": json.dumps(t)} for t in tasks],
-                         override_num_blocks=len(tasks)).map_batches(
-        run, batch_size=1, batch_format="pyarrow")
-
-
-@ray.remote(num_returns="streaming")
-def _read_task(units: list, read, max_block_bytes: int | None
-               ) -> Iterator[pa.Table | list]:
-    """The one task of a small lake read: yield the tables of ``read(units)``
-    packed into blocks of at most ``max_block_bytes``, then their metadata
-    (:func:`~..stages.exchange.pack_blocks`), so no row group of a snapshot
-    is split across blocks. Every read returns at least one (maybe empty)
-    table, so an empty read is one typed empty block."""
-    out = read(units)
-    yield from pack_blocks([out] if isinstance(out, pa.Table) else out,
-                           max_block_bytes)
 
 
 def _read_snapshot(units: list[dict], schema: pa.Schema, key: list[str],

@@ -1,12 +1,12 @@
 """Ray Data execution-context tuning shared by all entry points.
 
 Ray's default ``read_op_min_num_blocks = 200`` shatters small/medium inputs
-into ~1 MB blocks; a sort-based shuffle over B input blocks then moves
-O(B^2) tiny objects through the object store, which dominated the CDC replay
-wall time 10:1 in profiling (208 blocks: 44.7s; 32 blocks: 4.5s for the
-identical pipeline). We floor block count at the CPU count instead — large
-inputs are still split by ``target_max_block_size`` (128 MiB), so at 100 TB
-the block count is bytes/128MiB and this knob is inert.
+into ~1 MB blocks, and every operator downstream then pays a task per
+block. We floor the block count at the CPU count instead; large inputs are
+still split by ``target_max_block_size`` (128 MiB), so at 100 TB the knob
+is inert. It governs only the reads that still go through Ray Data's
+datasources: ``rd.read_csv``, ``rd.read_json`` and ``rd.range`` (Parquet is
+read by ``sources/parquet.py``, which plans its own tasks).
 
 Call :func:`tune_data_context` once after ``ray.init`` (or at import when the
 driver owns the session).

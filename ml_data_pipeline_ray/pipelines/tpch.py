@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..sources.readers import read_parquet
@@ -380,10 +381,10 @@ def events_rollup(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(hour, batch_format="pyarrow", zero_copy_batch=True),
         keys=["event_type", "hour"],
         aggs=[(None, "count_star", "n_events")]).to_pandas()
-    sub = (fine.groupby("event_type", as_index=False)["n_events"].sum()
-           .assign(hour=pd.NaT))
-    total = pd.DataFrame([{"event_type": None, "hour": pd.NaT,
-                           "n_events": fine["n_events"].sum()}])
+    # the rolled-up columns are left out, not all-NA: concat fills them
+    # with nulls, and the finest level alone decides their dtypes
+    sub = fine.groupby("event_type", as_index=False)["n_events"].sum()
+    total = pd.DataFrame({"n_events": [fine["n_events"].sum()]})
     out = pd.concat([fine, sub, total], ignore_index=True)
     out["n_events"] = out["n_events"].astype(np.int64)
     out["hour"] = pd.to_datetime(out["hour"])
@@ -864,7 +865,7 @@ def events_hive_roundtrip(sf_dir: str) -> pd.DataFrame:
     one directory per event_type (the resumable-output layout — a failed
     run skips finished partitions), read back with partition-column
     recovery and aggregated. Exercises `Dataset.write_parquet
-    (partition_cols=)` + partition-aware `read_parquet`."""
+    (partition_cols=)` + partition-aware `ray.data.read_parquet`."""
     import tempfile
 
     import shutil
@@ -874,7 +875,8 @@ def events_hive_roundtrip(sf_dir: str) -> pd.DataFrame:
     out_dir = tempfile.mkdtemp(prefix="hive_rt_", dir="/tmp")
     try:
         ds.write_parquet(out_dir, partition_cols=["event_type"])
-        back = read_parquet(out_dir)
+        # Ray Data's own reader: this query tests its write/read round trip
+        back = rd.read_parquet(out_dir)
 
         def fix(b: pa.Table) -> pa.Table:
             # partition columns come back as dictionary<string> — decode for

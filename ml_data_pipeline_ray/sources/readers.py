@@ -15,8 +15,8 @@ reader surface (SURVEY.md §2.1/§2.2).
 - K1 CSV writer → :func:`write_csv` (``csv/writer.rs:59-222`` semantics via
   ``Dataset.write_csv`` / Arrow CSV).
 
-Row-group-skipping parquet pushdown (S4/P3) is NOT reimplemented — pass a
-:mod:`..stages.predicates` expression to ``ray.data.read_parquet(filter=...)``.
+Parquet is read by :func:`.parquet.read_parquet` (footer-planned row-group
+tasks with predicate pushdown, S4/P3), re-exported here.
 """
 
 from __future__ import annotations
@@ -31,25 +31,7 @@ import pyarrow.csv as pacsv
 import ray.data as rd
 
 from ..stages.transforms import infer_schema
-
-
-def _strip_schema_metadata(batch: pa.Table) -> pa.Table:
-    """Zero-copy drop of schema-level metadata (e.g. the ``b'pandas'`` blob
-    parquet files written via pandas carry). Schemas with metadata are
-    unhashable, which defeats Ray Data's block-schema deduplication
-    (``transform_pyarrow.unify_schemas`` falls off its early-exit path and
-    logs a warning per block set)."""
-    if batch.schema.metadata:
-        return batch.replace_schema_metadata(None)
-    return batch
-
-
-def read_parquet(paths, **kwargs) -> rd.Dataset:
-    """``ray.data.read_parquet`` + fused zero-copy schema-metadata strip.
-    All engine pipelines read parquet through this so external files written
-    by pandas don't poison schema dedup across the whole downstream plan."""
-    return rd.read_parquet(paths, **kwargs).map_batches(
-        _strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True)
+from .parquet import read_parquet  # noqa: F401  (the library's import path)
 
 
 def from_paths(paths: list[str]) -> rd.Dataset:

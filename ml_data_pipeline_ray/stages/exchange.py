@@ -39,11 +39,11 @@ This module owns that step and everything it depends on:
   exchange's wire format, which ``cdc/replay.py``'s map and merge tasks
   use around their own last-writer-wins logic;
 - :func:`pack_blocks` and :func:`blocks_dataset` — the one hand-over of
-  Ray-core task output to Ray Data: a streaming task (the merge tasks here,
-  the lake's small reads) yields its packed blocks and then their metadata,
-  and the driver wraps them in an executed Dataset without a metadata task
-  per block (this module is the only one that touches
-  ``ray.data._internal``, see there);
+  Ray-core task output to Ray Data: a streaming task (the merge tasks
+  here, the small reads of ``sources/parquet.py``) yields its packed
+  blocks and then their metadata, and the driver wraps them in an executed
+  Dataset without a metadata task per block (this module is the only one
+  that touches ``ray.data._internal``, see there);
 - :func:`hash_exchange` — the operator library's exchange: split, merge,
   run the kernel per shard;
 - :func:`collect_arrow` — the library's one driver collect of a small

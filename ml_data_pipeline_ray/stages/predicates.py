@@ -6,11 +6,12 @@ IsNull/IsNotNull/In/NotIn/Contains/StartsWith/EndsWith (``:20-47``), And/Or/
 Not with constant folding (``:244-315``), and the pushdown-eligibility check
 (``can_push_down``: only comparison + null ops, ``:318-333``).
 
-What the reference evaluates against row-group zonemaps (``:336-375``) we do
-NOT reimplement: ``to_expression()`` yields a ``pyarrow.dataset`` expression
-that ``ray.data.read_parquet(filter=...)`` pushes down to row-group stats
-natively. ``to_sql()`` renders the same predicate as an ANSI WHERE clause so
-the DuckDB oracle and the Ray pipeline share one predicate definition.
+What the reference evaluates against row-group zonemaps (``:336-375``):
+``to_expression()`` yields a ``pyarrow.dataset`` expression, and the
+package's ``sources.parquet.read_parquet(filter=...)`` scans each row group
+with it, skipping those whose statistics rule it out. ``to_sql()`` renders
+the same predicate as an ANSI WHERE clause so the DuckDB oracle and the Ray
+pipeline share one predicate definition.
 """
 
 from __future__ import annotations

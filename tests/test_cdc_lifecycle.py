@@ -321,8 +321,8 @@ def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkey
     the driver's RSS). An empty-range diff keeps its typed schema so. With
     ``SPLIT_MIB`` at 0, one task per pid, the same reads stream through
     Ray Data; both paths return the oracle's rows."""
-    from ml_data_pipeline_ray.cdc import replay
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+    from ml_data_pipeline_ray.sources import parquet
 
     files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
     lo, hi = _lsn_bounds(files, "lsn")
@@ -349,7 +349,7 @@ def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkey
     assert empty.schema().base_schema == eager[1].schema
     assert len(ray_data_runs) == 0
 
-    monkeypatch.setattr(replay, "SPLIT_MIB", 0)
+    monkeypatch.setattr(parquet, "SPLIT_MIB", 0)
     streamed = read_both()
     assert len(ray_data_runs) >= 1
     for a, b in zip(eager, streamed):

@@ -537,6 +537,24 @@ def test_only_the_exchange_module_imports_ray_data_internals():
     assert users == ["stages/exchange.py"]
 
 
+def test_only_the_hive_round_trip_calls_ray_data_read_parquet():
+    """The package reads Parquet through ``sources/parquet.py``. Ray Data's
+    ``read_parquet`` is left only in ``pipelines/tpch.py``, whose
+    ``events_hive_roundtrip`` tests Ray Data's partitioned write and read
+    back."""
+    import pathlib
+    import re
+
+    import ml_data_pipeline_ray
+
+    root = pathlib.Path(ml_data_pipeline_ray.__file__).parent
+    ray_reader = re.compile(r"\b(rd|ray\.data)\.read_parquet\b"
+                            r"|from\s+ray\.data\s+import[^\n]*\bread_parquet\b")
+    users = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")
+                   if ray_reader.search(p.read_text()))
+    assert users == ["pipelines/tpch.py"]
+
+
 def _row_hash_reference(tbl: pa.Table, on: list[str]) -> np.ndarray:
     """key_hash's string path as it was: pandas' hash of every row's value
     (the CDC lake's persisted partition function must not move)."""

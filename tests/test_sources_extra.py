@@ -303,3 +303,70 @@ def test_write_csv_options_roundtrip(tmp_path):
     with pytest.raises(Exception):
         write_csv(rd.from_arrow(t.select(["k", "s"])),
                   str(tmp_path / "csvn"), quote_style="none")
+
+
+_PARQUET_READS = ["projection_and_filter_outside_it", "tensor_storage_schema",
+                  "evolved_files", "unknown_column", "filter_drops_every_row",
+                  "streamed_above_split"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", _PARQUET_READS)
+def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs):
+    """The package's Parquet reader returns what ``pyarrow.parquet`` /
+    ``pyarrow.dataset`` read from the same files: a projection with a
+    filter on a column outside it, a ``schema=`` that reads a
+    ``fixed_shape_tensor`` column as its storage, two evolved files (a
+    widened type, a column one file lacks reading as nulls), a filter that
+    drops every row (the typed empty table). An unknown column raises. A
+    read of one task starts no Ray Data executor; one above ``SPLIT_MIB``
+    streams through Ray Data and gives the same rows."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
+    import pyarrow.parquet as pq
+
+    from ml_data_pipeline_ray.sources import parquet
+    from ml_data_pipeline_ray.sources.readers import read_parquet
+    from ml_data_pipeline_ray.stages.exchange import collect_arrow
+
+    n = 1000
+    path = str(tmp_path / "a.parquet")
+    pq.write_table(pa.table({"id": np.arange(n), "name": [f"n{i % 7}" for i in range(n)],
+                             "x": np.linspace(0.0, 1.0, n)}), path, row_group_size=250)
+    paths, kw = path, {}
+    if case == "projection_and_filter_outside_it":
+        kw = {"columns": ["id", "name"], "filter": pc.field("x") > 0.5}
+        want = pds.dataset(path).to_table(**kw)
+    elif case == "tensor_storage_schema":
+        paths = str(tmp_path / "t.parquet")
+        t = pa.FixedShapeTensorArray.from_numpy_ndarray(
+            np.arange(24, dtype=np.float32).reshape(6, 4))
+        pq.write_table(pa.table({"id": np.arange(6), "t": t}), paths)
+        assert isinstance(pq.read_schema(paths).field("t").type, pa.FixedShapeTensorType)
+        kw = {"schema": pa.schema([("id", pa.int64()), ("t", pa.list_(pa.float32(), 4))])}
+        want = pa.table({"id": np.arange(6), "t": t.storage})
+    elif case == "evolved_files":
+        old, new = str(tmp_path / "e0.parquet"), str(tmp_path / "e1.parquet")
+        pq.write_table(pa.table({"id": pa.array([0, 1], pa.int32()), "name": ["a", "b"]}), old)
+        pq.write_table(pa.table({"id": pa.array([2], pa.int64()), "name": ["c"],
+                                 "x": [0.5]}), new)
+        paths = [old, new]
+        want = pa.concat_tables([pq.read_table(p) for p in paths],
+                                promote_options="permissive")
+        assert want.schema.field("id").type == pa.int64()
+        assert want.column("x").null_count == 2
+    elif case == "unknown_column":
+        with pytest.raises(pa.ArrowInvalid):
+            collect_arrow(read_parquet(path, columns=["id", "nope"]))
+        return
+    elif case == "filter_drops_every_row":
+        kw = {"columns": ["id"], "filter": pc.field("x") > 2.0}
+        want = pds.dataset(path).to_table(**kw)
+        assert want.num_rows == 0
+    else:
+        monkeypatch.setattr(parquet, "SPLIT_MIB", 0)
+        want = pq.read_table(path)
+    got = collect_arrow(read_parquet(paths, **kw))
+    assert got.schema.equals(want.schema)
+    assert got.sort_by("id").equals(want.sort_by("id"))
+    assert bool(ray_data_runs) == (case == "streamed_above_split")

@@ -693,7 +693,7 @@ def test_predicate_ast_fuzz_vs_duckdb():
 
     import duckdb
     import pandas as pd
-    import ray.data as rd
+    from ml_data_pipeline_ray.sources.readers import read_parquet
     from ml_data_pipeline_ray.stages.predicates import (And, Compare, Not,
                                                         Or, Predicate)
 
@@ -741,7 +741,7 @@ def test_predicate_ast_fuzz_vs_duckdb():
     con = duckdb.connect()
     for _ in range(25):
         pred = tree(3).simplify()
-        got = rd.read_parquet(path, filter=pred.to_expression()).count()
+        got = read_parquet(path, filter=pred.to_expression()).count()
         want = con.sql(
             f"SELECT count(*) FROM read_parquet('{path}') "
             f"WHERE {pred.to_sql()}").fetchone()[0]
