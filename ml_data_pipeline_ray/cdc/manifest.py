@@ -66,9 +66,10 @@ class LakeManifest:
     """Versioned manifest of a partitioned Parquet lake table."""
 
     def __init__(self, lake_dir: str):
-        self.lake_dir = lake_dir
-        self.manifest_dir = os.path.join(lake_dir, "_manifests")
-        self.data_dir = os.path.join(lake_dir, "data")
+        # absolute once: tasks write lake files from other working directories
+        self.lake_dir = os.path.abspath(lake_dir)
+        self.manifest_dir = os.path.join(self.lake_dir, "_manifests")
+        self.data_dir = os.path.join(self.lake_dir, "data")
         os.makedirs(self.manifest_dir, exist_ok=True)
         os.makedirs(self.data_dir, exist_ok=True)
 
@@ -177,8 +178,13 @@ class LakeManifest:
     def _relative(self, entries: dict[int, dict[str, Any]]) -> dict[str, dict]:
         """pid -> entry with ``file`` (and its deltas' ``file``) relative to
         the lake root (a relocatable lake)."""
+        root = self.lake_dir + os.sep
+
         def rel(e: dict) -> dict:
-            e = {**e, "file": os.path.relpath(self._absolute(e["file"]), self.lake_dir)}
+            path = self._absolute(e["file"])
+            if not path.startswith(root):
+                raise ValueError(f"{path} lies outside the lake {self.lake_dir}")
+            e = {**e, "file": path[len(root):]}
             if "deltas" in e:
                 e["deltas"] = [rel(d) for d in e["deltas"]]
             return e

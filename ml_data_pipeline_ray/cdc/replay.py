@@ -592,11 +592,11 @@ class CDCEngine:
     def __init__(self, lake_dir: str, num_partitions: int = 32,
                  key: list[str] | None = None, lsn_col: str = "lsn",
                  op_col: str = "op"):
-        self.lake_dir = lake_dir
+        self.manifest = LakeManifest(lake_dir)
+        self.lake_dir = self.manifest.lake_dir
         self.key = key or ["conv_id", "turn_idx"]
         self.lsn_col = lsn_col
         self.op_col = op_col
-        self.manifest = LakeManifest(lake_dir)
         meta = self.manifest.load().get("meta", {})
         if "num_partitions" in meta and int(meta["num_partitions"]) != num_partitions:
             raise ValueError(

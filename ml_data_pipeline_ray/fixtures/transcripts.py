@@ -9,11 +9,12 @@ All generation is a pure function of ``(scale, seed)`` — same inputs produce
 byte-identical tables regardless of process or call order, so the DuckDB oracle
 and the Ray engine can each (re)generate the fixture independently.
 
-Generation is fully vectorized (numpy + pyarrow); no per-row Python in the hot
-path except the final string assembly which is a single vectorized
-``np.char.multiply`` / ``np.char.add`` pass. On disk, every parquet file of a
-fixture set is one shard that :func:`_write_shard` generates on its own, in a
-Ray task or in-process, to the same bytes.
+Generation is fully vectorized (numpy + pyarrow) with no per-row Python: every
+string column is a ``take`` from a small lookup, an Arrow string kernel or an
+ASCII digit matrix handed to Arrow as one buffer (:func:`_digit_strings`).
+On disk, every parquet file of a fixture set is one shard that
+:func:`_write_shard` generates on its own, in a Ray task or in-process, to the
+same bytes.
 
 Reference analog: the reference synthesizes bench schemas/batches in
 ``ml-data/ml-data-bench/src/lib.rs:134-145``; this module plays the same role for
@@ -93,39 +94,61 @@ _WORDS = [
 
 
 @lru_cache(maxsize=8)
-def _sentence_pool(seed: int, n: int = 64) -> np.ndarray:
-    """n deterministic sentences (~40-120 chars), built once per process."""
+def _sentence_pool(seed: int, n: int = 64) -> tuple[pa.Array, np.ndarray]:
+    """n deterministic sentences (~40-120 chars) and their lengths, built
+    once per process."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     out = []
     for _ in range(n):
         k = int(rng.integers(6, 18))
         words = rng.choice(_WORDS, size=k)
         out.append(" ".join(words.tolist()) + ". ")
-    return np.array(out)
+    return pa.array(out, type=pa.string()), np.array([len(s) for s in out], np.float64)
 
 
-def _gen_text(h: np.ndarray, version: int, pool: np.ndarray) -> np.ndarray:
-    """Deterministic text per (key-hash, version): a repeated sentence unit with a
-    hash+version suffix; length is heavy-tailed (median ~200 chars, tail ~8 KiB).
+_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
-    Uses Arrow var-length string kernels (``binary_repeat`` / element-wise
-    join) — numpy's fixed-width unicode arrays would allocate max_len x 4
-    bytes per row and blow up on the 8 KiB tail."""
-    hv = mix64(h + np.uint64(version * 0x9E37_79B9 + 0xABCD))
-    unit = pool[(hv % np.uint64(len(pool))).astype(np.int64)]
+
+def _digit_strings(values: np.ndarray, width: int, base: int) -> pa.Array:
+    """``values`` (non-negative) as printf's ``%0{width}d`` / ``%0{width}x``
+    writes them, from one ASCII byte matrix: no row is a Python string."""
+    v = values.astype(np.uint64)
+    wide = width
+    while v.size and int(v.max()) >= base ** wide:
+        wide += 1
+    # printf widens a row past ``width`` only as far as its value needs
+    size = np.full(v.size, width) + sum(
+        (v >= np.uint64(base ** k)).astype(np.int64) for k in range(width, wide))
+    chars = np.empty((v.size, wide), dtype=np.uint8)
+    for col in range(wide - 1, -1, -1):
+        chars[:, col] = _DIGITS[v % np.uint64(base)]
+        v //= np.uint64(base)
+    if wide > width:
+        chars = chars[np.arange(wide) >= wide - size[:, None]]
+    offsets = np.concatenate(([0], np.cumsum(size))).astype(np.int32)
+    return pa.StringArray.from_buffers(v.size, pa.py_buffer(offsets), pa.py_buffer(chars))
+
+
+def _gen_text(h: np.ndarray, version: np.ndarray | int, pool: tuple) -> pa.Array:
+    """Deterministic text per (key-hash, version), ``version`` per row or a
+    scalar: a repeated sentence unit, heavy-tailed in length (median ~200
+    chars, tail ~8 KiB), then ``[%016x`` of a hash and ``v{version}]``. Each
+    part is an Arrow string array, joined once: no row is a Python string."""
+    sentences, lengths = pool
+    version = np.broadcast_to(np.asarray(version, dtype=np.int64), h.shape)
+    with np.errstate(over="ignore"):
+        hv = mix64(h + version.astype(np.uint64) * np.uint64(0x9E37_79B9)
+                   + np.uint64(0xABCD))
+    unit_idx = (hv % np.uint64(len(lengths))).astype(np.int64)
     # heavy-tailed target length, pareto tail capped at 8 KiB
     u = ((hv >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
     target = np.minimum(60.0 * u ** -0.45, 8192.0)
-    unit_len = np.char.str_len(unit.astype(np.str_)).astype(np.float64)
-    reps = np.maximum(1, np.ceil(target / unit_len)).astype(np.int64)
-    body = pc.binary_repeat(pa.array(unit.astype(object), type=pa.string()),
-                            pa.array(reps.astype(np.int32)))
-    suffix = np.char.add(
-        np.char.add("[", np.char.mod("%016x", hv.astype(np.uint64))),
-        f"v{version}]",
-    )
+    reps = np.maximum(1, np.ceil(target / lengths[unit_idx])).astype(np.int32)
+    body = pc.binary_repeat(sentences.take(pa.array(unit_idx)), pa.array(reps))
+    versions, inverse = np.unique(version, return_inverse=True)
+    tag = pa.array([f"v{v}]" for v in versions.tolist()], type=pa.string())
     out = pc.binary_join_element_wise(
-        body, pa.array(suffix.astype(object), type=pa.string()), "")
+        body, "[", _digit_strings(hv, 16, 16), tag.take(pa.array(inverse)), "")
     # large_string: total text bytes can exceed int32 offsets at xxbench scale
     return out.cast(pa.large_string())
 
@@ -181,28 +204,12 @@ def _payload_columns(conv_idx: np.ndarray, turn_idx: np.ndarray, seed: int,
     tool_idx = np.where(role_idx == 3, (h % np.uint64(17)).astype(np.int64), 17)
     tool = tool_lookup.take(pa.array(tool_idx))
 
-    if isinstance(version, int):
-        text = _gen_text(h, version, pool)
-    else:
-        # per-row versions (updates): gather rows per distinct version (few),
-        # generate each group, then scatter back — all Arrow, no Python rows
-        order = np.argsort(version, kind="stable")
-        sv = version[order]
-        uniq, starts = np.unique(sv, return_index=True)
-        bounds = np.append(starts, sv.size)
-        groups = [_gen_text(h[order[bounds[i]:bounds[i + 1]]], int(v), pool)
-                  for i, v in enumerate(uniq)]
-        ordered = pa.concat_arrays(groups)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        text = ordered.take(pa.array(inverse))
-
     # ts: per-conversation start + monotone per-turn stride (stable turn ordering)
     conv_start_us = (conv_h % np.uint64(30 * 86_400)).astype(np.int64) * 1_000_000
     stride_us = (30 + (conv_h % np.uint64(300)).astype(np.int64)) * 1_000_000
     ts = BASE_EPOCH_US + conv_start_us + turn_idx.astype(np.int64) * stride_us
 
-    return {"role": role, "text": text, "tool": tool,
+    return {"role": role, "text": _gen_text(h, version, pool), "tool": tool,
             "ts": pa.array(ts, type=pa.timestamp("us"))}
 
 
@@ -226,9 +233,9 @@ def gen_transcripts(scale: str | int = "tiny", seed: int = 42) -> pa.Table:
 @lru_cache(maxsize=4)
 def _conv_ids(n_convs: int) -> pa.Array:
     """The conv-%08d id of every conversation, built once per process; rows
-    take from it (one Python string per conversation, not per row)."""
-    uniq = np.char.add("conv-", np.char.mod("%08d", np.arange(n_convs)))
-    return pa.array(uniq.astype(object), type=pa.string())
+    take from it."""
+    return pc.binary_join_element_wise(
+        "conv-", _digit_strings(np.arange(n_convs), 8, 10), "")
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,35 @@ def test_time_travel_versions(small_fixture, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_relative_lake_root(small_fixture, tmp_path, monkeypatch):
+    """A lake opened by a relative path resolves it once: its manifest
+    holds lake-relative files, reads find them, and Ray tasks (whose
+    working directory is not the driver's) write inside the lake."""
+    from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
+
+    files = sorted(glob.glob(small_fixture["changelog"] + "/*.parquet"))
+    lo, hi = _lsn_bounds(files, "lsn")
+    monkeypatch.chdir(tmp_path)
+    eng = CDCEngine("lake", num_partitions=4)
+    assert eng.lake_dir == str(tmp_path / "lake")
+    eng.replay(files, lsn_max=(lo + hi) // 2)
+    v1 = eng.manifest.current_version()
+    eng.replay(files, lsn_min=(lo + hi) // 2)
+    with open(os.path.join("lake", "_manifests", "manifest-000002.json")) as f:
+        assert '"data/txn-000002/' in f.read()
+
+    got = eng.final_table(sort=True).to_pandas()[FINAL_COLUMNS]
+    want = oracle_replay(_read_all(small_fixture["changelog"]))
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True), check_dtype=False)
+    assert set(_assert_changes_exact(eng, v1)["change"]) == \
+        {"insert", "update", "delete"}
+    with pytest.raises(ValueError, match="outside the lake"):
+        eng.manifest.commit(3, {0: {"file": str(tmp_path / "elsewhere.parquet")}},
+                            changes={})
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_snapshot_of_all_deleted_lake_is_typed_empty(tmp_path):
     """Every key deleted: the committed partition files hold no rows, and
     the snapshot is an empty table of the lake's user columns and types,

@@ -1,5 +1,9 @@
 """Fixture generator determinism + shape (FIXTURES.md F1/F2)."""
 
+import math
+import pathlib
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -158,3 +162,74 @@ def test_evolved_changelog_schemas(tmp_path):
     assert old and new
     assert all(s.field("turn_idx").type == pa.int32() for s in old)
     assert all(s.field("turn_idx").type == pa.int64() for s in new)
+
+
+def test_digit_strings_match_printf():
+    """The hex and decimal builders write what ``%016x`` and ``%08d`` write,
+    also where ``%08d`` widens past eight digits (rows of mixed widths)."""
+    from ml_data_pipeline_ray.fixtures.transcripts import _conv_ids, _digit_strings
+
+    hexes = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+    assert _digit_strings(np.array(hexes, dtype=np.uint64), 16, 16).to_pylist() == \
+        [format(v, "016x") for v in hexes]
+    ids = [0, 1, 9_999_999, 10**8 - 1, 10**8, 5, 10**9 + 3, 2**64 - 1]
+    assert _digit_strings(np.array(ids, dtype=np.uint64), 8, 10).to_pylist() == \
+        [format(v, "08d") for v in ids]
+    assert _conv_ids(12).to_pylist() == [f"conv-{i:08d}" for i in range(12)]
+
+
+_M64 = (1 << 64) - 1
+
+
+def _mix64_py(x: int) -> int:
+    x &= _M64
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _M64
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _M64
+    return x ^ (x >> 31)
+
+
+def test_gen_text_matches_python_reference():
+    """``_gen_text`` equals the per-row Python it vectorizes, on random rows
+    and on rows whose length target hits the 8 KiB cap, for per-row
+    versions and for a scalar one."""
+    from ml_data_pipeline_ray.fixtures.transcripts import _gen_text, _sentence_pool
+    from ml_data_pipeline_ray.stages.exchange import mix64
+
+    pool = _sentence_pool(42)
+    sentences = pool[0].to_pylist()
+    capped = []
+
+    def reference(h: int, version: int) -> str:
+        hv = _mix64_py(h + version * 0x9E3779B9 + 0xABCD)
+        unit = sentences[hv % len(sentences)]
+        target = min(60.0 * (((hv >> 11) + 1.0) * 2.0 ** -53) ** -0.45, 8192.0)
+        capped.append(target == 8192.0)
+        return unit * max(1, math.ceil(target / len(unit))) + "[%016x" % hv + f"v{version}]"
+
+    # about 1 row in 55k is capped: search 2M candidates for them
+    rng = np.random.default_rng(7)
+    h = rng.integers(0, 2**64, 2_000_000, dtype=np.uint64)
+    version = rng.choice(np.array([0, 1, 2, 3, 4, 5, 99]), h.size)
+    with np.errstate(over="ignore"):
+        hv = mix64(h + version.astype(np.uint64) * np.uint64(0x9E3779B9) + np.uint64(0xABCD))
+    u = ((hv >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    rows = np.concatenate([np.arange(3000), np.flatnonzero(60.0 * u ** -0.45 >= 8192.0)])
+    h, version = h[rows], version[rows]
+
+    got = _gen_text(h, version, pool)
+    assert got.type == pa.large_string()
+    assert got.to_pylist() == [reference(int(a), int(b)) for a, b in zip(h, version)]
+    assert sum(capped) >= 10 and set(version.tolist()) == {0, 1, 2, 3, 4, 5, 99}
+    assert _gen_text(h, 99, pool).equals(_gen_text(h, np.full(h.size, 99), pool))
+
+
+def test_fixtures_use_no_numpy_string_kernels():
+    """``np.char`` formats fixed-width unicode arrays element by element;
+    the generator builds its strings with Arrow kernels and digit matrices."""
+    from ml_data_pipeline_ray import fixtures
+
+    root = pathlib.Path(fixtures.__file__).parent
+    np_char = re.compile(r"\b(np|numpy)\.char\b|from\s+numpy\s+import[^\n]*\bchar\b")
+    assert [p.name for p in root.rglob("*.py") if np_char.search(p.read_text())] == []
