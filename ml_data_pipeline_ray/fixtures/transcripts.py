@@ -57,7 +57,9 @@ GENERATOR_VERSION = 3
 ROW_GROUP_SIZE = 65_536
 
 #: base rows from which a set is written as Ray tasks when a session is up; below
-#: it task start-up costs more than it saves (``small``, 1 CPU: 2.5 s vs 1.5 s)
+#: it task start-up costs more than it saves at 1 CPU (in-process vs tasks, 16
+#: files: ``small`` 0.25 s vs 0.31-0.73 s, ``bench`` 2.5 s vs 2.95 s; at 4 CPUs
+#: ``bench`` takes 2.7 s vs 1.1 s)
 RAY_MIN_ROWS = 1_000_000
 
 ROLES = np.array(["system", "user", "assistant", "tool"])
