@@ -96,16 +96,15 @@ _WORDS = [
 
 
 @lru_cache(maxsize=8)
-def _sentence_pool(seed: int, n: int = 64) -> tuple[pa.Array, np.ndarray]:
-    """n deterministic sentences (~40-120 chars) and their lengths, built
-    once per process."""
+def _sentence_pool(seed: int, n: int = 64) -> pa.Array:
+    """n deterministic sentences (~40-120 chars), built once per process."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     out = []
     for _ in range(n):
         k = int(rng.integers(6, 18))
         words = rng.choice(_WORDS, size=k)
         out.append(" ".join(words.tolist()) + ". ")
-    return pa.array(out, type=pa.string()), np.array([len(s) for s in out], np.float64)
+    return pa.array(out, type=pa.string())
 
 
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -115,38 +114,33 @@ def _digit_strings(values: np.ndarray, width: int, base: int) -> pa.Array:
     """``values`` (non-negative) as printf's ``%0{width}d`` / ``%0{width}x``
     writes them, from one ASCII byte matrix: no row is a Python string."""
     v = values.astype(np.uint64)
-    wide = width
-    while v.size and int(v.max()) >= base ** wide:
-        wide += 1
-    # printf widens a row past ``width`` only as far as its value needs
-    size = np.full(v.size, width) + sum(
-        (v >= np.uint64(base ** k)).astype(np.int64) for k in range(width, wide))
+    wide = max(width, len(np.base_repr(int(v.max(initial=0)), base)))
     chars = np.empty((v.size, wide), dtype=np.uint8)
     for col in range(wide - 1, -1, -1):
         chars[:, col] = _DIGITS[v % np.uint64(base)]
         v //= np.uint64(base)
-    if wide > width:
-        chars = chars[np.arange(wide) >= wide - size[:, None]]
-    offsets = np.concatenate(([0], np.cumsum(size))).astype(np.int32)
-    return pa.StringArray.from_buffers(v.size, pa.py_buffer(offsets), pa.py_buffer(chars))
+    offsets = np.arange(v.size + 1, dtype=np.int32) * np.int32(wide)
+    out = pa.StringArray.from_buffers(v.size, pa.py_buffer(offsets), pa.py_buffer(chars))
+    # printf widens a row past ``width`` only as far as its value needs
+    return pc.utf8_lpad(pc.utf8_ltrim(out, "0"), width, "0") if wide > width else out
 
 
-def _gen_text(h: np.ndarray, version: np.ndarray | int, pool: tuple) -> pa.Array:
+def _gen_text(h: np.ndarray, version: np.ndarray | int, pool: pa.Array) -> pa.Array:
     """Deterministic text per (key-hash, version), ``version`` per row or a
     scalar: a repeated sentence unit, heavy-tailed in length (median ~200
     chars, tail ~8 KiB), then ``[%016x`` of a hash and ``v{version}]``. Each
     part is an Arrow string array, joined once: no row is a Python string."""
-    sentences, lengths = pool
     version = np.broadcast_to(np.asarray(version, dtype=np.int64), h.shape)
     with np.errstate(over="ignore"):
         hv = mix64(h + version.astype(np.uint64) * np.uint64(0x9E37_79B9)
                    + np.uint64(0xABCD))
-    unit_idx = (hv % np.uint64(len(lengths))).astype(np.int64)
+    unit_idx = (hv % np.uint64(len(pool))).astype(np.int64)
     # heavy-tailed target length, pareto tail capped at 8 KiB
     u = ((hv >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
     target = np.minimum(60.0 * u ** -0.45, 8192.0)
-    reps = np.maximum(1, np.ceil(target / lengths[unit_idx])).astype(np.int32)
-    body = pc.binary_repeat(sentences.take(pa.array(unit_idx)), pa.array(reps))
+    unit_len = pc.utf8_length(pool).to_numpy()[unit_idx]
+    reps = np.maximum(1, np.ceil(target / unit_len)).astype(np.int32)
+    body = pc.binary_repeat(pool.take(pa.array(unit_idx)), pa.array(reps))
     versions, inverse = np.unique(version, return_inverse=True)
     tag = pa.array([f"v{v}]" for v in versions.tolist()], type=pa.string())
     out = pc.binary_join_element_wise(

@@ -198,7 +198,7 @@ def test_gen_text_matches_python_reference():
     from ml_data_pipeline_ray.stages.exchange import mix64
 
     pool = _sentence_pool(42)
-    sentences = pool[0].to_pylist()
+    sentences = pool.to_pylist()
     capped = []
 
     def reference(h: int, version: int) -> str:
