@@ -22,12 +22,17 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import blocks_dataset, pack_blocks
+from ..stages.exchange import blocks_dataset, pack_blocks, packed_dataset
 from ..stages.transforms import align_to_schema  # canonical impl (widening lattice)
 
 # upper bound on compressed input bytes per replay map task, and on the
 # recorded bytes a read task takes on before it closes
 SPLIT_MIB = 16
+#: a read of at most this many recorded bytes runs in the calling process:
+#: a task's round trip (submit, schedule, stream back) costs more CPU than
+#: reading it (a ``tail`` poll's ~20 KiB row diff: ~25 -> ~19 CPU-ms over
+#: the driver and its Ray processes, 1 vCPU)
+INLINE_KIB = 512
 
 Footers = dict[str, pq.FileMetaData]
 
@@ -148,17 +153,20 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
     ``read(units)`` gets the group's units (JSON values naming the files
     to read), in order, and returns a table or yields tables.
 
-    The recorded bytes choose the path. A read that plans into at most one
-    task (a plan of no units too) runs at the call, as one Ray-core task
+    The recorded bytes choose the path. A read of at most
+    :data:`INLINE_KIB` (a plan of no units too) runs at the call in this
+    process, which puts its blocks in the object store
+    (:func:`~..stages.exchange.packed_dataset`). A larger read that plans
+    into one task runs at the call as one Ray-core task
     (:func:`_read_task`) that yields its blocks and then their metadata,
     and is handed over as the executed Dataset of
-    :func:`~..stages.exchange.blocks_dataset`; a bad file raises here. So
-    the hand-over runs no metadata task per block and builds one Dataset,
-    and consuming it starts no Ray Data streaming executor (one per read
-    grew the driver's RSS; see ROADMAP direction 3). A larger read
-    streams, so it is never held in the object store at once: one Ray Data
-    task per group, whose tables Ray Data emits as blocks of at most its
-    target block size."""
+    :func:`~..stages.exchange.blocks_dataset`. Either way a bad file
+    raises here, the hand-over runs no metadata task per block and builds
+    one Dataset, and consuming it starts no Ray Data streaming executor
+    (one per read grew the driver's RSS; see ROADMAP direction 3). A read
+    of several tasks streams, so it is never held in the object store at
+    once: one Ray Data task per group, whose tables Ray Data emits as
+    blocks of at most its target block size."""
     tasks: list[list] = []
     budget = 0
     for unit, nbytes in units:
@@ -170,8 +178,11 @@ def _file_tasks(units: Iterable[tuple[Any, int]], read) -> rd.Dataset:
 
     if len(tasks) <= 1:
         target = rd.DataContext.get_current().target_max_block_size
-        return blocks_dataset([_read_task.remote(tasks[0] if tasks else [],
-                                                 read, target)])
+        units = tasks[0] if tasks else []
+        if budget <= INLINE_KIB << 10:
+            *blocks, meta = pack_blocks(_tables(read(units)), target)
+            return packed_dataset([ray.put(b) for b in blocks], meta)
+        return blocks_dataset([_read_task.remote(units, read, target)])
 
     def run(batch: pa.Table):
         return read(json.loads(batch["units"][0].as_py()))
@@ -191,9 +202,11 @@ def _read_task(units: list, read, max_block_bytes: int | None
     (:func:`~..stages.exchange.pack_blocks`), so no row group is split
     across blocks. Every read returns at least one (maybe empty) table, so
     an empty read is one typed empty block."""
-    out = read(units)
-    yield from pack_blocks([out] if isinstance(out, pa.Table) else out,
-                           max_block_bytes)
+    yield from pack_blocks(_tables(read(units)), max_block_bytes)
+
+
+def _tables(out: pa.Table | Iterable[pa.Table]) -> Iterable[pa.Table]:
+    return [out] if isinstance(out, pa.Table) else out
 
 
 def read_parquet(paths: str | list[str], columns: list[str] | None = None,

@@ -266,35 +266,55 @@ def blocks_dataset(gens: Iterable):
 
     The Dataset is built as ``rd.from_blocks`` builds one, minus its
     ``ray.put`` (the blocks are already in the object store), and its plan
-    is executed once, which for a source with output data runs nothing. So
+    holds the source's blocks as its computed output, as
+    ``ExecutionPlan.execute()`` would set it for a source with output data,
+    minus the two cluster RPCs that call makes first (free CPUs, object
+    store spill totals), about 1 CPU-ms per read on 1 vCPU. So
     ``count()``, consuming the blocks and ``schema()`` (unless no block
     has one) start no ``StreamingExecutor``, and an operator chained on the
     result plans from a fresh source, not from the lineage that made the
     blocks. No blocks at all give an empty Dataset without a schema.
 
     Ray Data has no public constructor for this, so the plan is assembled
-    from ``ray.data._internal`` here, the one module of the package that
-    imports it: a Ray upgrade that moves these internals fails in this
-    function, not silently elsewhere."""
+    from ``ray.data._internal`` in :func:`packed_dataset`, the one module of
+    the package that imports it: a Ray upgrade that moves these internals
+    fails there, not silently elsewhere."""
     import ray
+
+    refs = [list(gen) for gen in gens]
+    meta = [m for ms in ray.get([r[-1] for r in refs]) for m in ms]
+    return packed_dataset([b for r in refs for b in r[:-1]], meta)
+
+
+def packed_dataset(blocks: list, meta: list):
+    """The executed Dataset of :func:`blocks_dataset`: ``blocks`` (object
+    refs) described by ``meta``, their :func:`pack_blocks` metadata."""
     import ray.data as rd
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromBlocks
     from ray.data._internal.plan import ExecutionPlan
     from ray.data._internal.stats import DatasetStats
+    from ray.data.block import _take_first_non_empty_schema
     from ray.data.dataset import MaterializedDataset
 
-    refs = [list(gen) for gen in gens]
-    meta = [m for ms in ray.get([r[-1] for r in refs]) for m in ms]
-    blocks = [b for r in refs for b in r[:-1]]
     plan = ExecutionPlan(DatasetStats(metadata={"FromBlocks": meta}, parent=None),
                          rd.DataContext.get_current().copy())
-    ds = MaterializedDataset(
-        plan, LogicalPlan(FromBlocks(blocks, meta), plan._context))
-    ds._plan.execute()
-    if not ds._plan.has_computed_output():
-        raise RuntimeError("Ray Data no longer executes a FromBlocks source "
-                           "in place; consuming it would start an executor")
+    source = FromBlocks(blocks, meta)
+    ds = MaterializedDataset(plan, LogicalPlan(source, plan._context))
+    bundles = source.output_data()
+    plan._snapshot_bundle = RefBundle(
+        [pair for b in bundles for pair in b.blocks],
+        owns_blocks=all(b.owns_blocks for b in bundles),
+        schema=_take_first_non_empty_schema(b.schema for b in bundles))
+    plan._snapshot_operator = source
+    plan._snapshot_stats = plan._in_stats
+    plan._snapshot_stats.dataset_uuid = plan._dataset_uuid
+    plan._has_started_execution = True
+    if not plan.has_computed_output():
+        raise RuntimeError("Ray Data's ExecutionPlan no longer takes a FromBlocks "
+                           "source's blocks as its output; consuming it would "
+                           "start an executor")
     return ds
 
 

@@ -342,14 +342,15 @@ def test_snapshot_streams_a_partition_by_row_group(small_fixture, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkeypatch,
                                                  ray_data_runs):
-    """A snapshot or row diff whose recorded bytes fit one task runs as one
-    Ray-core task, which hands its blocks' metadata over with them: no
-    metadata task runs (``from_arrow_refs`` is off), ``count()`` and
-    ``schema()`` answer from that metadata, and consuming the read
+    """A snapshot or row diff of at most ``INLINE_KIB`` recorded bytes is
+    read in the calling process; with ``INLINE_KIB`` at 0 it runs as one
+    Ray-core task, which hands its blocks' metadata over with them. On both
+    paths no metadata task runs (``from_arrow_refs`` is off), ``count()``
+    and ``schema()`` answer from that metadata, and consuming the read
     constructs no Ray Data ``StreamingExecutor`` (one per read is what grew
     the driver's RSS). An empty-range diff keeps its typed schema so. With
     ``SPLIT_MIB`` at 0, one task per pid, the same reads stream through
-    Ray Data; both paths return the oracle's rows."""
+    Ray Data; all three paths return the oracle's rows."""
     from ml_data_pipeline_ray.cdc.replay import _lsn_bounds
     from ml_data_pipeline_ray.sources import parquet
 
@@ -368,15 +369,22 @@ def test_small_reads_start_no_streaming_executor(small_fixture, tmp_path, monkey
         ray_data_runs.clear()
         return consume(eng.final_dataset()), consume(eng.table_changes(v - 1, v))
 
-    eager = read_both()
-    assert len(ray_data_runs) == 0
-    for ds, tbl in zip([eng.final_dataset(), eng.table_changes(v - 1, v)], eager):
-        assert ds.count() == tbl.num_rows > 0
-        assert ds.schema().base_schema == tbl.schema
-    empty = eng.table_changes(v, v)
-    assert empty.count() == 0
-    assert empty.schema().base_schema == eager[1].schema
-    assert len(ray_data_runs) == 0
+    def check_eager():
+        got = read_both()
+        assert len(ray_data_runs) == 0
+        for ds, tbl in zip([eng.final_dataset(), eng.table_changes(v - 1, v)], got):
+            assert ds.count() == tbl.num_rows > 0
+            assert ds.schema().base_schema == tbl.schema
+        empty = eng.table_changes(v, v)
+        assert empty.count() == 0
+        assert empty.schema().base_schema == got[1].schema
+        assert len(ray_data_runs) == 0
+        return got
+
+    eager = check_eager()
+    monkeypatch.setattr(parquet, "INLINE_KIB", 0)
+    for a, b in zip(eager, check_eager()):
+        assert a.equals(b)
 
     monkeypatch.setattr(parquet, "SPLIT_MIB", 0)
     streamed = read_both()

@@ -521,6 +521,33 @@ def test_hash_exchange_result_is_collected_without_ray_data_execution(ray_data_r
     assert empty.count() == 0 and empty.schema() is None
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_packed_dataset_is_built_without_cluster_state_calls(monkeypatch):
+    """``packed_dataset`` hands blocks to the plan as its output without
+    ``ExecutionPlan.execute()``, whose two cluster-state RPCs (free CPUs,
+    object store spill totals) cost about 1 CPU-ms per read. The
+    Dataset still counts, collects and reports its stats."""
+    from ray.data._internal import plan as ray_plan
+
+    from ml_data_pipeline_ray.stages.exchange import pack_blocks, packed_dataset
+
+    def no_rpc(*args, **kwargs):
+        raise AssertionError("cluster-state RPC while building the Dataset")
+
+    parts = [pa.table({"k": [i, i + 1], "v": [1.0, 2.0]}) for i in range(0, 6, 2)]
+    monkeypatch.setattr(ray, "available_resources", no_rpc)
+    monkeypatch.setattr(ray_plan, "get_memory_info_reply", no_rpc)
+    *blocks, meta = pack_blocks(parts, None)
+    refs = [ray.put(b) for b in blocks]
+    out = packed_dataset(refs, meta)
+    monkeypatch.undo()
+
+    assert out._plan.has_computed_output()
+    assert out.count() == 6
+    assert collect_arrow(out).equals(pa.concat_tables(parts))
+    assert "FromBlocks" in out.stats()
+
+
 def test_only_the_exchange_module_imports_ray_data_internals():
     """The package reaches Ray Data's private modules from one module,
     ``stages/exchange.py`` (its ``blocks_dataset``), so a Ray upgrade that

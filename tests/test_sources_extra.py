@@ -307,7 +307,7 @@ def test_write_csv_options_roundtrip(tmp_path):
 
 _PARQUET_READS = ["projection_and_filter_outside_it", "tensor_storage_schema",
                   "evolved_files", "unknown_column", "filter_drops_every_row",
-                  "streamed_above_split"]
+                  "one_task_above_inline", "streamed_above_split"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -319,8 +319,9 @@ def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs
     ``fixed_shape_tensor`` column as its storage, two evolved files (a
     widened type, a column one file lacks reading as nulls), a filter that
     drops every row (the typed empty table). An unknown column raises. A
-    read of one task starts no Ray Data executor; one above ``SPLIT_MIB``
-    streams through Ray Data and gives the same rows."""
+    read of at most ``INLINE_KIB`` runs in this process, a larger one of one
+    task as a Ray-core task; neither starts a Ray Data executor. One above
+    ``SPLIT_MIB`` streams through Ray Data. All give the same rows."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
@@ -363,6 +364,9 @@ def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs
         kw = {"columns": ["id"], "filter": pc.field("x") > 2.0}
         want = pds.dataset(path).to_table(**kw)
         assert want.num_rows == 0
+    elif case == "one_task_above_inline":
+        monkeypatch.setattr(parquet, "INLINE_KIB", 0)
+        want = pq.read_table(path)
     else:
         monkeypatch.setattr(parquet, "SPLIT_MIB", 0)
         want = pq.read_table(path)
