@@ -4,9 +4,10 @@ Ray's default ``read_op_min_num_blocks = 200`` shatters small/medium inputs
 into ~1 MB blocks, and every operator downstream then pays a task per
 block. We floor the block count at the CPU count instead; large inputs are
 still split by ``target_max_block_size`` (128 MiB), so at 100 TB the knob
-is inert. It governs only the reads that still go through Ray Data's
-datasources: ``rd.read_csv``, ``rd.read_json`` and ``rd.range`` (Parquet is
-read by ``sources/parquet.py``, which plans its own tasks).
+is inert. The package's file readers plan their own tasks
+(``sources/parquet.py``), so in the library it governs only
+``events_hive_roundtrip``'s read through Ray Data's Parquet datasource
+(and ``rd.range`` in ``bench.py``).
 
 Call :func:`tune_data_context` once after ``ray.init`` (or at import when the
 driver owns the session).

@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.ipc as pipc
 import ray.data as rd
 
+from .parquet import read_files
+
 
 def write_arrow_ipc(table: pa.Table, path: str,
                     compression: str | None = "zstd") -> None:
@@ -29,18 +31,5 @@ def read_arrow_ipc(path: str, memory_map: bool = True) -> pa.Table:
 
 
 def read_arrow_ipc_dataset(paths: str | list[str]) -> rd.Dataset:
-    """IPC file(s) → Dataset, file-parallel: each file is opened (mmap,
-    zero-copy into the task heap) inside its own Ray task rather than
-    materialized on the driver."""
-    from .readers import from_paths
-
-    if isinstance(paths, str):
-        paths = [paths]
-
-    def read_batch(b: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [read_arrow_ipc(p) for p in b.column("path").to_pylist()],
-            promote_options="permissive")
-
-    return from_paths(paths).map_batches(read_batch, batch_format="pyarrow",
-                                         batch_size=None)
+    """IPC file(s) → Dataset, each file opened with a memory map."""
+    return read_files(paths, read_arrow_ipc)

@@ -12,11 +12,11 @@ string, and 2-branch unions with null (nullable columns) inside a top-level
 record — the primitive surface an ETL ingest actually uses. Codecs: null and
 deflate (raw zlib, per spec).
 
-Scale shape: same as TFRecord — the format is row-sequential WITHIN a file
-(varint-coded rows can't be split), so each file decodes inside its own Ray
-task via :func:`from_paths` fan-out, and files are the parallelism unit.
-Decode is a per-row Python loop by necessity (variable-length zigzag varints
-defeat vectorization without a C decoder); keep Avro at the ingest edge and
+Scale shape: the format is row-sequential WITHIN a file (varint-coded rows
+can't be split), so :func:`read_avro` decodes each file in its own Ray
+task, whatever its size. Decode is a per-row Python loop by necessity
+(variable-length zigzag varints defeat vectorization without a C decoder;
+~1 MB/s), so it never runs in the driver; keep Avro at the ingest edge and
 convert to parquet for anything hot.
 """
 
@@ -30,6 +30,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+
+from .parquet import read_files
 
 MAGIC = b"Obj\x01"
 SYNC = bytes(range(16))           # deterministic writer sync marker
@@ -251,16 +253,6 @@ def read_avro_table(path: str) -> pa.Table:
 
 
 def read_avro(paths: str | list[str]) -> rd.Dataset:
-    """Avro OCF file(s) → Dataset, file-parallel (each file decodes in its
-    own Ray task; see module docstring for why rows can't split finer)."""
-    from .readers import from_paths
-
-    if isinstance(paths, str):
-        paths = [paths]
-
-    def read_batch(b: pa.Table) -> pa.Table:
-        tables = [read_avro_table(p) for p in b.column("path").to_pylist()]
-        return pa.concat_tables(tables)
-
-    return from_paths(paths).map_batches(read_batch, batch_format="pyarrow",
-                                         batch_size=None)
+    """Avro OCF file(s) → Dataset, each file decoded in its own Ray task
+    (see module docstring for why rows can't split finer)."""
+    return read_files(paths, read_avro_table, task_per_file=True)

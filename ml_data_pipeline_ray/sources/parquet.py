@@ -1,19 +1,21 @@
-"""The package's one Parquet reader: plans from the files' footers, reads
-in Ray-core tasks.
+"""The package's file reader: plans reads from file metadata, reads in
+Ray-core tasks.
 
-:func:`read_parquet` (a unit per row group) and the CDC lake's snapshot
-and row diff (``cdc/replay.py``: a unit per partition) run on
-:func:`_file_tasks`; the replay's map tasks read their changelog splits
-with :class:`_LakeFiles`. Plans come from the footers alone, as Delta
-Lake plans its reads from file metadata: no datasource re-plans or
+:func:`read_parquet` (a unit per row group), the CDC lake's snapshot and
+row diff (``cdc/replay.py``: a unit per partition) and every other source
+format (:func:`read_files`: a unit per file) run on :func:`_file_tasks`;
+the replay's map tasks read their changelog splits with
+:class:`_LakeFiles`. Plans come from footers and file sizes alone, as
+Delta Lake plans its reads from file metadata: no datasource re-plans or
 samples per call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import pyarrow as pa
 import pyarrow.dataset as pds
@@ -209,6 +211,20 @@ def _tables(out: pa.Table | Iterable[pa.Table]) -> Iterable[pa.Table]:
     return [out] if isinstance(out, pa.Table) else out
 
 
+def read_files(paths: str | list[str], read_one: Callable[[str], pa.Table],
+               task_per_file: bool = False) -> rd.Dataset:
+    """The files ``paths`` as a Dataset of ``read_one(path)`` each, in
+    order: a file is one unit of :func:`_file_tasks`, sized by its bytes on
+    disk, so a small read runs at the call. ``task_per_file`` is for reads
+    whose cost is not their size (a pure-Python decode, a download): each
+    file is then its own Ray task, and none is read in this process."""
+    if isinstance(paths, str):
+        paths = [paths]
+    return _file_tasks(((p, math.inf if task_per_file else os.path.getsize(p))
+                        for p in paths),
+                       lambda units: (read_one(p) for p in units))
+
+
 def read_parquet(paths: str | list[str], columns: list[str] | None = None,
                  filter: pds.Expression | None = None,
                  schema: pa.Schema | None = None) -> rd.Dataset:
@@ -220,19 +236,29 @@ def read_parquet(paths: str | list[str], columns: list[str] | None = None,
     rule the filter out is skipped undecoded (the reference's zonemap
     pushdown, ``parquet/predicates.rs:336-375``). Rows are read as
     ``schema``, by default the files' unified schema without metadata
-    (types widen; a column a file lacks reads as nulls). A read where no
-    row survives yields the typed empty table (every unit reads as one)."""
+    (types widen, a struct gains fields; a column a file lacks reads as
+    nulls). A read where no row survives yields the typed empty table
+    (every unit reads as one)."""
     footers = _footers(_expand_paths(paths))
     if schema is None:
         schema = unify_parquet_schemas(footers).remove_metadata()
+    out = schema if columns is None else pa.schema(
+        [schema.field(c) for c in columns if c in schema.names])
+    # a fragment scans in its file's own types, since Arrow's scan cannot
+    # cast a struct that gained a field, and ``align_to_schema`` widens
+    own = {}
+    for f, md in footers.items():
+        have = md.schema.to_arrow_schema()
+        own[f] = pa.schema([have.field(x.name) if x.name in have.names else x
+                            for x in schema])
 
     def scan(units: list[dict]) -> Iterator[pa.Table]:
         fmt = pds.ParquetFileFormat()
         for u in units:
             frag = fmt.make_fragment(u["file"], filesystem=pafs.LocalFileSystem(),
                                      row_groups=[u["row_group"]])
-            yield frag.to_table(schema=schema, columns=columns, filter=filter,
-                                use_threads=False)
+            yield align_to_schema(frag.to_table(schema=own[u["file"]], columns=columns,
+                                                filter=filter, use_threads=False), out)
 
     return _file_tasks((({"file": f, "row_group": rg}, b)
                         for f, rg, b, _, _ in _row_groups(footers, None)), scan)

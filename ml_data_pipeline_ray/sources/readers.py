@@ -1,5 +1,7 @@
-"""Source/sink wrappers over ``ray.data.read_*`` mirroring the reference's
-reader surface (SURVEY.md §2.1/§2.2).
+"""Sources and sinks mirroring the reference's reader surface (SURVEY.md
+§2.1/§2.2). Every file reader reads one file per call and plans through
+:func:`.parquet.read_files`: a small read runs at the call, a larger one
+in Ray tasks.
 
 - S1/S3 CSV reader + typed parsing + inference → :func:`read_csv_typed`
   (Arrow CSV does parsing/inference; reference options mapped 1:1:
@@ -7,7 +9,6 @@ reader surface (SURVEY.md §2.1/§2.2).
   ``ml-data/ml-data-readers/src/csv/reader.rs:21-61``).
 - S7 text reader → :func:`read_text_lines` ((line_number, text) schema with
   BOM strip / trim / skip-empty, ``ml-data/ml-data-readers/src/text.rs:347-513``).
-  File-parallel: each file decodes inside a Ray task, not on the driver.
 - S10 format autodetect (extension + magic bytes PAR1/ARROW1/gzip,
   ``common.rs:70-148``) → :func:`detect_format`.
 - S11 JSON/JSONL (declared-only in the reference,
@@ -23,23 +24,26 @@ from __future__ import annotations
 
 import csv as _csv
 import os
+import shutil
+import tempfile
+import urllib.request
+from functools import partial
+from urllib.parse import urlparse
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.csv as pacsv
+import pyarrow.json as pajson
+import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..stages.transforms import infer_schema
+from ..stages.transforms import align_to_schema, infer_schema
+from .arrow_ipc import read_arrow_ipc
+from .avro import read_avro_table
+from .parquet import read_files
 from .parquet import read_parquet  # noqa: F401  (the library's import path)
-
-
-def from_paths(paths: list[str]) -> rd.Dataset:
-    """A Dataset of file paths, one block per file — the fan-out point for
-    file-parallel custom readers (each downstream ``map_batches`` task reads
-    its own file(s); nothing streams through the driver)."""
-    return rd.from_items([{"path": p} for p in paths],
-                         override_num_blocks=max(1, len(paths)))
+from .tfrecord import read_tfrecord_file
 
 MAGIC = [
     (b"PAR1", "parquet"),
@@ -114,8 +118,9 @@ def read_csv_typed(paths: str | list[str], *, delimiter: str = ",",
                    comment: str | None = None) -> rd.Dataset:
     """CSV → typed Dataset. With ``schema=None``, types are inferred with the
     reference's fallback chain (int64 → float64 → bool → string) on the first
-    ``schema_inference_rows`` rows of the first file, then applied to the
-    parallel Arrow CSV read (so all files decode consistently)."""
+    ``schema_inference_rows`` rows of the first file, then applied to
+    every file's Arrow CSV read (so all files decode consistently). With
+    ``comment``, lines starting with it at record boundaries are skipped."""
     if isinstance(paths, str):
         paths = [paths]
     first = paths[0]
@@ -154,34 +159,21 @@ def read_csv_typed(paths: str | list[str], *, delimiter: str = ",",
         true_values=["true", "1", "yes", "y", "t", "True", "TRUE"],
         false_values=["false", "0", "no", "n", "f", "FALSE", "False"])
 
-    if comment is not None:
-        # Arrow CSV has no comment support; the reference's Rust csv crate
-        # treats a line as a comment only when its raw first byte is the
-        # comment char at a record boundary. Strip on the RAW bytes inside
-        # each file's own Ray task (file-parallel, nothing on the driver),
-        # then parse typed as usual.
-        def read_one(b: pa.Table) -> pa.Table:
-            tables = []
-            for p in b.column("path").to_pylist():
-                with open(p, "rb") as f:
-                    data = _strip_comment_lines(f.read(), comment)
-                tables.append(pacsv.read_csv(
-                    pa.BufferReader(pa.py_buffer(data)),
-                    read_options=read_options,
-                    parse_options=parse_options,
-                    convert_options=convert_options))
-            return pa.concat_tables(tables)
+    def read_one(path: str) -> pa.Table:
+        src = path
+        if comment is not None:
+            # Arrow CSV has no comment option: strip the raw bytes first
+            with open(path, "rb") as f:
+                src = pa.BufferReader(_strip_comment_lines(f.read(), comment))
+        return pacsv.read_csv(src, read_options=read_options,
+                              parse_options=parse_options,
+                              convert_options=convert_options)
 
-        return from_paths(paths).map_batches(read_one, batch_format="pyarrow",
-                                             batch_size=None)
-
-    return rd.read_csv(paths, read_options=read_options,
-                       parse_options=parse_options,
-                       convert_options=convert_options)
+    return read_files(paths, read_one)
 
 
-def _read_text_file_table(path: str, strip_bom: bool, trim: bool,
-                          skip_empty: bool) -> pa.Table:
+def _read_text_file_table(path: str, strip_bom: bool = True, trim: bool = False,
+                          skip_empty: bool = False) -> pa.Table:
     """One text file → (line_number, text) Arrow table, vectorized: one
     decode + splitlines (C level), then Arrow kernels for trim/skip. Line
     numbers are 1-based original positions per file (reference
@@ -205,21 +197,19 @@ def read_text_lines(paths: str | list[str], *, strip_bom: bool = True,
                     trim: bool = False, skip_empty: bool = False) -> rd.Dataset:
     """Line-oriented text file(s) → (line_number: int64, text: string).
 
-    File-parallel: each file is decoded inside its own Ray task (the file is
-    the parallelism unit because line numbers are per-file sequential —
-    reference ``text.rs:347-513``). At scale with many files this saturates
-    the cluster; for one giant file without line numbers, prefer
-    ``ray.data.read_text`` which shards by byte range."""
-    if isinstance(paths, str):
-        paths = [paths]
+    The file is the unit of work because line numbers are per-file
+    sequential (reference ``text.rs:347-513``); for one giant file without
+    line numbers, prefer ``ray.data.read_text``, which shards by byte
+    range."""
+    return read_files(paths, partial(_read_text_file_table, strip_bom=strip_bom,
+                                     trim=trim, skip_empty=skip_empty))
 
-    def read_batch(b: pa.Table) -> pa.Table:
-        tables = [_read_text_file_table(p, strip_bom, trim, skip_empty)
-                  for p in b.column("path").to_pylist()]
-        return pa.concat_tables(tables)
 
-    return from_paths(paths).map_batches(read_batch, batch_format="pyarrow",
-                                         batch_size=None)
+def _read_json_file(path: str) -> pa.Table:
+    """One JSON-lines file as one Arrow JSON block, so no object straddles
+    a block boundary (the default block is 1 MiB)."""
+    block = min(max(os.path.getsize(path), 1 << 20), (1 << 31) - 1)
+    return pajson.read_json(path, read_options=pajson.ReadOptions(block_size=block))
 
 
 def read_json_typed(paths: str | list[str], *,
@@ -228,17 +218,12 @@ def read_json_typed(paths: str | list[str], *,
     reference: feature flags + error variants,
     ``ml-data/ml-data-readers/src/lib.rs:17-21``, ``error.rs:26-44``).
 
-    ``ray.data.read_json`` shards by file and infers types via Arrow JSON;
-    pass ``schema`` to declare types explicitly (columns are cast/aligned
-    per batch, adding typed nulls for missing keys)."""
-    if isinstance(paths, str):
-        paths = [paths]
-    ds = rd.read_json(paths)
-    if schema is not None:
-        from ..stages.transforms import align_to_schema
-        ds = ds.map_batches(lambda b: align_to_schema(b, schema),
-                            batch_format="pyarrow", zero_copy_batch=True)
-    return ds
+    Each file is read by ``pyarrow.json.read_json``, which infers its
+    types; pass ``schema`` to declare them (columns are cast/aligned per
+    file, adding typed nulls for missing keys)."""
+    if schema is None:
+        return read_files(paths, _read_json_file)
+    return read_files(paths, lambda p: align_to_schema(_read_json_file(p), schema))
 
 
 def build_csv_row_index(path: str) -> np.ndarray:
@@ -405,62 +390,34 @@ def read_http(urls: str | list[str], format: str | None = None,
               timeout: float = 60.0) -> rd.Dataset:
     """HTTP(S) source (S11 — the reference's ``http`` feature is a declared
     reqwest dependency with no implementation,
-    ``ml-data-readers/Cargo.toml:14-20``). Each URL downloads INSIDE its own
+    ``ml-data-readers/Cargo.toml:14-20``). Each URL downloads inside its own
     Ray task to a worker-local spool file and parses there — the driver
-    never touches payload bytes, and URLs are the parallelism unit (the
-    same file-parallel shape as the TFRecord/Avro/text readers, so a list
-    of shard URLs fans out across the cluster).
+    never touches payload bytes, and a list of shard URLs fans out across
+    the cluster, a task per URL.
 
     ``format`` is one of parquet/csv/json/text/arrow/avro/tfrecord;
     autodetected from the first URL's path extension when omitted.
     """
-    from urllib.parse import urlparse
-
     if isinstance(urls, str):
         urls = [urls]
     if format is None:
         format = detect_format(urlparse(urls[0]).path)
-    if format not in ("parquet", "csv", "json", "text", "arrow", "avro",
-                      "tfrecord"):
+    parse = {"parquet": lambda p: pq.read_table(p).replace_schema_metadata(None),
+             "csv": pacsv.read_csv, "json": _read_json_file,
+             "text": _read_text_file_table, "arrow": read_arrow_ipc,
+             "avro": read_avro_table, "tfrecord": read_tfrecord_file}.get(format)
+    if parse is None:
         raise ValueError(f"unsupported http format {format!r}")
 
-    def fetch_parse(b: pa.Table) -> pa.Table:
-        import shutil as _shutil
-        import tempfile as _tempfile
-        import urllib.request
+    def fetch_parse(url: str) -> pa.Table:
+        with urllib.request.urlopen(url, timeout=timeout) as r, \
+                tempfile.NamedTemporaryFile(delete=False) as f:
+            shutil.copyfileobj(r, f)
+            spool = f.name
+        try:
+            return parse(spool)
+        finally:
+            os.unlink(spool)
 
-        tables = []
-        for url in b.column("path").to_pylist():
-            with urllib.request.urlopen(url, timeout=timeout) as r, \
-                    _tempfile.NamedTemporaryFile(delete=False) as f:
-                _shutil.copyfileobj(r, f)
-                spool = f.name
-            try:
-                if format == "parquet":
-                    import pyarrow.parquet as _pq
-                    t = _pq.read_table(spool)
-                    if t.schema.metadata:
-                        t = t.replace_schema_metadata(None)
-                elif format == "csv":
-                    t = pacsv.read_csv(spool)
-                elif format == "json":
-                    import pyarrow.json as _pj
-                    t = _pj.read_json(spool)
-                elif format == "arrow":
-                    from .arrow_ipc import read_arrow_ipc
-                    t = read_arrow_ipc(spool)
-                elif format == "avro":
-                    from .avro import read_avro_table
-                    t = read_avro_table(spool)
-                elif format == "tfrecord":
-                    from .tfrecord import read_tfrecord_file
-                    t = read_tfrecord_file(spool)
-                else:
-                    t = _read_text_file_table(spool, True, False, False)
-            finally:
-                os.unlink(spool)
-            tables.append(t)
-        return pa.concat_tables(tables, promote_options="permissive")
-
-    return from_paths(urls).map_batches(fetch_parse, batch_format="pyarrow",
-                                        batch_size=None)
+    # a URL's cost is its download, not its size: one task per URL
+    return read_files(urls, fetch_parse, task_per_file=True)

@@ -29,6 +29,8 @@ import zlib
 import pyarrow as pa
 import ray.data as rd
 
+from .parquet import read_files
+
 _MASK = 0xA282EAD8
 
 try:
@@ -104,24 +106,14 @@ def read_tfrecord_file(path: str, verify_crc: bool = True) -> pa.Table:
 
 def read_tfrecords(paths: str | list[str], verify_crc: bool = True,
                    include_path: bool = False) -> rd.Dataset:
-    """TFRecord file(s) → Dataset. File-parallel: framing is sequential
-    WITHIN a file (same constraint as the reference), so each file is read
-    inside its own Ray task and files fan out across the cluster. Set
-    ``include_path`` to append the source file path per record."""
-    from .readers import from_paths
+    """TFRecord file(s) → Dataset. Framing is sequential WITHIN a file
+    (same constraint as the reference), so the file is the unit of work.
+    Set ``include_path`` to append the source file path per record."""
 
-    if isinstance(paths, str):
-        paths = [paths]
+    def read_one(p: str) -> pa.Table:
+        t = read_tfrecord_file(p, verify_crc)
+        if include_path:
+            t = t.append_column("path", pa.array([p] * t.num_rows, pa.string()))
+        return t
 
-    def read_batch(b: pa.Table) -> pa.Table:
-        tables = []
-        for p in b.column("path").to_pylist():
-            t = read_tfrecord_file(p, verify_crc)
-            if include_path:
-                t = t.append_column(
-                    "path", pa.array([p] * t.num_rows, pa.string()))
-            tables.append(t)
-        return pa.concat_tables(tables)
-
-    return from_paths(paths).map_batches(read_batch, batch_format="pyarrow",
-                                         batch_size=None)
+    return read_files(paths, read_one)

@@ -582,6 +582,37 @@ def test_only_the_hive_round_trip_calls_ray_data_read_parquet():
     assert users == ["pipelines/tpch.py"]
 
 
+def test_source_readers_plan_through_file_tasks():
+    """Every reader under ``sources/`` plans its tasks through
+    ``parquet._file_tasks``: none calls Ray Data's ``read_csv`` or
+    ``read_json``, ``from_items`` appears only inside ``_file_tasks`` (the
+    stream of a read of several tasks), and ``from_paths``, the old
+    per-file ``map_batches`` fan-out, is gone."""
+    import ast
+    import pathlib
+
+    import ml_data_pipeline_ray
+
+    def names(node):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("rd", "ray.data"):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "ray.data":
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            yield node.name
+
+    root = pathlib.Path(ml_data_pipeline_ray.__file__).parent / "sources"
+    banned = {"read_csv", "read_json", "from_items", "from_paths"}
+    uses = set()
+    for p in root.rglob("*.py"):
+        for top in ast.parse(p.read_text()).body:
+            uses |= {(p.name, getattr(top, "name", None), n)
+                     for node in ast.walk(top) for n in names(node) if n in banned}
+    assert uses == {("parquet.py", "_file_tasks", "from_items")}
+
+
 def _row_hash_reference(tbl: pa.Table, on: list[str]) -> np.ndarray:
     """key_hash's string path as it was: pandas' hash of every row's value
     (the CDC lake's persisted partition function must not move)."""

@@ -1,5 +1,13 @@
 """TFRecord framing, Arrow IPC round trip, timeseries gap fill (S5/S6/S9)."""
 
+import contextlib
+import functools
+import http.server
+import json
+import os
+import threading
+import uuid
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -91,6 +99,11 @@ def test_read_json_typed(tmp_path):
                         ("c", pa.int64())])
     df2 = read_json_typed(p, schema=schema).to_pandas()
     assert df2["a"].dtype == np.float64 and df2["c"].isna().all()
+    # an object larger than Arrow JSON's default 1 MiB block
+    with open(p, "a") as f:
+        f.write('{"a": 4, "b": "%s"}\n' % ("z" * (3 << 20)))
+    df3 = read_json_typed(p).to_pandas().sort_values("a")
+    assert df3["a"].tolist() == [1, 2, 3, 4] and len(df3["b"].iloc[3]) == 3 << 20
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -306,8 +319,9 @@ def test_write_csv_options_roundtrip(tmp_path):
 
 
 _PARQUET_READS = ["projection_and_filter_outside_it", "tensor_storage_schema",
-                  "evolved_files", "unknown_column", "filter_drops_every_row",
-                  "one_task_above_inline", "streamed_above_split"]
+                  "evolved_files", "struct_field_added", "unknown_column",
+                  "filter_drops_every_row", "one_task_above_inline",
+                  "streamed_above_split"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -317,8 +331,9 @@ def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs
     ``pyarrow.dataset`` read from the same files: a projection with a
     filter on a column outside it, a ``schema=`` that reads a
     ``fixed_shape_tensor`` column as its storage, two evolved files (a
-    widened type, a column one file lacks reading as nulls), a filter that
-    drops every row (the typed empty table). An unknown column raises. A
+    widened type, a column one file lacks reading as nulls), a struct
+    column that gains a field, a filter that drops every row (the typed
+    empty table). An unknown column raises. A
     read of at most ``INLINE_KIB`` runs in this process, a larger one of one
     task as a Ray-core task; neither starts a Ray Data executor. One above
     ``SPLIT_MIB`` streams through Ray Data. All give the same rows."""
@@ -356,6 +371,14 @@ def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs
                                 promote_options="permissive")
         assert want.schema.field("id").type == pa.int64()
         assert want.column("x").null_count == 2
+    elif case == "struct_field_added":
+        old, new = str(tmp_path / "s0.parquet"), str(tmp_path / "s1.parquet")
+        pq.write_table(pa.table({"id": [0, 1], "meta": [{"model": "a"}, {"model": "b"}]}), old)
+        pq.write_table(pa.table({"id": [2], "meta": [{"model": "c", "temp": 0.5}]}), new)
+        paths, kw = [old, new], {"columns": ["meta", "id"], "filter": pc.field("id") >= 1}
+        meta = pa.struct([("model", pa.string()), ("temp", pa.float64())])
+        want = pa.table({"meta": pa.array([{"model": "b"}, {"model": "c", "temp": 0.5}], meta),
+                         "id": [1, 2]})
     elif case == "unknown_column":
         with pytest.raises(pa.ArrowInvalid):
             collect_arrow(read_parquet(path, columns=["id", "nope"]))
@@ -374,3 +397,136 @@ def test_read_parquet_matches_pyarrow(case, tmp_path, monkeypatch, ray_data_runs
     assert got.schema.equals(want.schema)
     assert got.sort_by("id").equals(want.sort_by("id"))
     assert bool(ray_data_runs) == (case == "streamed_above_split")
+
+
+_FORMATS = ["text", "arrow_ipc", "tfrecord", "json", "json_schema", "csv",
+            "csv_comment", "avro", "http"]
+#: formats whose cost is not their size: every file is its own task
+_TASK_PER_FILE = ("avro", "http")
+
+
+@contextlib.contextmanager
+def _served(directory: str):
+    """A loopback HTTP server for ``directory``; yields its base URL."""
+    handler = functools.partial(http.server.SimpleHTTPRequestHandler, directory=directory)
+    handler.log_message = lambda *args: None
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{srv.server_address[1]}"
+    finally:
+        srv.shutdown()
+        thread.join(timeout=5)
+
+
+def _write_format(fmt: str, d) -> tuple[list[str], object, object]:
+    """Two small files of ``fmt`` in ``d``: their paths, the format's
+    reader and its per-file read."""
+    import pyarrow.csv as pacsv
+    import pyarrow.json as pajson
+    import pyarrow.parquet as pq
+
+    from ml_data_pipeline_ray.sources import readers
+    from ml_data_pipeline_ray.sources.avro import read_avro, read_avro_table, write_avro
+    from ml_data_pipeline_ray.stages.transforms import align_to_schema
+
+    parts = [pa.table({"k": pa.array(range(5 * i, 5 * i + 5), pa.int64()),
+                       "s": [f"r{i}-{j}" for j in range(5)]}) for i in range(2)]
+    paths = [str(d / f"p{i}.{fmt}") for i in range(2)]
+    for p, t in zip(paths, parts):
+        if fmt == "text":
+            with open(p, "w") as f:
+                f.writelines(f"  {s}  \n\n" for s in t["s"].to_pylist())
+        elif fmt == "arrow_ipc":
+            write_arrow_ipc(t, p)
+        elif fmt == "tfrecord":
+            write_tfrecords([s.encode() for s in t["s"].to_pylist()], p)
+        elif fmt.startswith("json"):
+            t.to_pandas().to_json(p, orient="records", lines=True)
+        elif fmt.startswith("csv"):
+            pacsv.write_csv(t, p)
+            if fmt == "csv_comment":
+                lines = open(p).read().splitlines(keepends=True)
+                with open(p, "w") as f:
+                    f.writelines(["# a comment\n"] + [x + "#\n" for x in lines])
+        elif fmt == "avro":
+            write_avro(t, p)
+        else:
+            pq.write_table(t, p)
+    if fmt == "text":
+        opts = {"trim": True, "skip_empty": True}
+        return (paths, functools.partial(readers.read_text_lines, **opts),
+                functools.partial(readers._read_text_file_table, **opts))
+    if fmt == "arrow_ipc":
+        return paths, read_arrow_ipc_dataset, read_arrow_ipc
+    if fmt == "tfrecord":
+        return paths, read_tfrecords, read_tfrecord_file
+    if fmt == "json":
+        return paths, readers.read_json_typed, pajson.read_json
+    if fmt == "json_schema":
+        schema = pa.schema([("k", pa.float64()), ("s", pa.string()), ("x", pa.int32())])
+        return (paths, functools.partial(readers.read_json_typed, schema=schema),
+                lambda p: align_to_schema(pajson.read_json(p), schema))
+    if fmt.startswith("csv"):
+        comment = "#" if fmt == "csv_comment" else None
+        return (paths, functools.partial(readers.read_csv_typed, comment=comment),
+                lambda p: parts[paths.index(p)])
+    if fmt == "avro":
+        return paths, read_avro, read_avro_table
+    return paths, functools.partial(readers.read_http, format="parquet"), pq.read_table
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", ["inline", "one_task", "streamed"])
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_format_readers_match_their_per_file_read(fmt, case, tmp_path, monkeypatch,
+                                                  ray_data_runs):
+    """Every format reader returns exactly the rows of its per-file read,
+    whichever path ``_file_tasks`` takes: at the call in this process (at
+    most ``INLINE_KIB``), one Ray-core task (``INLINE_KIB`` at 0) or a Ray
+    Data stream of a task per file (``SPLIT_MIB`` at 0). Avro and HTTP
+    never read in this process: one file is one Ray-core task, several
+    files a task each. Only a read of several tasks starts a Ray Data
+    executor."""
+    from ml_data_pipeline_ray.sources import parquet
+    from ml_data_pipeline_ray.stages.exchange import collect_arrow
+
+    paths, reader, read_one = _write_format(fmt, tmp_path)
+    task_per_file = fmt in _TASK_PER_FILE
+    if task_per_file and case == "one_task":
+        paths = paths[:1]
+    if case == "one_task":
+        monkeypatch.setattr(parquet, "INLINE_KIB", 0)
+    elif case == "streamed":
+        monkeypatch.setattr(parquet, "SPLIT_MIB", 0)
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    file_tasks = parquet._file_tasks
+
+    def recorded(units, read):
+        def read_and_record(group):
+            (calls / uuid.uuid4().hex).write_text(json.dumps([os.getpid(), len(group)]))
+            return read(group)
+        return file_tasks(units, read_and_record)
+
+    monkeypatch.setattr(parquet, "_file_tasks", recorded)
+    want = pa.concat_tables([read_one(p) for p in paths])
+    if fmt == "http":
+        with _served(str(tmp_path)) as url:
+            got = collect_arrow(reader([f"{url}/{os.path.basename(p)}" for p in paths]))
+    else:
+        got = collect_arrow(reader(paths))
+
+    by_all = [(c, "ascending") for c in want.column_names]
+    assert got.schema.equals(want.schema)
+    assert got.sort_by(by_all).equals(want.sort_by(by_all))
+    reads = [json.loads(f.read_text()) for f in calls.iterdir()]
+    if task_per_file or case == "streamed":
+        assert sorted(n for _, n in reads) == [1] * len(paths)
+    else:
+        assert [n for _, n in reads] == [2]
+    in_driver = case == "inline" and not task_per_file
+    assert all((pid == os.getpid()) == in_driver for pid, _ in reads)
+    assert bool(ray_data_runs) == (len(reads) > 1)
