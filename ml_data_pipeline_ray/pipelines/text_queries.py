@@ -383,8 +383,8 @@ def _sample_ds(sf_dir: str, bound: str) -> rd.Dataset:
 def neardup_minhash(sf_dir: str) -> pd.DataFrame:
     """MinHash+LSH candidates → DISTRIBUTED exact-Jaccard verification
     (tau=0.8): candidate pairs broadcast, shingle sets co-located by ONE
-    groupby(pair) shuffle, verified inside map_groups — the corpus is never
-    read onto the driver. With 128 hashes / 32 bands the candidate-miss
+    pair exchange and verified in each shard — the corpus is never read
+    onto the driver. With 128 hashes / 32 bands the candidate-miss
     probability at tau is ~5e-8, so the output equals the exact all-pairs
     oracle on this data."""
     ds = _sample_ds(sf_dir, SAMPLE_MAX_MINHASH)
@@ -490,11 +490,8 @@ def neardup_minhash_docs(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     cand = minhash_candidate_pairs(ds, id_col="doc_id",
                                    num_hashes=128, num_bands=64)
-    out = verify_candidate_pairs(ds, cand, id_col="doc_id",
-                                 threshold=0.5, k=3)
-    out["id_a"] = out["id_a"].astype(np.int64)
-    out["id_b"] = out["id_b"].astype(np.int64)
-    return out
+    return verify_candidate_pairs(ds, cand, id_col="doc_id",
+                                  threshold=0.5, k=3)
 
 
 def docs_words_explode(sf_dir: str) -> pd.DataFrame:

@@ -7,11 +7,13 @@ these are the training-data-pipeline operators built Ray-Data-first:
 - exact:    one hash exchange on the deduped columns → keep first row per
             distinct key inside each shard.
 - MinHash:  shingle→minhash signatures per batch (vectorized reduceat) →
-            explode to (band, band_hash, id) rows → one hash exchange on
-            (band, band_hash) → candidate pairs → exact-Jaccard verification.
-            Scale path: the banding exchange moves only (id, 2×uint64) rows.
-- SimHash:  64-bit sign-aggregated token hashes; candidates via 16-bit band
-            buckets, verified by Hamming distance.
+            (id, band, band_hash) rows → one hash exchange on
+            (band, band_hash) → candidate pairs → exact-Jaccard verification
+            of the candidates (broadcast membership + one pair exchange).
+- SimHash:  64-bit sign-aggregated token hashes; the same band rows (plus
+            the signature) and exchange, pairs verified by Hamming distance.
+            Both LSH paths share one band-row emitter (``_band_rows``) and
+            one bucket-pair kernel (``_bucket_pairs``).
 - n-gram:   exact word-shingle Jaccard between all pairs of a (small,
             broadcast) candidate set — the verification kernel MinHash feeds.
 
@@ -28,6 +30,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from .exchange import collect_arrow, hash_exchange, mix64
+from .joins import _pa_schema
 
 TOKEN_SPLIT_RE = r"[^A-Za-z0-9]+"
 
@@ -260,20 +263,82 @@ def duplicate_shingle_stats(ds: rd.Dataset, id_col: str = "doc_id",
 
 
 # ---------------------------------------------------------------------------
-# MinHash + LSH near-dup (distributed candidate generation)
+# LSH near-dup: band rows → one (band, band_hash) exchange → bucket pairs
 # ---------------------------------------------------------------------------
 
+def _band_rows(batch: pa.Table, id_col: str, bh: np.ndarray,
+               **extra: np.ndarray) -> pa.Table:
+    """``(id, band, band_hash, *extra)`` LSH rows, one per (row, band) of
+    the ``(n_rows, num_bands)`` band-hash matrix ``bh``; each ``extra``
+    per-row uint64 array rides along as a column. Only ids and integers
+    reach the banding exchange."""
+    n, num_bands = bh.shape
+    row = np.repeat(np.arange(n), num_bands)
+    cols = {id_col: batch.column(id_col).take(row),
+            "band": pa.array(np.tile(np.arange(num_bands, dtype=np.int32), n)),
+            "band_hash": pa.array(bh.reshape(-1), type=pa.uint64())}
+    for name, v in extra.items():
+        cols[name] = pa.array(v[row], type=pa.uint64())
+    return pa.table(cols)
+
+
+def _bucket_pairs(t: pa.Table, id_col: str
+                  ) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """The bucket-pair kernel of both LSH exchanges. ``t`` holds whole
+    ``(band, band_hash)`` buckets (many per shard: a bucket per Ray group
+    would be tens of thousands of mostly singleton groups). Its rows are
+    deduped on ``(band, band_hash, id)`` and sorted by bucket, then id.
+    Returns those rows and the positions ``a < b`` of every pair sharing a
+    bucket, so ``id[a] < id[b]``. Buckets come in few sizes, so all buckets
+    of one size share one upper-triangle index."""
+    t = t.sort_by([("band", "ascending"), ("band_hash", "ascending"),
+                   (id_col, "ascending")])
+    band = t.column("band").to_numpy()
+    bh = t.column("band_hash").to_numpy()
+    ids = t.column(id_col).to_numpy(zero_copy_only=False)
+    new = np.ones(t.num_rows, dtype=bool)
+    new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
+    keep = new.copy()
+    keep[1:] |= ids[1:] != ids[:-1]
+    t, new = t.filter(keep), new[keep]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, t.num_rows))
+    a, b = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        ia, ib = np.triu_indices(size, k=1)
+        s = starts[sizes == size][:, None]
+        a.append((s + ia).ravel())
+        b.append((s + ib).ravel())
+    return t, np.concatenate(a), np.concatenate(b)
+
+
+def _pair_frame(tbl: pa.Table, ds: rd.Dataset, id_col: str,
+                **extra: pa.DataType) -> pd.DataFrame:
+    """Collected ``(id_a, id_b, *extra)`` rows as a DataFrame of distinct
+    rows sorted by ``(id_a, id_b)``. A table without columns (no row
+    reached the exchange) becomes an empty frame typed by ``ds``' id
+    column."""
+    if not tbl.num_columns:
+        id_t = _pa_schema(ds).field(id_col).type
+        tbl = pa.schema([("id_a", id_t), ("id_b", id_t),
+                         *extra.items()]).empty_table()
+    return (tbl.to_pandas().drop_duplicates()
+            .sort_values(["id_a", "id_b"], kind="mergesort")
+            .reset_index(drop=True))
+
+
 class MinHashStage:
-    """Per-batch stage: text → (id, band, band_hash) LSH bucket rows.
+    """Per-batch stage: text → ``(id, band, band_hash)`` LSH rows.
 
     ``__init__`` fixes the signature/banding configuration once;
-    ``__call__`` emits ``num_bands`` rows per input row — only ids and two
-    integer columns ever hit the subsequent groupby shuffle.
+    ``__call__`` emits ``num_bands`` rows per input row.
     """
 
     def __init__(self, id_col: str, text_col: str = "text", k: int = 3,
                  num_hashes: int = 128, num_bands: int = 32):
-        assert num_hashes % num_bands == 0
+        if num_bands < 1 or num_hashes % num_bands:
+            raise ValueError(f"num_hashes={num_hashes} must be a multiple of "
+                             f"num_bands={num_bands}")
         self.id_col, self.text_col = id_col, text_col
         self.k, self.num_hashes, self.num_bands = k, num_hashes, num_bands
         self.rows_per_band = num_hashes // num_bands
@@ -288,106 +353,28 @@ class MinHashStage:
             bh = np.zeros((n, self.num_bands), dtype=np.uint64)
             for r in range(self.rows_per_band):
                 bh = bh * np.uint64(0x100000001B3) + bands[:, :, r]
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        return pa.table({
-            self.id_col: pa.array(np.repeat(ids, self.num_bands)),
-            "band": pa.array(np.tile(np.arange(self.num_bands, dtype=np.int32), n)),
-            "band_hash": pa.array(bh.reshape(-1), type=pa.uint64()),
-        })
-
-
-def _candidate_pairs_raw(ds: rd.Dataset, id_col: str,
-                         text_col: str = "text",
-                         k: int = 3, num_hashes: int = 128,
-                         num_bands: int = 32) -> rd.Dataset:
-    """Banding + bucket-shard pipeline producing candidate ``(id_a, id_b)``
-    rows WITHOUT cross-shard dedup (a pair found in several bands appears
-    once per band-shard). Shared by the Dataset and driver-collecting
-    entry points, which dedup distributed / on the driver respectively."""
-    buckets = ds.map_batches(
-        MinHashStage(id_col, text_col, k, num_hashes, num_bands),
-        batch_format="pyarrow")
-
-    # Many LSH buckets per shard (bucket-per-group costs ~0.3 ms of Ray
-    # group machinery each; bands x docs buckets = tens of thousands of
-    # groups, almost all singletons). The exchange on (band, band_hash)
-    # keeps every bucket's rows co-located; inside a shard, segment
-    # boundaries are found vectorized and the per-bucket triu runs only on
-    # multi-row buckets.
-    def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "band_hash"], kind="mergesort")
-        band = g["band"].to_numpy()
-        bh = g["band_hash"].to_numpy()
-        ids = g[id_col].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(g)]))
-        sizes = ends - starts
-        out_a, out_b = [], []
-        for s, e in zip(starts[sizes >= 2].tolist(), ends[sizes >= 2].tolist()):
-            u = np.unique(ids[s:e])
-            if u.size < 2:
-                continue
-            a, b = np.triu_indices(u.size, k=1)
-            out_a.append(u[a])
-            out_b.append(u[b])
-        if not out_a:
-            # typed empty: all-singleton shards must union cleanly with
-            # pair-bearing shards in the downstream distinct exchange
-            return pd.DataFrame({"id_a": pd.Series([], dtype=ids.dtype),
-                                 "id_b": pd.Series([], dtype=ids.dtype)})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b)})
-
-    return hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
-                         batch_format="pandas")
-
-
-def minhash_candidate_pairs_ds(ds: rd.Dataset, id_col: str,
-                               text_col: str = "text",
-                               k: int = 3, num_hashes: int = 128,
-                               num_bands: int = 32) -> rd.Dataset:
-    """Distributed LSH candidate generation: distinct id pairs sharing at
-    least one (band, band_hash) bucket. Returns a MATERIALIZED Dataset of
-    ``(id_a, id_b)`` — the pair list never lands on the driver, so a
-    dup-storm corpus (every row duplicated) cannot concentrate there.
-    Shuffles: one bucket-shard exchange of (id, band, band_hash), then one
-    distinct exchange of the (narrow) pair rows — the same pair surfaces
-    from several bands (and therefore several shards), so dedup needs an
-    exchange here."""
-    cand = _candidate_pairs_raw(ds, id_col, text_col, k, num_hashes,
-                                num_bands)
-
-    def drop_count(b: pa.Table) -> pa.Table:
-        return b.select(["id_a", "id_b"])
-
-    from .groupagg import grouped_agg
-
-    distinct = grouped_agg(
-        cand, keys=["id_a", "id_b"], aggs=[(None, "count_star", "_c")]
-    ).map_batches(drop_count, batch_format="pyarrow", zero_copy_batch=True)
-    return distinct.materialize()
+        return _band_rows(batch, self.id_col, bh)
 
 
 def minhash_candidate_pairs(ds: rd.Dataset, id_col: str, text_col: str = "text",
                             k: int = 3, num_hashes: int = 128,
                             num_bands: int = 32) -> pd.DataFrame:
-    """Driver-collecting candidate generation for callers that want the
-    (near-dup-density-bounded) pair list as a DataFrame. Same banding +
-    shard pipeline as :func:`minhash_candidate_pairs_ds` but the cross-band
-    duplicate removal happens on the collected (bounded) list — one less
-    exchange than the Dataset path, which matters because the duplicates
-    are at most ``num_bands`` per true pair."""
-    # reuse the shard pipeline up to (but not including) the distinct
-    # exchange by running the _ds body inline without it
-    cand = _candidate_pairs_raw(ds, id_col, text_col, k, num_hashes,
-                                num_bands).to_pandas()
-    if len(cand) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
-                             "id_b": pd.Series([], dtype=np.int64)})
-    return (cand.drop_duplicates().sort_values(["id_a", "id_b"])
-            .reset_index(drop=True))
+    """LSH candidates: the distinct ``(id_a, id_b)`` pairs, ``id_a < id_b``,
+    that share at least one ``(band, band_hash)`` bucket, sorted. One
+    exchange of the band rows; a pair found in several bands surfaces from
+    several shards, and those copies are dropped on the driver, whose list
+    is the near-dup density times up to ``num_bands`` rows."""
+    def pairs_in_shard(t: pa.Table) -> pa.Table:
+        rows, a, b = _bucket_pairs(t, id_col)
+        ids = rows.column(id_col)
+        return pa.table({"id_a": ids.take(a), "id_b": ids.take(b)})
+
+    buckets = ds.map_batches(
+        MinHashStage(id_col, text_col, k, num_hashes, num_bands),
+        batch_format="pyarrow")
+    out = hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
+                        batch_format="pyarrow")
+    return _pair_frame(collect_arrow(out), ds, id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -457,51 +444,6 @@ def _member_shingles(batch: pa.Table, members: pa.Table, id_col: str,
                      "sh": _shingle_blob(sub.column(text_col), k)})
 
 
-def _verify_emitted_pairs(emitted: rd.Dataset, threshold: float) -> rd.Dataset:
-    """Shared verification exchange: bucket the ``(id_a, id_b, side, sh)``
-    rows by pair hash (many pairs per Ray group — one group per pair costs
-    ~0.5 ms of group machinery each), then exact-Jaccard inside each bucket.
-
-    Partitioning assumption: both sides of a pair land in one bucket
-    (guaranteed — the bucket is a pure function of (id_a, id_b))."""
-
-    def check_bucket(g: pa.Table) -> pa.Table:
-        a_t = g.schema.field("id_a").type
-        empty = pa.table({"id_a": pa.array([], a_t),
-                          "id_b": pa.array([], g.schema.field("id_b").type)})
-        if g.num_rows == 0:
-            return empty
-        av = g.column("id_a").to_numpy(zero_copy_only=False)
-        bv = g.column("id_b").to_numpy(zero_copy_only=False)
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, bv, av))
-        a_s, b_s, side_s = av[order], bv[order], side[order]
-        offs, flat = _shingle_views(g.column("sh"))
-        new = np.ones(a_s.size, dtype=bool)
-        new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [a_s.size]))
-        out_a, out_b = [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if e - s < 2 or side_s[s] != 0 or side_s[e - 1] != 1:
-                continue           # one side's row missing — not verifiable
-            ra, rb = int(order[s]), int(order[e - 1])
-            sa = np.unique(flat[offs[ra]:offs[ra + 1]])
-            sb = np.unique(flat[offs[rb]:offs[rb + 1]])
-            inter = np.intersect1d(sa, sb).size
-            union = sa.size + sb.size - inter
-            if union and inter / union >= threshold:
-                out_a.append(a_s[s])
-                out_b.append(b_s[s])
-        if not out_a:
-            return empty
-        return pa.table({"id_a": pa.array(np.asarray(out_a)).cast(a_t),
-                         "id_b": pa.array(np.asarray(out_b)).cast(a_t)})
-
-    return hash_exchange([emitted], ["id_a", "id_b"], check_bucket,
-                         batch_format="pyarrow")
-
-
 def verify_candidate_pairs(ds: rd.Dataset, candidates: pd.DataFrame,
                            id_col: str, text_col: str = "text",
                            threshold: float = 0.8, k: int = 3) -> pd.DataFrame:
@@ -512,64 +454,50 @@ def verify_candidate_pairs(ds: rd.Dataset, candidates: pd.DataFrame,
     join — no per-pair Python anywhere), computes shingle sets for matched
     rows only, and ONE
     pair-bucket shuffle co-locates each pair's two sides. Returns the pairs
-    with word-``k``-gram Jaccard >= threshold.
+    with word-``k``-gram Jaccard >= threshold, sorted.
 
     Scale shape: shuffle volume = Σ per-candidate shingle sets (only
     suspects move), never the corpus; the driver holds only the compact
-    Arrow pair/membership tables and the verified result. For corpora where
-    even the pair LIST outgrows the driver (dup storms), use
-    :func:`verify_pairs_distributed`."""
+    Arrow pair/membership tables and the verified result."""
     if len(candidates) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=object),
-                             "id_b": pd.Series([], dtype=object)})
+        return _pair_frame(pa.table({}), ds, id_col)
     pairs = pa.Table.from_pandas(candidates[["id_a", "id_b"]],
                                  preserve_index=False)
     emitted = ds.map_batches(
         _member_shingles, batch_format="pyarrow",
         fn_kwargs={"members": _expand_membership(pairs, id_col),
                    "id_col": id_col, "text_col": text_col, "k": k})
-    out = _verify_emitted_pairs(emitted, threshold).to_pandas()
-    if len(out) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=object),
-                             "id_b": pd.Series([], dtype=object)})
-    return (out.sort_values(["id_a", "id_b"], kind="mergesort")
-            .reset_index(drop=True))
 
+    # many pairs per shard (a Ray group per pair costs ~0.5 ms of group
+    # machinery each); both sides of a pair land in one shard, since the
+    # shard is a function of (id_a, id_b)
+    def check_bucket(g: pa.Table) -> pa.Table:
+        av = g.column("id_a").to_numpy(zero_copy_only=False)
+        bv = g.column("id_b").to_numpy(zero_copy_only=False)
+        side = g.column("side").to_numpy(zero_copy_only=False)
+        order = np.lexsort((side, bv, av))
+        a_s, b_s, side_s = av[order], bv[order], side[order]
+        offs, flat = _shingle_views(g.column("sh"))
+        new = np.ones(a_s.size, dtype=bool)
+        new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
+        starts = np.flatnonzero(new)
+        ends = np.concatenate((starts[1:], [a_s.size]))
+        keep = []
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            if e - s < 2 or side_s[s] != 0 or side_s[e - 1] != 1:
+                continue           # one side's row missing — not verifiable
+            ra, rb = int(order[s]), int(order[e - 1])
+            sa = np.unique(flat[offs[ra]:offs[ra + 1]])
+            sb = np.unique(flat[offs[rb]:offs[rb + 1]])
+            inter = np.intersect1d(sa, sb).size
+            union = sa.size + sb.size - inter
+            if union and inter / union >= threshold:
+                keep.append(ra)
+        return g.select(["id_a", "id_b"]).take(np.asarray(keep, np.int64))
 
-def verify_pairs_distributed(ds: rd.Dataset, cand: rd.Dataset, id_col: str,
-                             text_col: str = "text", threshold: float = 0.8,
-                             k: int = 3) -> rd.Dataset:
-    """Fully distributed exact-Jaccard verification — the dup-storm path:
-    the candidate pair Dataset NEVER lands on the driver. The corpus is
-    pre-filtered with a Bloom filter built from the membership ids (driver
-    holds one bitmap, not the ids), shingle sets are computed for the
-    surviving suspects only, a bucketed :func:`hash_join` on id attaches
-    each suspect's shingles to its memberships, and the shared pair-bucket
-    exchange verifies each pair. Returns a Dataset of verified (id_a, id_b).
-
-    Cost vs the broadcast path: one extra exchange of the suspect shingle
-    rows (the join) — the price of unbounded pair counts."""
-    from .bloom import bloom_prefilter, build_bloom
-    from .joins import hash_join
-
-    cand = cand.materialize()   # consumed twice: bloom build + join
-    members = cand.map_batches(
-        lambda b: _expand_membership(b, id_col),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    bloom = build_bloom(members.select_columns([id_col]), on=[id_col])
-    suspects = bloom_prefilter(ds.select_columns([id_col, text_col]),
-                               bloom, on=[id_col])
-
-    def shingles(b: pa.Table) -> pa.Table:
-        return pa.table({id_col: b.column(id_col),
-                         "sh": _shingle_blob(b.column(text_col), k)})
-
-    emitted = hash_join(
-        suspects.map_batches(shingles, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        members, on=[id_col]).select_columns(["id_a", "id_b", "side", "sh"])
-    return _verify_emitted_pairs(emitted, threshold)
+    out = hash_exchange([emitted], ["id_a", "id_b"], check_bucket,
+                        batch_format="pyarrow")
+    return _pair_frame(collect_arrow(out), ds, id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -618,70 +546,34 @@ class SimHashBandStage:
             width = np.uint64(hi - lo)
             mask = (np.uint64(1) << width) - np.uint64(1)
             bh[:, i] = (sig >> lo) & mask
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        return pa.table({
-            self.id_col: pa.array(np.repeat(ids, self.num_bands)),
-            "band": pa.array(np.tile(np.arange(self.num_bands, dtype=np.int32), n)),
-            "band_hash": pa.array(bh.reshape(-1), type=pa.uint64()),
-            "sig": pa.array(np.repeat(sig, self.num_bands), type=pa.uint64()),
-        })
+        return _band_rows(batch, self.id_col, bh, sig=sig)
 
 
 def simhash_candidate_pairs(ds: rd.Dataset, id_col: str,
                             text_col: str = "text", num_bands: int = 9,
                             max_hd: int = 8) -> pd.DataFrame:
-    """Distributed SimHash near-dup: banding shuffle (only (id, band,
-    band_hash, sig) rows move), Hamming verification inside each bucket.
-    Exact for ``max_hd <= num_bands - 1`` — equivalent to the all-pairs scan
-    without the O(n²) compare."""
-    assert max_hd <= num_bands - 1, "recall bound requires max_hd < num_bands"
-    stage = SimHashBandStage(id_col, text_col, num_bands)
-    buckets = ds.map_batches(stage, batch_format="pyarrow")
+    """Distributed SimHash near-dup: the ``(id_a, id_b, hamming)`` pairs,
+    ``id_a < id_b``, at Hamming distance ``<= max_hd``, sorted. Banding
+    exchange as MinHash's (only (id, band, band_hash, sig) rows move), then
+    Hamming verification of each bucket's pairs. Exact for ``max_hd <=
+    num_bands - 1`` — equivalent to the all-pairs scan without the O(n²)
+    compare."""
+    if max_hd > num_bands - 1:
+        raise ValueError(f"max_hd={max_hd} needs num_bands > max_hd for exact "
+                         f"recall, got num_bands={num_bands}")
     lut = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
 
-    # exchange on (band, band_hash) like the MinHash path: bands x docs
-    # buckets are tens of thousands of (mostly singleton) Ray groups
-    # otherwise; segment vectorized per shard
+    def pairs_in_shard(t: pa.Table) -> pa.Table:
+        rows, a, b = _bucket_pairs(t, id_col)
+        sig = rows.column("sig").to_numpy()
+        hd = lut[(sig[a] ^ sig[b]).view(np.uint8).reshape(-1, 8)].sum(1)
+        keep = hd <= max_hd
+        ids = rows.column(id_col)
+        return pa.table({"id_a": ids.take(a[keep]), "id_b": ids.take(b[keep]),
+                         "hamming": hd[keep].astype(np.int64)})
 
-    def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.sort_values(["band", "band_hash"], kind="mergesort")
-             .drop_duplicates(subset=["band", "band_hash", id_col]))
-        band = g["band"].to_numpy()
-        bh = g["band_hash"].to_numpy()
-        ids = g[id_col].to_numpy()
-        sig = g["sig"].to_numpy().astype(np.uint64)
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(g)]))
-        sizes = ends - starts
-        out_a, out_b, out_h = [], [], []
-        for s, e in zip(starts[sizes >= 2].tolist(), ends[sizes >= 2].tolist()):
-            a, b = np.triu_indices(e - s, k=1)
-            x = sig[s:e][a] ^ sig[s:e][b]
-            hd = lut[x.view(np.uint8).reshape(-1, 8)].sum(1)
-            keep = hd <= max_hd
-            if keep.any():
-                out_a.append(ids[s:e][a[keep]])
-                out_b.append(ids[s:e][b[keep]])
-                out_h.append(hd[keep].astype(np.int64))
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=ids.dtype),
-                                 "id_b": pd.Series([], dtype=ids.dtype),
-                                 "hamming": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "hamming": np.concatenate(out_h)})
-
-    cand = hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
-                         batch_format="pandas").to_pandas()
-    if len(cand) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=object),
-                             "id_b": pd.Series([], dtype=object),
-                             "hamming": pd.Series([], dtype=np.int64)})
-    swap = cand["id_a"] > cand["id_b"]
-    cand.loc[swap, ["id_a", "id_b"]] = cand.loc[swap, ["id_b", "id_a"]].to_numpy()
-    cand = cand.drop_duplicates(subset=["id_a", "id_b"])
-    cand["hamming"] = cand["hamming"].astype(np.int64)
-    return (cand.sort_values(["id_a", "id_b"], kind="mergesort")
-            .reset_index(drop=True))
+    buckets = ds.map_batches(SimHashBandStage(id_col, text_col, num_bands),
+                             batch_format="pyarrow")
+    out = hash_exchange([buckets], ["band", "band_hash"], pairs_in_shard,
+                        batch_format="pyarrow")
+    return _pair_frame(collect_arrow(out), ds, id_col, hamming=pa.int64())

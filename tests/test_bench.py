@@ -1,8 +1,13 @@
-"""bench.py's output contract: its last line stays short and parses."""
+"""The benchmark tools' contracts: bench.py's last line stays short and
+parses, and every entry point perfbench's tracer wraps exists."""
 
+import importlib
 import json
 
+import pytest
+
 import bench
+from perfbench.tracing import TRACED
 
 
 def test_summary_line_is_compact_and_parses():
@@ -22,3 +27,14 @@ def test_summary_line_is_compact_and_parses():
                    "events": 1_900_000, "events_per_sec": 2083333.3,
                    "maps_s": 0.41, "merge_s": 0.38, "commit_s": 0.02,
                    "n_queries": 108, "suite_sum_sec": round(sum(queries.values()), 3)}
+
+
+@pytest.mark.parametrize("module,attr", TRACED,
+                         ids=[f"{m}:{a}" for m, a in TRACED])
+def test_traced_entry_points_resolve(module, attr):
+    """A renamed or deleted entry point would otherwise fail only a traced
+    benchmark run, when the tracer wraps it."""
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

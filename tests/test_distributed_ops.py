@@ -66,15 +66,15 @@ def test_minhash_lsh_finds_near_dups():
     cand = dedup.minhash_candidate_pairs(rd.from_arrow(t), id_col="doc_id")
     pairs = set(map(tuple, cand[["id_a", "id_b"]].to_numpy()))
     assert (0, 1) in pairs and (0, 2) in pairs and (1, 2) in pairs
+    assert (cand["id_a"] < cand["id_b"]).all()
     assert not any(3 in p or 4 in p for p in pairs)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dup_storm_fully_distributed_neardup():
-    """Dup-storm corpus (50% duplicates): the Dataset-in/Dataset-out path
-    (minhash_candidate_pairs_ds -> verify_pairs_distributed) must find every
-    duplicate pair without the pair list ever living on the driver, and must
-    agree with the brute-force pairwise Jaccard oracle."""
+def test_dup_storm_minhash_verify_neardup():
+    """Dup-storm corpus (50% duplicates): minhash_candidate_pairs ->
+    verify_candidate_pairs must find every duplicate pair and agree with the
+    brute-force pairwise Jaccard oracle."""
     rng = np.random.default_rng(11)
     vocab = [f"w{i}" for i in range(200)]
     n_base = 60
@@ -91,10 +91,9 @@ def test_dup_storm_fully_distributed_neardup():
                   "text": pa.array(texts)})
     ds = rd.from_arrow(t)
 
-    cand = dedup.minhash_candidate_pairs_ds(ds, id_col="doc_id")
-    got = (dedup.verify_pairs_distributed(ds, cand, id_col="doc_id",
-                                          threshold=0.8, k=3)
-           .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
+    cand = dedup.minhash_candidate_pairs(ds, id_col="doc_id")
+    got = dedup.verify_candidate_pairs(ds, cand, id_col="doc_id",
+                                       threshold=0.8, k=3)
     got_pairs = set(map(tuple, got[["id_a", "id_b"]].to_numpy()))
 
     # brute-force oracle on the tiny fixture
@@ -283,6 +282,46 @@ def test_simhash_banding_equals_all_pairs():
     got = simhash_candidate_pairs(rd.from_arrow(tbl), id_col="rid",
                                   num_bands=9, max_hd=8)
     pd.testing.assert_frame_equal(got, want)
+
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("fn", ["minhash", "simhash", "verify"])
+@pytest.mark.parametrize("id_type,dtype", [(pa.int64(), "int64"),
+                                           (pa.string(), "object")],
+                         ids=["int64_ids", "string_ids"])
+@pytest.mark.parametrize("n_docs", [0, 6], ids=["empty", "all_distinct"])
+def test_neardup_empty_results_carry_id_type(fn, id_type, dtype, n_docs):
+    """An empty corpus and an all-distinct one give no pairs, in frames
+    whose id columns have the corpus id column's type."""
+    ids = pa.array(range(n_docs), pa.int64()).cast(id_type)
+    texts = [" ".join(f"w{i}x{j}" for j in range(20)) for i in range(n_docs)]
+    tbl = pa.table({"doc_id": ids, "text": pa.array(texts, pa.string())})
+    ds = rd.from_arrow(tbl)
+    if fn == "minhash":
+        out = dedup.minhash_candidate_pairs(ds, id_col="doc_id")
+    elif fn == "simhash":
+        out = dedup.simhash_candidate_pairs(ds, id_col="doc_id")
+        assert out["hamming"].dtype == np.int64
+    else:
+        a, b = np.triu_indices(n_docs, k=1)
+        ids_np = ids.to_numpy(zero_copy_only=False)
+        every_pair = pd.DataFrame({"id_a": ids_np[a], "id_b": ids_np[b]})
+        out = dedup.verify_candidate_pairs(ds, every_pair, id_col="doc_id")
+    assert len(out) == 0
+    assert out["id_a"].dtype == dtype and out["id_b"].dtype == dtype
+
+
+def test_minhash_bands_must_divide_hashes():
+    with pytest.raises(ValueError, match="num_hashes=128.*num_bands=5"):
+        dedup.MinHashStage("doc_id", num_hashes=128, num_bands=5)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_simhash_max_hd_must_be_below_bands():
+    ds = rd.from_arrow(pa.table({"rid": ["a"], "text": ["x y z"]}))
+    with pytest.raises(ValueError, match="max_hd=9.*num_bands=9"):
+        dedup.simhash_candidate_pairs(ds, id_col="rid", num_bands=9, max_hd=9)
 
 
 def _sliced(frames: dict[str, pd.DataFrame]) -> pa.Table:
